@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .curves import KAPPA_MIN, frenet_data
-from .errors import NormalCurvatureZero, StepSizeUnderflow, VanishingCurvature
-from .numerics import arccot, cumulative_simpson_uniform, odd_node_count
+from .curves import curvature_vector, frenet_data
+from .errors import NormalCurvatureZero, StepSizeUnderflow
+from .numerics import arccot, cumulative_simpson_uniform, first_where
 
 __all__ = [
     "InitialCondition",
@@ -54,10 +54,10 @@ def rhs_same_angle(t, theta, scalars):
     Requires kappa_n != 0; reformulate through :func:`rhs_prescribed` with
     phi equal to the (continuously extended) base ruling angle otherwise.
     """
-    if abs(scalars.kappa_n) < 1e-9:
-        raise NormalCurvatureZero(
-            f"kappa_n = {scalars.kappa_n:.3e} at t={t:.6g}; use the prescribed-angle form"
-        )
+    small = abs(scalars.kappa_n) < 1e-9
+    if small.any() if isinstance(small, np.ndarray) else small:  # np.any would slow RK4 steps
+        t = first_where(small, t)
+        raise NormalCurvatureZero(f"kappa_n vanishes at t={t:.6g}; use the prescribed-angle form")
     tg = scalars.tau_g
     return tg * np.cos(theta) - tg - (scalars.kappa_g * tg / scalars.kappa_n) * np.sin(theta)
 
@@ -97,7 +97,7 @@ class ThetaSolution:
     def derivative(self, t):
         # exact along the solution: theta' = F(t, theta(t))
         if self.rhs is not None:
-            return self.rhs(t, float(self._spline(t)))
+            return self.rhs(t, self._spline(t))
         return self._spline(t, 1)
 
     def ode_residual(self):
@@ -196,12 +196,12 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
     if phi is not None:
         rhs = prescribed_angle_rhs(scalars_fn, phi)
     else:
-        kn_min = min(abs(scalars_fn(t).kappa_n) for t in curve.grid(scalars_grid))
+        kn_min = float(np.min(np.abs(scalars_fn(curve.grid(scalars_grid)).kappa_n)))
         if kn_min > 1e-6:
             rhs = same_angle_rhs(scalars_fn)
         else:
             mu = mu_field(curve, base_field, grid_size=scalars_grid)
-            rhs = prescribed_angle_rhs(scalars_fn, lambda t: arccot(float(mu(t))))
+            rhs = prescribed_angle_rhs(scalars_fn, lambda t: arccot(mu(t)))
     solution = solve_theta(rhs, curve.length, InitialCondition(0.0, float(q)), grid_size)
     field = RotatedNormalField(base_field, solution, solution.derivative)
     return field, solution
@@ -210,11 +210,6 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
 def integrated_torsion(curve, grid_size=2001):
     """psi(t) = integral of the Frenet torsion from 0 to t, as a spline."""
     ts = curve.grid(grid_size)
-    tau = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        fd = frenet_data(curve, t)
-        if fd.tau is None:
-            raise VanishingCurvature(f"torsion undefined at t={t:.6g} (kappa <= {KAPPA_MIN})")
-        tau[i] = fd.tau
-    table = cumulative_simpson_uniform(tau, ts[1] - ts[0])
+    curvature_vector(curve, ts)  # the torsion needs kappa > KAPPA_MIN
+    table = cumulative_simpson_uniform(frenet_data(curve, ts).tau, ts[1] - ts[0])
     return CubicSpline(ts, table)

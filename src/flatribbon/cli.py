@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import angleivp, energy, validate
-from .config import RunConfig, build_base_field, build_curve, parse_config, write_csv
+from .config import RunConfig, build_base_field, build_curve, check_domains, parse_config, write_csv
 from .errors import ConfigError, FlatRibbonError
 from .frames import RotatedNormalField
 from .ribbon import (
@@ -53,6 +53,7 @@ def _load_config(args):
         cfg.q = args.q
     if args.r is not None:
         cfg.r = tuple(float(x) for x in args.r.split(","))
+    check_domains(cfg)
     return cfg
 
 
@@ -84,24 +85,14 @@ def cmd_build(cfg):
     tag = f"q{cfg.q:g}"
     write_obj(mesh, os.path.join(cfg.out, f"ribbon_{tag}.obj"))
     report = flatness_residuals(rib, 201)
-    rows = []
-    for t in curve.grid(201):
-        x = rib.ruling(t)
-        xp = rib.ruling_derivative(t)
-        n = field.value(t)
-        tangent = curve.derivative(t, 1)
-        rows.append(
-            (
-                t,
-                abs(float(np.dot(x, n))),
-                abs(float(np.dot(np.cross(x, tangent), xp))),
-                report.gauss_estimate,
-            )
-        )
+    ts = curve.grid(201)
+    x = rib.ruling(ts)
+    in_plane = np.abs(np.vecdot(x, field.value(ts)))
+    tangent_plane = np.abs(np.vecdot(np.cross(x, curve.derivative(ts, 1)), rib.ruling_derivative(ts)))
     write_csv(
         os.path.join(cfg.out, f"residuals_{tag}.csv"),
         ("t", "ruling_in_plane", "tangent_plane", "gauss_estimate"),
-        rows,
+        zip(ts, in_plane, tangent_plane, np.full(len(ts), report.gauss_estimate)),
     )
     print(f"wrote ribbon_{tag}.obj ({cfg.mesh_nt}x{cfg.mesh_nu}), w = {w:.6g}")
     print(f"flatness residuals: {report.ruling_in_plane:.3e} / {report.tangent_plane:.3e}")

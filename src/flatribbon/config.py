@@ -23,7 +23,7 @@ from .frames import PrincipalNormalField, RotationMinimizingField, TorusNormalFi
 
 _KNOWN_KEYS = {
     "kind", "a", "b", "length", "R", "rho", "n", "csv",
-    "normal", "q", "mode", "phi", "width", "grid",
+    "normal", "q", "phi", "width", "grid",
     "mesh_nt", "mesh_nu", "r", "out", "fault",
 }
 
@@ -43,7 +43,6 @@ class RunConfig:
     csv: str | None = None
     normal: str = "principal"
     q: float = 0.0
-    mode: str | None = None
     phi: str | float = "base"
     width: float | None = None
     grid: int = 2000
@@ -83,15 +82,21 @@ def parse_config(path):
                 setattr(cfg, key, value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {value}") from exc
-    _check_finite(cfg)
+    check_domains(cfg)
     return cfg
 
 
-def _check_finite(cfg):
+def check_domains(cfg):
+    """Reject values outside their domain; run again once the command line has overridden the file."""
     for key in _FLOAT_KEYS:
         value = getattr(cfg, key)
         if value is not None and not np.isfinite(value):
             raise ConfigError(f"config value '{key}' is not finite")
+    if cfg.width is not None and not cfg.width > 0.0:
+        raise ConfigError(f"width must be positive, got {cfg.width:g}")
+    for key in ("mesh_nt", "mesh_nu"):
+        if getattr(cfg, key) < 2:
+            raise ConfigError(f"{key} must be at least 2, got {getattr(cfg, key)}")
 
 
 def build_curve(cfg):

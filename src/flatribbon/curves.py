@@ -6,6 +6,7 @@ everywhere else as an :class:`ArcLengthCurve`, whose parameter is arc
 length on [0, L].  The reparametrized curve is unit-speed to machine
 precision by construction: derivatives with respect to arc length are
 obtained from the raw derivatives by the chain rule, with dx/ds = 1/|c'|.
+Evaluators take a scalar or an array of parameters; vectors gain a trailing axis of 3.
 """
 
 from dataclasses import dataclass, field
@@ -13,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
-from .errors import InvalidParams, NonRegularCurve, ToleranceNotMet
-from .numerics import central_difference, cumulative_simpson_uniform, odd_node_count, simpson_uniform
+from .errors import InvalidParams, NonRegularCurve, ToleranceNotMet, VanishingCurvature
+from .numerics import central_difference, cumulative_simpson_uniform, entrywise, first_where
+from .numerics import odd_node_count, rownorm, simpson_uniform
 
 KAPPA_MIN = 1e-9  # below this curvature the Frenet normal/torsion are reported absent
 
@@ -26,11 +28,17 @@ __all__ = [
     "TorusKnotParams",
     "arc_length_reparametrize",
     "frenet_data",
+    "curvature_vector",
     "make_helix",
     "make_torus_knot",
     "curve_from_samples",
     "is_locally_nonplanar",
 ]
+
+
+def _stack3(x, y, z):
+    """Components (broadcast together) as vectors along a trailing axis."""
+    return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
 
 class CurveSpec:
@@ -39,23 +47,26 @@ class CurveSpec:
     Parameters
     ----------
     position : callable
-        Map x -> point in R^3 (array of shape (3,)).
+        Map x -> point in R^3.  For an array x it should return shape
+        x.shape + (3,); a map of one scalar to shape (3,) is applied per entry.
     domain : (float, float)
         Parameter interval [x0, x1].
     derivatives : sequence of callables, optional
-        Analytic derivative evaluators of orders 1..3.  Missing orders
-        fall back to 4th-order central differences of ``position``.
+        Analytic derivative evaluators of orders 1..3, with the same
+        calling convention as ``position``.  Missing orders fall back to
+        4th-order central differences of ``position``.
     fd_step : float, optional
         Step for the finite-difference fallback; defaults to 1e-4 times
         the domain length.
     """
 
     def __init__(self, position, domain, derivatives=None, fd_step=None, name="curve"):
-        self.position = position
         self.domain = (float(domain[0]), float(domain[1]))
         if self.domain[1] <= self.domain[0]:
             raise InvalidParams("curve domain must have positive length")
-        self._derivatives = tuple(derivatives) if derivatives else ()
+        probe = np.array(self.domain)
+        self.position = entrywise(position, probe, (3,))
+        self._derivatives = tuple(entrywise(d, probe, (3,)) for d in derivatives or ())
         self.fd_step = fd_step if fd_step else 1e-4 * (self.domain[1] - self.domain[0])
         self.name = name
 
@@ -70,20 +81,20 @@ class CurveSpec:
         return central_difference(self.point, x, order, self.fd_step)
 
     def speed(self, x):
-        return float(np.linalg.norm(self.derivative(x, 1)))
+        return rownorm(self.derivative(x, 1))
 
 
 @dataclass(frozen=True)
 class FrenetData:
-    """Frenet data at a single arc-length parameter.
+    """Frenet data at an arc-length parameter or along a grid of them.
 
-    ``principal_normal``, ``binormal``, and ``tau`` are None at points of
-    (near-)vanishing curvature.
+    At a scalar parameter of (near-)vanishing curvature ``principal_normal``,
+    ``binormal`` and ``tau`` are None; along a grid they are NaN there.
     """
 
     tangent: np.ndarray
-    kappa: float
-    tau: float | None
+    kappa: float | np.ndarray
+    tau: float | np.ndarray | None
     principal_normal: np.ndarray | None
     binormal: np.ndarray | None
 
@@ -113,14 +124,20 @@ class ArcLengthCurve:
         return cls(spec, spec.domain[1] - spec.domain[0])
 
     def raw_parameter(self, t):
-        """Raw parameter x such that arc length from x0 to x equals t."""
+        """Raw parameter x such that arc length from x0 to x equals t.
+
+        Three Newton steps from a monotone guess; ToleranceNotMet unless s(x) = clip(t, 0, L) to 1e-12 L.
+        """
         if self._identity:
-            return self.spec.domain[0] + t
-        x = float(self._raw_of_s(np.clip(t, 0.0, self.length)))
+            return self.spec.domain[0] + np.asarray(t, dtype=float)
+        target = np.clip(t, 0.0, self.length)
+        x = self._raw_of_s(target)
         lo, hi = self.spec.domain
         for _ in range(3):
-            x -= (float(self._s_of_raw(x)) - t) / self.spec.speed(x)
-            x = min(max(x, lo), hi)
+            x = np.clip(x - (self._s_of_raw(x) - t) / self.spec.speed(x), lo, hi)
+        miss = float(np.max(np.abs(self._s_of_raw(x) - target)))
+        if miss > 1e-12 * self.length:
+            raise ToleranceNotMet(f"arc-length inversion misses t by {miss:.3e}; table and speed disagree")
         return x
 
     def point(self, t):
@@ -131,20 +148,22 @@ class ArcLengthCurve:
         x = self.raw_parameter(t)
         if self._identity:
             return self.spec.derivative(x, order)
+        # float_power is the C library's pow per entry, as for a scalar t; ** on an
+        # array takes a vectorized pow that can differ in the last bit
         c1 = self.spec.derivative(x, 1)
-        v = np.linalg.norm(c1)
+        v = rownorm(c1)[..., None]
         x1 = 1.0 / v
         if order == 1:
             return c1 * x1
         c2 = self.spec.derivative(x, 2)
-        v1 = np.dot(c1, c2) / v
-        x2 = -v1 / v**3
+        v1 = np.vecdot(c1, c2)[..., None] / v
+        x2 = -v1 / np.float_power(v, 3)
         if order == 2:
-            return c2 * x1**2 + c1 * x2
+            return c2 * np.float_power(x1, 2) + c1 * x2
         c3 = self.spec.derivative(x, 3)
-        v2 = (np.dot(c2, c2) + np.dot(c1, c3) - v1**2) / v
-        x3 = (3.0 * v1**2 - v * v2) / v**5
-        return c3 * x1**3 + 3.0 * c2 * x1 * x2 + c1 * x3
+        v2 = ((np.vecdot(c2, c2) + np.vecdot(c1, c3))[..., None] - np.float_power(v1, 2)) / v
+        x3 = (3.0 * np.float_power(v1, 2) - v * v2) / np.float_power(v, 5)
+        return c3 * np.float_power(x1, 3) + 3.0 * c2 * x1 * x2 + c1 * x3
 
     def grid(self, n):
         """Uniform arc-length grid with an odd number of nodes >= n."""
@@ -162,7 +181,7 @@ def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8):
     n = odd_node_count(grid_size)
     x0, x1 = curve.domain
     nodes = np.linspace(x0, x1, n)
-    speeds = np.array([curve.speed(x) for x in nodes])
+    speeds = curve.speed(nodes)
     if speeds.min() < 1e-12:
         bad = nodes[int(np.argmin(speeds))]
         raise NonRegularCurve(f"curve speed vanishes near parameter {bad:.6g}")
@@ -177,18 +196,29 @@ def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8):
     return ArcLengthCurve(curve, length, raw_nodes=nodes, s_table=s_table)
 
 
+def curvature_vector(curve, t):
+    """(gamma'', |gamma''|) at t, raising VanishingCurvature where |gamma''| <= KAPPA_MIN."""
+    g2 = curve.derivative(t, 2)
+    kappa = rownorm(g2)
+    flat = kappa <= KAPPA_MIN
+    if np.any(flat):
+        raise VanishingCurvature(f"curvature vanishes at t={first_where(flat, t):.6g}")
+    return g2, kappa
+
+
 def frenet_data(curve, t):
-    """Tangent, curvature, torsion, and Frenet normals at arc length t."""
+    """Tangent, curvature, torsion, and Frenet normals at arc length t (or a grid)."""
     g1 = curve.derivative(t, 1)
     g2 = curve.derivative(t, 2)
-    kappa = float(np.linalg.norm(g2))
-    if kappa <= KAPPA_MIN:
+    kappa = rownorm(g2)
+    flat = kappa <= KAPPA_MIN
+    if np.ndim(t) == 0 and flat:
         return FrenetData(g1, kappa, None, None, None)
     g3 = curve.derivative(t, 3)
-    pn = g2 / kappa
-    bn = np.cross(g1, pn)
-    tau = float(np.dot(np.cross(g1, g2), g3)) / kappa**2
-    return FrenetData(g1, kappa, tau, pn, bn)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pn = np.where(flat[..., None], np.nan, g2 / kappa[..., None])
+        tau = np.where(flat, np.nan, np.vecdot(np.cross(g1, g2), g3) / np.float_power(kappa, 2))[()]
+    return FrenetData(g1, kappa, tau, pn, np.cross(g1, pn))
 
 
 @dataclass(frozen=True)
@@ -220,16 +250,16 @@ def make_helix(params):
     L = params.arc_length()
 
     def pos(t):
-        return np.array([a * np.cos(t / m), a * np.sin(t / m), b * t / m])
+        return _stack3(a * np.cos(t / m), a * np.sin(t / m), b * t / m)
 
     def d1(t):
-        return np.array([-a / m * np.sin(t / m), a / m * np.cos(t / m), b / m])
+        return _stack3(-a / m * np.sin(t / m), a / m * np.cos(t / m), b / m)
 
     def d2(t):
-        return np.array([-a / m**2 * np.cos(t / m), -a / m**2 * np.sin(t / m), 0.0])
+        return _stack3(-a / m**2 * np.cos(t / m), -a / m**2 * np.sin(t / m), 0.0)
 
     def d3(t):
-        return np.array([a / m**3 * np.sin(t / m), -a / m**3 * np.cos(t / m), 0.0])
+        return _stack3(a / m**3 * np.sin(t / m), -a / m**3 * np.cos(t / m), 0.0)
 
     spec = CurveSpec(pos, (0.0, L), derivatives=(d1, d2, d3), name=f"helix(a={a}, b={b})")
     return ArcLengthCurve.from_unit_speed(spec)
@@ -256,17 +286,15 @@ class TorusKnotCurve(ArcLengthCurve):
     def surface_normal_raw(self, phi):
         n = self.params.n
         cn, sn = np.cos(n * phi), np.sin(n * phi)
-        return np.array([cn * np.cos(phi), cn * np.sin(phi), sn])
+        return _stack3(cn * np.cos(phi), cn * np.sin(phi), sn)
 
     def surface_normal_raw_derivative(self, phi):
         n = self.params.n
         cn, sn = np.cos(n * phi), np.sin(n * phi)
-        return np.array(
-            [
-                -n * sn * np.cos(phi) - cn * np.sin(phi),
-                -n * sn * np.sin(phi) + cn * np.cos(phi),
-                n * cn,
-            ]
+        return _stack3(
+            -n * sn * np.cos(phi) - cn * np.sin(phi),
+            -n * sn * np.sin(phi) + cn * np.cos(phi),
+            n * cn,
         )
 
 
@@ -281,32 +309,28 @@ def make_torus_knot(params=TorusKnotParams()):
 
     def pos(phi):
         r = R + rho * np.cos(n * phi)
-        return np.array([r * np.cos(phi), r * np.sin(phi), rho * np.sin(n * phi)])
+        return _stack3(r * np.cos(phi), r * np.sin(phi), rho * np.sin(n * phi))
 
     def d1(phi):
         r, r1 = radial(phi)
         c, s = np.cos(phi), np.sin(phi)
-        return np.array([r1 * c - r * s, r1 * s + r * c, rho * n * np.cos(n * phi)])
+        return _stack3(r1 * c - r * s, r1 * s + r * c, rho * n * np.cos(n * phi))
 
     def d2(phi):
         r, r1 = radial(phi)
         r2 = -rho * n**2 * np.cos(n * phi)
         c, s = np.cos(phi), np.sin(phi)
-        return np.array(
-            [r2 * c - 2 * r1 * s - r * c, r2 * s + 2 * r1 * c - r * s, -rho * n**2 * np.sin(n * phi)]
-        )
+        return _stack3(r2 * c - 2 * r1 * s - r * c, r2 * s + 2 * r1 * c - r * s, -rho * n**2 * np.sin(n * phi))
 
     def d3(phi):
         r, r1 = radial(phi)
         r2 = -rho * n**2 * np.cos(n * phi)
         r3 = rho * n**3 * np.sin(n * phi)
         c, s = np.cos(phi), np.sin(phi)
-        return np.array(
-            [
-                r3 * c - 3 * r2 * s - 3 * r1 * c + r * s,
-                r3 * s + 3 * r2 * c - 3 * r1 * s - r * c,
-                -rho * n**3 * np.cos(n * phi),
-            ]
+        return _stack3(
+            r3 * c - 3 * r2 * s - 3 * r1 * c + r * s,
+            r3 * s + 3 * r2 * c - 3 * r1 * s - r * c,
+            -rho * n**3 * np.cos(n * phi),
         )
 
     spec = CurveSpec(
@@ -348,21 +372,12 @@ def is_locally_nonplanar(curve, grid_size=1001, tol=1e-10):
     short vanishing run; refine the grid if in doubt.
     """
     ts = curve.grid(grid_size)
-    flagged = np.empty(len(ts), dtype=bool)
-    for i, t in enumerate(ts):
-        fd = frenet_data(curve, t)
-        flagged[i] = fd.kappa <= tol or (fd.tau is not None and abs(fd.tau) <= tol)
-    run_start = None
-    for i, bad in enumerate(flagged):
-        if bad:
-            if run_start is None:
-                run_start = i
-            if i - run_start >= 2:
-                # extend the witness to the full flagged run
-                j = i
-                while j + 1 < len(ts) and flagged[j + 1]:
-                    j += 1
-                return NonplanarityReport(False, (float(ts[run_start]), float(ts[j])))
-        else:
-            run_start = None
-    return NonplanarityReport(True)
+    fd = frenet_data(curve, ts)
+    flagged = (fd.kappa <= tol) | (np.abs(fd.tau) <= tol)  # NaN torsion compares False
+    edges = np.diff(flagged.astype(int), prepend=0, append=0)
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)  # runs [start, end)
+    long_runs = np.flatnonzero(ends - starts >= 3)
+    if len(long_runs) == 0:
+        return NonplanarityReport(True)
+    run = long_runs[0]  # the witness is the whole first long run
+    return NonplanarityReport(False, (float(ts[starts[run]]), float(ts[ends[run] - 1])))

@@ -13,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import KAPPA_MIN, frenet_data
+from .curves import curvature_vector, frenet_data
 from .errors import (
     DegenerateMetric,
     NotCaseA,
     OutsideRegularDomain,
     RulingAngleMismatch,
-    VanishingCurvature,
     WidthTooLarge,
 )
+from .frames import sample_frame
 from .numerics import arccot, cumulative_simpson_uniform, simpson_uniform
 from .ribbon import mu_field
 
@@ -100,13 +100,10 @@ def mean_curvature(forms):
 
 def _per_t_data(ribbon, n_t):
     ts = ribbon.curve.grid(n_t)
-    mu = np.array([float(ribbon.mu(t)) for t in ts])
-    mup = np.array([float(ribbon.mu.derivative(t)) for t in ts])
-    kg = np.empty(len(ts))
-    kn = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        sc = ribbon.normal.scalars(t)
-        kg[i], kn[i] = sc.kappa_g, sc.kappa_n
+    mu = ribbon.mu(ts)
+    mup = ribbon.mu.derivative(ts)
+    frame = sample_frame(ribbon.normal, ts)
+    kg, kn = frame.kappa_g, frame.kappa_n
     lam = mup - (1.0 + mu**2) * kg
     return ts, mu, mup, kg, kn, lam
 
@@ -125,17 +122,14 @@ def bending_energy_quadrature(ribbon, n_t=2001, n_u=41):
     us = np.linspace(-ribbon.w, ribbon.w, n_u)
     if np.min(1.0 + np.outer(us, lam)) <= 0.0:
         raise OutsideRegularDomain("ribbon is not regular on |u| <= w")
-    integrand = np.empty((len(ts), len(us)))
-    for j, u in enumerate(us):
-        E, F, G, e = _forms_values(mu, mup, kg, kn, u)
-        det = E * G - F**2
-        integrand[:, j] = (G * e) ** 2 / (4.0 * det**2) * np.sqrt(det)
+    # t down the rows, u across the columns
+    E, F, G, e = _forms_values(mu[:, None], mup[:, None], kg[:, None], kn[:, None], us)
+    det = E * G - F**2
+    integrand = (G * e) ** 2 / (4.0 * det**2) * np.sqrt(det)
     hu = us[1] - us[0]
     ht = ts[1] - ts[0]
-    inner = np.array([simpson_uniform(row, hu) for row in integrand])
-    value = simpson_uniform(inner, ht)
-    coarse_inner = np.array([simpson_uniform(row[::2], 2 * hu) for row in integrand[::2]])
-    coarse = simpson_uniform(coarse_inner, 2 * ht)
+    value = simpson_uniform(simpson_uniform(integrand, hu), ht)
+    coarse = simpson_uniform(simpson_uniform(integrand[::2, ::2], 2 * hu), 2 * ht)
     return EnergyReport(value, "quadrature", ribbon.w, abs(value - coarse) / 15.0)
 
 
@@ -175,11 +169,13 @@ def limit_energy(curve, normal_field, w, n_t=2001):
     cot(alpha) is the continuous extension of mu, so the integrand is zero
     wherever kappa_n vanishes (tau_g vanishes there too).
     """
-    mu = mu_field(curve, normal_field, grid_size=n_t)
-    ts = mu.ts
-    kn = np.array([normal_field.scalars(t).kappa_n for t in ts])
-    integrand = kn**2 * (1.0 + mu.values**2) ** 2
-    h = ts[1] - ts[0]
+    return _limit_report(mu_field(curve, normal_field, grid_size=n_t), w)
+
+
+def _limit_report(mu, w):
+    """The limit energy from a ruling-slope table and its frame scalars."""
+    integrand = mu.frame.kappa_n**2 * (1.0 + mu.values**2) ** 2
+    h = mu.ts[1] - mu.ts[0]
     value = 0.5 * w * simpson_uniform(integrand, h)
     coarse = 0.5 * w * simpson_uniform(integrand[::2], 2 * h)
     return EnergyReport(value, "limit_formula", w, abs(value - coarse) / 15.0)
@@ -206,16 +202,11 @@ def energy_bound(curve, base_field, other_field, w, n_t=2001, angle_tol=1e-6):
     angle_gap = float(np.max(np.abs(arccot(mu_base.values) - arccot(mu_other.values))))
     if angle_gap > angle_tol:
         raise RulingAngleMismatch(f"ruling angles differ by up to {angle_gap:.3e}")
-    ts = mu_base.ts
-    kg = np.empty(len(ts))
-    kn = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        sc = base_field.scalars(t)
-        kg[i], kn[i] = sc.kappa_g, sc.kappa_n
-    h = ts[1] - ts[0]
+    kg, kn = mu_base.frame.kappa_g, mu_base.frame.kappa_n
+    h = mu_base.ts[1] - mu_base.ts[0]
     extra = 0.5 * w * simpson_uniform(kg**2 * (1.0 + mu_base.values**2) ** 2, h)
-    e_base = limit_energy(curve, base_field, w, n_t=n_t).value
-    e_other = limit_energy(curve, other_field, w, n_t=n_t).value
+    e_base = _limit_report(mu_base, w).value
+    e_other = _limit_report(mu_other, w).value
     additive = e_base + extra
     ratio = None
     if float(np.min(np.abs(kn))) > 1e-9:
@@ -226,15 +217,11 @@ def energy_bound(curve, base_field, other_field, w, n_t=2001, angle_tol=1e-6):
 
 def _case_a_arrays(curve, normal_field, n_t):
     ts = curve.grid(n_t)
-    kg = np.empty(len(ts))
-    kn = np.empty(len(ts))
-    tg = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        sc = normal_field.scalars(t)
-        kg[i], kn[i], tg[i] = sc.kappa_g, sc.kappa_n, sc.tau_g
-    if float(np.max(np.abs(tg))) > 1e-8:
-        raise NotCaseA(f"tau_g is not identically zero (sup {np.max(np.abs(tg)):.3e})")
-    return ts, kg, kn
+    frame = sample_frame(normal_field, ts)
+    tg_sup = float(np.max(np.abs(frame.tau_g)))
+    if tg_sup > 1e-8:
+        raise NotCaseA(f"tau_g is not identically zero (sup {tg_sup:.3e})")
+    return ts, frame.kappa_g, frame.kappa_n
 
 
 def case_a_energy(curve, normal_field, q, w, n_t=2001):
@@ -297,13 +284,9 @@ def case_b_energy(curve, q, w, n_t=2001):
     with d = cot(q/2) + psi(t), psi the cumulative torsion.
     """
     ts = curve.grid(n_t)
-    kappa = np.empty(len(ts))
-    tau = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        fd = frenet_data(curve, t)
-        if fd.kappa <= KAPPA_MIN or fd.tau is None:
-            raise VanishingCurvature(f"curvature vanishes at t={t:.6g}")
-        kappa[i], tau[i] = fd.kappa, fd.tau
+    curvature_vector(curve, ts)
+    fd = frenet_data(curve, ts)
+    kappa, tau = fd.kappa, fd.tau
     mu = -tau / kappa
     sadowsky = kappa**2 * (1.0 + mu**2) ** 2
     h = ts[1] - ts[0]

@@ -4,7 +4,8 @@ The frame is (T, H, N) with H = N x T; its derivative is governed by the
 scalars (kappa_g, kappa_n, tau_g).  Normal fields are represented by
 objects exposing ``value(t)`` and ``derivative(t)``; rotating a field
 about the tangent by an angle function produces a new field whose scalars
-transform by :func:`rotate`.
+transform by :func:`rotate`.  :func:`sample_frame` tabulates all of this on
+a whole grid of t in one call; a scalar t is its zero-dimensional case.
 """
 
 from dataclasses import dataclass
@@ -12,19 +13,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .curves import KAPPA_MIN, frenet_data
+from .curves import KAPPA_MIN, curvature_vector, frenet_data
 from .errors import NonOrthogonalNormal, VanishingCurvature
-from .numerics import central_difference, odd_node_count
+from .numerics import central_difference, entrywise, first_where, odd_node_count, rownorm
 
 __all__ = [
     "DarbouxFrame",
     "DarbouxScalars",
+    "FrameSample",
     "NormalField",
     "PrincipalNormalField",
     "TorusNormalField",
     "RotationMinimizingField",
     "RotatedNormalField",
     "darboux_scalars",
+    "sample_frame",
     "frame_derivative",
     "rotate",
     "rotate_field",
@@ -48,6 +51,17 @@ class DarbouxScalars:
     tau_g: float
 
 
+@dataclass(frozen=True)
+class FrameSample(DarbouxFrame):
+    """The frame with T', N' and its scalars at each t of a grid; vectors end in an axis of 3."""
+
+    Tp: np.ndarray
+    Np: np.ndarray
+    kappa_g: np.ndarray
+    kappa_n: np.ndarray
+    tau_g: np.ndarray
+
+
 class NormalField:
     """A smooth unit vector field normal to the tangent of ``curve``."""
 
@@ -65,28 +79,31 @@ class NormalField:
         N = self.value(t)
         return DarbouxFrame(T, np.cross(N, T), N)
 
+    def sample(self, ts):
+        """Unchecked frame table (see :func:`sample_frame`); scalars from T' and H' = N' x T + N x T'."""
+        T, Tp = self.curve.derivative(ts, 1), self.curve.derivative(ts, 2)
+        N, Np = self.value(ts), self.derivative(ts)
+        H = np.cross(N, T)
+        Hp = np.cross(Np, T) + np.cross(N, Tp)
+        return FrameSample(T, H, N, Tp, Np, np.vecdot(Tp, H), np.vecdot(Tp, N), np.vecdot(Hp, N))
+
     def scalars(self, t):
-        return darboux_scalars(self.curve, self, t)
+        return darboux_scalars(self.curve, self, float(t))
 
 
 class PrincipalNormalField(NormalField):
     """N = gamma''/kappa; requires kappa > 0 wherever evaluated."""
 
     def value(self, t):
-        g2 = self.curve.derivative(t, 2)
-        kappa = np.linalg.norm(g2)
-        if kappa <= KAPPA_MIN:
-            raise VanishingCurvature(f"curvature vanishes at t={t:.6g}")
-        return g2 / kappa
+        g2, kappa = curvature_vector(self.curve, t)
+        return g2 / kappa[..., None]
 
     def derivative(self, t):
-        g2 = self.curve.derivative(t, 2)
+        g2, kappa = curvature_vector(self.curve, t)
+        kappa = kappa[..., None]
         g3 = self.curve.derivative(t, 3)
-        kappa = np.linalg.norm(g2)
-        if kappa <= KAPPA_MIN:
-            raise VanishingCurvature(f"curvature vanishes at t={t:.6g}")
-        kappa1 = np.dot(g2, g3) / kappa
-        return g3 / kappa - g2 * (kappa1 / kappa**2)
+        kappa1 = np.vecdot(g2, g3)[..., None] / kappa
+        return g3 / kappa - g2 * (kappa1 / np.float_power(kappa, 2))  # libm pow, as for a scalar t
 
 
 class TorusNormalField(NormalField):
@@ -97,7 +114,7 @@ class TorusNormalField(NormalField):
 
     def derivative(self, t):
         phi = self.curve.raw_parameter(t)
-        return self.curve.surface_normal_raw_derivative(phi) / self.curve.spec.speed(phi)
+        return self.curve.surface_normal_raw_derivative(phi) / self.curve.spec.speed(phi)[..., None]
 
 
 class RotationMinimizingField(NormalField):
@@ -111,8 +128,8 @@ class RotationMinimizingField(NormalField):
     def __init__(self, curve, seed=None, grid_size=2001):
         super().__init__(curve)
         ts = np.linspace(0.0, curve.length, odd_node_count(grid_size))
-        tangents = np.array([curve.derivative(t, 1) for t in ts])
-        points = np.array([curve.point(t) for t in ts])
+        tangents = curve.derivative(ts, 1)
+        points = curve.point(ts)
         if seed is None:
             fd = frenet_data(curve, 0.0)
             if fd.principal_normal is not None:
@@ -140,12 +157,12 @@ class RotationMinimizingField(NormalField):
 
     def value(self, t):
         n = self._spline(t)
-        return n / np.linalg.norm(n)
+        return n / rownorm(n)[..., None]
 
     def derivative(self, t):
         T = self.curve.derivative(t, 1)
         g2 = self.curve.derivative(t, 2)
-        return -np.dot(g2, self.value(t)) * T
+        return -np.vecdot(g2, self.value(t))[..., None] * T
 
 
 class RotatedNormalField(NormalField):
@@ -153,52 +170,60 @@ class RotatedNormalField(NormalField):
 
     ``theta`` may be a constant or a callable; ``theta_prime`` defaults to
     zero for constants and to a 4th-order finite difference otherwise.
+    The frame table comes from the base field's table: N and N' by the
+    rotation, the scalars by :func:`rotate`.
     """
 
     def __init__(self, base, theta, theta_prime=None):
         super().__init__(base.curve)
         self.base = base
         if callable(theta):
-            self.theta = theta
+            probe = np.array([0.0, base.curve.length])
+            self.theta = theta = entrywise(theta, probe)
             if theta_prime is None:
                 h = 1e-5 * max(base.curve.length, 1.0)
-                theta_prime = lambda t: float(central_difference(theta, t, 1, h))
-            self.theta_prime = theta_prime
+                theta_prime = lambda t: central_difference(theta, t, 1, h)
+            self.theta_prime = entrywise(theta_prime, probe)
         else:
             q = float(theta)
             self.theta = lambda t: q
             self.theta_prime = lambda t: 0.0
 
     def value(self, t):
-        th = self.theta(t)
-        fr = self.base.frame(t)
-        return -np.sin(th) * fr.H + np.cos(th) * fr.N
+        return self.sample(t).N
 
     def derivative(self, t):
-        th = self.theta(t)
-        dth = self.theta_prime(t)
-        fr = self.base.frame(t)
-        Np = self.base.derivative(t)
-        Hp = np.cross(Np, fr.T) + np.cross(fr.N, self.curve.derivative(t, 2))
-        c, s = np.cos(th), np.sin(th)
-        return -dth * c * fr.H - s * Hp - dth * s * fr.N + c * Np
+        return self.sample(t).Np
+
+    def sample(self, ts):
+        b = self.base.sample(ts)
+        th, dth = self.theta(ts), np.asarray(self.theta_prime(ts), dtype=float)
+        c, s = np.cos(th)[..., None], np.sin(th)[..., None]
+        H = c * b.H + s * b.N  # = N x T for the rotated N below
+        N = -s * b.H + c * b.N
+        Np = -dth[..., None] * H - s * (np.cross(b.Np, b.T) + np.cross(b.N, b.Tp)) + c * b.Np
+        sc = rotate(b, th, dth)
+        return FrameSample(b.T, H, N, b.Tp, Np, sc.kappa_g, sc.kappa_n, sc.tau_g)
+
+
+def sample_frame(field, ts):
+    """Frame, frame derivative and scalars of ``field`` at every t of ``ts``.
+
+    Raises NonOrthogonalNormal where the field leaves the normal plane.
+    """
+    ts = np.asarray(ts, dtype=float)
+    frame = field.sample(ts)
+    off = np.abs(np.vecdot(frame.N, frame.T))
+    bad = off > 1e-8
+    if np.any(bad):
+        raise NonOrthogonalNormal(f"<N, T> = {first_where(bad, off):.3e} at t={first_where(bad, ts):.6g}")
+    return frame
 
 
 def darboux_scalars(curve, normal_field, t):
-    """The scalars (kappa_g, kappa_n, tau_g) of the Darboux frame at t."""
-    T = curve.derivative(t, 1)
-    Tp = curve.derivative(t, 2)
-    N = normal_field.value(t)
-    if abs(np.dot(N, T)) > 1e-8:
-        raise NonOrthogonalNormal(f"<N, T> = {np.dot(N, T):.3e} at t={t:.6g}")
-    Np = normal_field.derivative(t)
-    H = np.cross(N, T)
-    Hp = np.cross(Np, T) + np.cross(N, Tp)
-    return DarbouxScalars(
-        kappa_g=float(np.dot(Tp, H)),
-        kappa_n=float(np.dot(Tp, N)),
-        tau_g=float(np.dot(Hp, N)),
-    )
+    """The scalars (kappa_g, kappa_n, tau_g) of the Darboux frame at t (or a grid)."""
+    frame = sample_frame(normal_field, t)
+    return DarbouxScalars(frame.kappa_g, frame.kappa_n, frame.tau_g)
 
 
 def frame_derivative(frame, scalars):
@@ -231,9 +256,7 @@ def frenet_rotation_field(curve, x, grid_size=201):
     The resulting field has tau_g equal to the Frenet torsion and normal
     curvature kappa * cos(x); requires kappa > 0 along the whole curve.
     """
-    for t in curve.grid(grid_size):
-        if np.linalg.norm(curve.derivative(t, 2)) <= KAPPA_MIN:
-            raise VanishingCurvature(f"curvature vanishes near t={t:.6g}")
+    curvature_vector(curve, curve.grid(grid_size))
     return RotatedNormalField(PrincipalNormalField(curve), float(x))
 
 
@@ -244,15 +267,13 @@ def sampled_scalars(normal_field, grid_size=2001):
     interpolation error is O(h^4) on the uniform grid.
     """
     ts = normal_field.curve.grid(grid_size)
-    data = np.empty((len(ts), 3))
-    for i, t in enumerate(ts):
-        sc = normal_field.scalars(t)
-        data[i] = (sc.kappa_g, sc.kappa_n, sc.tau_g)
-    spline = CubicSpline(ts, data)
+    frame = sample_frame(normal_field, ts)
+    spline = CubicSpline(ts, np.stack([frame.kappa_g, frame.kappa_n, frame.tau_g], axis=-1))
 
     def evaluate(t):
-        kg, kn, tg = spline(t)
-        return DarbouxScalars(float(kg), float(kn), float(tg))
+        values = spline(t)  # Python floats at one t keep the RK4 right-hand side cheap
+        kg, kn, tg = values.tolist() if values.ndim == 1 else values.T
+        return DarbouxScalars(kg, kn, tg)
 
     return evaluate
 

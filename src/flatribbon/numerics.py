@@ -13,6 +13,9 @@ __all__ = [
     "cumulative_simpson_uniform",
     "central_difference",
     "odd_node_count",
+    "rownorm",
+    "first_where",
+    "entrywise",
 ]
 
 
@@ -27,24 +30,51 @@ def odd_node_count(n):
     return n if n % 2 == 1 else n + 1
 
 
+def rownorm(a):
+    """Norm over the last axis; ``np.vecdot`` is ``np.dot`` per row, so this is ``np.linalg.norm`` per row."""
+    return np.sqrt(np.vecdot(a, a))
+
+
+def first_where(mask, values):
+    """The entry of ``values`` at the first True of ``mask`` (broadcast together)."""
+    mask, values = np.broadcast_arrays(mask, values)
+    return float(values.flat[int(np.argmax(mask))])
+
+
+def entrywise(fn, probe, value_shape=()):
+    """``fn`` if it maps the 1-D parameter array ``probe`` entrywise, else ``fn`` called per entry.
+
+    Maps written for one scalar thus work on grids; a scalar-valued map may return a constant.
+    """
+    try:
+        shape = np.shape(fn(probe))
+    except (TypeError, ValueError, IndexError):
+        shape = None
+    if shape == probe.shape + value_shape or shape == value_shape == ():
+        return fn
+    return np.vectorize(fn, otypes=[float], signature="()->(n)" if value_shape else None)
+
+
 def simpson_uniform(values, h):
     """Composite Simpson rule on a uniform grid with an odd number of nodes.
 
     Parameters
     ----------
     values : array_like
-        Samples f(x_0), ..., f(x_{n-1}) with n odd.
+        Samples f(x_0), ..., f(x_{n-1}) with n odd, along the last axis;
+        the rows of a 2-D array are integrated independently.
     h : float
         Grid spacing.
     """
     values = np.asarray(values, dtype=float)
-    n = values.shape[0]
+    n = values.shape[-1]
     if n < 3 or n % 2 == 0:
         raise ValueError(f"Simpson rule needs an odd number of nodes >= 3, got {n}")
     weights = np.ones(n)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(weights, values))
+    total = h / 3.0 * np.vecdot(values, weights)
+    return float(total) if values.ndim == 1 else total
 
 
 def cumulative_simpson_uniform(values, h):

@@ -14,7 +14,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ExtensionOrderExceeded, SingularRuling, WidthTooLarge
-from .numerics import arccot, central_difference, odd_node_count
+from .frames import sample_frame
+from .numerics import arccot, central_difference, odd_node_count, rownorm
 
 WIDTH_SAFETY = 0.9
 LAMBDA_FLAT_TOL = 1e-8  # below this sup|lambda| the regular width is unbounded
@@ -38,12 +39,14 @@ class MuField:
     """The ruling slope mu = -tau_g / kappa_n, continuously extended.
 
     Sampled on a uniform arc-length grid and interpolated by a cubic
-    spline; mu' comes from the spline derivative.
+    spline; mu' comes from the spline derivative.  ``frame`` is the
+    :class:`~flatribbon.frames.FrameSample` the slope was computed from.
     """
 
-    def __init__(self, ts, values):
+    def __init__(self, ts, values, frame):
         self.ts = np.asarray(ts, dtype=float)
         self.values = np.asarray(values, dtype=float)
+        self.frame = frame
         self._spline = CubicSpline(self.ts, self.values)
 
     def __call__(self, t):
@@ -101,18 +104,15 @@ def mu_field(curve, normal_field, grid_size=2001):
     compatibility mu * kappa_n + tau_g = 0, otherwise SingularRuling.
     """
     ts = curve.grid(grid_size)
-    kn = np.empty(len(ts))
-    tg = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        sc = normal_field.scalars(t)
-        kn[i], tg[i] = sc.kappa_n, sc.tau_g
+    frame = sample_frame(normal_field, ts)
+    kn, tg = frame.kappa_n, frame.tau_g
     kn_scale = max(np.max(np.abs(kn)), 1e-30)
     tg_scale = max(np.max(np.abs(tg)), 1e-30)
     floor = 1e-12 / curve.length
     if kn_scale <= max(floor, 1e-10 * tg_scale):
         # kappa_n vanishes identically at working precision
         if tg_scale <= floor:
-            return MuField(ts, np.zeros(len(ts)))  # planar strip, X = H
+            return MuField(ts, np.zeros(len(ts)), frame)  # planar strip, X = H
         raise SingularRuling(
             f"kappa_n vanishes identically while tau_g does not "
             f"(sup |tau_g| = {tg_scale:.3e}); no flat ribbon exists"
@@ -135,46 +135,31 @@ def mu_field(curve, normal_field, grid_size=2001):
                 f"kappa_n vanishes near t={ts[i]:.6g} while tau_g does not "
                 f"(residual {worst:.3e}); no flat ribbon exists there"
             )
-    return MuField(ts, mu)
+    return MuField(ts, mu, frame)
 
 
 class FlatRibbon:
     """Flat ribbon sigma(t, u) = gamma(t) + u X(t), X = mu T + H, |u| <= w."""
 
-    def __init__(self, curve, normal_field, w, mu, grid_size=2001):
+    def __init__(self, curve, normal_field, w, mu):
         self.curve = curve
         self.normal = normal_field
         self.w = float(w)
         self.mu = mu
         self.ts = mu.ts
-        kg = np.empty(len(self.ts))
-        kn = np.empty(len(self.ts))
-        tg = np.empty(len(self.ts))
-        for i, t in enumerate(self.ts):
-            sc = normal_field.scalars(t)
-            kg[i], kn[i], tg[i] = sc.kappa_g, sc.kappa_n, sc.tau_g
-        self.kappa_g, self.kappa_n, self.tau_g = kg, kn, tg
-        mup = np.array([mu.derivative(t) for t in self.ts])
-        self.lam = mup - (1.0 + mu.values**2) * kg
+        self.kappa_g, self.kappa_n, self.tau_g = mu.frame.kappa_g, mu.frame.kappa_n, mu.frame.tau_g
+        self.lam = mu.derivative(self.ts) - (1.0 + mu.values**2) * self.kappa_g
         sup = float(np.max(np.abs(self.lam)))
         self.max_width = np.inf if sup < LAMBDA_FLAT_TOL else WIDTH_SAFETY / sup
 
-    def lambda_at(self, t):
-        return self.mu.derivative(t) - (1.0 + self.mu(t) ** 2) * self._kg_at(t)
-
-    def _kg_at(self, t):
-        return self.normal.scalars(t).kappa_g
-
     def ruling(self, t):
         fr = self.normal.frame(t)
-        return self.mu(t) * fr.T + fr.H
+        return self.mu(t)[..., None] * fr.T + fr.H
 
     def ruling_derivative(self, t):
-        fr = self.normal.frame(t)
-        Tp = self.curve.derivative(t, 2)
-        Np = self.normal.derivative(t)
-        Hp = np.cross(Np, fr.T) + np.cross(fr.N, Tp)
-        return self.mu.derivative(t) * fr.T + self.mu(t) * Tp + Hp
+        fr = self.normal.sample(t)
+        Hp = np.cross(fr.Np, fr.T) + np.cross(fr.N, fr.Tp)
+        return self.mu.derivative(t)[..., None] * fr.T + self.mu(t)[..., None] * fr.Tp + Hp
 
     def point(self, t, u):
         return self.curve.point(t) + u * self.ruling(t)
@@ -183,7 +168,7 @@ class FlatRibbon:
 def construct_ribbon(curve, normal_field, w, grid_size=2001):
     """Build the flat ribbon of half-width w normal to the field along the curve."""
     mu = mu_field(curve, normal_field, grid_size=grid_size)
-    ribbon = FlatRibbon(curve, normal_field, w, mu, grid_size=grid_size)
+    ribbon = FlatRibbon(curve, normal_field, w, mu)
     if not w < ribbon.max_width:
         raise WidthTooLarge(
             f"half-width {w:.6g} exceeds the regularity bound {ribbon.max_width:.6g}"
@@ -197,7 +182,7 @@ def ruling_angle(ribbon, t):
     alpha = ArcCot(mu) with mu = -tau_g / kappa_n, so cot(alpha) is the
     continuous extension of mu.
     """
-    return float(arccot(ribbon.mu(t)))
+    return arccot(ribbon.mu(t))
 
 
 def max_regular_width(curve, normal_field, grid_size=2001):
@@ -221,15 +206,9 @@ def tessellate(ribbon, n_t, n_u):
         raise ValueError("tessellation needs n_t >= 2 and n_u >= 2")
     ts = np.linspace(0.0, ribbon.curve.length, n_t)
     us = np.linspace(-ribbon.w, ribbon.w, n_u)
-    vertices = np.empty((n_t, n_u, 3))
-    normals = np.empty((n_t, 3))
-    for i, t in enumerate(ts):
-        base = ribbon.curve.point(t)
-        x = ribbon.ruling(t)
-        normals[i] = ribbon.normal.value(t)
-        for j, u in enumerate(us):
-            vertices[i, j] = base + u * x
-    return RibbonMesh(vertices, normals, ts, us)
+    base = ribbon.curve.point(ts)[:, None, :]
+    vertices = base + us[None, :, None] * ribbon.ruling(ts)[:, None, :]
+    return RibbonMesh(vertices, ribbon.normal.value(ts), ts, us)
 
 
 def write_obj(mesh, path):
@@ -258,35 +237,26 @@ def write_obj(mesh, path):
         fh.write("\n".join(lines) + "\n")
 
 
+_RING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+
+
 def _angle_defect_gauss(mesh):
-    """Max |K| over interior vertices via the angle-defect estimator."""
+    """Max |K| over interior vertices via the angle-defect estimator, all vertices at once."""
     v = mesh.vertices
     n_t, n_u, _ = v.shape
-    worst = 0.0
-    for i in range(1, n_t - 1):
-        for j in range(1, n_u - 1):
-            p = v[i, j]
-            ring = [
-                v[i + 1, j],
-                v[i + 1, j + 1],
-                v[i, j + 1],
-                v[i - 1, j + 1],
-                v[i - 1, j],
-                v[i - 1, j - 1],
-                v[i, j - 1],
-                v[i + 1, j - 1],
-            ]
-            angle_sum = 0.0
-            area = 0.0
-            for k in range(8):
-                e1 = ring[k] - p
-                e2 = ring[(k + 1) % 8] - p
-                cr = np.linalg.norm(np.cross(e1, e2))
-                angle_sum += np.arctan2(cr, np.dot(e1, e2))
-                area += 0.5 * cr
-            k_est = (2.0 * np.pi - angle_sum) / (area / 3.0)
-            worst = max(worst, abs(k_est))
-    return worst
+    p = v[1:-1, 1:-1]
+    # the 8 grid neighbours (i + di, j + dj) of every interior vertex, in ring order
+    ring = [v[1 + di : n_t - 1 + di, 1 + dj : n_u - 1 + dj] for di, dj in _RING]
+    angle_sum = 0.0
+    area = 0.0
+    for k in range(8):
+        e1 = ring[k] - p
+        e2 = ring[(k + 1) % 8] - p
+        cr = rownorm(np.cross(e1, e2))
+        angle_sum += np.arctan2(cr, np.vecdot(e1, e2))
+        area += 0.5 * cr
+    k_est = (2.0 * np.pi - angle_sum) / (area / 3.0)
+    return float(np.max(np.abs(k_est), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -301,8 +271,8 @@ class FlatnessReport:
 def flatness_residuals(ribbon, grid_size=201, n_t=200, n_u=8, ruling=None, ruling_derivative=None):
     """Developability residuals of a ribbon (or of an injected ruling field).
 
-    ``ruling``/``ruling_derivative`` override the ribbon's own ruling, which
-    lets tests verify that a perturbed ruling is detected as non-flat.
+    ``ruling``/``ruling_derivative`` (maps of an array of t to vectors) override
+    the ribbon's own ruling, so tests can check that a perturbed one is non-flat.
     """
     if ruling is None:
         ruling = ribbon.ruling
@@ -311,14 +281,12 @@ def flatness_residuals(ribbon, grid_size=201, n_t=200, n_u=8, ruling=None, rulin
         h = 1e-5 * max(ribbon.curve.length, 1.0)
         ruling_derivative = lambda t: central_difference(ruling, t, 1, h)
     ts = np.linspace(0.0, ribbon.curve.length, odd_node_count(grid_size))
-    res1 = res2 = res_f = 0.0
-    for t in ts:
-        x = ruling(t)
-        xp = ruling_derivative(t)
-        n = ribbon.normal.value(t)
-        tangent = ribbon.curve.derivative(t, 1)
-        res1 = max(res1, abs(float(np.dot(x, n))))
-        res2 = max(res2, abs(float(np.dot(np.cross(x, tangent), xp))))
-        res_f = max(res_f, abs(float(np.dot(xp, n))))
+    x = ruling(ts)
+    xp = ruling_derivative(ts)
+    n = ribbon.normal.value(ts)
+    tangent = ribbon.curve.derivative(ts, 1)
+    res1 = float(np.max(np.abs(np.vecdot(x, n))))
+    res2 = float(np.max(np.abs(np.vecdot(np.cross(x, tangent), xp))))
+    res_f = float(np.max(np.abs(np.vecdot(xp, n))))
     gauss = _angle_defect_gauss(tessellate(ribbon, n_t, n_u))
     return FlatnessReport(res1, res2, gauss, res_f)

@@ -22,7 +22,7 @@ from .frames import (
     rotate,
     sampled_scalars,
 )
-from .numerics import arccot
+from .numerics import rownorm
 
 __all__ = ["Check", "run_checks"]
 
@@ -39,7 +39,7 @@ class Check:
 
 
 def _unit_speed_defect(curve, n=301):
-    return max(abs(np.linalg.norm(curve.derivative(t, 1)) - 1.0) for t in curve.grid(n))
+    return float(np.max(np.abs(rownorm(curve.derivative(curve.grid(n), 1)) - 1.0)))
 
 
 def run_checks(fault="none"):
@@ -54,13 +54,11 @@ def run_checks(fault="none"):
     knot = make_torus_knot(TorusKnotParams())
     checks.append(Check("unit_speed_torus_knot", _unit_speed_defect(knot, 201), 1e-8))
 
-    rmf = RotationMinimizingField(helix)
-    defect = 0.0
-    for t in helix.grid(101):
-        fr = rmf.frame(t)
-        gram = np.array([fr.T, fr.H, fr.N]) @ np.array([fr.T, fr.H, fr.N]).T
-        defect = max(defect, float(np.max(np.abs(gram - np.eye(3)))))
-        defect = max(defect, abs(float(np.dot(np.cross(fr.T, fr.H), fr.N)) - 1.0))
+    fr = RotationMinimizingField(helix).frame(helix.grid(101))
+    basis = np.stack([fr.T, fr.H, fr.N], axis=-2)
+    gram = basis @ np.swapaxes(basis, -1, -2)
+    handedness = np.vecdot(np.cross(fr.T, fr.H), fr.N)
+    defect = max(float(np.max(np.abs(gram - np.eye(3)))), float(np.max(np.abs(handedness - 1.0))))
     checks.append(Check("frame_orthonormality", defect, 1e-10))
 
     worst = 0.0
@@ -127,21 +125,15 @@ def run_checks(fault="none"):
         report = ribbon_mod.flatness_residuals(strip, 101)
     checks.append(Check("flatness_residuals", max(report.ruling_in_plane, report.tangent_plane), 1e-8))
 
-    worst = 0.0
-    for t in helix.grid(41):
-        x = strip.ruling(t)
-        tangent = helix.derivative(t, 1)
-        measured = np.arctan2(np.linalg.norm(np.cross(tangent, x)), float(np.dot(tangent, x)))
-        worst = max(worst, abs(measured - ribbon_mod.ruling_angle(strip, t)))
+    ts = helix.grid(41)
+    x, tangent = strip.ruling(ts), helix.derivative(ts, 1)
+    measured = np.arctan2(rownorm(np.cross(tangent, x)), np.vecdot(tangent, x))
+    worst = float(np.max(np.abs(measured - ribbon_mod.ruling_angle(strip, ts))))
     checks.append(Check("ruling_angle_identity", worst, 1e-10))
 
     # projection of the ruling segment onto the normal plane has length 2w
-    worst = 0.0
-    for t in helix.grid(41):
-        x = strip.ruling(t)
-        tangent = helix.derivative(t, 1)
-        proj = x - float(np.dot(x, tangent)) * tangent
-        worst = max(worst, abs(2.0 * strip.w * np.linalg.norm(proj) - 2.0 * strip.w))
+    proj = x - np.vecdot(x, tangent)[..., None] * tangent
+    worst = float(np.max(np.abs(2.0 * strip.w * rownorm(proj) - 2.0 * strip.w)))
     checks.append(Check("width_projection", worst, 1e-10))
 
     e_closed = energy.bending_energy_closed(strip, n_t=801)

@@ -5,36 +5,6 @@ from flatribbon.curves import HelixParams, TorusKnotParams, make_helix, make_tor
 from flatribbon.frames import PrincipalNormalField, TorusNormalField
 
 
-class CachedScalars:
-    """Wrap a normal field, memoizing scalars by parameter value.
-
-    Several tests sweep thousands of rotation angles over the same
-    arc-length grid; caching the base-field scalars makes those sweeps
-    cheap without touching library code.
-    """
-
-    def __init__(self, field):
-        self.field = field
-        self.curve = field.curve
-        self._cache = {}
-
-    def value(self, t):
-        return self.field.value(t)
-
-    def derivative(self, t):
-        return self.field.derivative(t)
-
-    def frame(self, t):
-        return self.field.frame(t)
-
-    def scalars(self, t):
-        got = self._cache.get(t)
-        if got is None:
-            got = self.field.scalars(t)
-            self._cache[t] = got
-        return got
-
-
 @pytest.fixture(scope="session")
 def helix11():
     return make_helix(HelixParams(1.0, 1.0))

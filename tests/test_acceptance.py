@@ -52,8 +52,6 @@ from flatribbon.ribbon import (
 )
 from flatribbon.validate import run_checks
 
-from conftest import CachedScalars
-
 
 def report(label, measured, bound, passed=None):
     if passed is None:
@@ -152,7 +150,7 @@ def test_criterion_06_helix_rectifying_energy():
 # 7. Constant-rotation energy extrema: the analytic critical angles and values
 #    match a dense grid scan, including both degenerate branches.
 def test_criterion_07_constant_rotation_extrema(helix11, pn11, circle):
-    field = CachedScalars(RotatedNormalField(pn11, lambda t: -0.5 * t, lambda t: -0.5))
+    field = RotatedNormalField(pn11, lambda t: -0.5 * t, lambda t: -0.5)
     w = 0.1
     ex = case_a_extrema(helix11, field, w, n_t=2001)
     qs = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)

@@ -128,6 +128,23 @@ def test_missing_config_exit_code(tmp_path):
     assert run(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command,extra,key",
+    [
+        ("energy", "width = -1\n", "width"),
+        ("build", "mesh_nt = 1\n", "mesh_nt"),
+        ("build", "mode = banana\n", "mode"),
+    ],
+)
+def test_out_of_domain_config_exit_code(tmp_path, capsys, command, extra, key):
+    cfg = write_cfg(tmp_path, HELIX_CFG + extra)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_solve_writes_theta_table(tmp_path):
     cfg = write_cfg(tmp_path, HELIX_CFG + "grid = 400\n")
     out = tmp_path / "out"

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from flatribbon.curves import (
+    ArcLengthCurve,
     CurveSpec,
     HelixParams,
     TorusKnotParams,
@@ -65,6 +66,18 @@ def test_arc_length_roundtrip_inverse():
         # arc length up to x recomputed independently
         s, _ = quad(lambda z: np.linalg.norm(spec.derivative(z, 1)), 0.0, x)
         assert s == pytest.approx(t, abs=1e-8)
+
+
+def test_arc_length_inversion_checks_its_residual():
+    # the table claims speed 1 + 2x while the curve moves at speed 10, so
+    # three Newton steps from the interpolated guess cannot reproduce t
+    line = CurveSpec(lambda x: np.array([10.0 * x, 0.0, 0.0]), (0.0, 1.0))
+    nodes = np.linspace(0.0, 1.0, 11)
+    curve = ArcLengthCurve(line, 2.0, raw_nodes=nodes, s_table=nodes + nodes**2)
+    with pytest.raises(ToleranceNotMet):
+        curve.raw_parameter(0.7)
+    with pytest.raises(ToleranceNotMet):
+        curve.derivative(curve.grid(21), 1)
 
 
 def test_nonregular_curve_rejected():
