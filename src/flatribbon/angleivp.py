@@ -6,19 +6,26 @@ first-order nonlinear ODE for theta, globally solvable because the right
 hand side is Lipschitz in theta.  A fixed-step classical RK4 integrator
 is used throughout: the right hand side is smooth, so adaptivity buys
 nothing and determinism keeps the tests simple.
+
+Both ODEs have the form theta' = a(t) sin theta + b(t) cos theta + c(t),
+so the solver tabulates a, b, c once at every stage node and steps on
+Python floats.
 """
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .curves import curvature_vector, frenet_data
-from .errors import NormalCurvatureZero, StepSizeUnderflow
+from .errors import InvalidParams, NormalCurvatureZero, StepSizeUnderflow
 from .numerics import arccot, cumulative_simpson_uniform, first_where
 
 __all__ = [
     "InitialCondition",
+    "AngleRHS",
     "ThetaSolution",
     "rhs_prescribed",
     "rhs_same_angle",
@@ -39,36 +46,66 @@ class InitialCondition:
     q: float = 0.0
 
 
+def _prescribed_coefficients(scalars, phi):
+    cot = np.cos(phi) / np.sin(phi)
+    return cot * scalars.kappa_g, -cot * scalars.kappa_n, -scalars.tau_g
+
+
+def _same_angle_coefficients(t, scalars):
+    small = np.abs(scalars.kappa_n) < 1e-9
+    if np.any(small):
+        raise NormalCurvatureZero(
+            f"kappa_n vanishes at t={first_where(small, t):.6g}; use the prescribed-angle form"
+        )
+    tg = scalars.tau_g
+    return -(scalars.kappa_g * tg / scalars.kappa_n), tg, -tg
+
+
+def _combine(coefficients, theta):
+    a, b, c = coefficients
+    return a * np.sin(theta) + b * np.cos(theta) + c
+
+
 def rhs_prescribed(t, theta, scalars, phi):
     """theta' for a prescribed ruling angle phi(t) in (0, pi).
 
     F(t, theta) = cot(phi) (kappa_g sin theta - kappa_n cos theta) - tau_g.
     """
-    cot = np.cos(phi) / np.sin(phi)
-    return cot * (scalars.kappa_g * np.sin(theta) - scalars.kappa_n * np.cos(theta)) - scalars.tau_g
+    return _combine(_prescribed_coefficients(scalars, phi), theta)
 
 
 def rhs_same_angle(t, theta, scalars):
     """theta' for a ribbon sharing the ruling angle of the base field.
 
+    F(t, theta) = tau_g cos theta - tau_g - (kappa_g tau_g / kappa_n) sin theta.
     Requires kappa_n != 0; reformulate through :func:`rhs_prescribed` with
     phi equal to the (continuously extended) base ruling angle otherwise.
     """
-    small = abs(scalars.kappa_n) < 1e-9
-    if small.any() if isinstance(small, np.ndarray) else small:  # np.any would slow RK4 steps
-        t = first_where(small, t)
-        raise NormalCurvatureZero(f"kappa_n vanishes at t={t:.6g}; use the prescribed-angle form")
-    tg = scalars.tau_g
-    return tg * np.cos(theta) - tg - (scalars.kappa_g * tg / scalars.kappa_n) * np.sin(theta)
+    return _combine(_same_angle_coefficients(t, scalars), theta)
+
+
+@dataclass(frozen=True)
+class AngleRHS:
+    """A right hand side theta' = a(t) sin theta + b(t) cos theta + c(t).
+
+    ``coefficients(ts)`` returns (a, b, c) at every t of ``ts`` (a scalar
+    entry stands for a constant); calling ``rhs(t, theta)`` evaluates F.
+    """
+
+    coefficients: Callable
+
+    def __call__(self, t, theta):
+        return _combine(self.coefficients(t), theta)
 
 
 def prescribed_angle_rhs(scalars_fn, phi_fn):
-    """Bind the prescribed-angle right hand side to a curve's scalar data."""
-    return lambda t, theta: rhs_prescribed(t, theta, scalars_fn(t), phi_fn(t))
+    """Bind the prescribed-angle right hand side to a curve's scalar data and phi(t)."""
+    return AngleRHS(lambda ts: _prescribed_coefficients(scalars_fn(ts), phi_fn(ts)))
 
 
 def same_angle_rhs(scalars_fn):
-    return lambda t, theta: rhs_same_angle(t, theta, scalars_fn(t))
+    """Bind the same-angle right hand side; NormalCurvatureZero where |kappa_n| < 1e-9."""
+    return AngleRHS(lambda ts: _same_angle_coefficients(ts, scalars_fn(ts)))
 
 
 @dataclass
@@ -103,48 +140,67 @@ class ThetaSolution:
     def ode_residual(self):
         """Sup of |theta' - F(t, theta)| at grid midpoints, via interpolation."""
         mids = 0.5 * (self.ts[:-1] + self.ts[1:])
-        worst = 0.0
-        for t in mids:
-            worst = max(worst, abs(self._spline(t, 1) - self.rhs(t, float(self._spline(t)))))
-        return worst
+        return float(np.max(np.abs(self._spline(mids, 1) - self.rhs(mids, self._spline(mids)))))
 
 
-def _rk4_sweep(rhs, ts, i0, q):
-    """Fixed-step RK4 from node i0 outward in both directions."""
-    theta = np.empty(len(ts))
+def _rk4_sweep(ts, table, stride, i0, q):
+    """Fixed-step RK4 over every ``stride``-th entry of ``ts``, from step node i0 outward.
+
+    ``table`` holds the coefficients (a, b, c) as lists over ``ts``; the
+    stage t + h/2 is the entry stride/2 away, so no stage needs a new
+    evaluation.  An infinite angle (math.sin refuses it) turns the run to NaN.
+    """
+    a, b, c = table
+    sin, cos = math.sin, math.cos
+    half = stride // 2
+    m = (len(ts) - 1) // stride
+    theta = [0.0] * (m + 1)
     theta[i0] = q
-    for direction in (1, -1):
-        rng = range(i0, len(ts) - 1) if direction == 1 else range(i0, 0, -1)
-        for i in rng:
-            t = ts[i]
-            h = (ts[i + 1] - t) if direction == 1 else (ts[i - 1] - t)
-            y = theta[i]
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-            theta[i + direction] = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return theta
+    try:
+        for step in (1, -1):
+            for i in range(i0, m) if step == 1 else range(i0, 0, -1):
+                j = i * stride
+                jm, je = j + step * half, j + step * stride
+                h = ts[je] - ts[j]
+                y = theta[i]
+                k1 = a[j] * sin(y) + b[j] * cos(y) + c[j]
+                y2 = y + 0.5 * h * k1
+                k2 = a[jm] * sin(y2) + b[jm] * cos(y2) + c[jm]
+                y3 = y + 0.5 * h * k2
+                k3 = a[jm] * sin(y3) + b[jm] * cos(y3) + c[jm]
+                y4 = y + h * k3
+                k4 = a[je] * sin(y4) + b[je] * cos(y4) + c[je]
+                theta[i + step] = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    except ValueError:
+        return np.full(m + 1, np.nan)
+    return np.array(theta)
 
 
-def solve_theta(rhs, length, ic=InitialCondition(), grid_size=2000, tol=1e-8):
+def solve_theta(rhs, length, ic=InitialCondition(), grid_size=2000):
     """Integrate theta' = F(t, theta) over [0, length] from theta(t0) = q.
 
-    Classical RK4 with step length/grid_size, forward and backward from
-    t0 (snapped to the nearest grid node).  The error estimate is the
-    maximum deviation from a half-step run; ``tol`` is advisory and only
-    recorded, since the method is fixed-step.
+    ``rhs`` is an :class:`AngleRHS`.  Classical RK4 with step length/grid_size,
+    forward and backward from t0, which must be a node of that grid
+    (InvalidParams otherwise).  The coefficients of F are tabulated once on
+    the 4n+1 nodes that hold every stage of the n-step run and of the
+    half-step run; the error estimate is the maximum deviation between the two.
     """
     n = max(int(grid_size), 2)
-    ts = np.linspace(0.0, float(length), n + 1)
-    i0 = int(round(ic.t0 / float(length) * n))
-    theta = _rk4_sweep(rhs, ts, i0, ic.q)
-    ts_half = np.linspace(0.0, float(length), 2 * n + 1)
-    theta_half = _rk4_sweep(rhs, ts_half, 2 * i0, ic.q)
+    length = float(length)
+    nodes = np.linspace(0.0, length, 4 * n + 1)
+    i0 = round(ic.t0 / length * n) if np.isfinite(ic.t0) else -1
+    if not (0 <= i0 <= n and abs(ic.t0 - nodes[4 * i0]) <= 1e-9 * length):
+        raise InvalidParams(f"t0 = {ic.t0:.6g} is not a node of the {n}-step grid on [0, {length:.6g}]")
+    table = [np.broadcast_to(np.asarray(x, dtype=float), nodes.shape) for x in rhs.coefficients(nodes)]
+    lists = [x.tolist() for x in table]
+    grid = nodes.tolist()
+    theta = _rk4_sweep(grid, lists, 4, i0, ic.q)
+    theta_half = _rk4_sweep(grid, lists, 2, 2 * i0, ic.q)
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(theta_half))):
         raise StepSizeUnderflow("RK4 produced non-finite values")
     err = float(np.max(np.abs(theta - theta_half[::2])))
-    derivs = np.array([rhs(t, y) for t, y in zip(ts, theta)])
+    ts = nodes[::4]  # = linspace(0, length, n + 1) entry for entry
+    derivs = _combine([x[::4] for x in table], theta)
     return ThetaSolution(ts, theta, derivs, "rk4", ts[1] - ts[0], err, rhs=rhs)
 
 

@@ -97,6 +97,11 @@ def check_domains(cfg):
     for key in ("mesh_nt", "mesh_nu"):
         if getattr(cfg, key) < 2:
             raise ConfigError(f"{key} must be at least 2, got {getattr(cfg, key)}")
+    if cfg.phi != "base" and not 0.0 < cfg.phi < np.pi:
+        raise ConfigError(f"phi must be 'base' or a ruling angle in (0, pi), got {cfg.phi:g}")
+    for r in cfg.r:
+        if not 0.0 < r < np.inf:
+            raise ConfigError(f"every r must be positive and finite, got {r:g}")
 
 
 def build_curve(cfg):

@@ -170,13 +170,14 @@ class ArcLengthCurve:
         return np.linspace(0.0, self.length, odd_node_count(n))
 
 
-def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8):
+def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8, curve_class=ArcLengthCurve, **extra):
     """Reparametrize a raw curve by arc length.
 
     The arc-length table is built with cumulative Simpson on ``grid_size``
     nodes (rounded up to odd); the total-length error is estimated by
     Richardson extrapolation against the half-resolution table and must
-    not exceed ``tol``.
+    not exceed ``tol``.  The result is a ``curve_class`` (ArcLengthCurve or
+    a subclass) built with the keyword arguments ``extra``.
     """
     n = odd_node_count(grid_size)
     x0, x1 = curve.domain
@@ -193,7 +194,7 @@ def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8):
         raise ToleranceNotMet(
             f"arc-length error estimate {err:.3e} exceeds tol {tol:.3e}; increase grid_size"
         )
-    return ArcLengthCurve(curve, length, raw_nodes=nodes, s_table=s_table)
+    return curve_class(curve, length, raw_nodes=nodes, s_table=s_table, **extra)
 
 
 def curvature_vector(curve, t):
@@ -336,8 +337,9 @@ def make_torus_knot(params=TorusKnotParams()):
     spec = CurveSpec(
         pos, (0.0, 2.0 * np.pi), derivatives=(d1, d2, d3), name=f"torus_knot({R}, {rho}, {n})"
     )
-    plain = arc_length_reparametrize(spec, grid_size=params.grid_size, tol=params.tol)
-    return TorusKnotCurve(spec, plain.length, plain._raw_nodes, plain._s_table, params)
+    return arc_length_reparametrize(
+        spec, grid_size=params.grid_size, tol=params.tol, curve_class=TorusKnotCurve, params=params
+    )
 
 
 def curve_from_samples(ts, points, grid_size=1001, tol=1e-8, name="samples"):

@@ -134,6 +134,9 @@ def test_missing_config_exit_code(tmp_path):
         ("energy", "width = -1\n", "width"),
         ("build", "mesh_nt = 1\n", "mesh_nt"),
         ("build", "mode = banana\n", "mode"),
+        ("solve", "q = 0.5\nphi = 0\n", "phi"),
+        ("solve", "q = 0.5\nphi = 4\n", "phi"),
+        ("sweep", "r = 1, 0\n", "r must"),
     ],
 )
 def test_out_of_domain_config_exit_code(tmp_path, capsys, command, extra, key):

@@ -180,6 +180,22 @@ def test_make_torus_knot_rejects_bad_radii():
         make_torus_knot(TorusKnotParams(R=1.0, rho=2.0))
 
 
+def test_make_torus_knot_builds_its_arc_length_table_once(monkeypatch):
+    from flatribbon import curves
+
+    built = []
+    original = curves.ArcLengthCurve.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(curves.ArcLengthCurve, "__init__", counting_init)
+    knot = make_torus_knot(TorusKnotParams(R=2.0, rho=1.0, n=3))
+    assert built == ["TorusKnotCurve"]
+    assert knot.params.n == 3 and knot.grid_size == 4001
+
+
 def test_torus_knot_outer_equator_point(knot):
     assert np.max(np.abs(knot.point(0.0) - np.array([3.0, 0.0, 0.0]))) < 1e-10
     n0 = knot.surface_normal_raw(0.0)

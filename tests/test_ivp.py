@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatribbon.angleivp import (
+    AngleRHS,
     InitialCondition,
     closed_form_case_b,
     closed_form_helix_pi2,
@@ -17,7 +18,7 @@ from flatribbon.angleivp import (
     solved_rotation_field,
 )
 from flatribbon.curves import HelixParams, make_helix
-from flatribbon.errors import NormalCurvatureZero, StepSizeUnderflow
+from flatribbon.errors import InvalidParams, NormalCurvatureZero, StepSizeUnderflow
 from flatribbon.frames import DarbouxScalars, rotate, sampled_scalars
 from flatribbon.numerics import central_difference
 
@@ -78,7 +79,7 @@ def test_same_angle_rhs_rejects_zero_normal_curvature():
 
 
 def test_constant_solution_for_zero_rhs():
-    sol = solve_theta(lambda t, y: 0.0, 2.0, InitialCondition(0.0, 1.3), grid_size=100)
+    sol = solve_theta(AngleRHS(lambda ts: (0.0, 0.0, 0.0)), 2.0, InitialCondition(0.0, 1.3), grid_size=100)
     assert np.max(np.abs(sol.values - 1.3)) == 0.0
     assert sol.error_estimate == 0.0
 
@@ -100,14 +101,115 @@ def test_separable_solution_matches_closed_form(helix11, pn_scalars):
 
 def test_backward_integration_from_interior_point():
     # theta' = -0.5 from theta(t0) = 2 must extend linearly in both directions
-    sol = solve_theta(lambda t, y: -0.5, 4.0, InitialCondition(2.0, 2.0), grid_size=200)
+    sol = solve_theta(AngleRHS(lambda ts: (0.0, 0.0, -0.5)), 4.0, InitialCondition(2.0, 2.0), grid_size=200)
     want = 2.0 - 0.5 * (sol.ts - 2.0)
     assert np.max(np.abs(sol.values - want)) < 1e-12
 
 
 def test_solver_reports_nonfinite_values():
     with pytest.raises(StepSizeUnderflow):
-        solve_theta(lambda t, y: np.nan, 1.0, grid_size=50)
+        solve_theta(AngleRHS(lambda ts: (0.0, 0.0, np.nan)), 1.0, grid_size=50)
+
+
+def test_solver_reports_infinite_values():
+    # an infinite slope sends theta to inf, whose sine the stepper cannot take
+    with pytest.raises(StepSizeUnderflow):
+        solve_theta(AngleRHS(lambda ts: (0.0, 0.0, np.inf)), 1.0, grid_size=50)
+
+
+def test_off_grid_initial_time_is_rejected():
+    rhs = AngleRHS(lambda ts: (0.0, 0.0, 1.0))
+    for t0 in (0.123, -0.1, 1.1, np.nan):
+        with pytest.raises(InvalidParams, match="not a node"):
+            solve_theta(rhs, 1.0, InitialCondition(t0, 0.0), grid_size=10)
+    # a node up to rounding is accepted: 0.3 / 1.0 * 10 = 3.0000000000000004
+    sol = solve_theta(rhs, 1.0, InitialCondition(0.3, 0.0), grid_size=10)
+    assert sol.values[3] == 0.0
+
+
+# The per-stage solver the tables replaced: one right-hand-side call per RK4
+# stage, so every stage samples the scalar spline anew.
+def _reference_sweep(rhs, ts, i0, q):
+    theta = np.empty(len(ts))
+    theta[i0] = q
+    for direction in (1, -1):
+        rng = range(i0, len(ts) - 1) if direction == 1 else range(i0, 0, -1)
+        for i in rng:
+            t = ts[i]
+            h = (ts[i + 1] - t) if direction == 1 else (ts[i - 1] - t)
+            y = theta[i]
+            k1 = rhs(t, y)
+            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(t + h, y + h * k3)
+            theta[i + direction] = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return theta
+
+
+def _reference_solve(rhs, length, t0, q, n):
+    """(values, derivatives, error estimate) of the per-stage solver."""
+    ts = np.linspace(0.0, length, n + 1)
+    i0 = int(round(t0 / length * n))
+    theta = _reference_sweep(rhs, ts, i0, q)
+    theta_half = _reference_sweep(rhs, np.linspace(0.0, length, 2 * n + 1), 2 * i0, q)
+    derivs = np.array([rhs(t, y) for t, y in zip(ts, theta)])
+    return theta, derivs, float(np.max(np.abs(theta - theta_half[::2])))
+
+
+TABLE_CASES = {
+    "helix_pi2": ("helix", lambda t: np.pi / 2),
+    "helix_same_angle": ("helix", None),
+    "knot_same_angle": ("knot", None),
+    "helix_varying_phi": ("helix", lambda t: np.pi / 3 + 0.5 * np.sin(t)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_table_solver_matches_per_stage_reference(case, helix11, pn11, knot, torus_field):
+    curve_name, phi = TABLE_CASES[case]
+    curve, base = (helix11, pn11) if curve_name == "helix" else (knot, torus_field)
+    scalars_fn = sampled_scalars(base, 1001)
+    if phi is None:
+        rhs = same_angle_rhs(scalars_fn)
+        pointwise = lambda t, y: rhs_same_angle(t, y, scalars_fn(t))
+    else:
+        rhs = prescribed_angle_rhs(scalars_fn, phi)
+        pointwise = lambda t, y: rhs_prescribed(t, y, scalars_fn(t), phi(t))
+    t0 = 0.25 * curve.length  # a node of the 1000-step grid, so both directions run
+    sol = solve_theta(rhs, curve.length, InitialCondition(t0, 0.7), grid_size=1000)
+    values, derivs, err = _reference_solve(pointwise, curve.length, t0, 0.7, 1000)
+    assert np.max(np.abs(sol.values - values)) <= 1e-12
+    assert np.max(np.abs(sol.derivatives - derivs)) <= 1e-12
+    assert abs(sol.error_estimate - err) <= 1e-12
+
+
+def test_angle_rhs_matches_pointwise_forms(pn_scalars, helix11):
+    phi = lambda t: np.pi / 3 + 0.5 * np.sin(t)
+    prescribed = prescribed_angle_rhs(pn_scalars, phi)
+    same = same_angle_rhs(pn_scalars)
+    ts = np.linspace(0.0, helix11.length, 37)
+    thetas = np.linspace(-4.0, 7.0, 37)
+    want_p = [rhs_prescribed(t, y, pn_scalars(t), phi(t)) for t, y in zip(ts, thetas)]
+    want_s = [rhs_same_angle(t, y, pn_scalars(t)) for t, y in zip(ts, thetas)]
+    for i, (t, y) in enumerate(zip(ts, thetas)):
+        assert prescribed(t, y) == want_p[i]
+        assert same(t, y) == want_s[i]
+    np.testing.assert_allclose(prescribed(ts, thetas), want_p, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(same(ts, thetas), want_s, rtol=0.0, atol=1e-15)
+
+
+def test_same_angle_table_rejects_zero_normal_curvature():
+    flat = lambda ts: DarbouxScalars(0.3 + 0.0 * ts, np.where(ts >= 0.5, 0.0, 1.0), 0.4 + 0.0 * ts)
+    with pytest.raises(NormalCurvatureZero, match="t=0.5"):
+        solve_theta(same_angle_rhs(flat), 1.0, grid_size=10)
+
+
+def test_ode_residual_matches_midpoint_loop(helix11, pn_scalars):
+    rhs = prescribed_angle_rhs(pn_scalars, lambda t: np.pi / 3 + 0.5 * np.sin(t))
+    sol = solve_theta(rhs, helix11.length, InitialCondition(0.0, 2.0), grid_size=200)
+    mids = 0.5 * (sol.ts[:-1] + sol.ts[1:])
+    worst = max(abs(float(sol._spline(t, 1)) - rhs(t, float(sol(t)))) for t in mids)
+    assert sol.ode_residual() == pytest.approx(worst, rel=1e-12, abs=1e-15)
 
 
 def test_solution_residual_and_derivative(helix11, pn_scalars):
