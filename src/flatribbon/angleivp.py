@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .curves import curvature_vector, frenet_data
+from .curves import check_curvature, frenet_data
 from .errors import InvalidParams, NormalCurvatureZero, StepSizeUnderflow
 from .numerics import arccot, cumulative_simpson_uniform, first_where
 
@@ -122,7 +122,7 @@ class ThetaSolution:
     method: str
     step: float
     error_estimate: float
-    rhs: object = field(repr=False, default=None)
+    rhs: AngleRHS = field(repr=False)
     _spline: CubicSpline = field(repr=False, default=None)
 
     def __post_init__(self):
@@ -133,9 +133,7 @@ class ThetaSolution:
 
     def derivative(self, t):
         # exact along the solution: theta' = F(t, theta(t))
-        if self.rhs is not None:
-            return self.rhs(t, self._spline(t))
-        return self._spline(t, 1)
+        return self.rhs(t, self._spline(t))
 
     def ode_residual(self):
         """Sup of |theta' - F(t, theta)| at grid midpoints, via interpolation."""
@@ -266,6 +264,7 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
 def integrated_torsion(curve, grid_size=2001):
     """psi(t) = integral of the Frenet torsion from 0 to t, as a spline."""
     ts = curve.grid(grid_size)
-    curvature_vector(curve, ts)  # the torsion needs kappa > KAPPA_MIN
-    table = cumulative_simpson_uniform(frenet_data(curve, ts).tau, ts[1] - ts[0])
+    fd = frenet_data(curve, ts)
+    check_curvature(fd.kappa, ts)  # the torsion needs kappa > KAPPA_MIN
+    table = cumulative_simpson_uniform(fd.tau, ts[1] - ts[0])
     return CubicSpline(ts, table)

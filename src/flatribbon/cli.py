@@ -57,15 +57,20 @@ def _load_config(args):
     return cfg
 
 
-def _field_and_solution(cfg, curve):
-    base = build_base_field(cfg, curve)
-    if cfg.q == 0.0:
-        return RotatedNormalField(base, 0.0), None
+def _solved_field(cfg, base):
+    """(rotated field, theta solution) of the IVP from theta(0) = q with the config's phi."""
     phi = None
     if cfg.phi != "base":
         phi_value = float(cfg.phi)
         phi = lambda t: phi_value
     return angleivp.solved_rotation_field(base, cfg.q, grid_size=cfg.grid, phi=phi)
+
+
+def _field(cfg, curve):
+    base = build_base_field(cfg, curve)
+    if cfg.q == 0.0 and cfg.phi == "base":
+        return RotatedNormalField(base, 0.0)  # theta = 0 solves the same-angle IVP exactly
+    return _solved_field(cfg, base)[0]
 
 
 def _pick_width(cfg, curve, field):
@@ -77,7 +82,7 @@ def _pick_width(cfg, curve, field):
 
 def cmd_build(cfg):
     curve = build_curve(cfg)
-    field, _ = _field_and_solution(cfg, curve)
+    field = _field(cfg, curve)
     w = _pick_width(cfg, curve, field)
     rib = construct_ribbon(curve, field, w, grid_size=min(cfg.grid, 2001))
     mesh = tessellate(rib, cfg.mesh_nt, cfg.mesh_nu)
@@ -101,10 +106,7 @@ def cmd_build(cfg):
 
 def cmd_solve(cfg):
     curve = build_curve(cfg)
-    field, solution = _field_and_solution(cfg, curve)
-    if solution is None:
-        base = build_base_field(cfg, curve)
-        _, solution = angleivp.solved_rotation_field(base, 0.0, grid_size=cfg.grid)
+    _, solution = _solved_field(cfg, build_base_field(cfg, curve))
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, f"theta_q{cfg.q:g}.csv")
     write_csv(path, ("t", "theta", "theta_prime"), zip(solution.ts, solution.values, solution.derivatives))
@@ -114,7 +116,7 @@ def cmd_solve(cfg):
 
 def cmd_energy(cfg):
     curve = build_curve(cfg)
-    field, _ = _field_and_solution(cfg, curve)
+    field = _field(cfg, curve)
     w = _pick_width(cfg, curve, field)
     rib = construct_ribbon(curve, field, w, grid_size=min(cfg.grid, 2001))
     reports = [

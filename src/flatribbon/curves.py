@@ -6,6 +6,9 @@ everywhere else as an :class:`ArcLengthCurve`, whose parameter is arc
 length on [0, L].  The reparametrized curve is unit-speed to machine
 precision by construction: derivatives with respect to arc length are
 obtained from the raw derivatives by the chain rule, with dx/ds = 1/|c'|.
+:meth:`ArcLengthCurve.jet` is the one evaluation point: a single arc-length
+inversion gives the raw parameter, the raw speed and the first three
+derivatives, and ``derivative`` reads its entries.
 Evaluators take a scalar or an array of parameters; vectors gain a trailing axis of 3.
 """
 
@@ -28,7 +31,7 @@ __all__ = [
     "TorusKnotParams",
     "arc_length_reparametrize",
     "frenet_data",
-    "curvature_vector",
+    "check_curvature",
     "make_helix",
     "make_torus_knot",
     "curve_from_samples",
@@ -143,27 +146,35 @@ class ArcLengthCurve:
     def point(self, t):
         return self.spec.point(self.raw_parameter(t))
 
-    def derivative(self, t, order=1):
-        """Derivative of gamma with respect to arc length, order 1..3."""
+    def jet(self, t):
+        """(x, speed, gamma', gamma'', gamma''') at arc length t (or a grid) from one inversion.
+
+        x is the raw parameter and speed = |c'(x)|; the derivatives are taken
+        with respect to arc length by the chain rule, dx/ds = 1/speed.
+        """
         x = self.raw_parameter(t)
+        c1, c2, c3 = (self.spec.derivative(x, order) for order in (1, 2, 3))
+        speed = rownorm(c1)
         if self._identity:
-            return self.spec.derivative(x, order)
+            return x, speed, c1, c2, c3
         # float_power is the C library's pow per entry, as for a scalar t; ** on an
         # array takes a vectorized pow that can differ in the last bit
-        c1 = self.spec.derivative(x, 1)
-        v = rownorm(c1)[..., None]
+        v = speed[..., None]
         x1 = 1.0 / v
-        if order == 1:
-            return c1 * x1
-        c2 = self.spec.derivative(x, 2)
         v1 = np.vecdot(c1, c2)[..., None] / v
         x2 = -v1 / np.float_power(v, 3)
-        if order == 2:
-            return c2 * np.float_power(x1, 2) + c1 * x2
-        c3 = self.spec.derivative(x, 3)
         v2 = ((np.vecdot(c2, c2) + np.vecdot(c1, c3))[..., None] - np.float_power(v1, 2)) / v
         x3 = (3.0 * np.float_power(v1, 2) - v * v2) / np.float_power(v, 5)
-        return c3 * np.float_power(x1, 3) + 3.0 * c2 * x1 * x2 + c1 * x3
+        d1 = c1 * x1
+        d2 = c2 * np.float_power(x1, 2) + c1 * x2
+        d3 = c3 * np.float_power(x1, 3) + 3.0 * c2 * x1 * x2 + c1 * x3
+        return x, speed, d1, d2, d3
+
+    def derivative(self, t, order=1):
+        """Derivative of gamma with respect to arc length, order 1..3: an entry of :meth:`jet`."""
+        if not 1 <= order <= 3:
+            raise ValueError("derivative order must be 1, 2, or 3")
+        return self.jet(t)[order + 1]
 
     def grid(self, n):
         """Uniform arc-length grid with an odd number of nodes >= n."""
@@ -197,25 +208,20 @@ def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8, curve_class=ArcLen
     return curve_class(curve, length, raw_nodes=nodes, s_table=s_table, **extra)
 
 
-def curvature_vector(curve, t):
-    """(gamma'', |gamma''|) at t, raising VanishingCurvature where |gamma''| <= KAPPA_MIN."""
-    g2 = curve.derivative(t, 2)
-    kappa = rownorm(g2)
+def check_curvature(kappa, t):
+    """Raise VanishingCurvature where the curvature table ``kappa`` at ``t`` is <= KAPPA_MIN."""
     flat = kappa <= KAPPA_MIN
     if np.any(flat):
         raise VanishingCurvature(f"curvature vanishes at t={first_where(flat, t):.6g}")
-    return g2, kappa
 
 
 def frenet_data(curve, t):
     """Tangent, curvature, torsion, and Frenet normals at arc length t (or a grid)."""
-    g1 = curve.derivative(t, 1)
-    g2 = curve.derivative(t, 2)
+    _, _, g1, g2, g3 = curve.jet(t)
     kappa = rownorm(g2)
     flat = kappa <= KAPPA_MIN
     if np.ndim(t) == 0 and flat:
         return FrenetData(g1, kappa, None, None, None)
-    g3 = curve.derivative(t, 3)
     with np.errstate(divide="ignore", invalid="ignore"):
         pn = np.where(flat[..., None], np.nan, g2 / kappa[..., None])
         tau = np.where(flat, np.nan, np.vecdot(np.cross(g1, g2), g3) / np.float_power(kappa, 2))[()]

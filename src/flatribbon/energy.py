@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import curvature_vector, frenet_data
+from .curves import check_curvature, frenet_data
 from .errors import (
     DegenerateMetric,
     NotCaseA,
@@ -284,8 +284,8 @@ def case_b_energy(curve, q, w, n_t=2001):
     with d = cot(q/2) + psi(t), psi the cumulative torsion.
     """
     ts = curve.grid(n_t)
-    curvature_vector(curve, ts)
     fd = frenet_data(curve, ts)
+    check_curvature(fd.kappa, ts)
     kappa, tau = fd.kappa, fd.tau
     mu = -tau / kappa
     sadowsky = kappa**2 * (1.0 + mu**2) ** 2

@@ -1,8 +1,10 @@
 """Darboux frames along a curve with respect to a unit normal field.
 
 The frame is (T, H, N) with H = N x T; its derivative is governed by the
-scalars (kappa_g, kappa_n, tau_g).  Normal fields are represented by
-objects exposing ``value(t)`` and ``derivative(t)``; rotating a field
+scalars (kappa_g, kappa_n, tau_g).  A normal field implements one hook,
+``normal(t, jet) -> (N, N')``, fed by the curve's :meth:`ArcLengthCurve.jet`
+at t, so a frame sample makes one arc-length inversion; ``value``,
+``derivative`` and ``frame`` are views of that sample.  Rotating a field
 about the tangent by an angle function produces a new field whose scalars
 transform by :func:`rotate`.  :func:`sample_frame` tabulates all of this on
 a whole grid of t in one call; a scalar t is its zero-dimensional case.
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .curves import KAPPA_MIN, curvature_vector, frenet_data
+from .curves import KAPPA_MIN, check_curvature, frenet_data
 from .errors import NonOrthogonalNormal, VanishingCurvature
 from .numerics import central_difference, entrywise, first_where, odd_node_count, rownorm
 
@@ -68,21 +70,24 @@ class NormalField:
     def __init__(self, curve):
         self.curve = curve
 
-    def value(self, t):
+    def normal(self, t, jet):
+        """(N, N') at t, given the curve's ``jet(t)``."""
         raise NotImplementedError
+
+    def value(self, t):
+        return self.sample(t).N
 
     def derivative(self, t):
-        raise NotImplementedError
+        return self.sample(t).Np
 
     def frame(self, t):
-        T = self.curve.derivative(t, 1)
-        N = self.value(t)
-        return DarbouxFrame(T, np.cross(N, T), N)
+        return self.sample(t)
 
     def sample(self, ts):
         """Unchecked frame table (see :func:`sample_frame`); scalars from T' and H' = N' x T + N x T'."""
-        T, Tp = self.curve.derivative(ts, 1), self.curve.derivative(ts, 2)
-        N, Np = self.value(ts), self.derivative(ts)
+        jet = self.curve.jet(ts)
+        T, Tp = jet[2], jet[3]
+        N, Np = self.normal(ts, jet)
         H = np.cross(N, T)
         Hp = np.cross(Np, T) + np.cross(N, Tp)
         return FrameSample(T, H, N, Tp, Np, np.vecdot(Tp, H), np.vecdot(Tp, N), np.vecdot(Hp, N))
@@ -94,27 +99,23 @@ class NormalField:
 class PrincipalNormalField(NormalField):
     """N = gamma''/kappa; requires kappa > 0 wherever evaluated."""
 
-    def value(self, t):
-        g2, kappa = curvature_vector(self.curve, t)
-        return g2 / kappa[..., None]
-
-    def derivative(self, t):
-        g2, kappa = curvature_vector(self.curve, t)
+    def normal(self, t, jet):
+        _, _, _, g2, g3 = jet
+        kappa = rownorm(g2)
+        check_curvature(kappa, t)
         kappa = kappa[..., None]
-        g3 = self.curve.derivative(t, 3)
         kappa1 = np.vecdot(g2, g3)[..., None] / kappa
-        return g3 / kappa - g2 * (kappa1 / np.float_power(kappa, 2))  # libm pow, as for a scalar t
+        Np = g3 / kappa - g2 * (kappa1 / np.float_power(kappa, 2))  # libm pow, as for a scalar t
+        return g2 / kappa, Np
 
 
 class TorusNormalField(NormalField):
     """Outward unit normal of the torus along a torus-knot curve."""
 
-    def value(self, t):
-        return self.curve.surface_normal_raw(self.curve.raw_parameter(t))
-
-    def derivative(self, t):
-        phi = self.curve.raw_parameter(t)
-        return self.curve.surface_normal_raw_derivative(phi) / self.curve.spec.speed(phi)[..., None]
+    def normal(self, t, jet):
+        phi, speed = jet[0], jet[1]
+        N = self.curve.surface_normal_raw(phi)
+        return N, self.curve.surface_normal_raw_derivative(phi) / speed[..., None]
 
 
 class RotationMinimizingField(NormalField):
@@ -155,14 +156,10 @@ class RotationMinimizingField(NormalField):
             normals[i + 1] = nL - (2.0 / c2) * np.dot(v2, nL) * v2
         self._spline = CubicSpline(ts, normals)
 
-    def value(self, t):
+    def normal(self, t, jet):
         n = self._spline(t)
-        return n / rownorm(n)[..., None]
-
-    def derivative(self, t):
-        T = self.curve.derivative(t, 1)
-        g2 = self.curve.derivative(t, 2)
-        return -np.vecdot(g2, self.value(t))[..., None] * T
+        N = n / rownorm(n)[..., None]
+        return N, -np.vecdot(jet[3], N)[..., None] * jet[2]
 
 
 class RotatedNormalField(NormalField):
@@ -188,12 +185,6 @@ class RotatedNormalField(NormalField):
             q = float(theta)
             self.theta = lambda t: q
             self.theta_prime = lambda t: 0.0
-
-    def value(self, t):
-        return self.sample(t).N
-
-    def derivative(self, t):
-        return self.sample(t).Np
 
     def sample(self, ts):
         b = self.base.sample(ts)
@@ -256,7 +247,8 @@ def frenet_rotation_field(curve, x, grid_size=201):
     The resulting field has tau_g equal to the Frenet torsion and normal
     curvature kappa * cos(x); requires kappa > 0 along the whole curve.
     """
-    curvature_vector(curve, curve.grid(grid_size))
+    ts = curve.grid(grid_size)
+    check_curvature(frenet_data(curve, ts).kappa, ts)
     return RotatedNormalField(PrincipalNormalField(curve), float(x))
 
 
@@ -271,9 +263,7 @@ def sampled_scalars(normal_field, grid_size=2001):
     spline = CubicSpline(ts, np.stack([frame.kappa_g, frame.kappa_n, frame.tau_g], axis=-1))
 
     def evaluate(t):
-        values = spline(t)  # Python floats at one t keep the RK4 right-hand side cheap
-        kg, kn, tg = values.tolist() if values.ndim == 1 else values.T
-        return DarbouxScalars(kg, kn, tg)
+        return DarbouxScalars(*np.moveaxis(spline(t), -1, 0))
 
     return evaluate
 

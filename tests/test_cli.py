@@ -6,6 +6,7 @@ import pytest
 from flatribbon import cli
 from flatribbon.config import parse_config, write_csv
 from flatribbon.errors import ConfigError
+from flatribbon.frames import RotationMinimizingField
 
 
 def run(args):
@@ -158,6 +159,32 @@ def test_solve_writes_theta_table(tmp_path):
     assert len(rows) == 401
     t0, theta0, _ = (float(x) for x in rows[0].split(","))
     assert t0 == 0.0 and theta0 == pytest.approx(np.pi / 2, abs=1e-12)
+
+
+def test_numeric_phi_applies_at_zero_q(tmp_path, monkeypatch):
+    # theta = 0 solves only the same-angle IVP, so q = 0 must still prescribe phi
+    text = "kind = helix\na = 1.0\nb = 1.0\nnormal = rotation_minimizing\nphi = 1.0\ngrid = 400\n"
+    cfg = write_cfg(tmp_path, text)
+    builds = []
+    original = RotationMinimizingField.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RotationMinimizingField, "__init__", counted)
+    tables, energies = [], []
+    for q in ("0", "1e-12"):
+        out = tmp_path / f"out{q}"
+        builds.clear()
+        assert run(["solve", "--config", cfg, "--out", str(out), "--q", q]) == 0
+        assert len(builds) == 1
+        tables.append(np.loadtxt(out / f"theta_q{float(q):g}.csv", delimiter=",", skiprows=1))
+        assert run(["energy", "--config", cfg, "--out", str(out), "--q", q, "--width", "0.05"]) == 0
+        energies.append(np.loadtxt(out / "energy.csv", delimiter=",", skiprows=1, usecols=3))
+    assert abs(tables[0][-1, 1]) > 1.0
+    assert np.max(np.abs(tables[0] - tables[1])) <= 1e-9
+    assert np.max(np.abs(energies[0] - energies[1])) <= 1e-9
 
 
 def test_energy_reports_three_methods(tmp_path):

@@ -61,11 +61,8 @@ def test_pythagoras_on_torus_knot(knot, torus_field):
 
 def test_non_orthogonal_normal_rejected(helix11):
     class Tilted(NormalField):
-        def value(self, t):
-            return np.array([0.0, 1.0, 0.0])  # not orthogonal to the helix tangent
-
-        def derivative(self, t):
-            return np.zeros(3)
+        def normal(self, t, jet):
+            return np.array([0.0, 1.0, 0.0]), np.zeros(3)  # not orthogonal to the helix tangent
 
     with pytest.raises(NonOrthogonalNormal):
         darboux_scalars(helix11, Tilted(helix11), 0.0)
