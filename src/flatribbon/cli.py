@@ -90,10 +90,7 @@ def cmd_build(cfg):
     tag = f"q{cfg.q:g}"
     write_obj(mesh, os.path.join(cfg.out, f"ribbon_{tag}.obj"))
     report = flatness_residuals(rib, 201)
-    ts = curve.grid(201)
-    x = rib.ruling(ts)
-    in_plane = np.abs(np.vecdot(x, field.value(ts)))
-    tangent_plane = np.abs(np.vecdot(np.cross(x, curve.derivative(ts, 1)), rib.ruling_derivative(ts)))
+    ts, in_plane, tangent_plane = report.rows
     write_csv(
         os.path.join(cfg.out, f"residuals_{tag}.csv"),
         ("t", "ruling_in_plane", "tangent_plane", "gauss_estimate"),

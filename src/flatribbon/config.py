@@ -112,23 +112,28 @@ def build_curve(cfg):
     if cfg.kind == "samples":
         if not cfg.csv:
             raise ConfigError("kind = samples requires a 'csv' path")
-        ts, pts = [], []
+        rows = []
         try:
             with open(cfg.csv, newline="") as fh:
-                for row in csv.reader(fh):
+                reader = csv.reader(fh)
+                for row in reader:
                     if not row or row[0].strip().startswith("#"):
                         continue
                     try:
                         vals = [float(x) for x in row]
                     except ValueError:
                         continue  # header row
-                    ts.append(vals[0])
-                    pts.append(vals[1:4])
+                    if len(vals) < 4 or not np.all(np.isfinite(vals[:4])):
+                        raise ConfigError(f"{cfg.csv}:{reader.line_num}: samples need 4 finite values t, x, y, z")
+                    rows.append(vals[:4])
         except OSError as exc:
             raise ConfigError(f"cannot read samples CSV {cfg.csv}: {exc}") from exc
-        if len(ts) < 4:
+        if len(rows) < 4:
             raise ConfigError("samples CSV needs at least 4 data rows")
-        return curve_from_samples(ts, pts)
+        rows = np.array(rows)
+        if not np.all(np.diff(rows[:, 0]) > 0.0):
+            raise ConfigError(f"samples CSV {cfg.csv}: t must be strictly increasing")
+        return curve_from_samples(rows[:, 0], rows[:, 1:])
     raise ConfigError(f"unknown curve kind '{cfg.kind}'")
 
 

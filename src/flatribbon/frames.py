@@ -121,40 +121,40 @@ class TorusNormalField(NormalField):
 class RotationMinimizingField(NormalField):
     """Parallel-transported (rotation-minimizing) reference field.
 
-    Discretized by the double-reflection method on a dense grid and
-    interpolated componentwise; the derivative uses the defining relation
-    N' = -<T', N> T of a rotation-minimizing frame.
+    Discretized by the double-reflection method (Wang et al. 2008) on a dense
+    grid and interpolated componentwise; the derivative uses the defining
+    relation N' = -<T', N> T of a rotation-minimizing frame.  Both reflections
+    depend only on the curve, so they are tabulated as arrays from one jet of
+    the grid, and only n is carried through the steps, on Python floats.
     """
 
     def __init__(self, curve, seed=None, grid_size=2001):
         super().__init__(curve)
         ts = np.linspace(0.0, curve.length, odd_node_count(grid_size))
-        tangents = curve.derivative(ts, 1)
-        points = curve.point(ts)
+        x, _, tangents, g2, _ = curve.jet(ts)
         if seed is None:
-            fd = frenet_data(curve, 0.0)
-            if fd.principal_normal is not None:
-                seed = fd.principal_normal
+            kappa = rownorm(g2[0])
+            if kappa > KAPPA_MIN:
+                seed = g2[0] / kappa  # the principal normal at t = 0
             else:
-                trial = np.array([0.0, 0.0, 1.0])
-                if abs(np.dot(trial, tangents[0])) > 0.9:
-                    trial = np.array([0.0, 1.0, 0.0])
-                seed = trial
+                seed = [0.0, 1.0, 0.0] if abs(tangents[0, 2]) > 0.9 else [0.0, 0.0, 1.0]
         n = np.asarray(seed, dtype=float)
         n = n - np.dot(n, tangents[0]) * tangents[0]
         n /= np.linalg.norm(n)
-        normals = np.empty_like(tangents)
-        normals[0] = n
-        for i in range(len(ts) - 1):
-            # double reflection step (Wang et al. 2008)
-            v1 = points[i + 1] - points[i]
-            c1 = np.dot(v1, v1)
-            nL = normals[i] - (2.0 / c1) * np.dot(v1, normals[i]) * v1
-            tL = tangents[i] - (2.0 / c1) * np.dot(v1, tangents[i]) * v1
-            v2 = tangents[i + 1] - tL
-            c2 = np.dot(v2, v2)
-            normals[i + 1] = nL - (2.0 / c2) * np.dot(v2, nL) * v2
-        self._spline = CubicSpline(ts, normals)
+        # reflect in the chord v1, then in v2 = T_{i+1} - (T_i reflected in v1)
+        v1 = np.diff(curve.spec.point(x), axis=0)
+        r1 = 2.0 / np.vecdot(v1, v1)
+        v2 = tangents[1:] - (tangents[:-1] - (r1 * np.vecdot(v1, tangents[:-1]))[:, None] * v1)
+        r2 = 2.0 / np.vecdot(v2, v2)
+        nx, ny, nz = n.tolist()
+        normals = [(nx, ny, nz)]
+        for ax, ay, az, a, bx, by, bz, b in zip(*v1.T.tolist(), r1.tolist(), *v2.T.tolist(), r2.tolist()):
+            k = a * (ax * nx + ay * ny + az * nz)
+            nx, ny, nz = nx - k * ax, ny - k * ay, nz - k * az
+            k = b * (bx * nx + by * ny + bz * nz)
+            nx, ny, nz = nx - k * bx, ny - k * by, nz - k * bz
+            normals.append((nx, ny, nz))
+        self._spline = CubicSpline(ts, np.array(normals))
 
     def normal(self, t, jet):
         n = self._spline(t)

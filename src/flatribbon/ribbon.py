@@ -152,12 +152,13 @@ class FlatRibbon:
         sup = float(np.max(np.abs(self.lam)))
         self.max_width = np.inf if sup < LAMBDA_FLAT_TOL else WIDTH_SAFETY / sup
 
-    def ruling(self, t):
-        fr = self.normal.frame(t)
+    def ruling(self, t, frame=None):
+        """X(t); ``frame`` is the field's sample at t when the caller already has it."""
+        fr = self.normal.sample(t) if frame is None else frame
         return self.mu(t)[..., None] * fr.T + fr.H
 
-    def ruling_derivative(self, t):
-        fr = self.normal.sample(t)
+    def ruling_derivative(self, t, frame=None):
+        fr = self.normal.sample(t) if frame is None else frame
         Hp = np.cross(fr.Np, fr.T) + np.cross(fr.N, fr.Tp)
         return self.mu.derivative(t)[..., None] * fr.T + self.mu(t)[..., None] * fr.Tp + Hp
 
@@ -206,35 +207,27 @@ def tessellate(ribbon, n_t, n_u):
         raise ValueError("tessellation needs n_t >= 2 and n_u >= 2")
     ts = np.linspace(0.0, ribbon.curve.length, n_t)
     us = np.linspace(-ribbon.w, ribbon.w, n_u)
+    frame = ribbon.normal.sample(ts)
     base = ribbon.curve.point(ts)[:, None, :]
-    vertices = base + us[None, :, None] * ribbon.ruling(ts)[:, None, :]
-    return RibbonMesh(vertices, ribbon.normal.value(ts), ts, us)
+    vertices = base + us[None, :, None] * ribbon.ruling(ts, frame)[:, None, :]
+    return RibbonMesh(vertices, frame.N, ts, us)
 
 
 def write_obj(mesh, path):
-    """Write the mesh as ASCII Wavefront OBJ (triangles, 1-based indices)."""
+    """Write the mesh as ASCII Wavefront OBJ (triangles, 1-based indices).
+
+    Each block is one %-format of a repeated line template; %.17g prints a
+    float exactly as f"{x:.17g}" does.
+    """
     n_t, n_u, _ = mesh.vertices.shape
-    lines = []
-    for i in range(n_t):
-        for j in range(n_u):
-            x, y, z = mesh.vertices[i, j]
-            lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    for i in range(n_t):
-        x, y, z = mesh.normals[i]
-        lines.append(f"vn {x:.17g} {y:.17g} {z:.17g}")
-
-    def vid(i, j):
-        return i * n_u + j + 1
-
-    for i in range(n_t - 1):
-        for j in range(n_u - 1):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            na, nb = i + 1, i + 2
-            lines.append(f"f {a}//{na} {b}//{nb} {c}//{nb}")
-            lines.append(f"f {a}//{na} {c}//{nb} {d}//{na}")
+    i, j = np.mgrid[0 : n_t - 1, 0 : n_u - 1]
+    a, na = i * n_u + j + 1, i + 1  # vertex (i, j) and normal i, 1-based
+    b, nb = a + n_u, na + 1
+    faces = np.stack([a, na, b, nb, b + 1, nb, a, na, b + 1, nb, a + 1, na], axis=-1)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("v %.17g %.17g %.17g\n" * (n_t * n_u) % tuple(mesh.vertices.ravel().tolist()))
+        fh.write("vn %.17g %.17g %.17g\n" * n_t % tuple(mesh.normals.ravel().tolist()))
+        fh.write("f %d//%d %d//%d %d//%d\n" * (2 * a.size) % tuple(faces.ravel().tolist()))
 
 
 _RING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
@@ -266,6 +259,7 @@ class FlatnessReport:
     gauss_estimate: float
     second_form_f: float  # sup |<X', N>| (zero for a flat ribbon)
     second_form_g: float = 0.0
+    rows: tuple = ()  # (t, |<X, N>|, |<X x T, X'>|) on the residual grid
 
 
 def flatness_residuals(ribbon, grid_size=201, n_t=200, n_u=8, ruling=None, ruling_derivative=None):
@@ -274,19 +268,19 @@ def flatness_residuals(ribbon, grid_size=201, n_t=200, n_u=8, ruling=None, rulin
     ``ruling``/``ruling_derivative`` (maps of an array of t to vectors) override
     the ribbon's own ruling, so tests can check that a perturbed one is non-flat.
     """
+    ts = np.linspace(0.0, ribbon.curve.length, odd_node_count(grid_size))
+    frame = ribbon.normal.sample(ts)
     if ruling is None:
-        ruling = ribbon.ruling
-        ruling_derivative = ribbon.ruling_derivative
+        x, xp = ribbon.ruling(ts, frame), ribbon.ruling_derivative(ts, frame)
     elif ruling_derivative is None:
         h = 1e-5 * max(ribbon.curve.length, 1.0)
-        ruling_derivative = lambda t: central_difference(ruling, t, 1, h)
-    ts = np.linspace(0.0, ribbon.curve.length, odd_node_count(grid_size))
-    x = ruling(ts)
-    xp = ruling_derivative(ts)
-    n = ribbon.normal.value(ts)
-    tangent = ribbon.curve.derivative(ts, 1)
-    res1 = float(np.max(np.abs(np.vecdot(x, n))))
-    res2 = float(np.max(np.abs(np.vecdot(np.cross(x, tangent), xp))))
-    res_f = float(np.max(np.abs(np.vecdot(xp, n))))
+        x, xp = ruling(ts), central_difference(ruling, ts, 1, h)
+    else:
+        x, xp = ruling(ts), ruling_derivative(ts)
+    in_plane = np.abs(np.vecdot(x, frame.N))
+    tangent_plane = np.abs(np.vecdot(np.cross(x, frame.T), xp))
+    res_f = float(np.max(np.abs(np.vecdot(xp, frame.N))))
     gauss = _angle_defect_gauss(tessellate(ribbon, n_t, n_u))
-    return FlatnessReport(res1, res2, gauss, res_f)
+    return FlatnessReport(
+        float(np.max(in_plane)), float(np.max(tangent_plane)), gauss, res_f, rows=(ts, in_plane, tangent_plane)
+    )

@@ -149,6 +149,37 @@ def test_out_of_domain_config_exit_code(tmp_path, capsys, command, extra, key):
     assert not (tmp_path / "o").exists()
 
 
+def helix_sample_rows():
+    ts = np.linspace(0.0, 2.0 * np.pi, 60)
+    return np.column_stack([ts, np.cos(ts), np.sin(ts), 0.5 * ts])
+
+
+@pytest.mark.parametrize(
+    "case,key",
+    [
+        ("non_increasing_t", "strictly increasing"),
+        ("nan_t", "finite"),
+        ("three_columns", "4 finite values"),
+    ],
+)
+def test_bad_samples_csv_exit_code(tmp_path, capsys, case, key):
+    rows = helix_sample_rows()
+    if case == "non_increasing_t":
+        rows[10, 0] = rows[9, 0]
+    elif case == "nan_t":
+        rows[10, 0] = np.nan
+    else:
+        rows = rows[:, :3]
+    csv_path = tmp_path / "samples.csv"
+    write_csv(csv_path, ("t", "x", "y", "z")[: rows.shape[1]], rows)
+    cfg = write_cfg(tmp_path, f"kind = samples\ncsv = {csv_path}\nnormal = rotation_minimizing\n")
+    assert run(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_solve_writes_theta_table(tmp_path):
     cfg = write_cfg(tmp_path, HELIX_CFG + "grid = 400\n")
     out = tmp_path / "out"
