@@ -9,6 +9,7 @@ CSV output is deterministic: 17 significant digits, '\\n' line endings.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -27,7 +28,9 @@ from .ribbon import (
 )
 
 
+@functools.cache
 def _make_parser():
+    """The argument parser, built on first use and reused by every later ``main`` call."""
     parser = argparse.ArgumentParser(prog="ribbon", description="Flat ribbons along space curves")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("build", "solve", "energy", "sweep", "validate"):
@@ -86,10 +89,12 @@ def cmd_build(cfg):
     w = _pick_width(cfg, curve, field)
     rib = construct_ribbon(curve, field, w, grid_size=min(cfg.grid, 2001))
     mesh = tessellate(rib, cfg.mesh_nt, cfg.mesh_nu)
+    if np.any(np.all(mesh.vertices[:, 1:] == mesh.vertices[:, :-1], axis=-1)):
+        raise ConfigError(f"width {w:.6g} is below the mesh resolution: vertices along a ruling coincide")
     os.makedirs(cfg.out, exist_ok=True)
     tag = f"q{cfg.q:g}"
     write_obj(mesh, os.path.join(cfg.out, f"ribbon_{tag}.obj"))
-    report = flatness_residuals(rib, 201)
+    report = flatness_residuals(rib, 201, mesh=mesh)
     ts, in_plane, tangent_plane = report.rows
     write_csv(
         os.path.join(cfg.out, f"residuals_{tag}.csv"),

@@ -4,10 +4,12 @@ The same config drives every CLI mode; unknown keys are rejected so typos
 surface immediately.  Curves: kind = helix | torus_knot | samples (samples
 reads a CSV of t,x,y,z rows).  Normal fields: principal | torus_normal |
 rotation_minimizing, optionally rotated by a constant q at t = 0.
+``grid`` must be at least GRID_MIN.
 """
 
 import csv
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -26,6 +28,8 @@ _KNOWN_KEYS = {
     "normal", "q", "phi", "width", "grid",
     "mesh_nt", "mesh_nu", "r", "out", "fault",
 }
+
+GRID_MIN = 16  # smallest `grid`: below it a sampled table is too coarse to mean anything
 
 _FLOAT_KEYS = {"a", "b", "length", "R", "rho", "q", "width"}
 _INT_KEYS = {"n", "grid", "mesh_nt", "mesh_nu"}
@@ -94,6 +98,8 @@ def check_domains(cfg):
             raise ConfigError(f"config value '{key}' is not finite")
     if cfg.width is not None and not cfg.width > 0.0:
         raise ConfigError(f"width must be positive, got {cfg.width:g}")
+    if cfg.grid < GRID_MIN:
+        raise ConfigError(f"grid must be at least {GRID_MIN}, got {cfg.grid}")
     for key in ("mesh_nt", "mesh_nu"):
         if getattr(cfg, key) < 2:
             raise ConfigError(f"{key} must be at least 2, got {getattr(cfg, key)}")
@@ -150,13 +156,15 @@ def build_base_field(cfg, curve):
     raise ConfigError(f"unknown normal field '{cfg.normal}'")
 
 
-def format_value(x):
-    """Deterministic CSV number format: 17 significant digits."""
-    return f"{float(x):.17g}"
-
-
 def write_csv(path, header, rows):
+    """Write a table with one %-format of a repeated line template.
+
+    Each column holds strings, written as they are, or numbers, written with
+    17 significant digits (%.17g prints a number as f"{float(x):.17g}" does);
+    the first row decides which.
+    """
+    rows = list(rows)
+    line = ",".join("%s" if isinstance(x, str) else "%.17g" for x in rows[0]) + "\n" if rows else ""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(x if isinstance(x, str) else format_value(x) for x in row) + "\n")
+        fh.write(line * len(rows) % tuple(chain.from_iterable(rows)))

@@ -21,7 +21,6 @@ from .errors import (
     RulingAngleMismatch,
     WidthTooLarge,
 )
-from .frames import sample_frame
 from .numerics import arccot, cumulative_simpson_uniform, simpson_uniform
 from .ribbon import mu_field
 
@@ -102,7 +101,7 @@ def _per_t_data(ribbon, n_t):
     ts = ribbon.curve.grid(n_t)
     mu = ribbon.mu(ts)
     mup = ribbon.mu.derivative(ts)
-    frame = sample_frame(ribbon.normal, ts)
+    frame = ribbon.normal.on_grid(n_t)
     kg, kn = frame.kappa_g, frame.kappa_n
     lam = mup - (1.0 + mu**2) * kg
     return ts, mu, mup, kg, kn, lam
@@ -217,7 +216,7 @@ def energy_bound(curve, base_field, other_field, w, n_t=2001, angle_tol=1e-6):
 
 def _case_a_arrays(curve, normal_field, n_t):
     ts = curve.grid(n_t)
-    frame = sample_frame(normal_field, ts)
+    frame = normal_field.on_grid(n_t)
     tg_sup = float(np.max(np.abs(frame.tau_g)))
     if tg_sup > 1e-8:
         raise NotCaseA(f"tau_g is not identically zero (sup {tg_sup:.3e})")

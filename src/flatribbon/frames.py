@@ -8,6 +8,8 @@ at t, so a frame sample makes one arc-length inversion; ``value``,
 about the tangent by an angle function produces a new field whose scalars
 transform by :func:`rotate`.  :func:`sample_frame` tabulates all of this on
 a whole grid of t in one call; a scalar t is its zero-dimensional case.
+``NormalField.on_grid(n)`` is that table on the curve's n-node grid, sampled
+once per field and node count and kept read-only for the field's lifetime.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from scipy.interpolate import CubicSpline
 
 from .curves import KAPPA_MIN, check_curvature, frenet_data
 from .errors import NonOrthogonalNormal, VanishingCurvature
-from .numerics import central_difference, entrywise, first_where, odd_node_count, rownorm
+from .numerics import central_difference, entrywise, first_where, odd_node_count, read_only, rownorm
 
 __all__ = [
     "DarbouxFrame",
@@ -69,6 +71,26 @@ class NormalField:
 
     def __init__(self, curve):
         self.curve = curve
+        self._grid_tables = {}
+
+    def grid_table(self, kind, n, build):
+        """``build(ts)`` on ``curve.grid(n)``, kept per (kind, node count) for the field's lifetime.
+
+        The key is the node count ``odd_node_count(n)`` that the grid has; a
+        build that raises keeps nothing, so it raises again on the next call.
+        """
+        key = (kind, odd_node_count(n))
+        table = self._grid_tables.get(key)
+        if table is None:
+            table = self._grid_tables[key] = build(self.curve.grid(key[1]))
+        return table
+
+    def on_grid(self, n):
+        """The checked frame table ``sample_frame(self, curve.grid(n))``, sampled once; arrays read-only."""
+        return self.grid_table("frame", n, lambda ts: read_only(self._grid_sample(ts)))
+
+    def _grid_sample(self, ts):
+        return sample_frame(self, ts)
 
     def normal(self, t, jet):
         """(N, N') at t, given the curve's ``jet(t)``."""
@@ -168,7 +190,8 @@ class RotatedNormalField(NormalField):
     ``theta`` may be a constant or a callable; ``theta_prime`` defaults to
     zero for constants and to a 4th-order finite difference otherwise.
     The frame table comes from the base field's table: N and N' by the
-    rotation, the scalars by :func:`rotate`.
+    rotation, the scalars by :func:`rotate`; on a grid that is the base's
+    ``on_grid`` table, so fields rotated from one base share its sample.
     """
 
     def __init__(self, base, theta, theta_prime=None):
@@ -187,7 +210,12 @@ class RotatedNormalField(NormalField):
             self.theta_prime = lambda t: 0.0
 
     def sample(self, ts):
-        b = self.base.sample(ts)
+        return self._rotated(self.base.sample(ts), ts)
+
+    def _grid_sample(self, ts):
+        return _checked(self._rotated(self.base.on_grid(len(ts)), ts), ts)
+
+    def _rotated(self, b, ts):
         th, dth = self.theta(ts), np.asarray(self.theta_prime(ts), dtype=float)
         c, s = np.cos(th)[..., None], np.sin(th)[..., None]
         H = c * b.H + s * b.N  # = N x T for the rotated N below
@@ -203,7 +231,10 @@ def sample_frame(field, ts):
     Raises NonOrthogonalNormal where the field leaves the normal plane.
     """
     ts = np.asarray(ts, dtype=float)
-    frame = field.sample(ts)
+    return _checked(field.sample(ts), ts)
+
+
+def _checked(frame, ts):
     off = np.abs(np.vecdot(frame.N, frame.T))
     bad = off > 1e-8
     if np.any(bad):
@@ -259,7 +290,7 @@ def sampled_scalars(normal_field, grid_size=2001):
     interpolation error is O(h^4) on the uniform grid.
     """
     ts = normal_field.curve.grid(grid_size)
-    frame = sample_frame(normal_field, ts)
+    frame = normal_field.on_grid(grid_size)
     spline = CubicSpline(ts, np.stack([frame.kappa_g, frame.kappa_n, frame.tau_g], axis=-1))
 
     def evaluate(t):

@@ -15,6 +15,7 @@ __all__ = [
     "odd_node_count",
     "rownorm",
     "first_where",
+    "read_only",
     "entrywise",
 ]
 
@@ -39,6 +40,14 @@ def first_where(mask, values):
     """The entry of ``values`` at the first True of ``mask`` (broadcast together)."""
     mask, values = np.broadcast_arrays(mask, values)
     return float(values.flat[int(np.argmax(mask))])
+
+
+def read_only(table):
+    """``table`` with every array attribute flagged read-only, so one copy can be shared."""
+    for value in vars(table).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return table
 
 
 def entrywise(fn, probe, value_shape=()):

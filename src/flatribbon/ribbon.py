@@ -14,8 +14,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ExtensionOrderExceeded, SingularRuling, WidthTooLarge
-from .frames import sample_frame
-from .numerics import arccot, central_difference, odd_node_count, rownorm
+from .numerics import arccot, central_difference, read_only, rownorm
 
 WIDTH_SAFETY = 0.9
 LAMBDA_FLAT_TOL = 1e-8  # below this sup|lambda| the regular width is unbounded
@@ -102,9 +101,16 @@ def mu_field(curve, normal_field, grid_size=2001):
     nodes; if nearly everything is small, the L'Hopital extension is used
     pointwise.  Either way the extension must satisfy the flat-ribbon
     compatibility mu * kappa_n + tau_g = 0, otherwise SingularRuling.
+
+    ``curve`` is the field's curve.  The slope table is kept on the field per
+    node count (see ``NormalField.grid_table``), read-only, so the width bound,
+    the ribbon and the energies on one grid share it.
     """
-    ts = curve.grid(grid_size)
-    frame = sample_frame(normal_field, ts)
+    return normal_field.grid_table("mu", grid_size, lambda ts: read_only(_mu_table(curve, normal_field, ts)))
+
+
+def _mu_table(curve, normal_field, ts):
+    frame = normal_field.on_grid(len(ts))
     kn, tg = frame.kappa_n, frame.tau_g
     kn_scale = max(np.max(np.abs(kn)), 1e-30)
     tg_scale = max(np.max(np.abs(tg)), 1e-30)
@@ -262,14 +268,15 @@ class FlatnessReport:
     rows: tuple = ()  # (t, |<X, N>|, |<X x T, X'>|) on the residual grid
 
 
-def flatness_residuals(ribbon, grid_size=201, n_t=200, n_u=8, ruling=None, ruling_derivative=None):
+def flatness_residuals(ribbon, grid_size=201, n_t=200, n_u=8, ruling=None, ruling_derivative=None, mesh=None):
     """Developability residuals of a ribbon (or of an injected ruling field).
 
     ``ruling``/``ruling_derivative`` (maps of an array of t to vectors) override
     the ribbon's own ruling, so tests can check that a perturbed one is non-flat.
+    ``gauss_estimate`` is read off ``mesh``, by default an n_t x n_u tessellation.
     """
-    ts = np.linspace(0.0, ribbon.curve.length, odd_node_count(grid_size))
-    frame = ribbon.normal.sample(ts)
+    ts = ribbon.curve.grid(grid_size)
+    frame = ribbon.normal.on_grid(grid_size)
     if ruling is None:
         x, xp = ribbon.ruling(ts, frame), ribbon.ruling_derivative(ts, frame)
     elif ruling_derivative is None:
@@ -280,7 +287,7 @@ def flatness_residuals(ribbon, grid_size=201, n_t=200, n_u=8, ruling=None, rulin
     in_plane = np.abs(np.vecdot(x, frame.N))
     tangent_plane = np.abs(np.vecdot(np.cross(x, frame.T), xp))
     res_f = float(np.max(np.abs(np.vecdot(xp, frame.N))))
-    gauss = _angle_defect_gauss(tessellate(ribbon, n_t, n_u))
+    gauss = _angle_defect_gauss(tessellate(ribbon, n_t, n_u) if mesh is None else mesh)
     return FlatnessReport(
         float(np.max(in_plane)), float(np.max(tangent_plane)), gauss, res_f, rows=(ts, in_plane, tangent_plane)
     )

@@ -1,12 +1,18 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from flatribbon import cli
-from flatribbon.config import parse_config, write_csv
+from flatribbon.angleivp import solved_rotation_field
+from flatribbon.config import GRID_MIN, parse_config, write_csv
+from flatribbon.energy import bending_energy_closed, bending_energy_quadrature, limit_energy
 from flatribbon.errors import ConfigError
 from flatribbon.frames import RotationMinimizingField
+from flatribbon.ribbon import construct_ribbon, flatness_residuals
+
+EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "examples", "torus_knot.cfg")
 
 
 def run(args):
@@ -147,6 +153,88 @@ def test_out_of_domain_config_exit_code(tmp_path, capsys, command, extra, key):
     assert err.startswith("config error:") and key in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["build", "solve", "energy"])
+def test_grid_below_minimum_exit_code(tmp_path, capsys, command):
+    for grid in ("0", "-3", "2", str(GRID_MIN - 1)):
+        assert run([command, "--config", EXAMPLE, "--out", str(tmp_path / "o"), "--grid", grid]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "grid" in err
+        assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_build_width_below_mesh_resolution_exit_code(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, KNOT_CFG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would end in a traceback
+        assert run(["build", "--config", cfg, "--out", str(tmp_path / "o"), "--width", "1e-300"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "width" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+        # a small width the mesh still resolves gives finite output
+        assert run(["build", "--config", cfg, "--out", str(tmp_path / "ok"), "--width", "1e-12"]) == 0
+    residuals = np.loadtxt(tmp_path / "ok" / "residuals_q0.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(residuals))
+
+
+def test_parser_is_built_once_and_keeps_no_options(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, KNOT_CFG)
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "solve", lambda c: seen.append((c.grid, c.q)) or 0)
+    assert run(["solve", "--config", cfg, "--grid", "64", "--q", "0.5"]) == 0
+    assert run(["solve", "--config", cfg]) == 0
+    assert run(["solve", "--config", cfg, "--q", "0.25"]) == 0
+    assert seen == [(64, 0.5), (800, 0.0), (800, 0.25)]
+    assert cli._make_parser() is cli._make_parser()
+
+
+def reference_write_csv(path, header, rows):
+    """The per-element writer that write_csv replaced."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(x if isinstance(x, str) else f"{float(x):.17g}" for x in row) + "\n")
+
+
+def test_write_csv_matches_per_element_writer(tmp_path, helix11, pn11):
+    rib = construct_ribbon(helix11, pn11, 0.1, grid_size=201)
+    report = flatness_residuals(rib, 201)
+    ts, in_plane, tangent_plane = report.rows
+    solution = solved_rotation_field(pn11, 0.7, grid_size=200, scalars_grid=201)[1]
+    reports = [
+        ("closed", bending_energy_closed(rib, n_t=201)),
+        ("quadrature", bending_energy_quadrature(rib, n_t=201)),
+        ("limit", limit_energy(helix11, pn11, 0.1, n_t=201)),
+    ]
+    tables = {
+        "residuals": (
+            ("t", "ruling_in_plane", "tangent_plane", "gauss_estimate"),
+            lambda: zip(ts, in_plane, tangent_plane, np.full(len(ts), report.gauss_estimate)),
+        ),
+        "theta": (("t", "theta", "theta_prime"), lambda: zip(solution.ts, solution.values, solution.derivatives)),
+        "energy": (
+            ("label", "q", "w", "value", "method", "err_estimate"),
+            lambda: [(label, 0.7, r.width, r.value, r.method, r.error_estimate) for label, r in reports],
+        ),
+        "edge_values": (
+            ("a", "b", "c", "d"),
+            lambda: [
+                (-0.0, 1e-300, 2.0**-1074, "x"),
+                (3, np.float64(0.1), -(2**60), "y"),
+                (np.float64(-0.0), 10**20, np.inf, "z"),
+                (np.int64(7), np.float64(2.0**-1074), np.nan, ""),
+            ],
+        ),
+        "array_rows": (("t", "x"), lambda: np.array([[0.0, -0.0], [1e-300, 5e-324]])),
+        "empty": (("a", "b"), lambda: []),
+    }
+    for name, (header, rows) in tables.items():
+        write_csv(tmp_path / f"{name}.csv", header, rows())
+        reference_write_csv(tmp_path / f"{name}_reference.csv", header, rows())
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_reference.csv").read_bytes(), name
 
 
 def helix_sample_rows():
