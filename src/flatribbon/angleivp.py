@@ -17,11 +17,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .curves import check_curvature, frenet_data
 from .errors import InvalidParams, NormalCurvatureZero, StepSizeUnderflow
-from .numerics import arccot, cumulative_simpson_uniform, first_where
+from .numerics import Cubic, arccot, cumulative_simpson_uniform, first_where, spline
 
 __all__ = [
     "InitialCondition",
@@ -123,10 +122,10 @@ class ThetaSolution:
     step: float
     error_estimate: float
     rhs: AngleRHS = field(repr=False)
-    _spline: CubicSpline = field(repr=False, default=None)
+    _spline: Cubic = field(repr=False, default=None)
 
     def __post_init__(self):
-        self._spline = CubicSpline(self.ts, self.values)
+        self._spline = spline(self.ts, self.values)
 
     def __call__(self, t):
         return self._spline(t)
@@ -267,4 +266,4 @@ def integrated_torsion(curve, grid_size=2001):
     fd = frenet_data(curve, ts)
     check_curvature(fd.kappa, ts)  # the torsion needs kappa > KAPPA_MIN
     table = cumulative_simpson_uniform(fd.tau, ts[1] - ts[0])
-    return CubicSpline(ts, table)
+    return spline(ts, table)

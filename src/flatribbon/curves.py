@@ -7,19 +7,18 @@ length on [0, L].  The reparametrized curve is unit-speed to machine
 precision by construction: derivatives with respect to arc length are
 obtained from the raw derivatives by the chain rule, with dx/ds = 1/|c'|.
 :meth:`ArcLengthCurve.jet` is the one evaluation point: a single arc-length
-inversion gives the raw parameter, the raw speed and the first three
-derivatives, and ``derivative`` reads its entries.
+inversion gives the raw parameter, the raw speed and the derivatives up to
+the order its caller reads; ``derivative`` is the last of them.
 Evaluators take a scalar or an array of parameters; vectors gain a trailing axis of 3.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import InvalidParams, NonRegularCurve, ToleranceNotMet, VanishingCurvature
-from .numerics import central_difference, cumulative_simpson_uniform, entrywise, first_where
-from .numerics import odd_node_count, rownorm, simpson_uniform
+from .numerics import Cubic, central_difference, cumulative_simpson_uniform, entrywise, first_where
+from .numerics import odd_node_count, pchip_slopes, rownorm, simpson_uniform, spline
 
 KAPPA_MIN = 1e-9  # below this curvature the Frenet normal/torsion are reported absent
 
@@ -61,15 +60,22 @@ class CurveSpec:
     fd_step : float, optional
         Step for the finite-difference fallback; defaults to 1e-4 times
         the domain length.
+    vectorized : bool, optional
+        True when every map already returns x.shape + (3,) for an array x,
+        as the package's own curves do; then no map is probed at the ends
+        of the domain to find out.
     """
 
-    def __init__(self, position, domain, derivatives=None, fd_step=None, name="curve"):
+    def __init__(self, position, domain, derivatives=None, fd_step=None, name="curve", vectorized=False):
         self.domain = (float(domain[0]), float(domain[1]))
         if self.domain[1] <= self.domain[0]:
             raise InvalidParams("curve domain must have positive length")
-        probe = np.array(self.domain)
-        self.position = entrywise(position, probe, (3,))
-        self._derivatives = tuple(entrywise(d, probe, (3,)) for d in derivatives or ())
+        maps = (position, *(derivatives or ()))
+        if not vectorized:
+            probe = np.array(self.domain)
+            maps = [entrywise(fn, probe, (3,)) for fn in maps]
+        self.position = maps[0]
+        self._derivatives = tuple(maps[1:])
         self.fd_step = fd_step if fd_step else 1e-4 * (self.domain[1] - self.domain[0])
         self.name = name
 
@@ -118,8 +124,8 @@ class ArcLengthCurve:
             self._raw_nodes = np.asarray(raw_nodes, dtype=float)
             self._s_table = np.asarray(s_table, dtype=float)
             # monotone first guess for the inverse, Newton-refined on call
-            self._raw_of_s = PchipInterpolator(self._s_table, self._raw_nodes)
-            self._s_of_raw = CubicSpline(self._raw_nodes, self._s_table)
+            self._raw_of_s = Cubic(self._s_table, self._raw_nodes, pchip_slopes(self._s_table, self._raw_nodes))
+            self._s_of_raw = spline(self._raw_nodes, self._s_table)
         self.grid_size = 0 if self._identity else len(self._raw_nodes)
 
     @classmethod
@@ -146,35 +152,38 @@ class ArcLengthCurve:
     def point(self, t):
         return self.spec.point(self.raw_parameter(t))
 
-    def jet(self, t):
-        """(x, speed, gamma', gamma'', gamma''') at arc length t (or a grid) from one inversion.
+    def jet(self, t, order=3):
+        """(x, speed, gamma', ..., gamma^(order)) at arc length t (or a grid) from one inversion.
 
         x is the raw parameter and speed = |c'(x)|; the derivatives are taken
-        with respect to arc length by the chain rule, dx/ds = 1/speed.
+        with respect to arc length by the chain rule, dx/ds = 1/speed.  Only
+        the raw derivatives up to ``order`` (1..3) are evaluated.
         """
+        if not 1 <= order <= 3:
+            raise ValueError("derivative order must be 1, 2, or 3")
         x = self.raw_parameter(t)
-        c1, c2, c3 = (self.spec.derivative(x, order) for order in (1, 2, 3))
+        c1, c2, c3 = (self.spec.derivative(x, k) if k <= order else None for k in (1, 2, 3))
         speed = rownorm(c1)
         if self._identity:
-            return x, speed, c1, c2, c3
+            return (x, speed, c1, c2, c3)[: order + 2]
         # float_power is the C library's pow per entry, as for a scalar t; ** on an
         # array takes a vectorized pow that can differ in the last bit
         v = speed[..., None]
         x1 = 1.0 / v
-        v1 = np.vecdot(c1, c2)[..., None] / v
-        x2 = -v1 / np.float_power(v, 3)
-        v2 = ((np.vecdot(c2, c2) + np.vecdot(c1, c3))[..., None] - np.float_power(v1, 2)) / v
-        x3 = (3.0 * np.float_power(v1, 2) - v * v2) / np.float_power(v, 5)
-        d1 = c1 * x1
-        d2 = c2 * np.float_power(x1, 2) + c1 * x2
-        d3 = c3 * np.float_power(x1, 3) + 3.0 * c2 * x1 * x2 + c1 * x3
-        return x, speed, d1, d2, d3
+        d = [c1 * x1]
+        if order >= 2:
+            v1 = np.vecdot(c1, c2)[..., None] / v
+            x2 = -v1 / np.float_power(v, 3)
+            d.append(c2 * np.float_power(x1, 2) + c1 * x2)
+        if order == 3:
+            v2 = ((np.vecdot(c2, c2) + np.vecdot(c1, c3))[..., None] - np.float_power(v1, 2)) / v
+            x3 = (3.0 * np.float_power(v1, 2) - v * v2) / np.float_power(v, 5)
+            d.append(c3 * np.float_power(x1, 3) + 3.0 * c2 * x1 * x2 + c1 * x3)
+        return (x, speed, *d)
 
     def derivative(self, t, order=1):
-        """Derivative of gamma with respect to arc length, order 1..3: an entry of :meth:`jet`."""
-        if not 1 <= order <= 3:
-            raise ValueError("derivative order must be 1, 2, or 3")
-        return self.jet(t)[order + 1]
+        """Derivative of gamma with respect to arc length, order 1..3: the last entry of ``jet(t, order)``."""
+        return self.jet(t, order)[-1]
 
     def grid(self, n):
         """Uniform arc-length grid with an odd number of nodes >= n."""
@@ -268,7 +277,7 @@ def make_helix(params):
     def d3(t):
         return _stack3(a / m**3 * np.sin(t / m), -a / m**3 * np.cos(t / m), 0.0)
 
-    spec = CurveSpec(pos, (0.0, L), derivatives=(d1, d2, d3), name=f"helix(a={a}, b={b})")
+    spec = CurveSpec(pos, (0.0, L), derivatives=(d1, d2, d3), name=f"helix(a={a}, b={b})", vectorized=True)
     return ArcLengthCurve.from_unit_speed(spec)
 
 
@@ -341,7 +350,7 @@ def make_torus_knot(params=TorusKnotParams()):
         )
 
     spec = CurveSpec(
-        pos, (0.0, 2.0 * np.pi), derivatives=(d1, d2, d3), name=f"torus_knot({R}, {rho}, {n})"
+        pos, (0.0, 2.0 * np.pi), derivatives=(d1, d2, d3), name=f"torus_knot({R}, {rho}, {n})", vectorized=True
     )
     return arc_length_reparametrize(
         spec, grid_size=params.grid_size, tol=params.tol, curve_class=TorusKnotCurve, params=params
@@ -354,12 +363,13 @@ def curve_from_samples(ts, points, grid_size=1001, tol=1e-8, name="samples"):
     points = np.asarray(points, dtype=float)
     if points.shape != (len(ts), 3):
         raise InvalidParams("samples must be rows (t, x, y, z)")
-    spline = CubicSpline(ts, points)
+    cubic = spline(ts, points)
     spec = CurveSpec(
-        lambda x: spline(x),
+        cubic,
         (ts[0], ts[-1]),
-        derivatives=(lambda x: spline(x, 1), lambda x: spline(x, 2), lambda x: spline(x, 3)),
+        derivatives=(lambda x: cubic(x, 1), lambda x: cubic(x, 2), lambda x: cubic(x, 3)),
         name=name,
+        vectorized=True,
     )
     return arc_length_reparametrize(spec, grid_size=grid_size, tol=tol)
 

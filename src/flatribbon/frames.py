@@ -15,11 +15,10 @@ once per field and node count and kept read-only for the field's lifetime.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .curves import KAPPA_MIN, check_curvature, frenet_data
 from .errors import NonOrthogonalNormal, VanishingCurvature
-from .numerics import central_difference, entrywise, first_where, odd_node_count, read_only, rownorm
+from .numerics import central_difference, entrywise, first_where, odd_node_count, read_only, rownorm, spline
 
 __all__ = [
     "DarbouxFrame",
@@ -153,7 +152,7 @@ class RotationMinimizingField(NormalField):
     def __init__(self, curve, seed=None, grid_size=2001):
         super().__init__(curve)
         ts = np.linspace(0.0, curve.length, odd_node_count(grid_size))
-        x, _, tangents, g2, _ = curve.jet(ts)
+        x, _, tangents, g2 = curve.jet(ts, 2)
         if seed is None:
             kappa = rownorm(g2[0])
             if kappa > KAPPA_MIN:
@@ -176,7 +175,7 @@ class RotationMinimizingField(NormalField):
             k = b * (bx * nx + by * ny + bz * nz)
             nx, ny, nz = nx - k * bx, ny - k * by, nz - k * bz
             normals.append((nx, ny, nz))
-        self._spline = CubicSpline(ts, np.array(normals))
+        self._spline = spline(ts, np.array(normals))
 
     def normal(self, t, jet):
         n = self._spline(t)
@@ -284,17 +283,22 @@ def frenet_rotation_field(curve, x, grid_size=201):
 
 
 def sampled_scalars(normal_field, grid_size=2001):
-    """Spline-backed t -> DarbouxScalars evaluator.
+    """Spline-backed t -> DarbouxScalars evaluator, built once per field and node count.
 
     Sampling once and interpolating makes ODE right-hand sides cheap; the
-    interpolation error is O(h^4) on the uniform grid.
+    interpolation error is O(h^4) on the uniform grid.  The evaluator is kept
+    on the field (see ``NormalField.grid_table``), so every call on one field
+    and grid shares one spline.
     """
-    ts = normal_field.curve.grid(grid_size)
-    frame = normal_field.on_grid(grid_size)
-    spline = CubicSpline(ts, np.stack([frame.kappa_g, frame.kappa_n, frame.tau_g], axis=-1))
+    return normal_field.grid_table("scalars", grid_size, lambda ts: _scalars_evaluator(normal_field, ts))
+
+
+def _scalars_evaluator(normal_field, ts):
+    frame = normal_field.on_grid(len(ts))
+    table = spline(ts, np.stack([frame.kappa_g, frame.kappa_n, frame.tau_g], axis=-1))
 
     def evaluate(t):
-        return DarbouxScalars(*np.moveaxis(spline(t), -1, 0))
+        return DarbouxScalars(*np.moveaxis(table(t), -1, 0))
 
     return evaluate
 

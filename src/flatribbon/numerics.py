@@ -1,16 +1,22 @@
-"""Shared numerical helpers: quadrature, finite differences, ArcCot.
+"""Shared numerical helpers: quadrature, interpolation, finite differences, ArcCot.
 
 All t-integrals in the package run through composite Simpson on uniform
 grids (odd node count), so every module sees the same O(h^4) accuracy.
+Every interpolant is one :class:`Cubic` table in Hermite form, with the
+slopes of the not-a-knot cubic spline (:func:`spline_slopes`, de Boor 1978)
+or the monotone Fritsch-Carlson slopes (:func:`pchip_slopes`, 1980).
 """
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 __all__ = [
     "arccot",
     "simpson_uniform",
     "cumulative_simpson_uniform",
+    "Cubic",
+    "spline",
+    "spline_slopes",
+    "pchip_slopes",
     "central_difference",
     "odd_node_count",
     "rownorm",
@@ -87,9 +93,180 @@ def simpson_uniform(values, h):
 
 
 def cumulative_simpson_uniform(values, h):
-    """Cumulative integral on a uniform grid; result[0] = 0, same length as input."""
-    values = np.asarray(values, dtype=float)
-    return cumulative_simpson(values, dx=h, initial=0.0)
+    """Cumulative integral on a uniform grid; result[0] = 0, same length as input.
+
+    Each interval takes a 3-point formula: the forward one over it and the
+    next node on even intervals, the backward one over it and the previous
+    node on odd intervals and on the last one.  The two halves of a panel sum
+    to composite Simpson, so every even node carries it exactly, for an odd or
+    an even node count.
+    """
+    f = np.asarray(values, dtype=float)
+    n = f.shape[-1]
+    if n < 3:
+        raise ValueError(f"cumulative Simpson needs at least 3 nodes, got {n}")
+    forward = h / 3 * (5 * f[..., :-2] / 4 + 2 * f[..., 1:-1] - f[..., 2:] / 4)  # interval i
+    backward = h / 3 * (5 * f[..., 2:] / 4 + 2 * f[..., 1:-1] - f[..., :-2] / 4)  # interval i + 1
+    parts = np.empty(f.shape[:-1] + (n,))
+    parts[..., 0] = 0.0
+    parts[..., 1:-1:2] = forward[..., ::2]
+    parts[..., 2::2] = backward[..., ::2]
+    parts[..., -1] = backward[..., -1]
+    return np.cumsum(parts, axis=-1)
+
+
+class Cubic:
+    """Piecewise cubic in Hermite form through (x_i, y_i) with slopes s_i.
+
+    ``x`` is strictly increasing; ``y`` and ``slopes`` may carry one trailing
+    axis.  Calling ``(t, nu=0)`` gives the nu-th derivative, nu = 0..3, at a
+    scalar or an array t; the end pieces extrapolate outside [x_0, x_{n-1}].
+    The table keeps the pieces along its last axis, so each pass of an
+    evaluation runs over the points, whatever the trailing axis of ``y``.
+    """
+
+    def __init__(self, x, y, slopes):
+        self.x = np.asarray(x, dtype=float)
+        self._breaks = self.x[1:-1]  # piece i holds x_i <= t < x_{i+1}
+        y = _nodes_last(y)
+        s = _nodes_last(slopes)
+        h = np.diff(self.x)
+        m = np.diff(y) / h
+        c = (s[..., :-1] + s[..., 1:] - 2.0 * m) / h
+        # per piece i, the coefficients of 1, d, d^2, d^3 in d = t - x_i
+        self._table = np.stack([y[..., :-1], s[..., :-1], (m - s[..., :-1]) / h - c, c / h])
+
+    def __call__(self, t, nu=0):
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(self._breaks, t, side="right")
+        d = t - self.x[i]
+        c0, c1, c2, c3 = np.take(self._table, i, axis=-1)
+        if nu == 0:
+            value = c0 + d * (c1 + d * (c2 + d * c3))
+        elif nu == 1:
+            value = c1 + d * (2.0 * c2 + d * (3.0 * c3))
+        elif nu == 2:
+            value = 2.0 * c2 + d * (6.0 * c3)
+        elif nu == 3:
+            value = 6.0 * c3
+        else:
+            raise ValueError(f"derivative order must be 0..3, got {nu}")
+        if self._table.ndim == 2:
+            return value
+        return value.transpose(*range(1, value.ndim), 0)  # the trailing axis of y last again
+
+
+def _nodes_last(y):
+    """Node values (nodes first, at most one trailing axis) with the nodes last, in contiguous memory."""
+    return np.ascontiguousarray(np.asarray(y, dtype=float).T)
+
+
+def spline(x, y):
+    """The not-a-knot cubic spline through (x, y): ``Cubic(x, y, spline_slopes(x, y))``."""
+    return Cubic(x, y, spline_slopes(x, y))
+
+
+def spline_slopes(x, y):
+    """Node slopes of the not-a-knot cubic spline through (x, y); ``y`` may have a trailing axis.
+
+    Two nodes give the line and three the parabola.  Otherwise the slopes
+    solve the C^2 conditions at the interior nodes and the not-a-knot
+    conditions at both ends; each end row shares its end slope's coefficient
+    with its neighbour, so subtracting it leaves a diagonally dominant
+    tridiagonal system for the interior slopes.
+    """
+    x = np.asarray(x, dtype=float)
+    y = _nodes_last(y)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if len(x) == 2:
+        s = np.stack([m[..., 0], m[..., 0]], axis=-1)
+    elif len(x) == 3:
+        c = (m[..., 1] - m[..., 0]) / (h[0] + h[1])
+        s = np.stack([m[..., 0] - c * h[0], m[..., 0] + c * h[0], m[..., 1] + c * h[1]], axis=-1)
+    else:
+        # row i = 1..n-2: h_i s_{i-1} + 2 (h_{i-1} + h_i) s_i + h_{i-1} s_{i+1} = rhs_i
+        rhs = 3.0 * (h[1:] * m[..., :-1] + h[:-1] * m[..., 1:])
+        # not-a-knot: h_1 s_0 + d0 s_1 = r0 and d1 s_{n-2} + h_{n-3} s_{n-1} = r1
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        r0 = ((h[0] + 2.0 * d0) * h[1] * m[..., 0] + h[0] ** 2 * m[..., 1]) / d0
+        r1 = (h[-1] ** 2 * m[..., -2] + (2.0 * d1 + h[-1]) * h[-2] * m[..., -1]) / d1
+        diag = 2.0 * (h[:-1] + h[1:])
+        diag[0] -= d0
+        diag[-1] -= d1
+        rhs[..., 0] -= r0
+        rhs[..., -1] -= r1
+        lower, upper = h[1:].copy(), h[:-1].copy()
+        lower[0] = upper[-1] = 0.0
+        inner = _tridiagonal(lower, diag, upper, rhs)
+        s0 = (r0 - d0 * inner[..., 0]) / h[1]
+        s1 = (r1 - d1 * inner[..., -1]) / h[-2]
+        s = np.concatenate([s0[..., None], inner, s1[..., None]], axis=-1)
+    return s.T
+
+
+_DENSE_ROWS = 48  # below this many rows one dense solve beats another reduction pass
+
+
+def _tridiagonal(a, b, c, d):
+    """Solve the diagonally dominant tridiagonal system (a, b, c) x = d along the last axis of d.
+
+    a, b, c are the sub-, main and super-diagonal, a[0] = c[-1] = 0; d is 1-D
+    or 2-D.  Cyclic reduction: each pass eliminates the even rows from the odd
+    ones, which halves the system, and back-substitutes them once the odd rows
+    are known.
+    """
+    m = len(b)
+    if m <= _DENSE_ROWS:
+        return np.linalg.solve(np.diag(b) + np.diag(a[1:], -1) + np.diag(c[:-1], 1), d.T).T
+    if m % 2 == 0:  # an identity row at the end gives every odd row two neighbours
+        a, b, c = np.append(a, 0.0), np.append(b, 1.0), np.append(c, 0.0)
+        d = np.concatenate([d, np.zeros(d.shape[:-1] + (1,))], axis=-1)
+    alpha = -a[1::2] / b[:-1:2]
+    gamma = -c[1::2] / b[2::2]
+    odd = _tridiagonal(
+        alpha * a[:-1:2],
+        b[1::2] + alpha * c[:-1:2] + gamma * a[2::2],
+        gamma * c[2::2],
+        d[..., 1::2] + alpha * d[..., :-1:2] + gamma * d[..., 2::2],
+    )
+    x = np.empty_like(d)
+    x[..., 1::2] = odd
+    zero = np.zeros(d.shape[:-1] + (1,))
+    odd = np.concatenate([zero, odd, zero], axis=-1)
+    x[..., ::2] = (d[..., ::2] - a[::2] * odd[..., :-1] - c[::2] * odd[..., 1:]) / b[::2]
+    return x[..., :m]
+
+
+def pchip_slopes(x, y):
+    """Monotone node slopes of 1-D data: the PCHIP rule of Fritsch & Carlson (1980).
+
+    Zero where the neighbouring secants differ in sign or one vanishes, else
+    their weighted harmonic mean; the ends take the one-sided three-point
+    estimate, limited so the end pieces keep the data's shape.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if len(x) == 2:
+        return np.array([m[0], m[0]])
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    first, last = _pchip_end(h[0], h[1], m[0], m[1]), _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    return np.concatenate([[first], inner, [last]])
+
+
+def _pchip_end(h0, h1, m0, m1):
+    """One-sided three-point end slope: zero against the end secant, at most 3 m0 where the secants turn."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 # 4th-order central stencils: {order: (offsets, coefficients, h exponent)}.

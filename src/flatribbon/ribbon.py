@@ -9,12 +9,12 @@ developable the result actually is.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .errors import ExtensionOrderExceeded, SingularRuling, WidthTooLarge
-from .numerics import arccot, central_difference, read_only, rownorm
+from .errors import DegenerateMetric, ExtensionOrderExceeded, SingularRuling, WidthTooLarge
+from .numerics import arccot, central_difference, read_only, rownorm, spline
 
 WIDTH_SAFETY = 0.9
 LAMBDA_FLAT_TOL = 1e-8  # below this sup|lambda| the regular width is unbounded
@@ -38,15 +38,20 @@ class MuField:
     """The ruling slope mu = -tau_g / kappa_n, continuously extended.
 
     Sampled on a uniform arc-length grid and interpolated by a cubic
-    spline; mu' comes from the spline derivative.  ``frame`` is the
-    :class:`~flatribbon.frames.FrameSample` the slope was computed from.
+    spline; mu' comes from the spline derivative.  The spline is built on
+    the first call or ``derivative``, so readers of ``values`` alone never
+    pay for it.  ``frame`` is the :class:`~flatribbon.frames.FrameSample`
+    the slope was computed from.
     """
 
     def __init__(self, ts, values, frame):
         self.ts = np.asarray(ts, dtype=float)
         self.values = np.asarray(values, dtype=float)
         self.frame = frame
-        self._spline = CubicSpline(self.ts, self.values)
+
+    @cached_property
+    def _spline(self):
+        return spline(self.ts, self.values)
 
     def __call__(self, t):
         return self._spline(t)
@@ -128,8 +133,7 @@ def _mu_table(curve, normal_field, ts):
     mu[good] = -tg[good] / kn[good]
     if not np.all(good):
         if np.count_nonzero(good) >= max(4, len(ts) // 2):
-            fill = CubicSpline(ts[good], mu[good])
-            mu[~good] = fill(ts[~good])
+            mu[~good] = spline(ts[good], mu[good])(ts[~good])
         else:
             for i in np.flatnonzero(~good):
                 mu[i] = _extend_at_zero(curve, normal_field, ts[i], kn_scale, tg_scale)
@@ -254,6 +258,8 @@ def _angle_defect_gauss(mesh):
         cr = rownorm(np.cross(e1, e2))
         angle_sum += np.arctan2(cr, np.vecdot(e1, e2))
         area += 0.5 * cr
+    if np.any(area == 0.0):
+        raise DegenerateMetric("a vertex ring of the mesh has zero area: its vertices coincide")
     k_est = (2.0 * np.pi - angle_sum) / (area / 3.0)
     return float(np.max(np.abs(k_est), initial=0.0))
 

@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import flatribbon
 from flatribbon import cli
 from flatribbon.angleivp import solved_rotation_field
 from flatribbon.config import GRID_MIN, parse_config, write_csv
@@ -178,6 +181,15 @@ def test_build_width_below_mesh_resolution_exit_code(tmp_path, capsys):
         assert run(["build", "--config", cfg, "--out", str(tmp_path / "ok"), "--width", "1e-12"]) == 0
     residuals = np.loadtxt(tmp_path / "ok" / "residuals_q0.csv", delimiter=",", skiprows=1)
     assert np.all(np.isfinite(residuals))
+
+
+def test_import_loads_no_scipy():
+    # the package runs on numpy alone; scipy is only the tests' oracle
+    src = os.path.dirname(os.path.dirname(flatribbon.__file__))
+    code = "import sys, flatribbon.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_parser_is_built_once_and_keeps_no_options(tmp_path, monkeypatch):

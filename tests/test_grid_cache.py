@@ -15,7 +15,7 @@ import pytest
 
 from flatribbon import cli
 from flatribbon.curves import ArcLengthCurve, CurveSpec
-from flatribbon.energy import case_a_energy
+from flatribbon.energy import case_a_energy, limit_energy
 from flatribbon.errors import NonOrthogonalNormal, VanishingCurvature
 from flatribbon.frames import (
     NormalField,
@@ -24,6 +24,7 @@ from flatribbon.frames import (
     RotationMinimizingField,
     TorusNormalField,
     sample_frame,
+    sampled_scalars,
 )
 from flatribbon.ribbon import mu_field
 from test_sampled import sample_curve
@@ -72,6 +73,17 @@ def test_key_is_the_odd_node_count(knot):
     assert field.on_grid(2000) is field.on_grid(2001)
     assert mu_field(knot, field, grid_size=200) is mu_field(knot, field, grid_size=201)
     assert mu_field(knot, field, grid_size=201).frame is field.on_grid(201)
+    assert sampled_scalars(field, 400) is sampled_scalars(field, 401)
+
+
+def test_limit_energy_builds_no_slope_spline(helix11):
+    # the limit energy reads only the slope table, so its spline is never built
+    field = RotatedNormalField(PrincipalNormalField(helix11), 0.3)
+    limit_energy(helix11, field, 0.1, n_t=201)
+    mu = mu_field(helix11, field, grid_size=201)
+    assert "_spline" not in vars(mu)
+    mu.derivative(0.5)
+    assert "_spline" in vars(mu)
 
 
 FIELDS = {

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from flatribbon.curves import HelixParams, make_helix
-from flatribbon.errors import SingularRuling, WidthTooLarge
-from flatribbon.frames import PrincipalNormalField, RotatedNormalField, frenet_rotation_field
+from flatribbon.errors import DegenerateMetric, SingularRuling, WidthTooLarge
+from flatribbon.frames import PrincipalNormalField, RotatedNormalField, TorusNormalField, frenet_rotation_field
 from flatribbon.ribbon import (
     FlatRibbon,
     _angle_defect_gauss,
@@ -221,6 +223,15 @@ def test_gauss_estimate_decreases_under_refinement(knot_ribbon):
     coarse = _angle_defect_gauss(tessellate(knot_ribbon, 200, 6))
     fine = _angle_defect_gauss(tessellate(knot_ribbon, 400, 11))
     assert fine <= 0.5 * coarse
+
+
+def test_zero_area_mesh_raises_degenerate_metric(knot):
+    # at w = 1e-300 the vertices along each ruling coincide, so every vertex ring has zero area
+    ribbon = construct_ribbon(knot, TorusNormalField(knot), 1e-300, grid_size=201)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateMetric):
+            flatness_residuals(ribbon, 201)
 
 
 def test_perturbed_ruling_detected(helix_strip):
