@@ -60,22 +60,15 @@ class CurveSpec:
     fd_step : float, optional
         Step for the finite-difference fallback; defaults to 1e-4 times
         the domain length.
-    vectorized : bool, optional
-        True when every map already returns x.shape + (3,) for an array x,
-        as the package's own curves do; then no map is probed at the ends
-        of the domain to find out.
     """
 
-    def __init__(self, position, domain, derivatives=None, fd_step=None, name="curve", vectorized=False):
+    def __init__(self, position, domain, derivatives=None, fd_step=None, name="curve"):
         self.domain = (float(domain[0]), float(domain[1]))
         if self.domain[1] <= self.domain[0]:
             raise InvalidParams("curve domain must have positive length")
-        maps = (position, *(derivatives or ()))
-        if not vectorized:
-            probe = np.array(self.domain)
-            maps = [entrywise(fn, probe, (3,)) for fn in maps]
-        self.position = maps[0]
-        self._derivatives = tuple(maps[1:])
+        probe = np.array(self.domain)
+        self.position = entrywise(position, probe, (3,))
+        self._derivatives = tuple(entrywise(d, probe, (3,)) for d in derivatives or ())
         self.fd_step = fd_step if fd_step else 1e-4 * (self.domain[1] - self.domain[0])
         self.name = name
 
@@ -277,7 +270,7 @@ def make_helix(params):
     def d3(t):
         return _stack3(a / m**3 * np.sin(t / m), -a / m**3 * np.cos(t / m), 0.0)
 
-    spec = CurveSpec(pos, (0.0, L), derivatives=(d1, d2, d3), name=f"helix(a={a}, b={b})", vectorized=True)
+    spec = CurveSpec(pos, (0.0, L), derivatives=(d1, d2, d3), name=f"helix(a={a}, b={b})")
     return ArcLengthCurve.from_unit_speed(spec)
 
 
@@ -350,7 +343,7 @@ def make_torus_knot(params=TorusKnotParams()):
         )
 
     spec = CurveSpec(
-        pos, (0.0, 2.0 * np.pi), derivatives=(d1, d2, d3), name=f"torus_knot({R}, {rho}, {n})", vectorized=True
+        pos, (0.0, 2.0 * np.pi), derivatives=(d1, d2, d3), name=f"torus_knot({R}, {rho}, {n})"
     )
     return arc_length_reparametrize(
         spec, grid_size=params.grid_size, tol=params.tol, curve_class=TorusKnotCurve, params=params
@@ -361,15 +354,18 @@ def curve_from_samples(ts, points, grid_size=1001, tol=1e-8, name="samples"):
     """Cubic-spline curve through (t, x, y, z) samples, arc-length reparametrized."""
     ts = np.asarray(ts, dtype=float)
     points = np.asarray(points, dtype=float)
-    if points.shape != (len(ts), 3):
+    if ts.ndim != 1 or points.shape != (len(ts), 3):
         raise InvalidParams("samples must be rows (t, x, y, z)")
+    if len(ts) < 2 or not (np.all(np.isfinite(ts)) and np.all(np.isfinite(points))):
+        raise InvalidParams("samples need at least 2 rows of finite values")
+    if np.any(np.diff(ts) <= 0.0):
+        raise InvalidParams("sample parameters t must be strictly increasing")
     cubic = spline(ts, points)
     spec = CurveSpec(
         cubic,
         (ts[0], ts[-1]),
         derivatives=(lambda x: cubic(x, 1), lambda x: cubic(x, 2), lambda x: cubic(x, 3)),
         name=name,
-        vectorized=True,
     )
     return arc_length_reparametrize(spec, grid_size=grid_size, tol=tol)
 

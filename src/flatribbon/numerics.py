@@ -56,18 +56,43 @@ def read_only(table):
     return table
 
 
-def entrywise(fn, probe, value_shape=()):
-    """``fn`` if it maps the 1-D parameter array ``probe`` entrywise, else ``fn`` called per entry.
+class entrywise:
+    """``fn`` on parameter arrays: ``fn`` itself if it maps a 1-D array entrywise, else ``fn`` per entry.
 
-    Maps written for one scalar thus work on grids; a scalar-valued map may return a constant.
+    Maps written for one scalar thus work on grids; a scalar-valued map may
+    return a constant.  The form is settled on the first call.  A call on a
+    1-D array whose length is no value dimension settles it from its own
+    result, so a map that takes arrays costs no extra call; any other first
+    call settles it by calling ``fn`` on the 1-D parameter array ``probe``.
     """
-    try:
-        shape = np.shape(fn(probe))
-    except (TypeError, ValueError, IndexError):
-        shape = None
-    if shape == probe.shape + value_shape or shape == value_shape == ():
-        return fn
-    return np.vectorize(fn, otypes=[float], signature="()->(n)" if value_shape else None)
+
+    def __init__(self, fn, probe, value_shape=()):
+        self.fn, self._probe, self._value_shape = fn, probe, value_shape
+        self._settled = None  # fn or its per-entry form
+
+    def __call__(self, x):
+        if self._settled is None:
+            if np.ndim(x) == 1 and len(x) not in self._value_shape:
+                try:
+                    value = self.fn(x)
+                except (TypeError, ValueError, IndexError):
+                    value = None
+                if value is not None and np.shape(value) == np.shape(x) + self._value_shape:
+                    self._settled = self.fn
+                    return value
+            if self._maps_probe():
+                self._settled = self.fn
+            else:
+                signature = "()->(n)" if self._value_shape else None
+                self._settled = np.vectorize(self.fn, otypes=[float], signature=signature)
+        return self._settled(x)
+
+    def _maps_probe(self):
+        try:
+            shape = np.shape(self.fn(self._probe))
+        except (TypeError, ValueError, IndexError):
+            return False
+        return shape == self._probe.shape + self._value_shape or shape == self._value_shape == ()
 
 
 def simpson_uniform(values, h):

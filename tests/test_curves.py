@@ -242,6 +242,22 @@ def test_curve_from_samples_shape_check():
         curve_from_samples([0.0, 1.0], np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize(
+    "ts, points",
+    [
+        ([0.0, 2.0, 1.0, 3.0], np.eye(4, 3)),
+        ([0.0, 1.0, 1.0, 2.0], np.eye(4, 3)),
+        ([0.0, 1.0, 2.0, 3.0], [[0.0, 0.0, 0.0], [1.0, np.nan, 0.0], [2.0, 0.0, 0.0], [3.0, 1.0, 0.0]]),
+        ([0.0, 1.0, np.inf, 3.0], np.eye(4, 3)),
+        ([0.0], [[0.0, 0.0, 0.0]]),
+    ],
+    ids=["unsorted_t", "repeated_t", "nan_point", "infinite_t", "one_row"],
+)
+def test_curve_from_samples_rejects_bad_samples(ts, points):
+    with pytest.raises(InvalidParams):
+        curve_from_samples(ts, points)
+
+
 def test_fd_derivative_fallback_matches_analytic():
     # same curve with and without analytic derivatives must agree to O(h^4)
     spec_fd = _raw_helix_spec(1.0, 1.0)
