@@ -24,7 +24,6 @@ from .frames import (
     RotatedNormalField,
     RotationMinimizingField,
     TorusNormalField,
-    darboux_scalars,
     rotate,
 )
 from .ribbon import construct_ribbon, max_regular_width, ruling_angle, tessellate

@@ -201,16 +201,14 @@ def solve_theta(rhs, length, ic=InitialCondition(), grid_size=2000):
     return ThetaSolution(ts, theta, derivs, "rk4", ts[1] - ts[0], err, rhs=rhs)
 
 
-def lipschitz_bound(scalars_seq, phi_values):
+def lipschitz_bound(scalars, phi):
     """Lipschitz constant of the prescribed-angle RHS in theta.
 
-    c = sup|kappa_g cot(phi)| + sup|kappa_n cot(phi)| over the grid.
+    c = sup|kappa_g cot(phi)| + sup|kappa_n cot(phi)| over a grid, from the
+    scalars (arrays over the grid) and phi there (an array or a constant).
     """
-    phi = np.asarray(phi_values, dtype=float)
     cot = np.cos(phi) / np.sin(phi)
-    kg = np.array([s.kappa_g for s in scalars_seq])
-    kn = np.array([s.kappa_n for s in scalars_seq])
-    return float(np.max(np.abs(kg * cot)) + np.max(np.abs(kn * cot)))
+    return float(np.max(np.abs(scalars.kappa_g * cot)) + np.max(np.abs(scalars.kappa_n * cot)))
 
 
 def closed_form_case_b(q, psi):

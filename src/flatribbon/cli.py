@@ -76,21 +76,22 @@ def _field(cfg, curve):
     return _solved_field(cfg, base)[0]
 
 
-def _pick_width(cfg, curve, field):
-    if cfg.width is not None:
-        return cfg.width
-    w_max = max_regular_width(curve, field, grid_size=min(cfg.grid, 1001))
-    return 0.1 if np.isinf(w_max) else 0.5 * w_max
+def _ribbon(cfg, curve, field):
+    """The ribbon of the set half-width, else half the regular bound (0.1 if unbounded); one slope table."""
+    n = min(cfg.grid, 2001)
+    w = cfg.width
+    if w is None:
+        w_max = max_regular_width(curve, field, grid_size=n)
+        w = 0.1 if np.isinf(w_max) else 0.5 * w_max
+    return construct_ribbon(curve, field, w, grid_size=n)
 
 
 def cmd_build(cfg):
     curve = build_curve(cfg)
-    field = _field(cfg, curve)
-    w = _pick_width(cfg, curve, field)
-    rib = construct_ribbon(curve, field, w, grid_size=min(cfg.grid, 2001))
+    rib = _ribbon(cfg, curve, _field(cfg, curve))
     mesh = tessellate(rib, cfg.mesh_nt, cfg.mesh_nu)
     if np.any(np.all(mesh.vertices[:, 1:] == mesh.vertices[:, :-1], axis=-1)):
-        raise ConfigError(f"width {w:.6g} is below the mesh resolution: vertices along a ruling coincide")
+        raise ConfigError(f"width {rib.w:.6g} is below the mesh resolution: vertices along a ruling coincide")
     os.makedirs(cfg.out, exist_ok=True)
     tag = f"q{cfg.q:g}"
     write_obj(mesh, os.path.join(cfg.out, f"ribbon_{tag}.obj"))
@@ -101,7 +102,7 @@ def cmd_build(cfg):
         ("t", "ruling_in_plane", "tangent_plane", "gauss_estimate"),
         zip(ts, in_plane, tangent_plane, np.full(len(ts), report.gauss_estimate)),
     )
-    print(f"wrote ribbon_{tag}.obj ({cfg.mesh_nt}x{cfg.mesh_nu}), w = {w:.6g}")
+    print(f"wrote ribbon_{tag}.obj ({cfg.mesh_nt}x{cfg.mesh_nu}), w = {rib.w:.6g}")
     print(f"flatness residuals: {report.ruling_in_plane:.3e} / {report.tangent_plane:.3e}")
     return 0
 
@@ -119,12 +120,11 @@ def cmd_solve(cfg):
 def cmd_energy(cfg):
     curve = build_curve(cfg)
     field = _field(cfg, curve)
-    w = _pick_width(cfg, curve, field)
-    rib = construct_ribbon(curve, field, w, grid_size=min(cfg.grid, 2001))
+    rib = _ribbon(cfg, curve, field)
     reports = [
         ("closed", energy.bending_energy_closed(rib)),
         ("quadrature", energy.bending_energy_quadrature(rib)),
-        ("limit", energy.limit_energy(curve, field, w)),
+        ("limit", energy.limit_energy(curve, field, rib.w)),
     ]
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "energy.csv")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams, NonRegularCurve, ToleranceNotMet, VanishingCurvature
-from .numerics import Cubic, central_difference, cumulative_simpson_uniform, entrywise, first_where
+from .numerics import Cubic, central_difference, cumulative_simpson_uniform, first_where
 from .numerics import odd_node_count, pchip_slopes, rownorm, simpson_uniform, spline
 
 KAPPA_MIN = 1e-9  # below this curvature the Frenet normal/torsion are reported absent
@@ -43,14 +43,22 @@ def _stack3(x, y, z):
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
 
+def _vectors(fn, x):
+    """fn(x) as floats; InvalidParams unless it has the shape x.shape + (3,)."""
+    value = np.asarray(fn(x), dtype=float)
+    if value.shape != np.shape(x) + (3,):
+        raise InvalidParams(f"a curve map returned shape {value.shape} for parameters of shape {np.shape(x)}")
+    return value
+
+
 class CurveSpec:
     """A regular space curve on a raw parameter interval.
 
     Parameters
     ----------
     position : callable
-        Map x -> point in R^3.  For an array x it should return shape
-        x.shape + (3,); a map of one scalar to shape (3,) is applied per entry.
+        Map x -> point in R^3, called on a scalar or an array x; it must
+        return shape x.shape + (3,), else the call raises InvalidParams.
     domain : (float, float)
         Parameter interval [x0, x1].
     derivatives : sequence of callables, optional
@@ -66,20 +74,19 @@ class CurveSpec:
         self.domain = (float(domain[0]), float(domain[1]))
         if self.domain[1] <= self.domain[0]:
             raise InvalidParams("curve domain must have positive length")
-        probe = np.array(self.domain)
-        self.position = entrywise(position, probe, (3,))
-        self._derivatives = tuple(entrywise(d, probe, (3,)) for d in derivatives or ())
+        self.position = position
+        self._derivatives = tuple(derivatives or ())
         self.fd_step = fd_step if fd_step else 1e-4 * (self.domain[1] - self.domain[0])
         self.name = name
 
     def point(self, x):
-        return np.asarray(self.position(x), dtype=float)
+        return _vectors(self.position, x)
 
     def derivative(self, x, order=1):
         if not 1 <= order <= 3:
             raise ValueError("derivative order must be 1, 2, or 3")
         if order <= len(self._derivatives):
-            return np.asarray(self._derivatives[order - 1](x), dtype=float)
+            return _vectors(self._derivatives[order - 1], x)
         return central_difference(self.point, x, order, self.fd_step)
 
     def speed(self, x):
@@ -160,7 +167,7 @@ class ArcLengthCurve:
         if self._identity:
             return (x, speed, c1, c2, c3)[: order + 2]
         # float_power is the C library's pow per entry, as for a scalar t; ** on an
-        # array takes a vectorized pow that can differ in the last bit
+        # array takes a SIMD pow loop that can differ in the last bit
         v = speed[..., None]
         x1 = 1.0 / v
         d = [c1 * x1]

@@ -2,11 +2,11 @@
 
 Two independent routes compute the finite-width energy: brute-force
 double quadrature of H^2 dA from the fundamental forms, and the closed
-form obtained by integrating the u-direction analytically (a logarithm in
-w * lambda, with a series branch near lambda = 0 where the direct
-quotient loses precision).  The infinitesimal-width limit, the bound
-between same-ruling-angle ribbons, and the closed forms for the two
-special ruling-angle choices and for the circular helix live here too.
+form obtained by integrating the u-direction analytically (one form,
+2 artanh(w lambda) / lambda, exactly 2w at lambda = 0).  The
+infinitesimal-width limit, the bound between same-ruling-angle ribbons,
+and the closed forms for the two special ruling-angle choices and for the
+circular helix live here too.
 """
 
 from dataclasses import dataclass
@@ -21,10 +21,9 @@ from .errors import (
     RulingAngleMismatch,
     WidthTooLarge,
 )
+from .frames import sample_frame
 from .numerics import arccot, cumulative_simpson_uniform, simpson_uniform
-from .ribbon import mu_field
-
-SERIES_BRANCH_TOL = 1e-6  # |w * lambda| below which the log quotient switches to its series
+from .ribbon import LAMBDA_FLAT_TOL, mu_field
 
 __all__ = [
     "FundamentalForms",
@@ -47,18 +46,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FundamentalForms:
-    E: float
-    F: float
-    G: float
-    e: float
+    """First and second fundamental forms of sigma, arrays over the points (t, u) asked for."""
+
+    E: float | np.ndarray
+    F: float | np.ndarray
+    G: float | np.ndarray
+    e: float | np.ndarray
     f: float = 0.0
     g: float = 0.0
 
-    def area_element(self):
+    def metric_det(self):
+        """EG - F^2 at every point; DegenerateMetric where it is not positive."""
         det = self.E * self.G - self.F**2
-        if det <= 0.0:
-            raise DegenerateMetric(f"EG - F^2 = {det:.3e}")
-        return np.sqrt(det)
+        if np.any(det <= 0.0):
+            raise DegenerateMetric(f"EG - F^2 = {float(np.min(det)):.3e}")
+        return det
+
+    def area_element(self):
+        return np.sqrt(self.metric_det())
 
 
 @dataclass(frozen=True)
@@ -69,62 +74,46 @@ class EnergyReport:
     error_estimate: float
 
 
-def _forms_values(mu, mup, kg, kn, u):
+def _forms(mu, mup, kg, kn, u):
+    """The forms at (t, u) from mu, mu', kappa_g and kappa_n at t; all broadcast together."""
+    stretch = 1.0 + u * (mup - (1.0 + mu**2) * kg)  # 1 + u lambda
+    if np.any(stretch <= 0.0):
+        raise OutsideRegularDomain(f"1 + u*lambda = {float(np.min(stretch)):.3e}: outside the regular domain")
     E = (1.0 + u * (mup - kg)) ** 2 + (u * mu * kg) ** 2
     F = mu * (1.0 + u * mup)
     G = 1.0 + mu**2
-    e = kn * (1.0 + u * (mup - kg - kg * mu**2))
-    return E, F, G, e
+    e = kn * stretch
+    return FundamentalForms(E, F, G, e)
 
 
 def fundamental_forms(ribbon, t, u):
-    """First and second fundamental forms of sigma at (t, u)."""
-    mu = float(ribbon.mu(t))
-    mup = float(ribbon.mu.derivative(t))
-    sc = ribbon.normal.scalars(t)
-    lam = mup - (1.0 + mu**2) * sc.kappa_g
-    if 1.0 + u * lam <= 0.0:
-        raise OutsideRegularDomain(f"1 + u*lambda = {1.0 + u * lam:.3e} at (t={t:.6g}, u={u:.6g})")
-    E, F, G, e = _forms_values(mu, mup, sc.kappa_g, sc.kappa_n, u)
-    return FundamentalForms(E, F, G, e)
+    """First and second fundamental forms of sigma at (t, u), scalars or arrays broadcast together."""
+    frame = sample_frame(ribbon.normal, t)
+    return _forms(ribbon.mu(t), ribbon.mu.derivative(t), frame.kappa_g, frame.kappa_n, u)
 
 
 def mean_curvature(forms):
     """H = G e / (2 (EG - F^2)) for a flat ribbon (f = g = 0)."""
-    det = forms.E * forms.G - forms.F**2
-    if det <= 0.0:
-        raise DegenerateMetric(f"EG - F^2 = {det:.3e}")
-    return forms.G * forms.e / (2.0 * det)
-
-
-def _per_t_data(ribbon, n_t):
-    ts = ribbon.curve.grid(n_t)
-    mu = ribbon.mu(ts)
-    mup = ribbon.mu.derivative(ts)
-    frame = ribbon.normal.on_grid(n_t)
-    kg, kn = frame.kappa_g, frame.kappa_n
-    lam = mup - (1.0 + mu**2) * kg
-    return ts, mu, mup, kg, kn, lam
+    return forms.G * forms.e / (2.0 * forms.metric_det())
 
 
 def bending_energy_quadrature(ribbon, n_t=2001, n_u=41):
     """Double composite-Simpson quadrature of H^2 dA over the ribbon.
 
-    Independent oracle for :func:`bending_energy_closed`: it assembles the
-    integrand from the fundamental forms and integrates numerically in u.
+    Independent oracle for :func:`bending_energy_closed`: it integrates
+    H^2 times the area element of :func:`fundamental_forms` numerically in u.
     """
     # both grids need node counts of the form 4k+1 so that the half-resolution
     # subsample used for the error estimate is still a valid Simpson grid
     n_t = max(5, n_t) + (-(max(5, n_t) - 1)) % 4
     n_u = max(5, n_u) + (-(max(5, n_u) - 1)) % 4
-    ts, mu, mup, kg, kn, lam = _per_t_data(ribbon, n_t)
+    ts = ribbon.curve.grid(n_t)
+    frame = ribbon.normal.on_grid(n_t)
     us = np.linspace(-ribbon.w, ribbon.w, n_u)
-    if np.min(1.0 + np.outer(us, lam)) <= 0.0:
-        raise OutsideRegularDomain("ribbon is not regular on |u| <= w")
     # t down the rows, u across the columns
-    E, F, G, e = _forms_values(mu[:, None], mup[:, None], kg[:, None], kn[:, None], us)
-    det = E * G - F**2
-    integrand = (G * e) ** 2 / (4.0 * det**2) * np.sqrt(det)
+    rows = [a[:, None] for a in (ribbon.mu(ts), ribbon.mu.derivative(ts), frame.kappa_g, frame.kappa_n)]
+    forms = _forms(*rows, us)
+    integrand = mean_curvature(forms) ** 2 * forms.area_element()
     hu = us[1] - us[0]
     ht = ts[1] - ts[0]
     value = simpson_uniform(simpson_uniform(integrand, hu), ht)
@@ -133,32 +122,30 @@ def bending_energy_quadrature(ribbon, n_t=2001, n_u=41):
 
 
 def _inner_integral(w, lam):
-    """Exact u-integral of 1/(1 + u*lambda) over [-w, w], elementwise.
-
-    Equals log((1+w*lambda)/(1-w*lambda))/lambda, with the series
-    2w (1 + (w*lambda)^2/3 + (w*lambda)^4/5) near lambda = 0.
-    """
-    x = w * lam
-    out = np.empty_like(lam)
-    small = np.abs(x) < SERIES_BRANCH_TOL
-    out[small] = 2.0 * w * (1.0 + x[small] ** 2 / 3.0 + x[small] ** 4 / 5.0)
-    xs = x[~small]
-    out[~small] = np.log((1.0 + xs) / (1.0 - xs)) / lam[~small]
-    return out, bool(np.all(small))
+    """Exact u-integral of 1/(1 + u*lambda) over [-w, w] per entry: 2 artanh(w lambda) / lambda, 2w at 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lam == 0.0, 2.0 * w, 2.0 * np.arctanh(w * lam) / lam)
 
 
 def bending_energy_closed(ribbon, n_t=2001):
-    """Finite-width bending energy with the u-integration done in closed form."""
-    ts, mu, mup, kg, kn, lam = _per_t_data(ribbon, n_t)
+    """Finite-width bending energy with the u-integration done in closed form.
+
+    The method is ``special_case_lambda_zero`` when sup|lambda| is below
+    ``ribbon.LAMBDA_FLAT_TOL``, where the width bound is infinite.
+    """
+    ts = ribbon.curve.grid(n_t)
+    mu = ribbon.mu(ts)
+    frame = ribbon.normal.on_grid(n_t)
+    lam = ribbon.mu.derivative(ts) - (1.0 + mu**2) * frame.kappa_g
     w = ribbon.w
-    if w * float(np.max(np.abs(lam))) >= 1.0:
+    sup = float(np.max(np.abs(lam)))
+    if w * sup >= 1.0:
         raise WidthTooLarge(f"w = {w:.6g} exceeds 1/sup|lambda|")
-    inner, all_series = _inner_integral(w, lam)
-    integrand = 0.25 * (1.0 + mu**2) ** 2 * kn**2 * inner
+    integrand = 0.25 * (1.0 + mu**2) ** 2 * frame.kappa_n**2 * _inner_integral(w, lam)
     h = ts[1] - ts[0]
     value = simpson_uniform(integrand, h)
     coarse = simpson_uniform(integrand[::2], 2 * h)
-    method = "special_case_lambda_zero" if all_series else "closed_form"
+    method = "special_case_lambda_zero" if sup < LAMBDA_FLAT_TOL else "closed_form"
     return EnergyReport(value, method, w, abs(value - coarse) / 15.0)
 
 

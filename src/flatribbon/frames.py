@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import KAPPA_MIN, check_curvature, frenet_data
-from .errors import NonOrthogonalNormal, VanishingCurvature
-from .numerics import central_difference, entrywise, first_where, odd_node_count, read_only, rownorm, spline
+from .errors import InvalidParams, NonOrthogonalNormal, VanishingCurvature
+from .numerics import central_difference, first_where, odd_node_count, read_only, rownorm, spline
 
 __all__ = [
     "DarbouxFrame",
@@ -29,7 +29,6 @@ __all__ = [
     "TorusNormalField",
     "RotationMinimizingField",
     "RotatedNormalField",
-    "darboux_scalars",
     "sample_frame",
     "frame_derivative",
     "rotate",
@@ -63,6 +62,7 @@ class FrameSample(DarbouxFrame):
     kappa_g: np.ndarray
     kappa_n: np.ndarray
     tau_g: np.ndarray
+    x: np.ndarray  # the curve's raw parameter, from the sample's one arc-length inversion
 
 
 class NormalField:
@@ -111,10 +111,12 @@ class NormalField:
         N, Np = self.normal(ts, jet)
         H = np.cross(N, T)
         Hp = np.cross(Np, T) + np.cross(N, Tp)
-        return FrameSample(T, H, N, Tp, Np, np.vecdot(Tp, H), np.vecdot(Tp, N), np.vecdot(Hp, N))
+        return FrameSample(T, H, N, Tp, Np, np.vecdot(Tp, H), np.vecdot(Tp, N), np.vecdot(Hp, N), jet[0])
 
     def scalars(self, t):
-        return darboux_scalars(self.curve, self, float(t))
+        """(kappa_g, kappa_n, tau_g) at one t: the zero-dimensional :func:`sample_frame`."""
+        frame = sample_frame(self, float(t))
+        return DarbouxScalars(frame.kappa_g, frame.kappa_n, frame.tau_g)
 
 
 class PrincipalNormalField(NormalField):
@@ -186,8 +188,10 @@ class RotationMinimizingField(NormalField):
 class RotatedNormalField(NormalField):
     """Base field rotated about the tangent by an angle function theta.
 
-    ``theta`` may be a constant or a callable; ``theta_prime`` defaults to
-    zero for constants and to a 4th-order finite difference otherwise.
+    ``theta`` may be a constant or a callable of an array of t; ``theta_prime``
+    defaults to zero for constants and to a 4th-order finite difference
+    otherwise.  A callable's value must broadcast to the shape of t (so a
+    constant map works), else the sample raises InvalidParams.
     The frame table comes from the base field's table: N and N' by the
     rotation, the scalars by :func:`rotate`; on a grid that is the base's
     ``on_grid`` table, so fields rotated from one base share its sample.
@@ -196,17 +200,13 @@ class RotatedNormalField(NormalField):
     def __init__(self, base, theta, theta_prime=None):
         super().__init__(base.curve)
         self.base = base
-        if callable(theta):
-            probe = np.array([0.0, base.curve.length])
-            self.theta = theta = entrywise(theta, probe)
-            if theta_prime is None:
-                h = 1e-5 * max(base.curve.length, 1.0)
-                theta_prime = lambda t: central_difference(theta, t, 1, h)
-            self.theta_prime = entrywise(theta_prime, probe)
-        else:
+        if not callable(theta):
             q = float(theta)
-            self.theta = lambda t: q
-            self.theta_prime = lambda t: 0.0
+            theta, theta_prime = (lambda t: q), (lambda t: 0.0)
+        elif theta_prime is None:
+            h = 1e-5 * max(base.curve.length, 1.0)
+            theta_prime = lambda t: central_difference(theta, t, 1, h)
+        self.theta, self.theta_prime = theta, theta_prime
 
     def sample(self, ts):
         return self._rotated(self.base.sample(ts), ts)
@@ -215,13 +215,23 @@ class RotatedNormalField(NormalField):
         return _checked(self._rotated(self.base.on_grid(len(ts)), ts), ts)
 
     def _rotated(self, b, ts):
-        th, dth = self.theta(ts), np.asarray(self.theta_prime(ts), dtype=float)
+        th, dth = _angles(self.theta, ts), _angles(self.theta_prime, ts)
         c, s = np.cos(th)[..., None], np.sin(th)[..., None]
         H = c * b.H + s * b.N  # = N x T for the rotated N below
         N = -s * b.H + c * b.N
         Np = -dth[..., None] * H - s * (np.cross(b.Np, b.T) + np.cross(b.N, b.Tp)) + c * b.Np
         sc = rotate(b, th, dth)
-        return FrameSample(b.T, H, N, b.Tp, Np, sc.kappa_g, sc.kappa_n, sc.tau_g)
+        return FrameSample(b.T, H, N, b.Tp, Np, sc.kappa_g, sc.kappa_n, sc.tau_g, b.x)
+
+
+def _angles(fn, ts):
+    """fn(ts) as floats, checked to broadcast to the shape of ts (InvalidParams otherwise)."""
+    value = np.asarray(fn(ts), dtype=float)
+    try:
+        np.broadcast_to(value, np.shape(ts))
+    except ValueError:
+        raise InvalidParams(f"an angle map returned shape {value.shape} for t of shape {np.shape(ts)}") from None
+    return value
 
 
 def sample_frame(field, ts):
@@ -239,12 +249,6 @@ def _checked(frame, ts):
     if np.any(bad):
         raise NonOrthogonalNormal(f"<N, T> = {first_where(bad, off):.3e} at t={first_where(bad, ts):.6g}")
     return frame
-
-
-def darboux_scalars(curve, normal_field, t):
-    """The scalars (kappa_g, kappa_n, tau_g) of the Darboux frame at t (or a grid)."""
-    frame = sample_frame(normal_field, t)
-    return DarbouxScalars(frame.kappa_g, frame.kappa_n, frame.tau_g)
 
 
 def frame_derivative(frame, scalars):
@@ -306,6 +310,6 @@ def _scalars_evaluator(normal_field, ts):
 def isometric_partner_angle(scalars):
     """Constant rotation angle whose field preserves the geodesic curvature."""
     kappa = np.hypot(scalars.kappa_g, scalars.kappa_n)
-    if kappa <= KAPPA_MIN:
+    if np.any(kappa <= KAPPA_MIN):
         raise VanishingCurvature("kappa_g and kappa_n both vanish")
     return np.pi - 2.0 * np.arctan2(scalars.kappa_g, scalars.kappa_n)

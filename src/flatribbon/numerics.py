@@ -22,7 +22,7 @@ __all__ = [
     "rownorm",
     "first_where",
     "read_only",
-    "entrywise",
+    "stencil_difference",
 ]
 
 
@@ -54,45 +54,6 @@ def read_only(table):
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
     return table
-
-
-class entrywise:
-    """``fn`` on parameter arrays: ``fn`` itself if it maps a 1-D array entrywise, else ``fn`` per entry.
-
-    Maps written for one scalar thus work on grids; a scalar-valued map may
-    return a constant.  The form is settled on the first call.  A call on a
-    1-D array whose length is no value dimension settles it from its own
-    result, so a map that takes arrays costs no extra call; any other first
-    call settles it by calling ``fn`` on the 1-D parameter array ``probe``.
-    """
-
-    def __init__(self, fn, probe, value_shape=()):
-        self.fn, self._probe, self._value_shape = fn, probe, value_shape
-        self._settled = None  # fn or its per-entry form
-
-    def __call__(self, x):
-        if self._settled is None:
-            if np.ndim(x) == 1 and len(x) not in self._value_shape:
-                try:
-                    value = self.fn(x)
-                except (TypeError, ValueError, IndexError):
-                    value = None
-                if value is not None and np.shape(value) == np.shape(x) + self._value_shape:
-                    self._settled = self.fn
-                    return value
-            if self._maps_probe():
-                self._settled = self.fn
-            else:
-                signature = "()->(n)" if self._value_shape else None
-                self._settled = np.vectorize(self.fn, otypes=[float], signature=signature)
-        return self._settled(x)
-
-    def _maps_probe(self):
-        try:
-            shape = np.shape(self.fn(self._probe))
-        except (TypeError, ValueError, IndexError):
-            return False
-        return shape == self._probe.shape + self._value_shape or shape == self._value_shape == ()
 
 
 def simpson_uniform(values, h):
@@ -294,7 +255,7 @@ def _pchip_end(h0, h1, m0, m1):
     return d
 
 
-# 4th-order central stencils: {order: (offsets, coefficients, h exponent)}.
+# 4th-order central stencils: {order: (offsets, coefficients)}.
 _STENCILS = {
     1: (np.array([-2, -1, 1, 2]), np.array([1.0, -8.0, 8.0, -1.0]) / 12.0),
     2: (np.array([-2, -1, 0, 1, 2]), np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0),
@@ -315,3 +276,9 @@ def central_difference(f, x, order, h):
         term = c * np.asarray(f(x + k * h), dtype=float)
         acc = term if acc is None else acc + term
     return acc / h**order
+
+
+def stencil_difference(values, order, h):
+    """:func:`central_difference` from samples at x + k h, k = -3..3, along the last axis of ``values``."""
+    offsets, coeffs = _STENCILS[order]
+    return values[..., offsets + 3] @ coeffs / h**order

@@ -14,7 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateMetric, ExtensionOrderExceeded, SingularRuling, WidthTooLarge
-from .numerics import arccot, central_difference, read_only, rownorm, spline
+from .frames import sample_frame
+from .numerics import arccot, central_difference, read_only, rownorm, spline, stencil_difference
 
 WIDTH_SAFETY = 0.9
 LAMBDA_FLAT_TOL = 1e-8  # below this sup|lambda| the regular width is unbounded
@@ -60,42 +61,39 @@ class MuField:
         return self._spline(t, 1)
 
 
-def _extend_at_zero(curve, normal_field, t, kn_scale, tg_scale):
-    """Continuous extension of tau_g / kappa_n at an isolated zero of kappa_n.
+def _extend_at_zero(normal_field, ts, kn_scale, tg_scale):
+    """Continuous extension of -tau_g / kappa_n at isolated zeros of kappa_n, at every t of ``ts``.
 
-    L'Hopital with finite-difference derivatives up to order 3: the first
-    order l with kappa_n^(l) != 0 must have tau_g^(0..l-1) = 0 as well.
+    L'Hopital with finite-difference derivatives up to order 3, from one
+    sample of the stencil nodes of every t: the first order l with
+    kappa_n^(l) != 0 must have tau_g^(0..l-1) = 0 as well.  The first t that
+    admits no extension raises.
     """
-    h = 1e-3 * max(curve.length, 1.0)
+    h = 1e-3 * max(normal_field.curve.length, 1.0)
+    frame = sample_frame(normal_field, ts[:, None] + np.arange(-3, 4) * h)
 
-    def kn(z):
-        return normal_field.scalars(z).kappa_n
+    def scaled(v):  # row l: the l-th derivative times h^l, l = 0..3, at every t
+        return np.stack([v[:, 3]] + [stencil_difference(v, l, h) * h**l for l in (1, 2, 3)])
 
-    def tg(z):
-        return normal_field.scalars(z).tau_g
-
-    for order in (1, 2, 3):
-        kn_l = float(central_difference(kn, t, order, h))
-        scale_l = kn_scale / h**order
-        if abs(kn_l) > 1e-4 * scale_l:
-            tg_prev = abs(tg(t)) / max(tg_scale, kn_scale)
-            for j in range(1, order):
-                d = float(central_difference(tg, t, j, h))
-                tg_prev = max(tg_prev, abs(d) * h**j / max(tg_scale, kn_scale))
-            if tg_prev > 1e-4:
-                raise SingularRuling(
-                    f"kappa_n vanishes at t={t:.6g} while tau_g (or a lower-order "
-                    f"derivative) does not; no flat ribbon exists there"
-                )
-            tg_l = float(central_difference(tg, t, order, h))
-            return -tg_l / kn_l
-    if abs(tg(t)) > 1e-6 * max(tg_scale, kn_scale):
-        raise SingularRuling(
-            f"kappa_n vanishes to high order at t={t:.6g} while tau_g = {tg(t):.3e} does not"
-        )
-    raise ExtensionOrderExceeded(
-        f"ruling-slope extension at t={t:.6g} needs derivatives beyond order 3"
-    )
+    kn, tg = scaled(frame.kappa_n), scaled(frame.tau_g)
+    found = np.abs(kn[1:]) > 1e-4 * kn_scale
+    order = np.where(found.any(axis=0), np.argmax(found, axis=0) + 1, 0)  # 0: none up to order 3
+    scale = max(tg_scale, kn_scale)
+    lower = np.max(np.abs(tg[:3]) * (np.arange(3)[:, None] < order), axis=0) / scale
+    singular = (order > 0) & (lower > 1e-4)
+    if np.any(singular | (order == 0)):
+        i = int(np.argmax(singular | (order == 0)))
+        if singular[i]:
+            raise SingularRuling(
+                f"kappa_n vanishes at t={ts[i]:.6g} while tau_g (or a lower-order "
+                f"derivative) does not; no flat ribbon exists there"
+            )
+        if abs(tg[0, i]) > 1e-6 * scale:
+            raise SingularRuling(
+                f"kappa_n vanishes to high order at t={ts[i]:.6g} while tau_g = {tg[0, i]:.3e} does not"
+            )
+        raise ExtensionOrderExceeded(f"ruling-slope extension at t={ts[i]:.6g} needs derivatives beyond order 3")
+    return -np.take_along_axis(tg, order[None], axis=0)[0] / np.take_along_axis(kn, order[None], axis=0)[0]
 
 
 def mu_field(curve, normal_field, grid_size=2001):
@@ -135,8 +133,7 @@ def _mu_table(curve, normal_field, ts):
         if np.count_nonzero(good) >= max(4, len(ts) // 2):
             mu[~good] = spline(ts[good], mu[good])(ts[~good])
         else:
-            for i in np.flatnonzero(~good):
-                mu[i] = _extend_at_zero(curve, normal_field, ts[i], kn_scale, tg_scale)
+            mu[~good] = _extend_at_zero(normal_field, ts[~good], kn_scale, tg_scale)
         residual = np.abs(mu[~good] * kn[~good] + tg[~good])
         worst = float(np.max(residual))
         if worst > 1e-6 * max(kn_scale, tg_scale):
@@ -218,7 +215,7 @@ def tessellate(ribbon, n_t, n_u):
     ts = np.linspace(0.0, ribbon.curve.length, n_t)
     us = np.linspace(-ribbon.w, ribbon.w, n_u)
     frame = ribbon.normal.sample(ts)
-    base = ribbon.curve.point(ts)[:, None, :]
+    base = ribbon.curve.spec.point(frame.x)[:, None, :]  # the points of the frame's one inversion
     vertices = base + us[None, :, None] * ribbon.ruling(ts, frame)[:, None, :]
     return RibbonMesh(vertices, frame.N, ts, us)
 

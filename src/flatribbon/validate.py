@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import angleivp, energy, ribbon as ribbon_mod
-from .curves import HelixParams, TorusKnotParams, frenet_data, make_helix, make_torus_knot
+from .curves import HelixParams, TorusKnotParams, make_helix, make_torus_knot
 from .frames import (
     DarbouxScalars,
     PrincipalNormalField,
@@ -20,6 +20,7 @@ from .frames import (
     TorusNormalField,
     isometric_partner_angle,
     rotate,
+    sample_frame,
     sampled_scalars,
 )
 from .numerics import rownorm
@@ -61,33 +62,24 @@ def run_checks(fault="none"):
     defect = max(float(np.max(np.abs(gram - np.eye(3)))), float(np.max(np.abs(handedness - 1.0))))
     checks.append(Check("frame_orthonormality", defect, 1e-10))
 
+    ts = helix.grid(41)
+    kappa = rownorm(helix.derivative(ts, 2))
     worst = 0.0
-    for t in helix.grid(41):
-        kappa = float(np.linalg.norm(helix.derivative(t, 2)))
-        for q in rng.uniform(0.0, 2.0 * np.pi, 5):
-            sc = RotatedNormalField(pn, float(q)).scalars(t)
-            worst = max(worst, abs(sc.kappa_g**2 + sc.kappa_n**2 - kappa**2))
+    for q in rng.uniform(0.0, 2.0 * np.pi, 5):
+        fr = sample_frame(RotatedNormalField(pn, float(q)), ts)
+        worst = max(worst, float(np.max(np.abs(fr.kappa_g**2 + fr.kappa_n**2 - kappa**2))))
     checks.append(Check("pythagoras", worst, 1e-8))
 
-    worst = 0.0
-    for _ in range(100):
-        s = DarbouxScalars(*rng.normal(size=3))
-        t1, t2, d1, d2 = rng.normal(size=4)
-        composed = rotate(rotate(s, t1, d1), t2, d2)
-        direct = rotate(s, t1 + t2, d1 + d2)
-        worst = max(
-            worst,
-            abs(composed.kappa_g - direct.kappa_g),
-            abs(composed.kappa_n - direct.kappa_n),
-            abs(composed.tau_g - direct.tau_g),
-        )
-    checks.append(Check("rotation_group_action", worst, 1e-12))
+    s = DarbouxScalars(*rng.normal(size=(3, 100)))
+    t1, t2, d1, d2 = rng.normal(size=(4, 100))
+    composed = rotate(rotate(s, t1, d1), t2, d2)
+    direct = rotate(s, t1 + t2, d1 + d2)
+    gaps = [getattr(composed, k) - getattr(direct, k) for k in ("kappa_g", "kappa_n", "tau_g")]
+    checks.append(Check("rotation_group_action", float(np.max(np.abs(gaps))), 1e-12))
 
-    worst = 0.0
-    for _ in range(100):
-        s = DarbouxScalars(*rng.normal(size=3))
-        r = rotate(s, rng.uniform(0, 2 * np.pi))
-        worst = max(worst, abs(r.kappa_g**2 + r.kappa_n**2 - (s.kappa_g**2 + s.kappa_n**2)))
+    s = DarbouxScalars(*rng.normal(size=(3, 100)))
+    r = rotate(s, rng.uniform(0, 2 * np.pi, 100))
+    worst = float(np.max(np.abs(r.kappa_g**2 + r.kappa_n**2 - (s.kappa_g**2 + s.kappa_n**2))))
     checks.append(Check("rotate_norm_invariance", worst, 1e-12))
 
     scalars_fn = sampled_scalars(pn, 2001)
@@ -113,7 +105,7 @@ def run_checks(fault="none"):
     sol1 = angleivp.solve_theta(rhs_p, helix.length, angleivp.InitialCondition(0.0, 0.3), 2000)
     sol2 = angleivp.solve_theta(rhs_p, helix.length, angleivp.InitialCondition(0.0, 0.3 + eps), 2000)
     grid = helix.grid(101)
-    c = angleivp.lipschitz_bound([scalars_fn(t) for t in grid], [phi(t) for t in grid])
+    c = angleivp.lipschitz_bound(scalars_fn(grid), phi(grid))
     gap = float(np.max(np.abs(sol1.values - sol2.values)))
     checks.append(Check("gronwall_continuity", gap, eps * np.exp(c * helix.length) * 1.000001))
 
@@ -157,13 +149,10 @@ def run_checks(fault="none"):
     eq = energy.bending_energy_quadrature(knot_ribbon, n_t=801, n_u=21)
     checks.append(Check("energy_oracle_equivalence", abs(ec.value - eq.value) / ec.value, 1e-6))
 
-    worst = 0.0
-    for _ in range(100):
-        s = DarbouxScalars(rng.normal(), rng.normal(), rng.normal())
-        if np.hypot(s.kappa_g, s.kappa_n) < 1e-6:
-            continue
-        partner = rotate(s, isometric_partner_angle(s))
-        worst = max(worst, abs(partner.kappa_g - s.kappa_g))
-    checks.append(Check("isometric_partner", worst, 1e-12))
+    kg, kn, tg = rng.normal(size=(3, 100))
+    keep = np.hypot(kg, kn) >= 1e-6
+    s = DarbouxScalars(kg[keep], kn[keep], tg[keep])
+    partner = rotate(s, isometric_partner_angle(s))
+    checks.append(Check("isometric_partner", float(np.max(np.abs(partner.kappa_g - s.kappa_g))), 1e-12))
 
     return checks

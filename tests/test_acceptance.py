@@ -239,8 +239,8 @@ def test_criterion_09_energy_bounds(helix11, pn11):
         theta = closed_form_case_b(q, psi)
         field = RotatedNormalField(
             pn11,
-            lambda t, th=theta: float(th(t)),
-            lambda t, th=theta: 0.5 * (np.cos(float(th(t))) - 1.0),
+            theta,
+            lambda t, th=theta: 0.5 * (np.cos(th(t)) - 1.0),
         )
         rep = energy_bound(helix11, pn11, field, w, n_t=501)
         all_ok &= rep.satisfied

@@ -20,9 +20,14 @@ from flatribbon.errors import InvalidParams, NonRegularCurve, ToleranceNotMet
 def _raw_helix_spec(a, b, turns=1.0):
     # non-unit-speed parametrization by the major angle
     def pos(x):
-        return np.array([a * np.cos(x), a * np.sin(x), b * x])
+        return np.stack([a * np.cos(x), a * np.sin(x), b * x], axis=-1)
 
     return CurveSpec(pos, (0.0, 2.0 * np.pi * turns))
+
+
+def _on_x_axis(x):
+    """Points (x, 0, 0) for a scalar or an array x."""
+    return np.stack(np.broadcast_arrays(x, 0.0, 0.0), axis=-1)
 
 
 # ---------------------------------------------------------------- arc length
@@ -71,7 +76,7 @@ def test_arc_length_roundtrip_inverse():
 def test_arc_length_inversion_checks_its_residual():
     # the table claims speed 1 + 2x while the curve moves at speed 10, so
     # three Newton steps from the interpolated guess cannot reproduce t
-    line = CurveSpec(lambda x: np.array([10.0 * x, 0.0, 0.0]), (0.0, 1.0))
+    line = CurveSpec(lambda x: _on_x_axis(10.0 * x), (0.0, 1.0))
     nodes = np.linspace(0.0, 1.0, 11)
     curve = ArcLengthCurve(line, 2.0, raw_nodes=nodes, s_table=nodes + nodes**2)
     with pytest.raises(ToleranceNotMet):
@@ -81,7 +86,7 @@ def test_arc_length_inversion_checks_its_residual():
 
 
 def test_nonregular_curve_rejected():
-    cusp = CurveSpec(lambda x: np.array([x**3, 0.0, 0.0]), (-1.0, 1.0))
+    cusp = CurveSpec(lambda x: _on_x_axis(x**3), (-1.0, 1.0))
     with pytest.raises(NonRegularCurve):
         arc_length_reparametrize(cusp, grid_size=1001)
 
@@ -89,7 +94,7 @@ def test_nonregular_curve_rejected():
 def test_tolerance_not_met_on_coarse_grid():
     # a wiggly curve on a very coarse grid cannot hit 1e-12
     def pos(x):
-        return np.array([np.cos(20 * x), np.sin(20 * x), x])
+        return np.stack([np.cos(20 * x), np.sin(20 * x), x], axis=-1)
 
     with pytest.raises(ToleranceNotMet):
         arc_length_reparametrize(CurveSpec(pos, (0.0, 2 * np.pi)), grid_size=21, tol=1e-12)
@@ -132,18 +137,9 @@ def test_frenet_binormal_consistency(knot):
 
 
 def test_straight_segment_reports_absent_frenet_fields():
-    line = CurveSpec(
-        lambda x: np.array([x, 0.0, 0.0]),
-        (0.0, 1.0),
-        derivatives=(
-            lambda x: np.array([1.0, 0.0, 0.0]),
-            lambda x: np.zeros(3),
-            lambda x: np.zeros(3),
-        ),
-    )
-    from flatribbon.curves import ArcLengthCurve
+    from test_grid_cache import straight_line
 
-    fd = frenet_data(ArcLengthCurve.from_unit_speed(line), 0.5)
+    fd = frenet_data(straight_line(), 0.5)
     assert fd.kappa <= 1e-9
     assert fd.tau is None and fd.principal_normal is None and fd.binormal is None
 
@@ -264,11 +260,24 @@ def test_fd_derivative_fallback_matches_analytic():
     a = b = 1.0
 
     def d1(x):
-        return np.array([-a * np.sin(x), a * np.cos(x), b])
+        return np.stack(np.broadcast_arrays(-a * np.sin(x), a * np.cos(x), b), axis=-1)
 
     spec_an = CurveSpec(spec_fd.position, spec_fd.domain, derivatives=(d1,))
     for x in (0.1, 2.0, 5.5):
         assert np.max(np.abs(spec_fd.derivative(x, 1) - spec_an.derivative(x, 1))) < 1e-9
+
+
+def test_curve_map_of_the_wrong_shape_is_rejected_on_the_call():
+    # components first: a map written for one scalar at a time gives (3, n) on an array
+    spec = CurveSpec(lambda x: np.array([np.cos(x), np.sin(x), x]), (0.0, 1.0))
+    assert spec.point(0.5).shape == (3,)  # one point is the zero-dimensional case
+    with pytest.raises(InvalidParams):
+        spec.point(np.linspace(0.0, 1.0, 5))
+    with pytest.raises(InvalidParams):
+        arc_length_reparametrize(spec)
+    line = CurveSpec(lambda x: np.zeros(np.shape(x) + (3,)), (0.0, 1.0), derivatives=(lambda x: np.ones(3),))
+    with pytest.raises(InvalidParams):
+        line.derivative(np.linspace(0.0, 1.0, 5), 1)
 
 
 def test_grid_is_odd_and_spans_domain(helix11):

@@ -1,3 +1,5 @@
+from decimal import Decimal, getcontext
+
 import numpy as np
 import pytest
 
@@ -163,13 +165,26 @@ def test_closed_energy_rejects_width_beyond_log_domain(knot, torus_field):
 
 
 def test_inner_integral_branch_continuity():
-    small, all_small = _inner_integral(0.1, np.array([0.0, 1e-9]))
-    assert all_small
+    # the one form 2 artanh(w lambda)/lambda runs continuously into its limit 2w at lambda = 0
+    small = _inner_integral(0.1, np.array([0.0, 1e-9]))
+    assert small[0] == 0.2
     assert abs(small[1] - small[0]) <= 1e-10 * small[0]
-    # direct log branch agrees with the series at the threshold scale
-    near, _ = _inner_integral(0.1, np.array([2e-5]))
-    exact = np.log((1 + 0.1 * 2e-5) / (1 - 0.1 * 2e-5)) / 2e-5
-    assert near[0] == pytest.approx(exact, rel=1e-12)
+    # the log quotient loses ~1e-11 to cancellation at w lambda = 2e-6, so the reference is its series
+    near = _inner_integral(0.1, np.array([2e-5]))
+    x = 0.1 * 2e-5
+    assert near[0] == pytest.approx(0.2 * (1.0 + x**2 / 3.0 + x**4 / 5.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-16, 1e-7, 1e-5, 0.5])
+def test_inner_integral_against_decimal_reference(x):
+    # log((1 + w lambda)/(1 - w lambda))/lambda to 50 digits, at the exact floats w and lambda
+    getcontext().prec = 50
+    w = 0.3
+    for lam in (x / w, -x / w):
+        d_w, d_lam = Decimal(w), Decimal(lam)
+        want = 2 * d_w if lam == 0.0 else ((1 + d_w * d_lam) / (1 - d_w * d_lam)).ln() / d_lam
+        got = _inner_integral(w, np.array([lam]))[0]
+        assert abs(Decimal(float(got)) - want) <= Decimal("1e-15") * abs(want)
 
 
 def test_limit_energy_rectifying_is_sadowsky(helix11, pn11):
@@ -314,20 +329,11 @@ def test_case_b_helix_half_turn_ratio():
 
 
 def test_case_b_rejects_vanishing_curvature():
-    from flatribbon.curves import ArcLengthCurve, CurveSpec
     from flatribbon.errors import VanishingCurvature
+    from test_grid_cache import straight_line
 
-    line = CurveSpec(
-        lambda x: np.array([x, 0.0, 0.0]),
-        (0.0, 1.0),
-        derivatives=(
-            lambda x: np.array([1.0, 0.0, 0.0]),
-            lambda x: np.zeros(3),
-            lambda x: np.zeros(3),
-        ),
-    )
     with pytest.raises(VanishingCurvature):
-        case_b_energy(ArcLengthCurve.from_unit_speed(line), 0.5, 0.1, n_t=101)
+        case_b_energy(straight_line(), 0.5, 0.1, n_t=101)
 
 
 # ---------------------------------------------------------------- helix ratios

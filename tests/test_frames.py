@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatribbon.curves import HelixParams, TorusKnotParams, frenet_data, make_helix, make_torus_knot
-from flatribbon.errors import NonOrthogonalNormal, VanishingCurvature
+from flatribbon.errors import InvalidParams, NonOrthogonalNormal, VanishingCurvature
 from flatribbon.frames import (
     DarbouxScalars,
     NormalField,
@@ -12,7 +12,6 @@ from flatribbon.frames import (
     RotatedNormalField,
     RotationMinimizingField,
     TorusNormalField,
-    darboux_scalars,
     frame_derivative,
     frenet_rotation_field,
     isometric_partner_angle,
@@ -65,7 +64,7 @@ def test_non_orthogonal_normal_rejected(helix11):
             return np.array([0.0, 1.0, 0.0]), np.zeros(3)  # not orthogonal to the helix tangent
 
     with pytest.raises(NonOrthogonalNormal):
-        darboux_scalars(helix11, Tilted(helix11), 0.0)
+        Tilted(helix11).scalars(0.0)
 
 
 # ---------------------------------------------------------------- frames
@@ -202,20 +201,21 @@ def test_principal_rotation_keeps_frenet_torsion(helix11, rng):
 
 def test_principal_rotation_needs_curvature(circle):
     # a straight line has kappa = 0; use a degenerate spec to trigger the guard
-    import flatribbon.curves as curves
+    from test_grid_cache import straight_line
 
-    line = curves.CurveSpec(
-        lambda x: np.array([x, 0.0, 0.0]),
-        (0.0, 1.0),
-        derivatives=(
-            lambda x: np.array([1.0, 0.0, 0.0]),
-            lambda x: np.zeros(3),
-            lambda x: np.zeros(3),
-        ),
-    )
-    straight = curves.ArcLengthCurve.from_unit_speed(line)
     with pytest.raises(VanishingCurvature):
-        frenet_rotation_field(straight, 0.3)
+        frenet_rotation_field(straight_line(), 0.3)
+
+
+def test_angle_maps_must_broadcast_to_t(pn11):
+    ts = np.linspace(0.0, 1.0, 5)
+    # a constant theta' map broadcasts; helix11 has tau = 1/2, so tau_g = 1/2 - 1/2
+    field = RotatedNormalField(pn11, lambda t: -0.5 * t, lambda t: -0.5)
+    np.testing.assert_allclose(field.sample(ts).tau_g, 0.0, atol=1e-12)
+    with pytest.raises(InvalidParams):
+        RotatedNormalField(pn11, lambda t: np.zeros(3)).sample(ts)
+    with pytest.raises(InvalidParams):
+        RotatedNormalField(pn11, lambda t: 0.1 * t, lambda t: np.zeros(3)).sample(ts)
 
 
 # ------------------------------------------------------------ reference field

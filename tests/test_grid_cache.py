@@ -29,7 +29,8 @@ from flatribbon.frames import (
 from flatribbon.ribbon import mu_field
 from test_sampled import sample_curve
 
-EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "examples", "torus_knot.cfg")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+EXAMPLE = os.path.join(ROOT, "examples", "torus_knot.cfg")
 
 
 @pytest.fixture
@@ -47,9 +48,25 @@ def jet_calls(monkeypatch):
 
 
 def test_energy_command_samples_each_grid_once(tmp_path, jet_calls):
-    # width bound on 1001 nodes; ribbon, closed form, quadrature and limit on 2001
+    # width bound, ribbon, closed form, quadrature and limit all on 2001 nodes
     assert cli.main(["energy", "--config", EXAMPLE, "--out", str(tmp_path)]) == 0
-    assert sorted(jet_calls) == [(1001,), (2001,)]
+    assert jet_calls == [(2001,)]
+
+
+@pytest.mark.parametrize("name", ["torus_knot.cfg", "samples_rmf.cfg"])
+def test_build_inverts_the_mesh_grid_once(name, tmp_path, monkeypatch):
+    # tessellate takes the base points from its frame sample's one arc-length inversion
+    calls = []
+    original = ArcLengthCurve.raw_parameter
+
+    def counted(self, t):
+        calls.append(np.shape(t))
+        return original(self, t)
+
+    monkeypatch.setattr(ArcLengthCurve, "raw_parameter", counted)
+    monkeypatch.chdir(ROOT)  # the samples config names its csv relative to the repo root
+    assert cli.main(["build", "--config", os.path.join("examples", name), "--out", str(tmp_path)]) == 0
+    assert calls.count((400,)) == 1  # the 400 x 9 mesh
 
 
 def test_case_a_energy_family_samples_once(helix11, jet_calls):
@@ -129,10 +146,15 @@ def test_explicit_grid_sample_stays_uncached(knot, jet_calls):
 
 
 def straight_line():
+    """The unit segment of the x axis, with its (vanishing) derivatives; the maps take arrays."""
     spec = CurveSpec(
-        lambda x: np.array([x, 0.0, 0.0]),
+        lambda x: np.stack(np.broadcast_arrays(x, 0.0, 0.0), axis=-1),
         (0.0, 1.0),
-        derivatives=(lambda x: np.array([1.0, 0.0, 0.0]), lambda x: np.zeros(3), lambda x: np.zeros(3)),
+        derivatives=(
+            lambda x: np.broadcast_to([1.0, 0.0, 0.0], np.shape(x) + (3,)),
+            lambda x: np.zeros(np.shape(x) + (3,)),
+            lambda x: np.zeros(np.shape(x) + (3,)),
+        ),
     )
     return ArcLengthCurve.from_unit_speed(spec)
 

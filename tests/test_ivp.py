@@ -240,7 +240,7 @@ def test_continuity_in_initial_condition(helix11, pn_scalars):
     a = solve_theta(rhs, helix11.length, InitialCondition(0.0, 0.3), grid_size=2000)
     b = solve_theta(rhs, helix11.length, InitialCondition(0.0, 0.3 + eps), grid_size=2000)
     grid = helix11.grid(101)
-    c = lipschitz_bound([pn_scalars(t) for t in grid], [phi(t) for t in grid])
+    c = lipschitz_bound(pn_scalars(grid), phi(grid))
     gap = float(np.max(np.abs(a.values - b.values)))
     assert gap <= eps * np.exp(c * helix11.length) * (1.0 + 1e-6)
 
@@ -250,16 +250,16 @@ def test_continuity_in_initial_condition(helix11, pn_scalars):
 
 def test_lipschitz_bound_values(pn_scalars, helix11):
     grid = helix11.grid(41)
-    scalars = [pn_scalars(t) for t in grid]
-    assert lipschitz_bound(scalars, [np.pi / 2] * len(grid)) == pytest.approx(0.0, abs=1e-12)
-    assert lipschitz_bound(scalars, [np.pi / 4] * len(grid)) == pytest.approx(0.5, abs=1e-9)
+    scalars = pn_scalars(grid)
+    assert lipschitz_bound(scalars, np.full(len(grid), np.pi / 2)) == pytest.approx(0.0, abs=1e-12)
+    assert lipschitz_bound(scalars, np.full(len(grid), np.pi / 4)) == pytest.approx(0.5, abs=1e-9)
 
 
 @given(finite, finite, st.floats(0.3, np.pi - 0.3), finite, finite)
 @settings(deadline=None, max_examples=100)
 def test_lipschitz_bound_controls_rhs_variation(kg, kn, phi, x, y):
     s = DarbouxScalars(kg, kn, 0.7)
-    c = lipschitz_bound([s], [phi])
+    c = lipschitz_bound(s, phi)
     fx = rhs_prescribed(0.0, x, s, phi)
     fy = rhs_prescribed(0.0, y, s, phi)
     assert abs(fx - fy) <= c * abs(x - y) + 1e-12

@@ -45,7 +45,7 @@ def reference_derivative(curve, t, order):
 
 def fd_curve():
     # no analytic derivatives: every order comes from central differences
-    spec = CurveSpec(lambda x: np.array([2.0 * np.cos(x), np.sin(x), 0.3 * x]), (0.0, 2.0 * np.pi))
+    spec = CurveSpec(lambda x: np.stack([2.0 * np.cos(x), np.sin(x), 0.3 * x], axis=-1), (0.0, 2.0 * np.pi))
     return arc_length_reparametrize(spec, grid_size=4001)
 
 

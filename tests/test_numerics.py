@@ -7,9 +7,9 @@ from flatribbon.numerics import (
     arccot,
     central_difference,
     cumulative_simpson_uniform,
-    entrywise,
     odd_node_count,
     simpson_uniform,
+    stencil_difference,
 )
 
 
@@ -101,41 +101,10 @@ def test_central_difference_rejects_bad_order():
         central_difference(np.sin, 0.0, 4, 0.1)
 
 
-class Counted:
-    """A map with a record of the parameter shapes it was called on."""
-
-    def __init__(self, fn):
-        self.fn, self.shapes = fn, []
-
-    def __call__(self, x):
-        self.shapes.append(np.shape(x))
-        return self.fn(x)
-
-
-def test_entrywise_settles_an_array_map_on_its_first_array_call():
-    fn = Counted(lambda x: np.stack([np.cos(x), np.sin(x), x], axis=-1))
-    wrapped = entrywise(fn, np.array([0.0, 1.0]), (3,))
-    x = np.linspace(0.0, 1.0, 5)
-    np.testing.assert_array_equal(wrapped(x), fn.fn(x))
-    np.testing.assert_array_equal(wrapped(0.5), fn.fn(0.5))
-    assert fn.shapes == [(5,), ()]  # no probe call
-
-
-@pytest.mark.parametrize(
-    "first", [0.5, np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 5)], ids=["scalar", "ambiguous", "array"]
-)
-def test_entrywise_calls_a_scalar_map_per_entry(first):
-    # components first: (3, n) for an array, which a length-3 first call cannot tell from (n, 3)
-    scalar_map = lambda x: np.array([np.cos(x), np.sin(x), x])
-    wrapped = entrywise(scalar_map, np.array([0.0, 1.0]), (3,))
-    for x in (first, np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4)):
-        want = np.array([scalar_map(t) for t in np.atleast_1d(x)]).reshape(np.shape(x) + (3,))
-        np.testing.assert_array_equal(wrapped(x), want)
-
-
-def test_entrywise_keeps_constant_and_branching_scalar_maps():
-    x = np.linspace(0.0, 2.0, 5)
-    constant = entrywise(lambda t: -0.5, np.array([0.0, 2.0]))
-    assert constant(x) == -0.5
-    branching = entrywise(lambda t: 1.0 if t < 1.0 else 2.0, np.array([0.0, 2.0]))
-    np.testing.assert_array_equal(branching(x), [1.0, 1.0, 2.0, 2.0, 2.0])
+def test_stencil_difference_matches_central_difference():
+    # one table of samples at x + k h, k = -3..3, gives every order of central_difference
+    x, h = np.array([0.3, 1.1]), 0.01
+    table = np.sin(x[:, None] + np.arange(-3, 4) * h)
+    for order in (1, 2, 3):
+        got, want = stencil_difference(table, order, h), central_difference(np.sin, x, order, h)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 / h**order)  # rounding of one sum

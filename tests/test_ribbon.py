@@ -9,6 +9,7 @@ from flatribbon.frames import PrincipalNormalField, RotatedNormalField, TorusNor
 from flatribbon.ribbon import (
     FlatRibbon,
     _angle_defect_gauss,
+    _extend_at_zero,
     construct_ribbon,
     flatness_residuals,
     max_regular_width,
@@ -58,6 +59,43 @@ def test_singular_ruling_detected(helix11):
     # kappa_n identically zero while tau_g = 1/2: no ruling exists
     with pytest.raises(SingularRuling):
         mu_field(helix11, frenet_rotation_field(helix11, np.pi / 2), grid_size=401)
+
+
+def bump_field(helix):
+    """Principal normal rotated by pi/2 + 0.5 exp(-((t - L/2)/0.3)^2), with the analytic theta'."""
+    c = helix.length / 2
+
+    def theta(t):
+        return np.pi / 2 + 0.5 * np.exp(-(((t - c) / 0.3) ** 2))
+
+    def theta_prime(t):
+        return -(t - c) / 0.09 * np.exp(-(((t - c) / 0.3) ** 2))
+
+    return RotatedNormalField(PrincipalNormalField(helix), theta, theta_prime)
+
+
+def test_lhopital_extension_rejects_a_nonvanishing_geodesic_torsion(helix11):
+    # kappa_n ~ 0 away from the bump, at most of the 401 nodes, while tau_g = 1/2 there:
+    # too few good nodes for the spline, so every small node goes through the L'Hopital extension
+    with pytest.raises(SingularRuling, match="high order at t=0 "):
+        mu_field(helix11, bump_field(helix11), grid_size=401)
+
+
+def test_lhopital_extension_recovers_the_slope_at_an_isolated_zero(pn11):
+    # theta = pi/2 - (t - c)/2 + a (t - c)^2: kappa_n = kappa sin((t - c)/2 - a (t - c)^2) and
+    # tau_g = 2 a (t - c) vanish together at c, where -tau_g'/kappa_n' = -2a / (kappa/2) = -8a
+    a, c = 0.1, 1.0
+    theta = lambda t: np.pi / 2 - 0.5 * (t - c) + a * (t - c) ** 2
+    field = RotatedNormalField(pn11, theta, lambda t: -0.5 + 2 * a * (t - c))
+    np.testing.assert_allclose(_extend_at_zero(field, np.array([c, c]), 0.5, 0.5), -8 * a, rtol=1e-9)
+
+
+def test_lhopital_extension_rejects_torsion_at_a_simple_zero(pn11):
+    # theta = pi/2 - 0.4 (t - c): kappa_n has a simple zero at c, where tau_g = 1/2 - 0.4 does not vanish
+    c = 1.0
+    field = RotatedNormalField(pn11, lambda t: np.pi / 2 - 0.4 * (t - c), lambda t: -0.4)
+    with pytest.raises(SingularRuling, match="lower-order"):
+        _extend_at_zero(field, np.array([c]), 0.5, 0.5)
 
 
 def test_identically_flat_field_gives_planar_strip(circle):
@@ -158,6 +196,12 @@ def test_tessellate_vertices_match_parametrization(knot_ribbon):
         for j, u in enumerate(mesh.us):
             want = knot_ribbon.point(t, u)
             assert np.max(np.abs(mesh.vertices[i, j] - want)) < 1e-12
+
+
+def test_tessellate_base_points_are_the_curve_points(knot_ribbon):
+    # u = 0 is an exact column of a 9-column grid, so its vertices are the curve points bit for bit
+    mesh = tessellate(knot_ribbon, 400, 9)
+    np.testing.assert_array_equal(mesh.vertices[:, 4], knot_ribbon.curve.point(mesh.ts))
 
 
 def test_tessellate_normals_constant_along_rulings(knot_ribbon):
