@@ -8,29 +8,38 @@ is used throughout: the right hand side is smooth, so adaptivity buys
 nothing and determinism keeps the tests simple.
 
 Both ODEs have the form theta' = a(t) sin theta + b(t) cos theta + c(t),
-so the solver tabulates a, b, c once at every stage node and steps on
-Python floats.
+so the solvers tabulate a, b, c once at every stage node.  ``solve_theta``
+steps one initial angle on Python floats.  ``solve_theta_family`` solves
+every initial angle at once through the linearization: with
+(p, r) = (sin theta/2, cos theta/2) up to a positive factor, the ODE is
+the traceless linear system (p, r)' = G(t) (p, r),
+G = 1/2 [[a, b + c], [b - c, -a]] (the Riccati linearization, W. T. Reid,
+*Riccati Differential Equations*, 1972), whose RK4 step matrices compose
+by a prefix product.
 """
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .curves import check_curvature, frenet_data
 from .errors import InvalidParams, NormalCurvatureZero, StepSizeUnderflow
-from .numerics import Cubic, arccot, cumulative_simpson_uniform, first_where, spline
+from .numerics import arccot, cumulative_simpson_uniform, first_where, prefix_products, spline
 
 __all__ = [
     "InitialCondition",
     "AngleRHS",
     "ThetaSolution",
+    "ThetaFamily",
     "rhs_prescribed",
     "rhs_same_angle",
     "prescribed_angle_rhs",
     "same_angle_rhs",
     "solve_theta",
+    "solve_theta_family",
     "lipschitz_bound",
     "closed_form_case_b",
     "closed_form_helix_pi2",
@@ -113,6 +122,8 @@ class ThetaSolution:
 
     Values are continuous real angles (never wrapped, so theta' stays
     meaningful); ``error_estimate`` comes from a half-step Richardson run.
+    The spline through the values is built on the first evaluation, so
+    readers of the tables alone never pay for it.
     """
 
     ts: np.ndarray
@@ -122,10 +133,10 @@ class ThetaSolution:
     step: float
     error_estimate: float
     rhs: AngleRHS = field(repr=False)
-    _spline: Cubic = field(repr=False, default=None)
 
-    def __post_init__(self):
-        self._spline = spline(self.ts, self.values)
+    @cached_property
+    def _spline(self):
+        return spline(self.ts, self.values)
 
     def __call__(self, t):
         return self._spline(t)
@@ -184,11 +195,10 @@ def solve_theta(rhs, length, ic=InitialCondition(), grid_size=2000):
     """
     n = max(int(grid_size), 2)
     length = float(length)
-    nodes = np.linspace(0.0, length, 4 * n + 1)
+    nodes, table = _coefficient_table(rhs, length, n)
     i0 = round(ic.t0 / length * n) if np.isfinite(ic.t0) else -1
     if not (0 <= i0 <= n and abs(ic.t0 - nodes[4 * i0]) <= 1e-9 * length):
         raise InvalidParams(f"t0 = {ic.t0:.6g} is not a node of the {n}-step grid on [0, {length:.6g}]")
-    table = [np.broadcast_to(np.asarray(x, dtype=float), nodes.shape) for x in rhs.coefficients(nodes)]
     lists = [x.tolist() for x in table]
     grid = nodes.tolist()
     theta = _rk4_sweep(grid, lists, 4, i0, ic.q)
@@ -199,6 +209,94 @@ def solve_theta(rhs, length, ic=InitialCondition(), grid_size=2000):
     ts = nodes[::4]  # = linspace(0, length, n + 1) entry for entry
     derivs = _combine([x[::4] for x in table], theta)
     return ThetaSolution(ts, theta, derivs, "rk4", ts[1] - ts[0], err, rhs=rhs)
+
+
+def _coefficient_table(rhs, length, n):
+    """The 4n+1 nodes linspace(0, length, 4n+1) and (a, b, c) at each: every stage of the n- and 2n-step runs."""
+    nodes = np.linspace(0.0, length, 4 * n + 1)
+    return nodes, [np.broadcast_to(np.asarray(x, dtype=float), nodes.shape) for x in rhs.coefficients(nodes)]
+
+
+def _matmul(x, y):
+    """Products of 2x2 matrices stacked along the trailing axes."""
+    return np.einsum("ij...,jk...->ik...", x, y)
+
+
+def _rk4_propagators(g0, gm, g1, h):
+    """RK4 step matrices of y' = G(t) y, y_{k+1} = M_k y_k, from G at each step's start, middle and end."""
+    k2 = gm + 0.5 * h * _matmul(gm, g0)
+    k3 = gm + 0.5 * h * _matmul(gm, k2)
+    k4 = g1 + h * _matmul(g1, k3)
+    return np.eye(2)[..., None] + h / 6.0 * (g0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@dataclass(eq=False)
+class ThetaFamily(Sequence):
+    """Solutions theta(t; q) of one IVP from theta(0) = q, for every q of ``qs``.
+
+    ``values`` and ``derivatives`` hold one row per q over ``ts``, and
+    ``error_estimates`` one Richardson estimate per q; item i is the
+    :class:`ThetaSolution` of ``qs[i]``.
+    """
+
+    qs: np.ndarray
+    ts: np.ndarray
+    values: np.ndarray
+    derivatives: np.ndarray
+    step: float
+    error_estimates: np.ndarray
+    rhs: AngleRHS = field(repr=False)
+
+    def __len__(self):
+        return len(self.qs)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]  # an int in range, else IndexError or TypeError
+        est = float(self.error_estimates[i])
+        return ThetaSolution(self.ts, self.values[i], self.derivatives[i], "rk4_flow", self.step, est, self.rhs)
+
+
+def solve_theta_family(rhs, length, qs, grid_size=2000):
+    """Integrate theta' = F(t, theta) over [0, length] from theta(0) = q, for every q of ``qs``.
+
+    ``rhs`` is an :class:`AngleRHS` and the coefficient table is the one of
+    :func:`solve_theta`.  RK4 runs on the linear system (p, r)' = G (p, r),
+    G = 1/2 [[a, b + c], [b - c, -a]], with n = grid_size steps and with 2n
+    half steps, each pair of half-step matrices composed into one; the
+    running products of both runs come from one :func:`prefix_products`.
+    From (p, r)(0) = (sin q/2, cos q/2), theta adds twice the angle turned by
+    (p, r) over each step.  Every q's error estimate is the maximum
+    deviation between its two runs.  NormalCurvatureZero comes from the
+    table, StepSizeUnderflow from a non-finite angle.
+    """
+    n = max(int(grid_size), 2)
+    length = float(length)
+    qs = np.atleast_1d(np.asarray(qs, dtype=float))
+    nodes, (a, b, c) = _coefficient_table(rhs, length, n)
+    h = length / n
+    with np.errstate(all="ignore"):  # a non-finite table ends in NaN angles, reported below
+        g = 0.5 * np.array([[a, b + c], [b - c, -a]])
+        full = _rk4_propagators(g[..., 0:-1:4], g[..., 2::4], g[..., 4::4], h)
+        half = _rk4_propagators(g[..., 0:-1:2], g[..., 1::2], g[..., 2::2], 0.5 * h)
+        paired = _matmul(half[..., 1::2], half[..., 0::2])
+        eye = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, 2, 1))
+        # m[:, :, run, k] maps (p, r)(0) to (p, r)(t_k), for the n-step run and the paired 2n-step run
+        m = prefix_products(np.concatenate([eye, np.stack([full, paired], axis=2)], axis=-1))
+        start = np.array([np.sin(0.5 * qs), np.cos(0.5 * qs)])  # (p, r)(0) of every q
+        z = start.T @ (m[1] + 1j * m[0]).transpose(1, 0, 2)  # r + i p, shape (run, q, n + 1)
+        # theta/2 = arg z, so theta turns by 2 arg(z_k conj(z_{k-1})) over step k
+        theta = np.empty(z.shape)
+        theta[..., 0] = 0.0
+        np.cumsum(np.angle(z[..., 1:] * z[..., :-1].conj()), axis=-1, out=theta[..., 1:])
+        theta *= 2.0
+        theta += qs[:, None]
+    if not np.all(np.isfinite(theta)):
+        raise StepSizeUnderflow("the RK4 flow produced non-finite values")
+    values = theta[0]
+    ts = nodes[::4]
+    derivs = _combine((a[::4], b[::4], c[::4]), values)
+    err = np.max(np.abs(values - theta[1]), axis=-1)
+    return ThetaFamily(qs, ts, values, derivs, ts[1] - ts[0], err, rhs=rhs)
 
 
 def lipschitz_bound(scalars, phi):
@@ -237,7 +335,9 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
     prescribed-angle ODE is integrated; otherwise the same-angle shortcut
     is used when kappa_n of the base field stays away from zero, falling
     back to the prescribed form with phi equal to the base ruling angle.
-    Returns (rotated_field, theta_solution).
+    The IVP is solved as the one-angle family of :func:`solve_theta_family`,
+    and kappa_n is read from the base field's grid table, the one the
+    scalars spline interpolates.  Returns (rotated_field, theta_solution).
     """
     from .frames import RotatedNormalField, sampled_scalars
     from .ribbon import mu_field
@@ -247,13 +347,13 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
     if phi is not None:
         rhs = prescribed_angle_rhs(scalars_fn, phi)
     else:
-        kn_min = float(np.min(np.abs(scalars_fn(curve.grid(scalars_grid)).kappa_n)))
+        kn_min = float(np.min(np.abs(base_field.on_grid(scalars_grid).kappa_n)))
         if kn_min > 1e-6:
             rhs = same_angle_rhs(scalars_fn)
         else:
             mu = mu_field(curve, base_field, grid_size=scalars_grid)
             rhs = prescribed_angle_rhs(scalars_fn, lambda t: arccot(mu(t)))
-    solution = solve_theta(rhs, curve.length, InitialCondition(0.0, float(q)), grid_size)
+    solution = solve_theta_family(rhs, curve.length, [float(q)], grid_size)[0]
     field = RotatedNormalField(base_field, solution, solution.derivative)
     return field, solution
 

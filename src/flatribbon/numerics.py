@@ -5,6 +5,8 @@ grids (odd node count), so every module sees the same O(h^4) accuracy.
 Every interpolant is one :class:`Cubic` table in Hermite form, with the
 slopes of the not-a-knot cubic spline (:func:`spline_slopes`, de Boor 1978)
 or the monotone Fritsch-Carlson slopes (:func:`pchip_slopes`, 1980).
+Running products of 2x2 matrices take a parallel prefix scan
+(:func:`prefix_products`; Hillis & Steele 1986, Blelloch 1990).
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ __all__ = [
     "first_where",
     "read_only",
     "stencil_difference",
+    "prefix_products",
 ]
 
 
@@ -282,3 +285,24 @@ def stencil_difference(values, order, h):
     """:func:`central_difference` from samples at x + k h, k = -3..3, along the last axis of ``values``."""
     offsets, coeffs = _STENCILS[order]
     return values[..., offsets + 3] @ coeffs / h**order
+
+
+def prefix_products(m):
+    """Running products m_k ... m_1 of 2x2 matrices, each up to a positive factor.
+
+    ``m`` has shape (2, 2, ..., n): matrix k is ``m[:, :, ..., k]`` and the
+    axes between are batch axes.  Inclusive Hillis-Steele scan: the pass of
+    offset d = 1, 2, 4, ... multiplies every product from entry d on by the
+    product d entries earlier, so log2 n einsum passes run over the
+    contiguous last axis.  Each
+    pass divides every product by its largest entry.  A positive factor keeps
+    the direction of every image vector, and the entries stay at most 2 in
+    size, so a hyperbolic flow cannot overflow.
+    """
+    p = np.array(m, dtype=float)
+    d = 1
+    while d < p.shape[-1]:
+        p[..., d:] = np.einsum("ij...,jk...->ik...", p[..., d:], p[..., :-d])
+        p /= np.max(np.abs(p), axis=(0, 1))
+        d *= 2
+    return p

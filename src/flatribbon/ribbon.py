@@ -224,17 +224,19 @@ def write_obj(mesh, path):
     """Write the mesh as ASCII Wavefront OBJ (triangles, 1-based indices).
 
     Each block is one %-format of a repeated line template; %.17g prints a
-    float exactly as f"{x:.17g}" does.
+    float exactly as f"{x:.17g}" does.  A corner's normal is the one of its
+    vertex's row, so each vertex has one "v//n" token for all its corners.
     """
     n_t, n_u, _ = mesh.vertices.shape
+    corner = np.array([f"{v + 1}//{v // n_u + 1}" for v in range(n_t * n_u)], dtype=object)
     i, j = np.mgrid[0 : n_t - 1, 0 : n_u - 1]
-    a, na = i * n_u + j + 1, i + 1  # vertex (i, j) and normal i, 1-based
-    b, nb = a + n_u, na + 1
-    faces = np.stack([a, na, b, nb, b + 1, nb, a, na, b + 1, nb, a + 1, na], axis=-1)
+    a = i * n_u + j  # vertex (i, j), 0-based
+    b = a + n_u
+    faces = corner[np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1)]
     with open(path, "w", newline="\n") as fh:
         fh.write("v %.17g %.17g %.17g\n" * (n_t * n_u) % tuple(mesh.vertices.ravel().tolist()))
         fh.write("vn %.17g %.17g %.17g\n" * n_t % tuple(mesh.normals.ravel().tolist()))
-        fh.write("f %d//%d %d//%d %d//%d\n" * (2 * a.size) % tuple(faces.ravel().tolist()))
+        fh.write("f %s %s %s\n" * (2 * a.size) % tuple(faces.ravel().tolist()))
 
 
 _RING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))

@@ -109,6 +109,16 @@ def run_checks(fault="none"):
     gap = float(np.max(np.abs(sol1.values - sol2.values)))
     checks.append(Check("gronwall_continuity", gap, eps * np.exp(c * helix.length) * 1.000001))
 
+    # the linear-flow family against the scalar solver, per q, relative to twice the larger Richardson estimate
+    qs = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    family = angleivp.solve_theta_family(rhs_p, helix.length, qs, 2000)
+    worst = 0.0
+    for q, flow in zip(qs, family):
+        rk4 = angleivp.solve_theta(rhs_p, helix.length, angleivp.InitialCondition(0.0, float(q)), 2000)
+        gap = float(np.max(np.abs(flow.values - rk4.values)))
+        worst = max(worst, gap / (2.0 * max(flow.error_estimate, rk4.error_estimate)))
+    checks.append(Check("theta_flow_vs_rk4", worst, 1.0))
+
     strip = ribbon_mod.construct_ribbon(helix, pn, 0.1, grid_size=801)
     if fault == "perturb_ruling":
         bad = lambda t: strip.ruling(t) + 0.01 * strip.normal.value(t)

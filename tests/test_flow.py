@@ -1,0 +1,213 @@
+"""The ruling-angle IVP as a linear SL(2) flow: ``solve_theta_family``.
+
+theta' = a sin theta + b cos theta + c is the projective image of
+(p, r)' = G (p, r), G = 1/2 [[a, b + c], [b - c, -a]]; the family solver
+takes the RK4 step matrices of that system through one prefix product and
+reads theta(t; q) off for every q.  ``solve_theta`` (RK4 on theta itself)
+is the reference: the two discretizations differ at the order of their
+Richardson estimates.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from flatribbon import angleivp, cli
+from flatribbon.angleivp import (
+    AngleRHS,
+    InitialCondition,
+    ThetaFamily,
+    ThetaSolution,
+    prescribed_angle_rhs,
+    same_angle_rhs,
+    solve_theta,
+    solve_theta_family,
+    solved_rotation_field,
+)
+from flatribbon.errors import StepSizeUnderflow
+from flatribbon.frames import PrincipalNormalField, sampled_scalars
+from flatribbon.numerics import Cubic, arccot, spline
+from flatribbon.ribbon import mu_field
+from test_grid_cache import EXAMPLE
+
+QS = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+
+# curve, phi: a constant, None for the same-angle form, "base" for the base ruling angle
+CASES = {
+    "helix_pi2": ("helix", np.pi / 2),
+    "helix_same_angle": ("helix", None),
+    "helix_phi_1.2": ("helix", 1.2),
+    "knot_same_angle": ("knot", None),
+    "knot_phi_1.0": ("knot", 1.0),
+    "knot_phi_1.2": ("knot", 1.2),
+    "knot_base_angle": ("knot", "base"),
+}
+
+
+@pytest.fixture(scope="module")
+def problems(helix11, pn11, knot, torus_field):
+    """case name -> (length, rhs), on the 2001-node scalars spline that solved_rotation_field uses."""
+    out = {}
+    for name, (curve_name, phi) in CASES.items():
+        curve, base = (helix11, pn11) if curve_name == "helix" else (knot, torus_field)
+        scalars_fn = sampled_scalars(base, 2001)
+        if phi is None:
+            rhs = same_angle_rhs(scalars_fn)
+        elif phi == "base":
+            mu = mu_field(curve, base, grid_size=2001)
+            rhs = prescribed_angle_rhs(scalars_fn, lambda t, mu=mu: arccot(mu(t)))
+        else:
+            rhs = prescribed_angle_rhs(scalars_fn, lambda t, phi=phi: phi)
+        out[name] = (curve.length, rhs)
+    return out
+
+
+def within_twice_richardson(family, rhs, length, grid):
+    """Whether every q has |theta_flow - theta_rk4| <= 2 x the larger Richardson estimate plus a rounding floor.
+
+    The floor grid * eps * max|theta| covers the rounding that either solver
+    adds over its grid steps; the Richardson estimates cannot see it, and
+    they fall below 1e-16 where theta barely moves.
+    """
+    for q, flow in zip(family.qs, family):
+        rk4 = solve_theta(rhs, length, InitialCondition(0.0, float(q)), grid)
+        gap = np.max(np.abs(flow.values - rk4.values))
+        floor = grid * np.finfo(float).eps * np.max(np.abs(rk4.values))
+        if not gap <= 2.0 * max(flow.error_estimate, rk4.error_estimate) + floor:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("grid", [400, 2000])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_family_matches_rk4_within_twice_richardson(case, grid, problems):
+    length, rhs = problems[case]
+    family = solve_theta_family(rhs, length, QS, grid)
+    assert family.values.shape == (len(QS), grid + 1)
+    assert within_twice_richardson(family, rhs, length, grid)
+
+
+@pytest.mark.parametrize("case", sorted(set(CASES) - {"helix_same_angle"}))
+def test_richardson_estimate_is_fifteen_sixteenths_of_the_error(case, problems):
+    # a 4th-order error e_n has e_n - e_2n = (15/16) e_n; the same-angle helix flow is exact
+    length, rhs = problems[case]
+    family = solve_theta_family(rhs, length, QS, 400)
+    fine = solve_theta_family(rhs, length, QS, 3200)
+    error = np.max(np.abs(family.values - fine.values[:, ::8]), axis=1)
+    resolved = error > 1e-12  # theta = 0 solves the same-angle IVP from q = 0
+    assert np.count_nonzero(resolved) >= len(QS) - 1
+    ratio = family.error_estimates[resolved] / error[resolved]
+    assert np.all((0.9 <= ratio) & (ratio <= 0.97))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_family_starts_at_q_and_keeps_the_order_of_q(case, problems):
+    length, rhs = problems[case]
+    family = solve_theta_family(rhs, length, QS, 400)
+    assert np.array_equal(family.values[:, 0], QS)
+    assert np.all(np.diff(family.values, axis=0) > 0.0)
+
+
+def test_shift_by_two_pi_shifts_theta(problems):
+    length, rhs = problems["knot_same_angle"]
+    family = solve_theta_family(rhs, length, QS, 400)
+    shifted = solve_theta_family(rhs, length, QS + 2.0 * np.pi, 400)
+    assert np.max(np.abs(shifted.values - family.values - 2.0 * np.pi)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [0, 1, 2])
+def test_nonfinite_coefficients_raise_without_warnings(entry, bad):
+    coefficients = [0.3, -0.2, 0.5]
+    coefficients[entry] = bad
+    rhs = AngleRHS(lambda ts: tuple(coefficients))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepSizeUnderflow):
+            solve_theta_family(rhs, 1.0, [0.0, 1.0], 50)
+
+
+STIFF = AngleRHS(lambda ts: (40.0, 0.3, 0.1))  # (p, r) grows like exp(20 t): exp(800) over [0, 40]
+
+
+def unscaled_prefix_products(m):
+    p = np.array(m, dtype=float)
+    d = 1
+    while d < p.shape[-1]:
+        p[..., d:] = np.einsum("ij...,jk...->ik...", p[..., d:], p[..., :-d])
+        d *= 2
+    return p
+
+
+def test_rescaled_products_keep_a_stiff_flow_finite(monkeypatch):
+    qs = QS[::4]
+    family = solve_theta_family(STIFF, 40.0, qs, 2000)
+    assert np.all(np.isfinite(family.values))
+    assert within_twice_richardson(family, STIFF, 40.0, 2000)
+    # without the rescale the products overflow and theta is NaN
+    monkeypatch.setattr(angleivp, "prefix_products", unscaled_prefix_products)
+    with pytest.raises(StepSizeUnderflow):
+        solve_theta_family(STIFF, 40.0, qs, 2000)
+
+
+def test_items_are_theta_solutions(problems):
+    length, rhs = problems["helix_phi_1.2"]
+    family = solve_theta_family(rhs, length, [0.3, 2.0], 200)
+    assert isinstance(family, ThetaFamily) and len(family) == 2
+    items = list(family)
+    assert all(isinstance(item, ThetaSolution) for item in items)
+    assert np.array_equal(items[1].values, family.values[1])
+    assert items[1].error_estimate == family.error_estimates[1]
+    assert np.array_equal(items[1].derivatives, rhs(family.ts, family.values[1]))
+    assert family[-1].values[0] == 2.0
+    with pytest.raises(IndexError):
+        family[2]
+
+
+def test_solved_rotation_field_solves_through_the_flow(monkeypatch, pn11, torus_field):
+    def refuse(*args):
+        raise AssertionError("the scalar RK4 sweep ran")
+
+    monkeypatch.setattr(angleivp, "_rk4_sweep", refuse)
+    _, sol = solved_rotation_field(pn11, 0.7, grid_size=400, scalars_grid=401)
+    assert sol.method == "rk4_flow" and sol.values[0] == 0.7
+    solved_rotation_field(pn11, 0.7, grid_size=400, scalars_grid=401, phi=lambda t: 1.2)
+    solved_rotation_field(torus_field, 0.7, grid_size=400, scalars_grid=401)
+
+
+def test_same_angle_test_reads_the_grid_table(monkeypatch, helix11):
+    # min|kappa_n| comes from the frame table, so the scalars spline is evaluated only at the 4n+1 stage nodes
+    shapes = []
+    original = Cubic.__call__
+
+    def counted(self, t, nu=0):
+        shapes.append(np.shape(t))
+        return original(self, t, nu)
+
+    monkeypatch.setattr(Cubic, "__call__", counted)
+    solved_rotation_field(PrincipalNormalField(helix11), 0.7, grid_size=400, scalars_grid=401)
+    assert shapes == [(1601,)]
+
+
+# ---------------------------------------------------------------- lazy spline
+
+
+def test_solve_command_builds_no_theta_spline(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(angleivp, "spline", lambda *args: built.append(args))
+    assert cli.main(["solve", "--config", EXAMPLE, "--out", str(tmp_path), "--q", "0.7"]) == 0
+    assert built == []
+
+
+def test_lazy_spline_equals_the_eager_one_bit_for_bit(helix11, pn11):
+    rhs = prescribed_angle_rhs(sampled_scalars(pn11, 2001), lambda t: 1.2)
+    sol = solve_theta(rhs, helix11.length, InitialCondition(0.0, 0.7), 400)
+    assert "_spline" not in vars(sol)
+    mids = 0.5 * (sol.ts[:-1] + sol.ts[1:])
+    got = sol(mids)
+    assert "_spline" in vars(sol)  # built once, then kept
+    eager = spline(sol.ts, sol.values)
+    assert np.array_equal(sol._spline._table, eager._table)
+    assert np.array_equal(got, eager(mids))
+    assert np.array_equal(sol.derivative(mids), rhs(mids, eager(mids)))

@@ -8,6 +8,7 @@ from flatribbon.numerics import (
     central_difference,
     cumulative_simpson_uniform,
     odd_node_count,
+    prefix_products,
     simpson_uniform,
     stencil_difference,
 )
@@ -108,3 +109,23 @@ def test_stencil_difference_matches_central_difference():
     for order in (1, 2, 3):
         got, want = stencil_difference(table, order, h), central_difference(np.sin, x, order, h)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 / h**order)  # rounding of one sum
+
+
+def test_prefix_products_are_running_products_up_to_positive_factors(rng):
+    steps = np.eye(2)[..., None] + 0.3 * rng.normal(size=(2, 2, 37))
+    got = prefix_products(steps)
+    running = np.eye(2)
+    for k in range(steps.shape[-1]):
+        running = steps[..., k] @ running
+        ratio = got[..., k] / running
+        assert np.all(ratio > 0.0)
+        np.testing.assert_allclose(ratio, ratio[0, 0], rtol=1e-12)
+        assert np.max(np.abs(got[..., k])) == 1.0  # the last pass's rescale
+
+
+def test_prefix_products_take_batch_axes():
+    steps = np.stack([np.eye(2) * 2.0, [[0.0, -1.0], [1.0, 0.0]]], axis=-1)  # (2, 2, 2): two matrices
+    batch = np.stack([steps, steps[..., ::-1]], axis=2)  # (2, 2, 2 runs, 2 steps)
+    got = prefix_products(batch)
+    np.testing.assert_array_equal(got[:, :, 0, 1], [[0.0, -1.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(got[:, :, 1, 0], [[0.0, -1.0], [1.0, 0.0]])
