@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import angleivp, energy, validate
-from .config import RunConfig, build_base_field, build_curve, check_domains, parse_config, write_csv
+from .config import RunConfig, build_base_field, build_curve, check_domains, parse_config, set_value, write_csv
 from .errors import ConfigError, FlatRibbonError
 from .frames import RotatedNormalField
 from .ribbon import (
@@ -55,7 +55,7 @@ def _load_config(args):
     if args.q is not None:
         cfg.q = args.q
     if args.r is not None:
-        cfg.r = tuple(float(x) for x in args.r.split(","))
+        set_value(cfg, "r", args.r, "--r")
     check_domains(cfg)
     return cfg
 

@@ -73,21 +73,26 @@ def parse_config(path):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-        try:
-            if key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
-            elif key in _INT_KEYS:
-                setattr(cfg, key, int(value))
-            elif key == "r":
-                cfg.r = tuple(float(x) for x in value.split(","))
-            elif key == "phi":
-                cfg.phi = value if value == "base" else float(value)
-            else:
-                setattr(cfg, key, value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {value}") from exc
+        set_value(cfg, key, value, f"{path}:{lineno}")
     check_domains(cfg)
     return cfg
+
+
+def set_value(cfg, key, value, where):
+    """Set ``key`` of ``cfg`` from its text ``value``; a ConfigError that names ``where`` if it does not parse."""
+    try:
+        if key in _FLOAT_KEYS:
+            setattr(cfg, key, float(value))
+        elif key in _INT_KEYS:
+            setattr(cfg, key, int(value))
+        elif key == "r":
+            cfg.r = tuple(float(x) for x in value.split(","))
+        elif key == "phi":
+            cfg.phi = value if value == "base" else float(value)
+        else:
+            setattr(cfg, key, value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for '{key}': {value}") from exc
 
 
 def check_domains(cfg):

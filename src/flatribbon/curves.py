@@ -6,6 +6,10 @@ everywhere else as an :class:`ArcLengthCurve`, whose parameter is arc
 length on [0, L].  The reparametrized curve is unit-speed to machine
 precision by construction: derivatives with respect to arc length are
 obtained from the raw derivatives by the chain rule, with dx/ds = 1/|c'|.
+The map s(x) is one table: cumulative Simpson values at the raw nodes, in
+Hermite form on the node speeds |c'(x_i)| that the quadrature already
+evaluated.  Its inverse starts from the linear interpolant of that table
+and takes Newton steps on s(x).
 :meth:`ArcLengthCurve.jet` is the one evaluation point: a single arc-length
 inversion gives the raw parameter, the raw speed and the derivatives up to
 the order its caller reads; ``derivative`` is the last of them.
@@ -18,9 +22,10 @@ import numpy as np
 
 from .errors import InvalidParams, NonRegularCurve, ToleranceNotMet, VanishingCurvature
 from .numerics import Cubic, central_difference, cumulative_simpson_uniform, first_where
-from .numerics import odd_node_count, pchip_slopes, rownorm, simpson_uniform, spline
+from .numerics import odd_node_count, rownorm, simpson_uniform, spline
 
 KAPPA_MIN = 1e-9  # below this curvature the Frenet normal/torsion are reported absent
+NEWTON_STEPS = 3  # of the arc-length inversion; two already reach rounding on the test curves
 
 __all__ = [
     "CurveSpec",
@@ -111,21 +116,21 @@ class FrenetData:
 class ArcLengthCurve:
     """A curve parametrized by arc length on [0, L].
 
-    Wraps a :class:`CurveSpec` together with the monotone map between raw
-    parameter and arc length.  When the spec is already unit-speed the map
-    is the identity and evaluation is exact.
+    Wraps a :class:`CurveSpec` together with the map s(x) from raw
+    parameter to arc length: the values ``s_table`` and slopes ``speeds``
+    at ``raw_nodes``.  When the spec is already unit-speed the map is the
+    identity and evaluation is exact.
     """
 
-    def __init__(self, spec, length, raw_nodes=None, s_table=None):
+    def __init__(self, spec, length, raw_nodes=None, s_table=None, speeds=None):
         self.spec = spec
         self.length = float(length)
         self._identity = raw_nodes is None
         if not self._identity:
             self._raw_nodes = np.asarray(raw_nodes, dtype=float)
             self._s_table = np.asarray(s_table, dtype=float)
-            # monotone first guess for the inverse, Newton-refined on call
-            self._raw_of_s = Cubic(self._s_table, self._raw_nodes, pchip_slopes(self._s_table, self._raw_nodes))
-            self._s_of_raw = spline(self._raw_nodes, self._s_table)
+            # s(x) in Hermite form on the node speeds |c'(x_i)|, its exact slopes
+            self._s_of_raw = Cubic(self._raw_nodes, self._s_table, speeds)
         self.grid_size = 0 if self._identity else len(self._raw_nodes)
 
     @classmethod
@@ -135,14 +140,16 @@ class ArcLengthCurve:
     def raw_parameter(self, t):
         """Raw parameter x such that arc length from x0 to x equals t.
 
-        Three Newton steps from a monotone guess; ToleranceNotMet unless s(x) = clip(t, 0, L) to 1e-12 L.
+        s(x) is the Hermite table on the node speeds.  NEWTON_STEPS Newton
+        steps start from the linear interpolant of the same table;
+        ToleranceNotMet unless s(x) = clip(t, 0, L) to 1e-12 L.
         """
         if self._identity:
             return self.spec.domain[0] + np.asarray(t, dtype=float)
         target = np.clip(t, 0.0, self.length)
-        x = self._raw_of_s(target)
+        x = np.interp(target, self._s_table, self._raw_nodes)
         lo, hi = self.spec.domain
-        for _ in range(3):
+        for _ in range(NEWTON_STEPS):
             x = np.clip(x - (self._s_of_raw(x) - t) / self.spec.speed(x), lo, hi)
         miss = float(np.max(np.abs(self._s_of_raw(x) - target)))
         if miss > 1e-12 * self.length:
@@ -194,9 +201,9 @@ def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8, curve_class=ArcLen
     """Reparametrize a raw curve by arc length.
 
     The arc-length table is built with cumulative Simpson on ``grid_size``
-    nodes (rounded up to odd); the total-length error is estimated by
-    Richardson extrapolation against the half-resolution table and must
-    not exceed ``tol``.  The result is a ``curve_class`` (ArcLengthCurve or
+    nodes (rounded up to odd) and keeps the node speeds as its slopes; the
+    total-length error is estimated by Richardson extrapolation against the
+    half-resolution table and must not exceed ``tol``.  The result is a ``curve_class`` (ArcLengthCurve or
     a subclass) built with the keyword arguments ``extra``.
     """
     n = odd_node_count(grid_size)
@@ -214,7 +221,7 @@ def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8, curve_class=ArcLen
         raise ToleranceNotMet(
             f"arc-length error estimate {err:.3e} exceeds tol {tol:.3e}; increase grid_size"
         )
-    return curve_class(curve, length, raw_nodes=nodes, s_table=s_table, **extra)
+    return curve_class(curve, length, raw_nodes=nodes, s_table=s_table, speeds=speeds, **extra)
 
 
 def check_curvature(kappa, t):
@@ -295,8 +302,8 @@ class TorusKnotParams:
 class TorusKnotCurve(ArcLengthCurve):
     """Arc-length torus knot that also knows the outward torus normal."""
 
-    def __init__(self, spec, length, raw_nodes, s_table, params):
-        super().__init__(spec, length, raw_nodes=raw_nodes, s_table=s_table)
+    def __init__(self, spec, length, raw_nodes, s_table, speeds, params):
+        super().__init__(spec, length, raw_nodes=raw_nodes, s_table=s_table, speeds=speeds)
         self.params = params
 
     def surface_normal_raw(self, phi):

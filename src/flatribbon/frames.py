@@ -18,7 +18,7 @@ import numpy as np
 
 from .curves import KAPPA_MIN, check_curvature, frenet_data
 from .errors import InvalidParams, NonOrthogonalNormal, VanishingCurvature
-from .numerics import central_difference, first_where, odd_node_count, read_only, rownorm, spline
+from .numerics import central_difference, first_where, odd_node_count, prefix_products, read_only, rownorm, spline
 
 __all__ = [
     "DarbouxFrame",
@@ -144,24 +144,24 @@ class TorusNormalField(NormalField):
 class RotationMinimizingField(NormalField):
     """Parallel-transported (rotation-minimizing) reference field.
 
-    Discretized by the double-reflection method (Wang et al. 2008) on a dense
-    grid and interpolated componentwise; the derivative uses the defining
-    relation N' = -<T', N> T of a rotation-minimizing frame.  Both reflections
-    depend only on the curve, so they are tabulated as arrays from one jet of
-    the grid, and only n is carried through the steps, on Python floats.
+    Discretized by the double-reflection method (Wang et al. 2008) on a
+    2001-node grid and interpolated componentwise; the derivative uses the
+    defining relation N' = -<T', N> T of a rotation-minimizing frame.  Both
+    reflections depend only on the curve, so each step is one 3x3 matrix
+    built as an array from one jet of the grid; the running products of the
+    steps carry the normal at t = 0 (the principal normal where kappa > 0)
+    to every node.
     """
 
-    def __init__(self, curve, seed=None, grid_size=2001):
+    def __init__(self, curve):
         super().__init__(curve)
-        ts = np.linspace(0.0, curve.length, odd_node_count(grid_size))
+        ts = curve.grid(2001)
         x, _, tangents, g2 = curve.jet(ts, 2)
-        if seed is None:
-            kappa = rownorm(g2[0])
-            if kappa > KAPPA_MIN:
-                seed = g2[0] / kappa  # the principal normal at t = 0
-            else:
-                seed = [0.0, 1.0, 0.0] if abs(tangents[0, 2]) > 0.9 else [0.0, 0.0, 1.0]
-        n = np.asarray(seed, dtype=float)
+        kappa = rownorm(g2[0])
+        if kappa > KAPPA_MIN:
+            n = g2[0] / kappa  # the principal normal at t = 0
+        else:
+            n = np.array([0.0, 1.0, 0.0] if abs(tangents[0, 2]) > 0.9 else [0.0, 0.0, 1.0])
         n = n - np.dot(n, tangents[0]) * tangents[0]
         n /= np.linalg.norm(n)
         # reflect in the chord v1, then in v2 = T_{i+1} - (T_i reflected in v1)
@@ -169,15 +169,12 @@ class RotationMinimizingField(NormalField):
         r1 = 2.0 / np.vecdot(v1, v1)
         v2 = tangents[1:] - (tangents[:-1] - (r1 * np.vecdot(v1, tangents[:-1]))[:, None] * v1)
         r2 = 2.0 / np.vecdot(v2, v2)
-        nx, ny, nz = n.tolist()
-        normals = [(nx, ny, nz)]
-        for ax, ay, az, a, bx, by, bz, b in zip(*v1.T.tolist(), r1.tolist(), *v2.T.tolist(), r2.tolist()):
-            k = a * (ax * nx + ay * ny + az * nz)
-            nx, ny, nz = nx - k * ax, ny - k * ay, nz - k * az
-            k = b * (bx * nx + by * ny + bz * nz)
-            nx, ny, nz = nx - k * bx, ny - k * by, nz - k * bz
-            normals.append((nx, ny, nz))
-        self._spline = spline(ts, np.array(normals))
+        # step i: (I - r2 v2 v2^T)(I - r1 v1 v1^T) = I - r1 v1 v1^T - r2 v2 (v2 - r1 <v1, v2> v1)^T
+        a, b = v1.T, v2.T
+        c = b - r1 * np.vecdot(v1, v2) * a
+        steps = np.eye(3)[..., None] - r1 * a[:, None] * a[None] - r2 * b[:, None] * c[None]
+        normals = np.vstack([n, np.einsum("ijk,j->ki", prefix_products(steps), n)])
+        self._spline = spline(ts, normals / rownorm(normals)[:, None])
 
     def normal(self, t, jet):
         n = self._spline(t)

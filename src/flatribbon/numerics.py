@@ -2,10 +2,10 @@
 
 All t-integrals in the package run through composite Simpson on uniform
 grids (odd node count), so every module sees the same O(h^4) accuracy.
-Every interpolant is one :class:`Cubic` table in Hermite form, with the
-slopes of the not-a-knot cubic spline (:func:`spline_slopes`, de Boor 1978)
-or the monotone Fritsch-Carlson slopes (:func:`pchip_slopes`, 1980).
-Running products of 2x2 matrices take a parallel prefix scan
+Every interpolant is one :class:`Cubic` table in Hermite form: on slopes
+the caller knows (the arc-length table takes the curve speeds), or else on
+the slopes of the not-a-knot cubic spline (:func:`spline_slopes`, de Boor
+1978).  Running products of square matrices take a parallel prefix scan
 (:func:`prefix_products`; Hillis & Steele 1986, Blelloch 1990).
 """
 
@@ -18,7 +18,6 @@ __all__ = [
     "Cubic",
     "spline",
     "spline_slopes",
-    "pchip_slopes",
     "central_difference",
     "odd_node_count",
     "rownorm",
@@ -227,37 +226,6 @@ def _tridiagonal(a, b, c, d):
     return x[..., :m]
 
 
-def pchip_slopes(x, y):
-    """Monotone node slopes of 1-D data: the PCHIP rule of Fritsch & Carlson (1980).
-
-    Zero where the neighbouring secants differ in sign or one vanishes, else
-    their weighted harmonic mean; the ends take the one-sided three-point
-    estimate, limited so the end pieces keep the data's shape.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    h = np.diff(x)
-    m = np.diff(y) / h
-    if len(x) == 2:
-        return np.array([m[0], m[0]])
-    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    first, last = _pchip_end(h[0], h[1], m[0], m[1]), _pchip_end(h[-1], h[-2], m[-1], m[-2])
-    return np.concatenate([[first], inner, [last]])
-
-
-def _pchip_end(h0, h1, m0, m1):
-    """One-sided three-point end slope: zero against the end secant, at most 3 m0 where the secants turn."""
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
 # 4th-order central stencils: {order: (offsets, coefficients)}.
 _STENCILS = {
     1: (np.array([-2, -1, 1, 2]), np.array([1.0, -8.0, 8.0, -1.0]) / 12.0),
@@ -288,15 +256,15 @@ def stencil_difference(values, order, h):
 
 
 def prefix_products(m):
-    """Running products m_k ... m_1 of 2x2 matrices, each up to a positive factor.
+    """Running products m_k ... m_1 of square matrices, each up to a positive factor.
 
-    ``m`` has shape (2, 2, ..., n): matrix k is ``m[:, :, ..., k]`` and the
+    ``m`` has shape (r, r, ..., n): matrix k is ``m[:, :, ..., k]`` and the
     axes between are batch axes.  Inclusive Hillis-Steele scan: the pass of
     offset d = 1, 2, 4, ... multiplies every product from entry d on by the
     product d entries earlier, so log2 n einsum passes run over the
     contiguous last axis.  Each
     pass divides every product by its largest entry.  A positive factor keeps
-    the direction of every image vector, and the entries stay at most 2 in
+    the direction of every image vector, and the entries stay at most r in
     size, so a hyperbolic flow cannot overflow.
     """
     p = np.array(m, dtype=float)

@@ -273,12 +273,12 @@ class FlatnessReport:
     rows: tuple = ()  # (t, |<X, N>|, |<X x T, X'>|) on the residual grid
 
 
-def flatness_residuals(ribbon, grid_size=201, n_t=200, n_u=8, ruling=None, ruling_derivative=None, mesh=None):
+def flatness_residuals(ribbon, grid_size=201, ruling=None, ruling_derivative=None, mesh=None):
     """Developability residuals of a ribbon (or of an injected ruling field).
 
     ``ruling``/``ruling_derivative`` (maps of an array of t to vectors) override
     the ribbon's own ruling, so tests can check that a perturbed one is non-flat.
-    ``gauss_estimate`` is read off ``mesh``, by default an n_t x n_u tessellation.
+    ``gauss_estimate`` is read off ``mesh``, by default a 200 x 8 tessellation.
     """
     ts = ribbon.curve.grid(grid_size)
     frame = ribbon.normal.on_grid(grid_size)
@@ -292,7 +292,7 @@ def flatness_residuals(ribbon, grid_size=201, n_t=200, n_u=8, ruling=None, rulin
     in_plane = np.abs(np.vecdot(x, frame.N))
     tangent_plane = np.abs(np.vecdot(np.cross(x, frame.T), xp))
     res_f = float(np.max(np.abs(np.vecdot(xp, frame.N))))
-    gauss = _angle_defect_gauss(tessellate(ribbon, n_t, n_u) if mesh is None else mesh)
+    gauss = _angle_defect_gauss(tessellate(ribbon, 200, 8) if mesh is None else mesh)
     return FlatnessReport(
         float(np.max(in_plane)), float(np.max(tangent_plane)), gauss, res_f, rows=(ts, in_plane, tangent_plane)
     )

@@ -1,0 +1,93 @@
+"""The arc-length table: s(x) in Hermite form on the node speeds, inverted from a linear guess.
+
+``arc_length_reparametrize`` evaluates |c'| at every raw node for the
+cumulative Simpson table, so those speeds are the table's slopes and no
+spline is solved for it.  ``raw_parameter`` starts Newton from the linear
+interpolant of the same table.  The sample curves come from the benchmark's
+``perturbed_knot_samples`` generator; ``perfbench/workloads.py`` is loaded by
+path and only read.
+"""
+
+import importlib.util
+import os
+
+import numpy as np
+import pytest
+
+from flatribbon import curves, numerics
+from flatribbon.curves import TorusKnotParams, curve_from_samples, make_torus_knot
+from flatribbon.errors import ToleranceNotMet
+
+WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def perturbed_knot_curves(seeds):
+    """(rows, curve) of the sample curves of ``seeds`` whose arc-length table meets its tolerance."""
+    samples = load_workloads().perturbed_knot_samples
+    accepted = []
+    for seed in seeds:
+        rows = samples(np.random.default_rng(seed), 1.0)
+        try:
+            accepted.append((rows, curve_from_samples(rows[:, 0], rows[:, 1:])))
+        except ToleranceNotMet:
+            continue
+    return accepted
+
+
+@pytest.fixture(scope="module")
+def sample_curves():
+    return perturbed_knot_curves(range(200))
+
+
+def test_two_newton_steps_reach_the_residual_bound(sample_curves, monkeypatch):
+    assert len(sample_curves) >= 100
+    monkeypatch.setattr(curves, "NEWTON_STEPS", 2)
+    rng = np.random.default_rng(5)
+    for _, curve in sample_curves:
+        ts = np.concatenate([curve.grid(2001), rng.uniform(0.0, curve.length, 1000)])
+        x = curve.raw_parameter(ts)  # raises ToleranceNotMet above 1e-12 L
+        assert np.max(np.abs(curve._s_of_raw(x) - ts)) <= 1e-12 * curve.length
+
+
+def counted_spline_slopes(monkeypatch):
+    calls = []
+    original = numerics.spline_slopes
+
+    def counted(x, y):
+        calls.append(len(x))
+        return original(x, y)
+
+    monkeypatch.setattr(numerics, "spline_slopes", counted)
+    return calls
+
+
+def test_torus_knot_solves_no_spline(monkeypatch):
+    calls = counted_spline_slopes(monkeypatch)
+    make_torus_knot(TorusKnotParams(grid_size=401))
+    assert calls == []
+
+
+def test_sampled_curve_solves_one_spline(monkeypatch, sample_curves):
+    rows = sample_curves[0][0]
+    calls = counted_spline_slopes(monkeypatch)
+    curve_from_samples(rows[:, 0], rows[:, 1:])
+    assert calls == [len(rows)]  # the curve through the samples; the arc-length table takes none
+
+
+@pytest.mark.parametrize("name", ["knot", "samples"])
+def test_table_holds_the_node_values_and_speeds(name, sample_curves):
+    curve = make_torus_knot(TorusKnotParams(grid_size=401)) if name == "knot" else sample_curves[0][1]
+    nodes, table = curve._raw_nodes, curve._s_of_raw
+    # every node but the last starts a piece, whose value and slope are stored as given
+    assert np.array_equal(table(nodes[:-1]), curve._s_table[:-1])
+    assert np.array_equal(table(nodes[:-1], 1), curve.spec.speed(nodes)[:-1])
+    # the last node is the end of the last piece, reached to rounding
+    assert abs(table(nodes[-1]) - curve.length) <= 1e-14 * curve.length
+    assert abs(table(nodes[-1], 1) - curve.spec.speed(nodes[-1])) <= 1e-12 * curve.spec.speed(nodes[-1])

@@ -1,7 +1,7 @@
 """The `ribbon build` path against the per-element loops it replaced.
 
-The rotation-minimizing field tabulates both reflections of the
-double-reflection step and carries n on Python floats; `write_obj` formats
+The rotation-minimizing field builds each double-reflection step as one
+3x3 matrix and carries n by their running products; `write_obj` formats
 each block with one template.  The references below are the previous
 per-step ``np.dot`` recurrence and the per-line writer: the normals must
 agree to rounding, the OBJ bytes exactly.  The build itself must sample each

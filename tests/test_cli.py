@@ -158,6 +158,21 @@ def test_out_of_domain_config_exit_code(tmp_path, capsys, command, extra, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "1,,2"])
+def test_unparsable_r_flag_exit_code(tmp_path, capsys, value):
+    # the flag takes the config key's parser, so it fails as `r = <value>` in a file does
+    cfg = write_cfg(tmp_path, f"r = {value}\n")
+    assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    from_file = capsys.readouterr().err
+    assert run(["sweep", "--config", EXAMPLE, "--out", str(tmp_path / "o"), "--r", value]) == 2
+    err = capsys.readouterr().err
+    for message in (from_file, err):
+        assert message.startswith("config error:") and f"bad value for 'r': {value}" in message
+        assert len(message.splitlines()) == 1
+    assert err.startswith("config error: --r:")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["build", "solve", "energy"])
 def test_grid_below_minimum_exit_code(tmp_path, capsys, command):
     for grid in ("0", "-3", "2", str(GRID_MIN - 1)):

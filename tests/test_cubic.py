@@ -1,17 +1,16 @@
 """The numpy interpolants and cumulative Simpson against scipy as an oracle.
 
 ``Cubic`` with ``spline_slopes`` must be scipy's not-a-knot ``CubicSpline``
-and with ``pchip_slopes`` its ``PchipInterpolator``, up to rounding, and
-``cumulative_simpson_uniform`` scipy's ``cumulative_simpson`` on equal
-intervals.  scipy is imported here only; the package does not use it.
+up to rounding, and ``cumulative_simpson_uniform`` scipy's
+``cumulative_simpson`` on equal intervals.  scipy is imported here only; the package does not use it.
 """
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 
-from flatribbon.numerics import Cubic, cumulative_simpson_uniform, pchip_slopes, spline, spline_slopes
+from flatribbon.numerics import Cubic, cumulative_simpson_uniform, spline, spline_slopes
 
 # bounds on |Cubic - CubicSpline| relative to max(1, max |f^(nu)| at the nodes)
 BOUNDS = {0: 1e-12, 1: 1e-10, 2: 1e-8, 3: 1e-6}
@@ -63,37 +62,6 @@ def test_scalar_argument_keeps_the_value_shape(vector):
         assert np.array_equal(cubic(1.3, nu), cubic(np.array([1.3]), nu)[0])
     with pytest.raises(ValueError):
         cubic(1.3, 4)
-
-
-PCHIP_DATA = {
-    "increasing": np.array([0.0, 0.1, 0.5, 2.0, 2.1, 4.0, 9.0]),
-    "flat_runs": np.array([0.0, 1.0, 1.0, 2.0, 1.5, 1.5, 3.0]),
-    "flat_ends": np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 3.0]),
-    "sign_changes": np.array([1.0, -1.0, 2.0, -2.0, 3.0, 0.0, 0.1]),
-    "overshooting_end": np.array([0.0, 1.0, 0.9, 0.8, 0.7, 1.0, -3.0]),
-    "two_points": np.array([0.5, -1.5]),
-    "three_points": np.array([0.0, 2.0, 1.0]),
-}
-
-
-@pytest.mark.parametrize("name", sorted(PCHIP_DATA))
-def test_pchip_matches_pchip_interpolator(name):
-    y = PCHIP_DATA[name]
-    x = np.cumsum(np.random.default_rng(len(y)).uniform(0.5, 1.5, len(y)))
-    want, got = PchipInterpolator(x, y), Cubic(x, y, pchip_slopes(x, y))
-    t = probes(x)
-    for nu in range(4):
-        scale = max(1.0, float(np.max(np.abs(want(x, nu)))))
-        assert np.max(np.abs(got(t, nu) - want(t, nu))) <= 1e-13 * scale, nu
-
-
-def test_pchip_on_an_arc_length_table():
-    # the monotone first guess of the arc-length inversion: raw nodes over s
-    raw = np.linspace(0.0, 2.0 * np.pi, 4001)
-    s = np.cumsum(np.r_[0.0, 1.5 + np.sin(3.0 * raw[1:])]) * (raw[1] - raw[0])
-    want, got = PchipInterpolator(s, raw), Cubic(s, raw, pchip_slopes(s, raw))
-    t = probes(s)
-    assert np.max(np.abs(got(t) - want(t))) <= 1e-12 * raw[-1]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 4001])

@@ -78,7 +78,7 @@ def test_arc_length_inversion_checks_its_residual():
     # three Newton steps from the interpolated guess cannot reproduce t
     line = CurveSpec(lambda x: _on_x_axis(10.0 * x), (0.0, 1.0))
     nodes = np.linspace(0.0, 1.0, 11)
-    curve = ArcLengthCurve(line, 2.0, raw_nodes=nodes, s_table=nodes + nodes**2)
+    curve = ArcLengthCurve(line, 2.0, raw_nodes=nodes, s_table=nodes + nodes**2, speeds=1.0 + 2.0 * nodes)
     with pytest.raises(ToleranceNotMet):
         curve.raw_parameter(0.7)
     with pytest.raises(ToleranceNotMet):

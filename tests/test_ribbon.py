@@ -259,7 +259,7 @@ def test_obj_export_is_valid(tmp_path, knot_ribbon):
 
 
 def test_gauss_curvature_small_on_fine_mesh(knot_ribbon):
-    report = flatness_residuals(knot_ribbon, 101, n_t=800, n_u=20)
+    report = flatness_residuals(knot_ribbon, 101, mesh=tessellate(knot_ribbon, 800, 20))
     assert report.gauss_estimate <= 1e-4
 
 
