@@ -18,7 +18,6 @@ from .curves import (
     make_torus_knot,
 )
 from .frames import (
-    DarbouxFrame,
     DarbouxScalars,
     PrincipalNormalField,
     RotatedNormalField,

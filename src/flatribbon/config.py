@@ -108,6 +108,8 @@ def check_domains(cfg):
     for key in ("mesh_nt", "mesh_nu"):
         if getattr(cfg, key) < 2:
             raise ConfigError(f"{key} must be at least 2, got {getattr(cfg, key)}")
+    if not abs(cfg.q) <= 2.0 * np.pi:
+        raise ConfigError(f"q must be an angle in [-2 pi, 2 pi], got {cfg.q:g}")
     if cfg.phi != "base" and not 0.0 < cfg.phi < np.pi:
         raise ConfigError(f"phi must be 'base' or a ruling angle in (0, pi), got {cfg.phi:g}")
     for r in cfg.r:

@@ -102,15 +102,15 @@ class CurveSpec:
 class FrenetData:
     """Frenet data at an arc-length parameter or along a grid of them.
 
-    At a scalar parameter of (near-)vanishing curvature ``principal_normal``,
-    ``binormal`` and ``tau`` are None; along a grid they are NaN there.
+    Where the curvature (nearly) vanishes, ``principal_normal``, ``binormal``
+    and ``tau`` are NaN; a scalar parameter is the zero-dimensional grid.
     """
 
     tangent: np.ndarray
     kappa: float | np.ndarray
-    tau: float | np.ndarray | None
-    principal_normal: np.ndarray | None
-    binormal: np.ndarray | None
+    tau: float | np.ndarray
+    principal_normal: np.ndarray
+    binormal: np.ndarray
 
 
 class ArcLengthCurve:
@@ -193,7 +193,7 @@ class ArcLengthCurve:
         return self.jet(t, order)[-1]
 
     def grid(self, n):
-        """Uniform arc-length grid with an odd number of nodes >= n."""
+        """Uniform arc-length grid of ``odd_node_count(n)`` nodes: 4k+1 >= n."""
         return np.linspace(0.0, self.length, odd_node_count(n))
 
 
@@ -201,7 +201,7 @@ def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8, curve_class=ArcLen
     """Reparametrize a raw curve by arc length.
 
     The arc-length table is built with cumulative Simpson on ``grid_size``
-    nodes (rounded up to odd) and keeps the node speeds as its slopes; the
+    nodes (rounded up to 4k+1) and keeps the node speeds as its slopes; the
     total-length error is estimated by Richardson extrapolation against the
     half-resolution table and must not exceed ``tol``.  The result is a ``curve_class`` (ArcLengthCurve or
     a subclass) built with the keyword arguments ``extra``.
@@ -236,8 +236,6 @@ def frenet_data(curve, t):
     _, _, g1, g2, g3 = curve.jet(t)
     kappa = rownorm(g2)
     flat = kappa <= KAPPA_MIN
-    if np.ndim(t) == 0 and flat:
-        return FrenetData(g1, kappa, None, None, None)
     with np.errstate(divide="ignore", invalid="ignore"):
         pn = np.where(flat[..., None], np.nan, g2 / kappa[..., None])
         tau = np.where(flat, np.nan, np.vecdot(np.cross(g1, g2), g3) / np.float_power(kappa, 2))[()]

@@ -21,8 +21,7 @@ from .errors import (
     RulingAngleMismatch,
     WidthTooLarge,
 )
-from .frames import sample_frame
-from .numerics import arccot, cumulative_simpson_uniform, simpson_uniform
+from .numerics import arccot, cumulative_simpson_uniform, odd_node_count, simpson_uniform
 from .ribbon import LAMBDA_FLAT_TOL, mu_field
 
 __all__ = [
@@ -88,7 +87,7 @@ def _forms(mu, mup, kg, kn, u):
 
 def fundamental_forms(ribbon, t, u):
     """First and second fundamental forms of sigma at (t, u), scalars or arrays broadcast together."""
-    frame = sample_frame(ribbon.normal, t)
+    frame = ribbon.normal.sample(t)
     return _forms(ribbon.mu(t), ribbon.mu.derivative(t), frame.kappa_g, frame.kappa_n, u)
 
 
@@ -103,10 +102,7 @@ def bending_energy_quadrature(ribbon, n_t=2001, n_u=41):
     Independent oracle for :func:`bending_energy_closed`: it integrates
     H^2 times the area element of :func:`fundamental_forms` numerically in u.
     """
-    # both grids need node counts of the form 4k+1 so that the half-resolution
-    # subsample used for the error estimate is still a valid Simpson grid
-    n_t = max(5, n_t) + (-(max(5, n_t) - 1)) % 4
-    n_u = max(5, n_u) + (-(max(5, n_u) - 1)) % 4
+    n_t, n_u = odd_node_count(n_t), odd_node_count(n_u)
     ts = ribbon.curve.grid(n_t)
     frame = ribbon.normal.on_grid(n_t)
     us = np.linspace(-ribbon.w, ribbon.w, n_u)
@@ -296,8 +292,8 @@ def helix_ratio_b(q, r):
     to 1 (the rectifying developable itself).
     """
 
-    def antiderivative(d):
-        return -2.0 * np.arctan(d) + d * (3.0 + d**2) / (1.0 + d**2)
+    def antiderivative(d):  # -2 arctan d + d (3 + d^2) / (1 + d^2), with no d^2 to overflow
+        return -2.0 * np.arctan(d) + d + np.sin(2.0 * np.arctan(d))
 
     c = np.cos(q / 2.0) / np.sin(q / 2.0)
     return (antiderivative(c + r) - antiderivative(c)) / r

@@ -3,13 +3,14 @@
 The frame is (T, H, N) with H = N x T; its derivative is governed by the
 scalars (kappa_g, kappa_n, tau_g).  A normal field implements one hook,
 ``normal(t, jet) -> (N, N')``, fed by the curve's :meth:`ArcLengthCurve.jet`
-at t, so a frame sample makes one arc-length inversion; ``value``,
-``derivative`` and ``frame`` are views of that sample.  Rotating a field
-about the tangent by an angle function produces a new field whose scalars
-transform by :func:`rotate`.  :func:`sample_frame` tabulates all of this on
-a whole grid of t in one call; a scalar t is its zero-dimensional case.
-``NormalField.on_grid(n)`` is that table on the curve's n-node grid, sampled
-once per field and node count and kept read-only for the field's lifetime.
+at t, so a frame sample makes one arc-length inversion.
+:meth:`NormalField.sample` tabulates the frame, its derivative and the
+scalars on a whole grid of t in one call, a scalar t being its
+zero-dimensional case, and raises where the field leaves the normal plane.
+Rotating a field about the tangent by an angle function produces a new field
+whose scalars transform by :func:`rotate`.  ``NormalField.on_grid(n)`` is
+the sample on the curve's n-node grid, taken once per field and node count
+and kept read-only for the field's lifetime.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,6 @@ from .errors import InvalidParams, NonOrthogonalNormal, VanishingCurvature
 from .numerics import central_difference, first_where, odd_node_count, prefix_products, read_only, rownorm, spline
 
 __all__ = [
-    "DarbouxFrame",
     "DarbouxScalars",
     "FrameSample",
     "NormalField",
@@ -29,21 +29,12 @@ __all__ = [
     "TorusNormalField",
     "RotationMinimizingField",
     "RotatedNormalField",
-    "sample_frame",
     "frame_derivative",
     "rotate",
-    "rotate_field",
     "frenet_rotation_field",
     "sampled_scalars",
     "isometric_partner_angle",
 ]
-
-
-@dataclass(frozen=True)
-class DarbouxFrame:
-    T: np.ndarray
-    H: np.ndarray
-    N: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -54,9 +45,12 @@ class DarbouxScalars:
 
 
 @dataclass(frozen=True)
-class FrameSample(DarbouxFrame):
-    """The frame with T', N' and its scalars at each t of a grid; vectors end in an axis of 3."""
+class FrameSample:
+    """The frame (T, H, N), T', N' and its scalars at each t of a grid; vectors end in an axis of 3."""
 
+    T: np.ndarray
+    H: np.ndarray  # N x T
+    N: np.ndarray
     Tp: np.ndarray
     Np: np.ndarray
     kappa_g: np.ndarray
@@ -85,37 +79,36 @@ class NormalField:
         return table
 
     def on_grid(self, n):
-        """The checked frame table ``sample_frame(self, curve.grid(n))``, sampled once; arrays read-only."""
+        """``sample(curve.grid(n))``, sampled once; arrays read-only."""
         return self.grid_table("frame", n, lambda ts: read_only(self._grid_sample(ts)))
 
     def _grid_sample(self, ts):
-        return sample_frame(self, ts)
+        return self.sample(ts)
 
     def normal(self, t, jet):
         """(N, N') at t, given the curve's ``jet(t)``."""
         raise NotImplementedError
 
-    def value(self, t):
-        return self.sample(t).N
-
-    def derivative(self, t):
-        return self.sample(t).Np
-
-    def frame(self, t):
-        return self.sample(t)
-
     def sample(self, ts):
-        """Unchecked frame table (see :func:`sample_frame`); scalars from T' and H' = N' x T + N x T'."""
+        """Frame, frame derivative and scalars at every t of ``ts``; scalars from T' and H' = N' x T + N x T'.
+
+        Raises NonOrthogonalNormal where |<N, T>| > 1e-8, i.e. where the field leaves the normal plane.
+        """
+        ts = np.asarray(ts, dtype=float)
         jet = self.curve.jet(ts)
         T, Tp = jet[2], jet[3]
         N, Np = self.normal(ts, jet)
+        off = np.abs(np.vecdot(N, T))
+        bad = off > 1e-8
+        if np.any(bad):
+            raise NonOrthogonalNormal(f"<N, T> = {first_where(bad, off):.3e} at t={first_where(bad, ts):.6g}")
         H = np.cross(N, T)
         Hp = np.cross(Np, T) + np.cross(N, Tp)
         return FrameSample(T, H, N, Tp, Np, np.vecdot(Tp, H), np.vecdot(Tp, N), np.vecdot(Hp, N), jet[0])
 
     def scalars(self, t):
-        """(kappa_g, kappa_n, tau_g) at one t: the zero-dimensional :func:`sample_frame`."""
-        frame = sample_frame(self, float(t))
+        """(kappa_g, kappa_n, tau_g) at one t: the zero-dimensional :meth:`sample`."""
+        frame = self.sample(float(t))
         return DarbouxScalars(frame.kappa_g, frame.kappa_n, frame.tau_g)
 
 
@@ -145,7 +138,8 @@ class RotationMinimizingField(NormalField):
     """Parallel-transported (rotation-minimizing) reference field.
 
     Discretized by the double-reflection method (Wang et al. 2008) on a
-    2001-node grid and interpolated componentwise; the derivative uses the
+    2001-node grid, interpolated componentwise and projected back onto the
+    normal plane of T before normalizing; the derivative uses the
     defining relation N' = -<T', N> T of a rotation-minimizing frame.  Both
     reflections depend only on the curve, so each step is one 3x3 matrix
     built as an array from one jet of the grid; the running products of the
@@ -177,9 +171,11 @@ class RotationMinimizingField(NormalField):
         self._spline = spline(ts, normals / rownorm(normals)[:, None])
 
     def normal(self, t, jet):
+        T = jet[2]
         n = self._spline(t)
+        n = n - np.vecdot(n, T)[..., None] * T  # the interpolant leaves the normal plane between nodes
         N = n / rownorm(n)[..., None]
-        return N, -np.vecdot(jet[3], N)[..., None] * jet[2]
+        return N, -np.vecdot(jet[3], N)[..., None] * T
 
 
 class RotatedNormalField(NormalField):
@@ -192,6 +188,8 @@ class RotatedNormalField(NormalField):
     The frame table comes from the base field's table: N and N' by the
     rotation, the scalars by :func:`rotate`; on a grid that is the base's
     ``on_grid`` table, so fields rotated from one base share its sample.
+    The base's sample is checked, and a rotation within the normal plane
+    keeps |<N, T>| at most the base's, so the rotated sample needs no check.
     """
 
     def __init__(self, base, theta, theta_prime=None):
@@ -206,10 +204,11 @@ class RotatedNormalField(NormalField):
         self.theta, self.theta_prime = theta, theta_prime
 
     def sample(self, ts):
+        ts = np.asarray(ts, dtype=float)
         return self._rotated(self.base.sample(ts), ts)
 
     def _grid_sample(self, ts):
-        return _checked(self._rotated(self.base.on_grid(len(ts)), ts), ts)
+        return self._rotated(self.base.on_grid(len(ts)), ts)
 
     def _rotated(self, b, ts):
         th, dth = _angles(self.theta, ts), _angles(self.theta_prime, ts)
@@ -231,23 +230,6 @@ def _angles(fn, ts):
     return value
 
 
-def sample_frame(field, ts):
-    """Frame, frame derivative and scalars of ``field`` at every t of ``ts``.
-
-    Raises NonOrthogonalNormal where the field leaves the normal plane.
-    """
-    ts = np.asarray(ts, dtype=float)
-    return _checked(field.sample(ts), ts)
-
-
-def _checked(frame, ts):
-    off = np.abs(np.vecdot(frame.N, frame.T))
-    bad = off > 1e-8
-    if np.any(bad):
-        raise NonOrthogonalNormal(f"<N, T> = {first_where(bad, off):.3e} at t={first_where(bad, ts):.6g}")
-    return frame
-
-
 def frame_derivative(frame, scalars):
     """(T', H', N') from the skew derivative relations of the Darboux frame."""
     kg, kn, tg = scalars.kappa_g, scalars.kappa_n, scalars.tau_g
@@ -265,11 +247,6 @@ def rotate(scalars, theta, theta_prime=0.0):
         kappa_n=-scalars.kappa_g * s + scalars.kappa_n * c,
         tau_g=theta_prime + scalars.tau_g,
     )
-
-
-def rotate_field(normal_field, theta, theta_prime=None):
-    """Rotate a normal field about the tangent by the angle function theta."""
-    return RotatedNormalField(normal_field, theta, theta_prime)
 
 
 def frenet_rotation_field(curve, x, grid_size=201):

@@ -1,12 +1,13 @@
 """Shared numerical helpers: quadrature, interpolation, finite differences, ArcCot.
 
 All t-integrals in the package run through composite Simpson on uniform
-grids (odd node count), so every module sees the same O(h^4) accuracy.
-Every interpolant is one :class:`Cubic` table in Hermite form: on slopes
-the caller knows (the arc-length table takes the curve speeds), or else on
-the slopes of the not-a-knot cubic spline (:func:`spline_slopes`, de Boor
-1978).  Running products of square matrices take a parallel prefix scan
-(:func:`prefix_products`; Hillis & Steele 1986, Blelloch 1990).
+grids of 4k+1 nodes (:func:`odd_node_count`), so every module sees the same
+O(h^4) accuracy.  Every interpolant is one :class:`Cubic` table in Hermite
+form: on slopes the caller knows (the arc-length table takes the curve
+speeds), or else on the slopes of the not-a-knot cubic spline
+(:func:`spline_slopes`, de Boor 1978).  Running products of square
+matrices take a parallel prefix scan (:func:`prefix_products`; Hillis &
+Steele 1986, Blelloch 1990).
 """
 
 import numpy as np
@@ -34,9 +35,13 @@ def arccot(x):
 
 
 def odd_node_count(n):
-    """Smallest odd integer >= max(n, 3); Simpson needs an even panel count."""
-    n = max(int(n), 3)
-    return n if n % 2 == 1 else n + 1
+    """Smallest count of the form 4k+1 >= max(n, 5).
+
+    Simpson needs an odd node count, and the Richardson error estimates take
+    Simpson again on every other node, which is odd too only for 4k+1.
+    """
+    n = max(int(n), 5)
+    return n + (1 - n) % 4
 
 
 def rownorm(a):

@@ -14,7 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateMetric, ExtensionOrderExceeded, SingularRuling, WidthTooLarge
-from .frames import sample_frame
 from .numerics import arccot, central_difference, read_only, rownorm, spline, stencil_difference
 
 WIDTH_SAFETY = 0.9
@@ -70,7 +69,7 @@ def _extend_at_zero(normal_field, ts, kn_scale, tg_scale):
     admits no extension raises.
     """
     h = 1e-3 * max(normal_field.curve.length, 1.0)
-    frame = sample_frame(normal_field, ts[:, None] + np.arange(-3, 4) * h)
+    frame = normal_field.sample(ts[:, None] + np.arange(-3, 4) * h)
 
     def scaled(v):  # row l: the l-th derivative times h^l, l = 0..3, at every t
         return np.stack([v[:, 3]] + [stencil_difference(v, l, h) * h**l for l in (1, 2, 3)])

@@ -20,7 +20,6 @@ from .frames import (
     TorusNormalField,
     isometric_partner_angle,
     rotate,
-    sample_frame,
     sampled_scalars,
 )
 from .numerics import rownorm
@@ -55,7 +54,7 @@ def run_checks(fault="none"):
     knot = make_torus_knot(TorusKnotParams())
     checks.append(Check("unit_speed_torus_knot", _unit_speed_defect(knot, 201), 1e-8))
 
-    fr = RotationMinimizingField(helix).frame(helix.grid(101))
+    fr = RotationMinimizingField(helix).sample(helix.grid(101))
     basis = np.stack([fr.T, fr.H, fr.N], axis=-2)
     gram = basis @ np.swapaxes(basis, -1, -2)
     handedness = np.vecdot(np.cross(fr.T, fr.H), fr.N)
@@ -66,7 +65,7 @@ def run_checks(fault="none"):
     kappa = rownorm(helix.derivative(ts, 2))
     worst = 0.0
     for q in rng.uniform(0.0, 2.0 * np.pi, 5):
-        fr = sample_frame(RotatedNormalField(pn, float(q)), ts)
+        fr = RotatedNormalField(pn, float(q)).sample(ts)
         worst = max(worst, float(np.max(np.abs(fr.kappa_g**2 + fr.kappa_n**2 - kappa**2))))
     checks.append(Check("pythagoras", worst, 1e-8))
 
@@ -121,7 +120,7 @@ def run_checks(fault="none"):
 
     strip = ribbon_mod.construct_ribbon(helix, pn, 0.1, grid_size=801)
     if fault == "perturb_ruling":
-        bad = lambda t: strip.ruling(t) + 0.01 * strip.normal.value(t)
+        bad = lambda t: strip.ruling(t) + 0.01 * strip.normal.sample(t).N
         report = ribbon_mod.flatness_residuals(strip, 101, ruling=bad)
     else:
         report = ribbon_mod.flatness_residuals(strip, 101)

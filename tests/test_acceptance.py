@@ -39,7 +39,6 @@ from flatribbon.frames import (
     frenet_rotation_field,
     isometric_partner_angle,
     rotate,
-    rotate_field,
     sampled_scalars,
 )
 from flatribbon.numerics import arccot
@@ -266,7 +265,7 @@ def test_criterion_10_isometric_pairs(helix11, rng):
     ok = report("random pairs kappa_g mismatch", worst, 1e-12)
     field = frenet_rotation_field(helix11, 0.7)
     qbar = isometric_partner_angle(field.scalars(0.0))
-    partner_field = rotate_field(field, qbar)
+    partner_field = RotatedNormalField(field, qbar)
     gap = max(
         abs(partner_field.scalars(t).kappa_g - field.scalars(t).kappa_g)
         for t in helix11.grid(101)

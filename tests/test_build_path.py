@@ -16,6 +16,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from flatribbon import cli
+from flatribbon.config import build_base_field, build_curve, parse_config
 from flatribbon.curves import ArcLengthCurve, frenet_data
 from flatribbon.frames import RotationMinimizingField
 from flatribbon.ribbon import RibbonMesh, construct_ribbon, tessellate, write_obj
@@ -30,7 +31,7 @@ def reference_rmf_normals(curve, grid_size=2001):
     tangents = curve.derivative(ts, 1)
     points = curve.point(ts)
     fd = frenet_data(curve, 0.0)
-    if fd.principal_normal is not None:
+    if np.all(np.isfinite(fd.principal_normal)):
         seed = fd.principal_normal
     else:
         seed = np.array([0.0, 0.0, 1.0])
@@ -64,11 +65,25 @@ def test_rmf_matches_per_step_reflection_loop(name, helix11, knot):
     curve = CURVES[name]({"helix11": helix11, "knot": knot})
     ts, normals = reference_rmf_normals(curve)
     field = RotationMinimizingField(curve)
-    assert np.max(np.abs(field.value(ts) - normals / np.linalg.norm(normals, axis=1)[:, None])) <= 1e-13
-    # between the nodes as well, through the same interpolation
+    assert np.max(np.abs(field.sample(ts).N - normals / np.linalg.norm(normals, axis=1)[:, None])) <= 1e-13
+    # between the nodes as well, through the same interpolation projected onto the normal plane
     mids = 0.5 * (ts[:-1] + ts[1:])
     want = CubicSpline(ts, normals)(mids)
-    assert np.max(np.abs(field.value(mids) - want / np.linalg.norm(want, axis=1)[:, None])) <= 1e-13
+    tangents = curve.derivative(mids, 1)
+    want -= np.sum(want * tangents, axis=1)[:, None] * tangents
+    assert np.max(np.abs(field.sample(mids).N - want / np.linalg.norm(want, axis=1)[:, None])) <= 1e-13
+
+
+def test_rmf_stays_in_the_normal_plane_at_the_mesh_rows(monkeypatch):
+    # the componentwise interpolant of the node normals leaves the normal plane
+    # between nodes (by 8.9e-7 here) unless it is projected back onto it
+    monkeypatch.chdir(EXAMPLES.parent)  # the config names its CSV relative to the repository root
+    cfg = parse_config(EXAMPLES / "samples_rmf.cfg")
+    curve = build_curve(cfg)
+    field = build_base_field(cfg, curve)
+    ts = np.linspace(0.0, curve.length, cfg.mesh_nt)
+    N = field.sample(ts).N
+    assert np.max(np.abs(np.sum(N * curve.derivative(ts, 1), axis=1))) <= 1e-8
 
 
 def test_rmf_build_inverts_arc_length_once(monkeypatch):

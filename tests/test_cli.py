@@ -147,6 +147,8 @@ def test_missing_config_exit_code(tmp_path):
         ("solve", "q = 0.5\nphi = 0\n", "phi"),
         ("solve", "q = 0.5\nphi = 4\n", "phi"),
         ("sweep", "r = 1, 0\n", "r must"),
+        ("energy", "q = 7\n", "q must"),
+        ("solve", "q = -7\n", "q must"),
     ],
 )
 def test_out_of_domain_config_exit_code(tmp_path, capsys, command, extra, key):
@@ -170,6 +172,15 @@ def test_unparsable_r_flag_exit_code(tmp_path, capsys, value):
         assert message.startswith("config error:") and f"bad value for 'r': {value}" in message
         assert len(message.splitlines()) == 1
     assert err.startswith("config error: --r:")
+    assert not (tmp_path / "o").exists()
+
+
+def test_q_flag_beyond_a_full_turn_exit_code(tmp_path, capsys):
+    # theta(0) = q far outside [-2 pi, 2 pi] once gave a wrong energy with exit 0
+    assert run(["energy", "--config", EXAMPLE, "--out", str(tmp_path / "o"), "--q", "1e300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "q must" in err
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "o").exists()
 
 
@@ -376,6 +387,17 @@ def test_sweep_flattens_as_r_grows(tmp_path):
         vals = np.array([float(row.split(",")[1]) for row in rows])
         devs[r] = float(np.max(np.abs(vals - 1.0)))
     assert devs[4] < devs[1]
+
+
+def test_sweep_huge_r_is_finite(tmp_path):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would end in a traceback
+        assert run(["sweep", "--config", EXAMPLE, "--out", str(out), "--r", "1e200"]) == 0
+    for name in ("ratioA_r1e+200.csv", "ratioB_r1e+200.csv"):
+        vals = np.loadtxt(out / name, delimiter=",", skiprows=1)[:, 1]
+        assert len(vals) == 512 and np.all(np.isfinite(vals))
+        np.testing.assert_allclose(vals, 1.0, rtol=1e-12)
 
 
 def test_sweep_is_deterministic(tmp_path):

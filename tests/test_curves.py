@@ -139,9 +139,13 @@ def test_frenet_binormal_consistency(knot):
 def test_straight_segment_reports_absent_frenet_fields():
     from test_grid_cache import straight_line
 
-    fd = frenet_data(straight_line(), 0.5)
+    # a scalar t is the zero-dimensional grid: NaN where the Frenet frame is undefined
+    line = straight_line()
+    fd = frenet_data(line, 0.5)
     assert fd.kappa <= 1e-9
-    assert fd.tau is None and fd.principal_normal is None and fd.binormal is None
+    assert np.isnan(fd.tau) and np.all(np.isnan(fd.principal_normal)) and np.all(np.isnan(fd.binormal))
+    grid = frenet_data(line, np.array([0.5]))
+    assert np.isnan(grid.tau[0]) and np.all(np.isnan(grid.principal_normal[0]))
 
 
 # ---------------------------------------------------------------- constructors

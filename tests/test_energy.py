@@ -3,7 +3,14 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from flatribbon.curves import HelixParams, make_helix
+from flatribbon.curves import (
+    HelixParams,
+    TorusKnotParams,
+    arc_length_reparametrize,
+    curve_from_samples,
+    make_helix,
+    make_torus_knot,
+)
 from flatribbon.energy import (
     _inner_integral,
     bending_energy_closed,
@@ -214,6 +221,25 @@ def test_limit_energy_approached_quadratically(knot, torus_field, knot_ribbon):
 # ---------------------------------------------------------------- bounds
 
 
+@pytest.mark.parametrize("n", [803, 2003])
+def test_node_counts_of_the_form_4k_plus_3_round_up(helix11, pn11, n):
+    # the Richardson half grid of 4k+3 nodes has an even node count, which Simpson rejects
+    field = frenet_rotation_field(helix11, np.pi / 4)
+    rib = construct_ribbon(helix11, field, 0.2, grid_size=n)
+    assert len(rib.ts) == n + 2
+    bending_energy_closed(rib, n_t=n)
+    limit_energy(helix11, field, 0.1, n_t=n)
+    assert energy_bound(helix11, pn11, pn11, 0.1, n_t=n).satisfied
+    assert arc_length_reparametrize(helix11.spec, grid_size=n).grid_size == n + 2
+
+
+def test_sampled_curves_at_4k_plus_3_nodes():
+    knot = make_torus_knot(TorusKnotParams(grid_size=4003))
+    assert knot.grid_size == 4005
+    ts = knot.grid(121)
+    assert curve_from_samples(ts, knot.point(ts), grid_size=1003).grid_size == 1005
+
+
 def test_energy_bound_self_is_trivial(knot, torus_field):
     report = energy_bound(knot, torus_field, torus_field, 0.1, n_t=501)
     assert report.satisfied
@@ -346,6 +372,17 @@ def test_ratio_a_at_zero_angle():
 
 def test_ratio_b_reference_value():
     assert helix_ratio_b(np.pi, 1.0) == pytest.approx(2.0 - np.pi / 2.0, abs=1e-10)
+
+
+def test_ratio_b_antiderivative_without_overflow():
+    qs = np.linspace(0.0, 2 * np.pi, 33, endpoint=False)[1:]
+    c = np.cos(qs / 2.0) / np.sin(qs / 2.0)
+    square_form = lambda d: -2.0 * np.arctan(d) + d * (3.0 + d**2) / (1.0 + d**2)
+    for r in (1.0, 2.0, 3.0, 4.0):
+        want = (square_form(c + r) - square_form(c)) / r
+        np.testing.assert_allclose(helix_ratio_b(qs, r), want, rtol=1e-13)
+    with np.errstate(all="raise"):  # d^2 overflows beyond d ~ 1e154
+        np.testing.assert_allclose(helix_ratio_b(qs, 1e200), 1.0, rtol=1e-12)
 
 
 def test_ratios_flatten_for_long_helices():

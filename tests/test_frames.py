@@ -16,7 +16,6 @@ from flatribbon.frames import (
     frenet_rotation_field,
     isometric_partner_angle,
     rotate,
-    rotate_field,
     sampled_scalars,
 )
 from flatribbon.numerics import central_difference
@@ -72,14 +71,14 @@ def test_non_orthogonal_normal_rejected(helix11):
 
 def test_frame_orthonormal_and_right_handed(knot, torus_field):
     for t in knot.grid(51):
-        fr = torus_field.frame(t)
+        fr = torus_field.sample(t)
         m = np.array([fr.T, fr.H, fr.N])
         assert np.max(np.abs(m @ m.T - np.eye(3))) <= 1e-10
         assert np.dot(np.cross(fr.T, fr.H), fr.N) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_frame_derivative_zero_scalars(pn11):
-    fr = pn11.frame(0.0)
+    fr = pn11.sample(0.0)
     for v in frame_derivative(fr, DarbouxScalars(0.0, 0.0, 0.0)):
         assert np.max(np.abs(v)) == 0.0
 
@@ -88,21 +87,21 @@ def test_helix_normal_derivative_relation(helix11, pn11):
     # N' = -kappa T - tau H for the principal normal of a helix
     kappa = tau = 0.5
     for t in (0.0, 2.0):
-        fr = pn11.frame(t)
+        fr = pn11.sample(t)
         _, _, Np = frame_derivative(fr, pn11.scalars(t))
         assert np.max(np.abs(Np - (-kappa * fr.T - tau * fr.H))) < 1e-10
-        assert np.max(np.abs(pn11.derivative(t) - Np)) < 1e-10
+        assert np.max(np.abs(pn11.sample(t).Np - Np)) < 1e-10
 
 
 def test_frame_derivative_matches_finite_differences(knot, torus_field):
     h = 1e-3
     for t in (1.0, 7.0):
-        fr = torus_field.frame(t)
+        fr = torus_field.sample(t)
         Tp, Hp, Np = frame_derivative(fr, torus_field.scalars(t))
         for pick, want in (
-            (lambda z: torus_field.frame(z).T, Tp),
-            (lambda z: torus_field.frame(z).H, Hp),
-            (lambda z: torus_field.frame(z).N, Np),
+            (lambda z: torus_field.sample(z).T, Tp),
+            (lambda z: torus_field.sample(z).H, Hp),
+            (lambda z: torus_field.sample(z).N, Np),
         ):
             got = central_difference(pick, t, 1, h)
             assert np.max(np.abs(got - want)) < 1e-8
@@ -142,17 +141,17 @@ def test_rotate_preserves_curvature_norm(kg, kn, tg, theta):
 
 
 def test_rotate_field_constant_angles(pn11):
-    same = rotate_field(pn11, 0.0)
-    flipped = rotate_field(pn11, np.pi)
+    same = RotatedNormalField(pn11, 0.0)
+    flipped = RotatedNormalField(pn11, np.pi)
     for t in (0.0, 1.5):
-        assert np.max(np.abs(same.value(t) - pn11.value(t))) < 1e-15
-        assert np.max(np.abs(flipped.value(t) + pn11.value(t))) < 1e-15
+        assert np.max(np.abs(same.sample(t).N - pn11.sample(t).N)) < 1e-15
+        assert np.max(np.abs(flipped.sample(t).N + pn11.sample(t).N)) < 1e-15
 
 
 def test_rotated_field_scalars_match_scalar_rotation(helix11, pn11, rng):
     theta = lambda t: 0.3 * np.sin(t)
     theta_prime = lambda t: 0.3 * np.cos(t)
-    field = rotate_field(pn11, theta, theta_prime)
+    field = RotatedNormalField(pn11, theta, theta_prime)
     for t in rng.uniform(0.0, helix11.length, 100):
         direct = field.scalars(t)
         via_rotation = rotate(pn11.scalars(t), theta(t), theta_prime(t))
@@ -164,7 +163,7 @@ def test_rotated_field_scalars_match_scalar_rotation(helix11, pn11, rng):
 def test_rotated_field_finite_difference_theta_prime(helix11, pn11):
     # omit theta_prime: the field falls back to differencing theta
     theta = lambda t: 0.3 * np.sin(t)
-    field = rotate_field(pn11, theta)
+    field = RotatedNormalField(pn11, theta)
     sc = field.scalars(1.0)
     want = rotate(pn11.scalars(1.0), theta(1.0), 0.3 * np.cos(1.0))
     assert abs(sc.tau_g - want.tau_g) < 1e-7
@@ -176,7 +175,7 @@ def test_rotated_field_finite_difference_theta_prime(helix11, pn11):
 def test_principal_rotation_zero_is_principal(helix11, pn11):
     field = frenet_rotation_field(helix11, 0.0)
     for t in (0.0, 2.0):
-        assert np.max(np.abs(field.value(t) - pn11.value(t))) < 1e-12
+        assert np.max(np.abs(field.sample(t).N - pn11.sample(t).N)) < 1e-12
 
 
 def test_principal_rotation_helix_scalars(helix11):
@@ -226,7 +225,7 @@ def test_rotation_minimizing_field_has_zero_geodesic_torsion(helix11):
     for t in helix11.grid(41):
         sc = rmf.scalars(t)
         assert abs(sc.tau_g) < 1e-6
-        assert abs(np.dot(rmf.value(t), helix11.derivative(t, 1))) < 1e-8
+        assert abs(np.dot(rmf.sample(t).N, helix11.derivative(t, 1))) < 1e-8
 
 
 def test_sampled_scalars_matches_direct_evaluation(knot, torus_field, rng):

@@ -16,7 +16,6 @@ from flatribbon.frames import (
     PrincipalNormalField,
     RotatedNormalField,
     RotationMinimizingField,
-    sample_frame,
 )
 from flatribbon.numerics import rownorm
 from test_sampled import sample_curve
@@ -99,11 +98,12 @@ def test_sample_frame_inverts_arc_length_once(name, knot, torus_field, monkeypat
     monkeypatch.setattr(ArcLengthCurve, "raw_parameter", counted)
     for t in (field.curve.grid(201), 0.37 * field.curve.length):
         calls.clear()
-        sample_frame(field, t)
+        field.sample(t)
         assert calls == [np.shape(t)]
 
 
 def test_value_derivative_frame_are_views_of_sample():
+    """``sample`` is the one sampler: no field class defines another view of it."""
     for cls in vars(frames).values():
-        if isinstance(cls, type) and issubclass(cls, NormalField) and cls is not NormalField:
+        if isinstance(cls, type) and issubclass(cls, NormalField):
             assert not {"value", "derivative", "frame"} & set(vars(cls)), cls.__name__

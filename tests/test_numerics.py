@@ -36,9 +36,17 @@ def test_arccot_continuous_through_zero():
 
 
 def test_odd_node_count():
-    assert odd_node_count(1) == 3
+    # 4k+1 nodes, so that every other node is a Simpson grid too
+    assert odd_node_count(1) == 5
     assert odd_node_count(4) == 5
+    assert [odd_node_count(n) for n in (6, 7, 8, 9)] == [9, 9, 9, 9]
     assert odd_node_count(1001) == 1001
+    assert odd_node_count(2000) == 2001
+    assert odd_node_count(2003) == 2005
+    for n in range(1, 50):
+        m = odd_node_count(n)
+        simpson_uniform(np.ones(m)[::2], 0.1)
+        assert m % 4 == 1 and m >= n and m - 4 < max(n, 5)
 
 
 def test_simpson_exact_for_cubics():

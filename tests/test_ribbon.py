@@ -208,7 +208,7 @@ def test_tessellate_normals_constant_along_rulings(knot_ribbon):
     mesh = tessellate(knot_ribbon, 20, 5)
     assert mesh.normals.shape == (20, 3)
     for i, t in enumerate(mesh.ts):
-        assert np.max(np.abs(mesh.normals[i] - knot_ribbon.normal.value(t))) < 1e-12
+        assert np.max(np.abs(mesh.normals[i] - knot_ribbon.normal.sample(t).N)) < 1e-12
 
 
 def test_tessellate_rejects_degenerate_grids(helix_strip):
@@ -279,7 +279,7 @@ def test_zero_area_mesh_raises_degenerate_metric(knot):
 
 
 def test_perturbed_ruling_detected(helix_strip):
-    bad = lambda t: helix_strip.ruling(t) + 0.01 * helix_strip.normal.value(t)
+    bad = lambda t: helix_strip.ruling(t) + 0.01 * helix_strip.normal.sample(t).N
     report = flatness_residuals(helix_strip, 101, ruling=bad)
     assert report.ruling_in_plane == pytest.approx(0.01, rel=1e-6)
     assert report.ruling_in_plane > 1e-8  # the flatness check must fail

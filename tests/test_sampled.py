@@ -1,7 +1,7 @@
 """The array path of the geometry core against per-t reference loops.
 
 The references below are the scalar algorithms the array code replaced: the
-Darboux scalars read off one t at a time from a field's value and derivative
+Darboux scalars read off one t at a time from a field's N and N' there
 (with a rotated field rotating its base field's frame at that t), and the
 angle-defect estimate visiting one interior vertex at a time.  Array results
 must match within 1e-12 relative to the sup of each quantity; an identically
@@ -13,11 +13,7 @@ import pytest
 
 from flatribbon.angleivp import solved_rotation_field
 from flatribbon.curves import TorusKnotParams, curve_from_samples, make_torus_knot
-from flatribbon.frames import (
-    RotatedNormalField,
-    RotationMinimizingField,
-    sample_frame,
-)
+from flatribbon.frames import RotatedNormalField, RotationMinimizingField
 from flatribbon.ribbon import _angle_defect_gauss, construct_ribbon, tessellate
 
 REL = 1e-12
@@ -26,7 +22,8 @@ REL = 1e-12
 def reference_normal(field, t):
     """(N, N') at one t; a rotated field rotates its base frame at that t."""
     if not isinstance(field, RotatedNormalField):
-        return field.value(t), field.derivative(t)
+        frame = field.sample(t)
+        return frame.N, frame.Np
     curve = field.curve
     T, Tp = curve.derivative(t, 1), curve.derivative(t, 2)
     N, Np = reference_normal(field.base, t)
@@ -109,7 +106,7 @@ def assert_close(got, want, floor=0.0):
 def test_sample_frame_matches_per_t_reference(name, pn11, torus_field):
     field = FIELDS[name]({"pn11": pn11, "torus_field": torus_field})
     ts = field.curve.grid(201)
-    frame = sample_frame(field, ts)
+    frame = field.sample(ts)
     want = reference_scalars(field, ts)
     kappa = float(np.max(np.hypot(want[:, 0], want[:, 1])))
     for got, column in zip((frame.kappa_g, frame.kappa_n, frame.tau_g), want.T):
@@ -122,7 +119,7 @@ def test_sample_frame_matches_per_t_reference(name, pn11, torus_field):
 def test_scalar_call_is_the_zero_dimensional_sample(torus_field):
     field = RotatedNormalField(torus_field, 0.7)
     t = 0.37 * field.curve.length
-    grid = sample_frame(field, np.array([t]))
+    grid = field.sample(np.array([t]))
     one = field.scalars(t)
     assert (one.kappa_g, one.kappa_n, one.tau_g) == (grid.kappa_g[0], grid.kappa_n[0], grid.tau_g[0])
 
