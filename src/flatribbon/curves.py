@@ -152,7 +152,7 @@ class ArcLengthCurve:
         for _ in range(NEWTON_STEPS):
             x = np.clip(x - (self._s_of_raw(x) - t) / self.spec.speed(x), lo, hi)
         miss = float(np.max(np.abs(self._s_of_raw(x) - target)))
-        if miss > 1e-12 * self.length:
+        if not miss <= 1e-12 * self.length:  # NaN misses too
             raise ToleranceNotMet(f"arc-length inversion misses t by {miss:.3e}; table and speed disagree")
         return x
 
@@ -209,15 +209,21 @@ def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8, curve_class=ArcLen
     n = odd_node_count(grid_size)
     x0, x1 = curve.domain
     nodes = np.linspace(x0, x1, n)
-    speeds = curve.speed(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite speed or length is rejected below
+        speeds = curve.speed(nodes)
+        s_table = cumulative_simpson_uniform(speeds, nodes[1] - nodes[0])
+        length = s_table[-1]
+        coarse = simpson_uniform(speeds[::2], 2.0 * (nodes[1] - nodes[0]))
+        err = abs(length - coarse) / 15.0
+    infinite = ~np.isfinite(speeds)
+    if np.any(infinite):
+        raise NonRegularCurve(f"curve speed is not finite near parameter {first_where(infinite, nodes):.6g}")
     if speeds.min() < 1e-12:
         bad = nodes[int(np.argmin(speeds))]
         raise NonRegularCurve(f"curve speed vanishes near parameter {bad:.6g}")
-    s_table = cumulative_simpson_uniform(speeds, nodes[1] - nodes[0])
-    length = s_table[-1]
-    coarse = simpson_uniform(speeds[::2], 2.0 * (nodes[1] - nodes[0]))
-    err = abs(length - coarse) / 15.0
-    if err > tol:
+    if not np.isfinite(length):
+        raise ToleranceNotMet(f"arc length {length:.3e} is not finite")
+    if not err <= tol:
         raise ToleranceNotMet(
             f"arc-length error estimate {err:.3e} exceeds tol {tol:.3e}; increase grid_size"
         )

@@ -10,7 +10,9 @@ zero-dimensional case, and raises where the field leaves the normal plane.
 Rotating a field about the tangent by an angle function produces a new field
 whose scalars transform by :func:`rotate`.  ``NormalField.on_grid(n)`` is
 the sample on the curve's n-node grid, taken once per field and node count
-and kept read-only for the field's lifetime.
+and kept read-only for the field's lifetime.  A grid of m nodes whose every
+node is a node of a kept table's M-node grid, M - 1 = 2^k (m - 1), is not
+sampled again: its table is a strided view of the finer one.
 """
 
 from dataclasses import dataclass
@@ -79,8 +81,23 @@ class NormalField:
         return table
 
     def on_grid(self, n):
-        """``sample(curve.grid(n))``, sampled once; arrays read-only."""
-        return self.grid_table("frame", n, lambda ts: read_only(self._grid_sample(ts)))
+        """``sample(curve.grid(n))``, sampled once; arrays read-only.
+
+        Where a finer table of M nodes is kept with M - 1 = 2^k (m - 1), m =
+        ``odd_node_count(n)`` and k >= 1, the table is a view of every 2^k-th
+        row of it, served only if those nodes equal ``curve.grid(m)`` bitwise.
+        """
+        return self.grid_table("frame", n, lambda ts: self._strided(ts) or read_only(self._grid_sample(ts)))
+
+    def _strided(self, ts):
+        """Every s-th row of a kept frame table whose every s-th node is ``ts``, s a power of two; else None."""
+        m = len(ts)
+        for (kind, size), table in self._grid_tables.items():
+            s, rest = divmod(size - 1, m - 1)
+            nested = kind == "frame" and s > 1 and rest == 0 and s & (s - 1) == 0
+            if nested and np.array_equal(self.curve.grid(size)[::s], ts):
+                return FrameSample(**{name: value[::s] for name, value in vars(table).items()})
+        return None
 
     def _grid_sample(self, ts):
         return self.sample(ts)
@@ -92,14 +109,14 @@ class NormalField:
     def sample(self, ts):
         """Frame, frame derivative and scalars at every t of ``ts``; scalars from T' and H' = N' x T + N x T'.
 
-        Raises NonOrthogonalNormal where |<N, T>| > 1e-8, i.e. where the field leaves the normal plane.
+        Raises NonOrthogonalNormal where |<N, T>| > 1e-8 or is NaN, i.e. where the field leaves the normal plane.
         """
         ts = np.asarray(ts, dtype=float)
         jet = self.curve.jet(ts)
         T, Tp = jet[2], jet[3]
         N, Np = self.normal(ts, jet)
         off = np.abs(np.vecdot(N, T))
-        bad = off > 1e-8
+        bad = ~(off <= 1e-8)  # NaN too
         if np.any(bad):
             raise NonOrthogonalNormal(f"<N, T> = {first_where(bad, off):.3e} at t={first_where(bad, ts):.6g}")
         H = np.cross(N, T)

@@ -194,6 +194,18 @@ def test_grid_below_minimum_exit_code(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["energy", "build", "solve"])
+def test_overflowing_curve_exit_code(tmp_path, capsys, command):
+    # once three RuntimeWarnings and "extension at t=nan": the length was NaN
+    cfg = write_cfg(tmp_path, "kind = torus_knot\nR = 1e200\nrho = 5e199\nn = 3\nnormal = torus_normal\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_build_width_below_mesh_resolution_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, KNOT_CFG)
     with warnings.catch_warnings():

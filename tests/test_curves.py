@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -89,6 +91,43 @@ def test_nonregular_curve_rejected():
     cusp = CurveSpec(lambda x: _on_x_axis(x**3), (-1.0, 1.0))
     with pytest.raises(NonRegularCurve):
         arc_length_reparametrize(cusp, grid_size=1001)
+
+
+def test_arc_length_inversion_rejects_a_nan_table():
+    # NaN slopes make s(x) NaN, and a NaN miss passes no tolerance
+    line = CurveSpec(_on_x_axis, (0.0, 1.0))
+    nodes = np.linspace(0.0, 1.0, 11)
+    curve = ArcLengthCurve(line, 1.0, raw_nodes=nodes, s_table=nodes, speeds=np.full(11, np.nan))
+    with pytest.raises(ToleranceNotMet):
+        curve.raw_parameter(0.5)
+
+
+def _scaled_samples(scale):
+    t = np.linspace(0.0, 1.0, 40)
+    return t, scale * np.stack([np.cos(6 * t), np.sin(6 * t), t], axis=-1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: make_torus_knot(TorusKnotParams(1e200, 5e199, 3)), lambda: curve_from_samples(*_scaled_samples(1e200))],
+    ids=["torus_knot", "samples"],
+)
+def test_overflowing_speed_rejected_without_warnings(make):
+    # |c'|^2 overflows, which once gave a curve of length NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonRegularCurve, match="not finite"):
+            make()
+
+
+def test_overflowing_length_rejected_without_warnings():
+    # finite speeds whose integral overflows
+    velocity = lambda x: np.broadcast_to([1e100, 0.0, 0.0], np.shape(x) + (3,))
+    spec = CurveSpec(lambda x: _on_x_axis(1e100 * x), (0.0, 1e300), derivatives=(velocity,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ToleranceNotMet, match="not finite"):
+            arc_length_reparametrize(spec, grid_size=101)
 
 
 def test_tolerance_not_met_on_coarse_grid():

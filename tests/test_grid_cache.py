@@ -2,9 +2,13 @@
 
 ``NormalField.on_grid(n)`` samples the field on ``curve.grid(n)`` once and
 keeps the checked table, read-only, for the field's lifetime; a rotated
-field builds its table from its base field's.  ``mu_field`` keeps its slope
-table on the field the same way.  Each test builds fresh fields, so no
-table from another test is reused.
+field builds its table from its base field's.  A coarser grid of m nodes
+whose nodes are every s-th node of a kept M-node table, M - 1 = s (m - 1)
+with s a power of two, is read from that table as a strided view instead of
+being sampled again; stride 10 (2001 over 201 nodes) does not nest bitwise
+for most lengths, so it samples.  ``mu_field`` keeps its slope table on the
+field the same way.  Each test builds fresh fields, so no table from another
+test is reused.
 """
 
 import dataclasses
@@ -12,9 +16,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatribbon import cli
-from flatribbon.curves import ArcLengthCurve, CurveSpec
+from flatribbon.curves import ArcLengthCurve, CurveSpec, HelixParams, make_helix
 from flatribbon.energy import case_a_energy, limit_energy
 from flatribbon.errors import NonOrthogonalNormal, VanishingCurvature
 from flatribbon.frames import (
@@ -116,15 +122,62 @@ def arrays(table):
     return {f.name: getattr(table, f.name) for f in dataclasses.fields(table)}
 
 
-@pytest.mark.parametrize("name", sorted(FIELDS))
-def test_table_equals_a_fresh_sample_bit_for_bit(name, helix11, knot):
-    field = FIELDS[name]({"helix11": helix11, "knot": knot})
-    table = field.on_grid(401)
-    fresh = arrays(field.sample(field.curve.grid(401)))
+def assert_same_bytes(table, sample):
+    fresh = arrays(sample)
     for key, got in arrays(table).items():
         want = fresh[key]
         assert got.shape == want.shape and got.dtype == want.dtype, key
         assert got.tobytes() == want.tobytes(), key
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_table_equals_a_fresh_sample_bit_for_bit(name, helix11, knot):
+    field = FIELDS[name]({"helix11": helix11, "knot": knot})
+    assert_same_bytes(field.on_grid(401), field.sample(field.curve.grid(401)))
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_nested_tables_are_read_only_views_of_the_finer_one(name, helix11, knot):
+    field = FIELDS[name]({"helix11": helix11, "knot": knot})
+    fine = arrays(field.on_grid(401))
+    for m in (201, 101):
+        table = field.on_grid(m)
+        assert_same_bytes(table, field.sample(field.curve.grid(m)))
+        for key, values in arrays(table).items():
+            assert np.shares_memory(values, fine[key]), key
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
+
+def test_nested_grid_is_sampled_once(knot, jet_calls):
+    field = TorusNormalField(knot)
+    field.on_grid(201)
+    assert field.on_grid(101) is field.on_grid(101)
+    assert mu_field(knot, field, grid_size=101).frame is field.on_grid(101)
+    assert jet_calls == [(201,)]
+    # a coarser table kept first serves no finer grid
+    other = TorusNormalField(knot)
+    other.on_grid(101)
+    other.on_grid(201)
+    assert jet_calls == [(201,), (101,), (201,)]
+
+
+def test_stride_ten_samples_again(knot, jet_calls):
+    # for most lengths linspace(0, L, 2001)[::10] and linspace(0, L, 201) differ in
+    # the last bit, so only power-of-two strides are served, even where they agree
+    field = TorusNormalField(knot)
+    field.on_grid(2001)
+    field.on_grid(201)
+    assert jet_calls == [(2001,), (201,)]
+
+
+@given(st.floats(1e-6, 1e6), st.integers(1, 250), st.sampled_from([2, 4, 8]))
+@settings(deadline=None, max_examples=200)
+def test_power_of_two_grids_nest_bitwise(length, k, s):
+    # the identity the strided views rest on; they check it again on every view
+    curve = make_helix(HelixParams(1.0, 1.0, length=length))
+    m = 4 * k + 1
+    assert np.array_equal(curve.grid(s * (m - 1) + 1)[::s], curve.grid(m))
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -164,7 +217,14 @@ class Tilted(NormalField):
         return N, np.zeros_like(N)
 
 
+class NotANumber(NormalField):
+    def normal(self, t, jet):
+        N = np.full(np.shape(t) + (3,), np.nan)
+        return N, N
+
+
 FAILING = {
+    "nan_normal": (lambda c: NotANumber(c["helix11"]), NonOrthogonalNormal),
     "non_orthogonal": (lambda c: Tilted(c["helix11"]), NonOrthogonalNormal),
     "rotated_non_orthogonal": (lambda c: RotatedNormalField(Tilted(c["helix11"]), 0.4), NonOrthogonalNormal),
     "vanishing_curvature": (lambda c: PrincipalNormalField(straight_line()), VanishingCurvature),
@@ -175,9 +235,11 @@ FAILING = {
 def test_failing_sample_is_not_kept(name, helix11, jet_calls):
     make, error = FAILING[name]
     field = make({"helix11": helix11})
+    with pytest.raises(error):
+        field.on_grid(201)  # so no finer table can serve 101 nodes as a view
     for _ in range(2):
         with pytest.raises(error):
             field.on_grid(101)
         with pytest.raises(error):
             mu_field(field.curve, field, grid_size=101)
-    assert jet_calls == [(101,)] * 4
+    assert jet_calls == [(201,)] + [(101,)] * 4
