@@ -27,7 +27,7 @@ import numpy as np
 
 from .curves import check_curvature, frenet_data
 from .errors import InvalidParams, NormalCurvatureZero, StepSizeUnderflow
-from .numerics import arccot, cumulative_simpson_uniform, first_where, prefix_products, spline
+from .numerics import arccot, cumulative_simpson_uniform, first_where, nested_stride, prefix_products, read_only, spline
 
 __all__ = [
     "InitialCondition",
@@ -122,8 +122,14 @@ class ThetaSolution:
 
     Values are continuous real angles (never wrapped, so theta' stays
     meaningful); ``error_estimate`` comes from a half-step Richardson run.
-    The spline through the values is built on the first evaluation, so
-    readers of the tables alone never pay for it.
+    ``values`` and ``derivatives`` are read-only.  On every s-th node of
+    ``ts``, s a power of two (:func:`~flatribbon.numerics.nested_stride`),
+    a call and :meth:`derivative` return the views ``values[::s]`` and
+    ``derivatives[::s]``; any other t (off the nodes, a scalar, a 2-D array)
+    reads the not-a-knot spline through the values, built on first use.
+    The two agree bitwise at interior nodes, where the spline returns its
+    node value and F sees the same t; only at t = L may the spline's last
+    piece round differently.
     """
 
     ts: np.ndarray
@@ -139,11 +145,13 @@ class ThetaSolution:
         return spline(self.ts, self.values)
 
     def __call__(self, t):
-        return self._spline(t)
+        s = nested_stride(self.ts, t)
+        return self._spline(t) if s is None else self.values[::s]
 
     def derivative(self, t):
         # exact along the solution: theta' = F(t, theta(t))
-        return self.rhs(t, self._spline(t))
+        s = nested_stride(self.ts, t)
+        return self.rhs(t, self._spline(t)) if s is None else self.derivatives[::s]
 
     def ode_residual(self):
         """Sup of |theta' - F(t, theta)| at grid midpoints, via interpolation."""
@@ -208,7 +216,7 @@ def solve_theta(rhs, length, ic=InitialCondition(), grid_size=2000):
     err = float(np.max(np.abs(theta - theta_half[::2])))
     ts = nodes[::4]  # = linspace(0, length, n + 1) entry for entry
     derivs = _combine([x[::4] for x in table], theta)
-    return ThetaSolution(ts, theta, derivs, "rk4", ts[1] - ts[0], err, rhs=rhs)
+    return read_only(ThetaSolution(ts, theta, derivs, "rk4", ts[1] - ts[0], err, rhs=rhs))
 
 
 def _coefficient_table(rhs, length, n):
@@ -236,7 +244,8 @@ class ThetaFamily(Sequence):
 
     ``values`` and ``derivatives`` hold one row per q over ``ts``, and
     ``error_estimates`` one Richardson estimate per q; item i is the
-    :class:`ThetaSolution` of ``qs[i]``.
+    :class:`ThetaSolution` of ``qs[i]``, on rows of these tables.  Every
+    array is read-only.
     """
 
     qs: np.ndarray
@@ -271,7 +280,7 @@ def solve_theta_family(rhs, length, qs, grid_size=2000):
     """
     n = max(int(grid_size), 2)
     length = float(length)
-    qs = np.atleast_1d(np.asarray(qs, dtype=float))
+    qs = np.array(qs, dtype=float, ndmin=1)  # a copy: the family flags its arrays read-only
     nodes, (a, b, c) = _coefficient_table(rhs, length, n)
     h = length / n
     with np.errstate(all="ignore"):  # a non-finite table ends in NaN angles, reported below
@@ -296,7 +305,7 @@ def solve_theta_family(rhs, length, qs, grid_size=2000):
     ts = nodes[::4]
     derivs = _combine((a[::4], b[::4], c[::4]), values)
     err = np.max(np.abs(values - theta[1]), axis=-1)
-    return ThetaFamily(qs, ts, values, derivs, ts[1] - ts[0], err, rhs=rhs)
+    return read_only(ThetaFamily(qs, ts, values, derivs, ts[1] - ts[0], err, rhs=rhs))
 
 
 def lipschitz_bound(scalars, phi):
@@ -337,7 +346,10 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
     back to the prescribed form with phi equal to the base ruling angle.
     The IVP is solved as the one-angle family of :func:`solve_theta_family`,
     and kappa_n is read from the base field's grid table, the one the
-    scalars spline interpolates.  Returns (rotated_field, theta_solution).
+    scalars spline interpolates.  On a grid nested in the solution's
+    grid_size + 1 nodes by a power of two, the rotated field reads theta and
+    theta' off the solution's node table, with no spline and no new
+    evaluation of F.  Returns (rotated_field, theta_solution).
     """
     from .frames import RotatedNormalField, sampled_scalars
     from .ribbon import mu_field

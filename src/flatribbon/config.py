@@ -4,10 +4,12 @@ The same config drives every CLI mode; unknown keys are rejected so typos
 surface immediately.  Curves: kind = helix | torus_knot | samples (samples
 reads a CSV of t,x,y,z rows).  Normal fields: principal | torus_normal |
 rotation_minimizing, optionally rotated by a constant q at t = 0.
-``grid`` must be at least GRID_MIN.
+``grid`` must lie in [GRID_MIN, GRID_MAX] and mesh_nt * mesh_nu must not
+exceed MESH_MAX, so an oversized request fails before it allocates.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -30,6 +32,8 @@ _KNOWN_KEYS = {
 }
 
 GRID_MIN = 16  # smallest `grid`: below it a sampled table is too coarse to mean anything
+GRID_MAX = 200_000  # largest `grid`: `solve` at it peaks near 175 MB of resident memory
+MESH_MAX = 500_000  # largest mesh_nt * mesh_nu: `build` at both caps peaks near 275 MB
 
 _FLOAT_KEYS = {"a", "b", "length", "R", "rho", "q", "width"}
 _INT_KEYS = {"n", "grid", "mesh_nt", "mesh_nu"}
@@ -103,11 +107,13 @@ def check_domains(cfg):
             raise ConfigError(f"config value '{key}' is not finite")
     if cfg.width is not None and not cfg.width > 0.0:
         raise ConfigError(f"width must be positive, got {cfg.width:g}")
-    if cfg.grid < GRID_MIN:
-        raise ConfigError(f"grid must be at least {GRID_MIN}, got {cfg.grid}")
+    if not GRID_MIN <= cfg.grid <= GRID_MAX:
+        raise ConfigError(f"grid must be in [{GRID_MIN}, {GRID_MAX}], got {cfg.grid}")
     for key in ("mesh_nt", "mesh_nu"):
         if getattr(cfg, key) < 2:
             raise ConfigError(f"{key} must be at least 2, got {getattr(cfg, key)}")
+    if cfg.mesh_nt * cfg.mesh_nu > MESH_MAX:
+        raise ConfigError(f"mesh_nt * mesh_nu must be at most {MESH_MAX}, got {cfg.mesh_nt} * {cfg.mesh_nu}")
     if not abs(cfg.q) <= 2.0 * np.pi:
         raise ConfigError(f"q must be an angle in [-2 pi, 2 pi], got {cfg.q:g}")
     if cfg.phi != "base" and not 0.0 < cfg.phi < np.pi:
@@ -136,7 +142,7 @@ def build_curve(cfg):
                         vals = [float(x) for x in row]
                     except ValueError:
                         continue  # header row
-                    if len(vals) < 4 or not np.all(np.isfinite(vals[:4])):
+                    if len(vals) < 4 or not all(map(math.isfinite, vals[:4])):
                         raise ConfigError(f"{cfg.csv}:{reader.line_num}: samples need 4 finite values t, x, y, z")
                     rows.append(vals[:4])
         except OSError as exc:

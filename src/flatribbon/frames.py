@@ -12,7 +12,9 @@ whose scalars transform by :func:`rotate`.  ``NormalField.on_grid(n)`` is
 the sample on the curve's n-node grid, taken once per field and node count
 and kept read-only for the field's lifetime.  A grid of m nodes whose every
 node is a node of a kept table's M-node grid, M - 1 = 2^k (m - 1), is not
-sampled again: its table is a strided view of the finer one.
+sampled again: its table is a strided view of the finer one.  The nesting
+test is :func:`~flatribbon.numerics.nested_stride`, the same one by which a
+``ThetaSolution`` serves its node table.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,16 @@ import numpy as np
 
 from .curves import KAPPA_MIN, check_curvature, frenet_data
 from .errors import InvalidParams, NonOrthogonalNormal, VanishingCurvature
-from .numerics import central_difference, first_where, odd_node_count, prefix_products, read_only, rownorm, spline
+from .numerics import (
+    central_difference,
+    first_where,
+    nested_stride,
+    odd_node_count,
+    prefix_products,
+    read_only,
+    rownorm,
+    spline,
+)
 
 __all__ = [
     "DarbouxScalars",
@@ -90,12 +101,10 @@ class NormalField:
         return self.grid_table("frame", n, lambda ts: self._strided(ts) or read_only(self._grid_sample(ts)))
 
     def _strided(self, ts):
-        """Every s-th row of a kept frame table whose every s-th node is ``ts``, s a power of two; else None."""
-        m = len(ts)
+        """Every s-th row of a kept frame table whose every s-th node is ``ts`` (:func:`nested_stride`); else None."""
         for (kind, size), table in self._grid_tables.items():
-            s, rest = divmod(size - 1, m - 1)
-            nested = kind == "frame" and s > 1 and rest == 0 and s & (s - 1) == 0
-            if nested and np.array_equal(self.curve.grid(size)[::s], ts):
+            s = nested_stride(self.curve.grid(size), ts) if kind == "frame" else None
+            if s is not None:
                 return FrameSample(**{name: value[::s] for name, value in vars(table).items()})
         return None
 

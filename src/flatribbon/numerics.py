@@ -24,6 +24,7 @@ __all__ = [
     "rownorm",
     "first_where",
     "read_only",
+    "nested_stride",
     "stencil_difference",
     "prefix_products",
 ]
@@ -61,6 +62,23 @@ def read_only(table):
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
     return table
+
+
+def nested_stride(nodes, t):
+    """The power of two s with ``nodes[::s]`` equal to ``t`` bitwise, or None.
+
+    ``t`` qualifies only as a 1-D array of m >= 2 entries with
+    len(nodes) - 1 = s (m - 1), so a table kept on ``nodes`` serves it by a
+    stride.  Uniform grids of one interval nest bitwise at such s
+    (``linspace(0, L, s (m - 1) + 1)[::s]`` is ``linspace(0, L, m)``), but
+    for most L not at stride 10, so no other stride is served.
+    """
+    if np.ndim(t) != 1 or len(t) < 2:
+        return None
+    s, rest = divmod(len(nodes) - 1, len(t) - 1)
+    if rest or s < 1 or s & (s - 1) or not np.array_equal(nodes[::s], t):
+        return None
+    return s
 
 
 def simpson_uniform(values, h):

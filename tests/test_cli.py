@@ -149,6 +149,10 @@ def test_missing_config_exit_code(tmp_path):
         ("sweep", "r = 1, 0\n", "r must"),
         ("energy", "q = 7\n", "q must"),
         ("solve", "q = -7\n", "q must"),
+        # sizes that once ended in "array is too big" or a MemoryError traceback, exit 1
+        ("solve", "grid = 1000000000000000000\n", "grid must"),
+        ("build", "mesh_nt = 1000000000000000000\n", "mesh_nt * mesh_nu"),
+        ("build", "mesh_nu = 1000000000000000000\n", "mesh_nt * mesh_nu"),
     ],
 )
 def test_out_of_domain_config_exit_code(tmp_path, capsys, command, extra, key):
@@ -191,6 +195,15 @@ def test_grid_below_minimum_exit_code(tmp_path, capsys, command):
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "grid" in err
         assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["build", "solve", "energy"])
+def test_oversized_grid_flag_exit_code(tmp_path, capsys, command):
+    assert run([command, "--config", EXAMPLE, "--out", str(tmp_path / "o"), "--grid", str(10**18)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "grid must" in err
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "o").exists()
 
 
@@ -292,11 +305,15 @@ def helix_sample_rows():
     return np.column_stack([ts, np.cos(ts), np.sin(ts), 0.5 * ts])
 
 
+BAD_LINE = {"nan_t": 12, "inf_z": 12, "three_columns": 2}  # the header is line 1, so rows[i] is line i + 2
+
+
 @pytest.mark.parametrize(
     "case,key",
     [
         ("non_increasing_t", "strictly increasing"),
         ("nan_t", "finite"),
+        ("inf_z", "finite"),
         ("three_columns", "4 finite values"),
     ],
 )
@@ -306,6 +323,9 @@ def test_bad_samples_csv_exit_code(tmp_path, capsys, case, key):
         rows[10, 0] = rows[9, 0]
     elif case == "nan_t":
         rows[10, 0] = np.nan
+    elif case == "inf_z":
+        rows[10, 3] = np.inf
+        rows[20, 1] = np.inf  # a later bad row: the first one is named
     else:
         rows = rows[:, :3]
     csv_path = tmp_path / "samples.csv"
@@ -314,6 +334,8 @@ def test_bad_samples_csv_exit_code(tmp_path, capsys, case, key):
     assert run(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+    if case in BAD_LINE:
+        assert f"{csv_path}:{BAD_LINE[case]}:" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "o").exists()
 

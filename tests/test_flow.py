@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatribbon import angleivp, cli
 from flatribbon.angleivp import (
@@ -25,9 +27,10 @@ from flatribbon.angleivp import (
     solve_theta_family,
     solved_rotation_field,
 )
+from flatribbon.energy import limit_energy
 from flatribbon.errors import StepSizeUnderflow
-from flatribbon.frames import PrincipalNormalField, sampled_scalars
-from flatribbon.numerics import Cubic, arccot, spline
+from flatribbon.frames import PrincipalNormalField, TorusNormalField, sampled_scalars
+from flatribbon.numerics import Cubic, arccot, nested_stride, spline
 from flatribbon.ribbon import mu_field
 from test_grid_cache import EXAMPLE
 
@@ -211,3 +214,104 @@ def test_lazy_spline_equals_the_eager_one_bit_for_bit(helix11, pn11):
     assert np.array_equal(sol._spline._table, eager._table)
     assert np.array_equal(got, eager(mids))
     assert np.array_equal(sol.derivative(mids), rhs(mids, eager(mids)))
+
+
+# ---------------------------------------------------------------- node table
+
+
+def curve_of(case, helix11, knot):
+    return helix11 if CASES[case][0] == "helix" else knot
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_nested_grids_read_the_node_table(case, problems, helix11, knot):
+    length, rhs = problems[case]
+    curve = curve_of(case, helix11, knot)
+    family = solve_theta_family(rhs, length, [0.3, 2.0], 400)
+    for values, derivatives in ((family.values, family.derivatives), (family[1].values, family[1].derivatives)):
+        for table in (values, derivatives):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+    sol = family[1]
+    eager = spline(sol.ts, sol.values)
+    for m in (401, 201, 101):
+        t = curve.grid(m)
+        theta, dtheta = sol(t), sol.derivative(t)
+        for got, table in ((theta, sol.values), (dtheta, sol.derivatives)):
+            assert np.shares_memory(got, table) and not got.flags.writeable
+            assert np.array_equal(got, table[:: 400 // (m - 1)])
+        # interior nodes: the spline returns its node value and F sees the same t
+        want = eager(t)
+        assert np.array_equal(theta[:-1], want[:-1])
+        assert np.array_equal(dtheta[:-1], rhs(t, want)[:-1])
+        # at t = L the spline's last piece may round differently
+        assert abs(theta[-1] - want[-1]) <= 1e-13 * max(1.0, abs(want[-1]))
+    assert "_spline" not in vars(sol)
+
+
+@pytest.mark.parametrize("case", ["helix_phi_1.2", "knot_same_angle"])
+def test_other_arguments_read_the_spline(case, problems, helix11, knot):
+    length, rhs = problems[case]
+    curve = curve_of(case, helix11, knot)
+    sol = solve_theta_family(rhs, length, [0.7], 400)[0]
+    eager = spline(sol.ts, sol.values)
+    grid = curve.grid(201)
+    # stride 10, the 400-point mesh grid, a scalar, a 2-D array and off the nodes
+    mesh = np.linspace(0.0, length, 400)
+    for t in (curve.grid(41), mesh, 0.5 * length, np.stack([grid, grid[::-1]]), grid[:-1] + 1e-3):
+        theta, dtheta = sol(t), sol.derivative(t)
+        assert not np.shares_memory(theta, sol.values) and not np.shares_memory(dtheta, sol.derivatives)
+        assert np.array_equal(theta, eager(t))
+        assert np.array_equal(dtheta, rhs(t, eager(t)))
+    assert "_spline" in vars(sol)
+
+
+@pytest.mark.parametrize("field", [PrincipalNormalField, TorusNormalField])
+def test_rotated_field_on_nested_grids_builds_no_theta_spline(field, helix11, knot):
+    # solved_rotation_field and limit_energy as in the helix_q_family benchmark
+    base = field(knot if field is TorusNormalField else helix11)
+    rotated, solution = solved_rotation_field(base, 0.7, grid_size=400, scalars_grid=401)
+    report = limit_energy(base.curve, rotated, 0.1, n_t=201)
+    assert np.isfinite(report.value)
+    assert "_spline" not in vars(solution)
+
+
+def test_rk4_solution_tables_are_read_only(problems):
+    length, rhs = problems["helix_phi_1.2"]
+    sol = solve_theta(rhs, length, InitialCondition(0.0, 0.7), 200)
+    assert np.shares_memory(sol(sol.ts[::2]), sol.values)
+    for table in (sol.ts, sol.values, sol.derivatives):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+
+def test_family_keeps_the_callers_angles_writable(problems):
+    length, rhs = problems["helix_phi_1.2"]
+    qs = np.array([0.3, 2.0])
+    family = solve_theta_family(rhs, length, qs, 100)
+    qs[0] = 0.4
+    assert family.qs[0] == 0.3 and not family.qs.flags.writeable
+
+
+def test_nested_stride_rejects_what_is_not_a_grid():
+    nodes = np.linspace(0.0, 2.0, 401)
+    assert nested_stride(nodes, nodes) == 1
+    assert nested_stride(nodes, nodes[::4].copy()) == 4
+    off = nodes[::8].copy()
+    off[7] = np.nextafter(off[7], 3.0)
+    assert nested_stride(nodes, off) is None  # one node one bit off
+    assert nested_stride(nodes, np.linspace(0.0, 2.0, 41)) is None  # stride 10
+    for t in (1.0, nodes[:1], nodes[None, ::4], np.linspace(0.0, 2.0, 400), nodes[:201]):
+        assert nested_stride(nodes, t) is None
+
+
+@given(st.floats(1e-6, 1e6), st.integers(1, 250), st.sampled_from([1, 2, 3, 4, 8, 10]))
+@settings(deadline=None, max_examples=200)
+def test_nested_stride_is_the_bitwise_check_at_powers_of_two(length, k, s):
+    m = 4 * k + 1  # <= 1001 nodes, as curve.grid gives them
+    nodes, t = np.linspace(0.0, length, s * (m - 1) + 1), np.linspace(0.0, length, m)
+    got = nested_stride(nodes, t)
+    if s & (s - 1):
+        assert got is None
+    else:
+        assert got == (s if np.array_equal(nodes[::s], t) else None)
