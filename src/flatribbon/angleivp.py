@@ -15,7 +15,12 @@ every initial angle at once through the linearization: with
 the traceless linear system (p, r)' = G(t) (p, r),
 G = 1/2 [[a, b + c], [b - c, -a]] (the Riccati linearization, W. T. Reid,
 *Riccati Differential Equations*, 1972), whose RK4 step matrices compose
-by a prefix product.
+by a prefix product.  That :class:`ThetaFlow` depends on the table and n
+but not on q, which enters only through the start vector
+(sin q/2, cos q/2).  ``solved_rotation_field`` takes its table exactly from
+the base field's frame table on the 4n+1 stage nodes and keeps one flow per
+form and n on the base field, so further angles on that field read the
+kept flow.
 """
 
 import math
@@ -34,6 +39,7 @@ __all__ = [
     "AngleRHS",
     "ThetaSolution",
     "ThetaFamily",
+    "ThetaFlow",
     "rhs_prescribed",
     "rhs_same_angle",
     "prescribed_angle_rhs",
@@ -265,6 +271,65 @@ class ThetaFamily(Sequence):
         return ThetaSolution(self.ts, self.values[i], self.derivatives[i], "rk4_flow", self.step, est, self.rhs)
 
 
+@dataclass(frozen=True, eq=False)
+class ThetaFlow:
+    """The q-independent RK4 flow of (p, r)' = G (p, r) over [0, L], from which every q is read.
+
+    ``nodes`` are the 4n+1 stage nodes and ``table`` holds the coefficients
+    (a, b, c) at each (:func:`solve_theta`'s table).  ``images[run, j, k]`` is
+    r + i p at step node k of the n-step run (run 0) and of the paired 2n-step
+    run (run 1), started from the j-th unit vector of (p, r)(0): the running
+    products of the step matrices, each up to a positive factor.  ``nodes``
+    and ``images`` are read-only, so one flow can be kept and shared.
+    """
+
+    nodes: np.ndarray
+    table: tuple
+    images: np.ndarray
+
+    @classmethod
+    def of(cls, nodes, table):
+        """The flow of ``table`` on ``nodes``: RK4 step matrices of both runs and one :func:`prefix_products`."""
+        a, b, c = table
+        n = (len(nodes) - 1) // 4
+        h = nodes[-1] / n  # linspace ends on the length exactly
+        with np.errstate(all="ignore"):  # a non-finite table ends in NaN angles, reported by family()
+            g = 0.5 * np.array([[a, b + c], [b - c, -a]])
+            full = _rk4_propagators(g[..., 0:-1:4], g[..., 2::4], g[..., 4::4], h)
+            half = _rk4_propagators(g[..., 0:-1:2], g[..., 1::2], g[..., 2::2], 0.5 * h)
+            paired = _matmul(half[..., 1::2], half[..., 0::2])
+            eye = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, 2, 1))
+            # m[:, :, run, k] maps (p, r)(0) to (p, r)(t_k), for the n-step run and the paired 2n-step run
+            m = prefix_products(np.concatenate([eye, np.stack([full, paired], axis=2)], axis=-1))
+            images = (m[1] + 1j * m[0]).transpose(1, 0, 2)
+        return read_only(cls(nodes, tuple(table), images))
+
+    def family(self, qs, rhs):
+        """The :class:`ThetaFamily` from theta(0) = q for every q of ``qs``; ``rhs`` is the family's F.
+
+        From (p, r)(0) = (sin q/2, cos q/2), theta adds twice the angle turned
+        by (p, r) over each step.  Every q's error estimate is the maximum
+        deviation between its two runs; StepSizeUnderflow on a non-finite angle.
+        """
+        qs = np.array(qs, dtype=float, ndmin=1)  # a copy: the family flags its arrays read-only
+        with np.errstate(all="ignore"):
+            start = np.array([np.sin(0.5 * qs), np.cos(0.5 * qs)])  # (p, r)(0) of every q
+            z = start.T @ self.images  # r + i p, shape (run, q, n + 1)
+            # theta/2 = arg z, so theta turns by 2 arg(z_k conj(z_{k-1})) over step k
+            theta = np.empty(z.shape)
+            theta[..., 0] = 0.0
+            np.cumsum(np.angle(z[..., 1:] * z[..., :-1].conj()), axis=-1, out=theta[..., 1:])
+            theta *= 2.0
+            theta += qs[:, None]
+        if not np.all(np.isfinite(theta)):
+            raise StepSizeUnderflow("the RK4 flow produced non-finite values")
+        values = theta[0]
+        ts = self.nodes[::4]
+        derivs = _combine([x[::4] for x in self.table], values)
+        err = np.max(np.abs(values - theta[1]), axis=-1)
+        return read_only(ThetaFamily(qs, ts, values, derivs, ts[1] - ts[0], err, rhs=rhs))
+
+
 def solve_theta_family(rhs, length, qs, grid_size=2000):
     """Integrate theta' = F(t, theta) over [0, length] from theta(0) = q, for every q of ``qs``.
 
@@ -273,39 +338,12 @@ def solve_theta_family(rhs, length, qs, grid_size=2000):
     G = 1/2 [[a, b + c], [b - c, -a]], with n = grid_size steps and with 2n
     half steps, each pair of half-step matrices composed into one; the
     running products of both runs come from one :func:`prefix_products`.
-    From (p, r)(0) = (sin q/2, cos q/2), theta adds twice the angle turned by
-    (p, r) over each step.  Every q's error estimate is the maximum
-    deviation between its two runs.  NormalCurvatureZero comes from the
-    table, StepSizeUnderflow from a non-finite angle.
+    That :class:`ThetaFlow` does not depend on q; :meth:`ThetaFlow.family`
+    reads every q off it.  NormalCurvatureZero comes from the table,
+    StepSizeUnderflow from a non-finite angle.
     """
     n = max(int(grid_size), 2)
-    length = float(length)
-    qs = np.array(qs, dtype=float, ndmin=1)  # a copy: the family flags its arrays read-only
-    nodes, (a, b, c) = _coefficient_table(rhs, length, n)
-    h = length / n
-    with np.errstate(all="ignore"):  # a non-finite table ends in NaN angles, reported below
-        g = 0.5 * np.array([[a, b + c], [b - c, -a]])
-        full = _rk4_propagators(g[..., 0:-1:4], g[..., 2::4], g[..., 4::4], h)
-        half = _rk4_propagators(g[..., 0:-1:2], g[..., 1::2], g[..., 2::2], 0.5 * h)
-        paired = _matmul(half[..., 1::2], half[..., 0::2])
-        eye = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, 2, 1))
-        # m[:, :, run, k] maps (p, r)(0) to (p, r)(t_k), for the n-step run and the paired 2n-step run
-        m = prefix_products(np.concatenate([eye, np.stack([full, paired], axis=2)], axis=-1))
-        start = np.array([np.sin(0.5 * qs), np.cos(0.5 * qs)])  # (p, r)(0) of every q
-        z = start.T @ (m[1] + 1j * m[0]).transpose(1, 0, 2)  # r + i p, shape (run, q, n + 1)
-        # theta/2 = arg z, so theta turns by 2 arg(z_k conj(z_{k-1})) over step k
-        theta = np.empty(z.shape)
-        theta[..., 0] = 0.0
-        np.cumsum(np.angle(z[..., 1:] * z[..., :-1].conj()), axis=-1, out=theta[..., 1:])
-        theta *= 2.0
-        theta += qs[:, None]
-    if not np.all(np.isfinite(theta)):
-        raise StepSizeUnderflow("the RK4 flow produced non-finite values")
-    values = theta[0]
-    ts = nodes[::4]
-    derivs = _combine((a[::4], b[::4], c[::4]), values)
-    err = np.max(np.abs(values - theta[1]), axis=-1)
-    return read_only(ThetaFamily(qs, ts, values, derivs, ts[1] - ts[0], err, rhs=rhs))
+    return ThetaFlow.of(*_coefficient_table(rhs, float(length), n)).family(qs, rhs)
 
 
 def lipschitz_bound(scalars, phi):
@@ -342,30 +380,47 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
 
     With ``phi`` given (a callable ruling-angle prescription) the
     prescribed-angle ODE is integrated; otherwise the same-angle shortcut
-    is used when kappa_n of the base field stays away from zero, falling
-    back to the prescribed form with phi equal to the base ruling angle.
-    The IVP is solved as the one-angle family of :func:`solve_theta_family`,
-    and kappa_n is read from the base field's grid table, the one the
-    scalars spline interpolates.  On a grid nested in the solution's
-    grid_size + 1 nodes by a power of two, the rotated field reads theta and
-    theta' off the solution's node table, with no spline and no new
+    is used when kappa_n of the base field's ``scalars_grid`` table stays
+    away from zero, falling back to the prescribed form with phi equal to
+    the base ruling angle, from ``mu_field`` on that grid.  The coefficient
+    table is exact: it reads the scalars off ``base_field.on_grid(4n + 1)``,
+    n = grid_size, taken first so that the field's coarser grid tables nest
+    in it as views.  Off those nodes (``ThetaSolution.derivative`` and
+    ``ode_residual`` elsewhere) F samples the base field.  The base field
+    keeps one :class:`ThetaFlow` per form (same-angle, prescribed, base
+    angle) and n next to its grid tables, and a call whose table equals the
+    kept flow's bitwise reads q off it with no new scan; any other table
+    builds the flow again and replaces it.  On a grid nested in the
+    solution's n + 1 nodes by a power of two, the rotated field reads theta
+    and theta' off the solution's node table, with no spline and no new
     evaluation of F.  Returns (rotated_field, theta_solution).
     """
-    from .frames import RotatedNormalField, sampled_scalars
+    from .frames import DarbouxScalars, RotatedNormalField
     from .ribbon import mu_field
 
     curve = base_field.curve
-    scalars_fn = sampled_scalars(base_field, scalars_grid)
+    n = max(int(grid_size), 2)
+    stages = base_field.on_grid(4 * n + 1)
+    nodes = curve.grid(4 * n + 1)
+
+    def scalars(ts):
+        s = nested_stride(nodes, ts)
+        if s is None:
+            return base_field.sample(ts)
+        return DarbouxScalars(stages.kappa_g[::s], stages.kappa_n[::s], stages.tau_g[::s])
+
     if phi is not None:
-        rhs = prescribed_angle_rhs(scalars_fn, phi)
+        form, rhs = "prescribed", prescribed_angle_rhs(scalars, phi)
+    elif float(np.min(np.abs(base_field.on_grid(scalars_grid).kappa_n))) > 1e-6:
+        form, rhs = "same_angle", same_angle_rhs(scalars)
     else:
-        kn_min = float(np.min(np.abs(base_field.on_grid(scalars_grid).kappa_n)))
-        if kn_min > 1e-6:
-            rhs = same_angle_rhs(scalars_fn)
-        else:
-            mu = mu_field(curve, base_field, grid_size=scalars_grid)
-            rhs = prescribed_angle_rhs(scalars_fn, lambda t: arccot(mu(t)))
-    solution = solve_theta_family(rhs, curve.length, [float(q)], grid_size)[0]
+        mu = mu_field(curve, base_field, grid_size=scalars_grid)
+        form, rhs = "base_angle", prescribed_angle_rhs(scalars, lambda t: arccot(mu(t)))
+    table = _coefficient_table(rhs, curve.length, n)[1]
+    build = lambda ts: ThetaFlow.of(ts, table)
+    same_table = lambda kept: all(map(np.array_equal, kept.table, table))
+    flow = base_field.grid_table(("flow", form), 4 * n + 1, build, keep=same_table)
+    solution = flow.family([float(q)], rhs)[0]
     field = RotatedNormalField(base_field, solution, solution.derivative)
     return field, solution
 

@@ -79,15 +79,17 @@ class NormalField:
         self.curve = curve
         self._grid_tables = {}
 
-    def grid_table(self, kind, n, build):
+    def grid_table(self, kind, n, build, keep=None):
         """``build(ts)`` on ``curve.grid(n)``, kept per (kind, node count) for the field's lifetime.
 
         The key is the node count ``odd_node_count(n)`` that the grid has; a
         build that raises keeps nothing, so it raises again on the next call.
+        With ``keep`` given, a kept table for which ``keep(table)`` is false
+        is built again and replaces it.
         """
         key = (kind, odd_node_count(n))
         table = self._grid_tables.get(key)
-        if table is None:
+        if table is None or not (keep is None or keep(table)):
             table = self._grid_tables[key] = build(self.curve.grid(key[1]))
         return table
 

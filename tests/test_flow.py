@@ -180,7 +180,7 @@ def test_solved_rotation_field_solves_through_the_flow(monkeypatch, pn11, torus_
 
 
 def test_same_angle_test_reads_the_grid_table(monkeypatch, helix11):
-    # min|kappa_n| comes from the frame table, so the scalars spline is evaluated only at the 4n+1 stage nodes
+    # min|kappa_n| and the 4n+1 stage coefficients come from frame tables, so no spline is evaluated
     shapes = []
     original = Cubic.__call__
 
@@ -190,7 +190,80 @@ def test_same_angle_test_reads_the_grid_table(monkeypatch, helix11):
 
     monkeypatch.setattr(Cubic, "__call__", counted)
     solved_rotation_field(PrincipalNormalField(helix11), 0.7, grid_size=400, scalars_grid=401)
-    assert shapes == [(1601,)]
+    assert shapes == []
+
+
+# ---------------------------------------------------------------- kept flow
+
+
+def counted_scans(monkeypatch):
+    """A list that gains one entry per prefix_products scan, that is per flow built."""
+    scans = []
+    original = angleivp.prefix_products
+    monkeypatch.setattr(angleivp, "prefix_products", lambda m: scans.append(1) or original(m))
+    return scans
+
+
+def solve_on(base, q, phi):
+    return solved_rotation_field(base, q, grid_size=400, scalars_grid=401, phi=phi)[1]
+
+
+def assert_same_solution(got, want):
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.derivatives, want.derivatives)
+    assert got.error_estimate == want.error_estimate
+
+
+@pytest.mark.parametrize("phi", [None, 1.2], ids=["same_angle", "phi_1.2"])
+def test_second_q_reads_the_kept_flow(phi, monkeypatch, helix11):
+    scans = counted_scans(monkeypatch)
+    base = PrincipalNormalField(helix11)
+    prescribe = None if phi is None else (lambda t: phi)
+    solve_on(base, 0.3, prescribe)
+    assert len(scans) == 1
+    second = solve_on(base, 2.0, None if phi is None else (lambda t: phi))  # a new callable, the same table
+    assert len(scans) == 1
+    assert_same_solution(second, solve_on(PrincipalNormalField(helix11), 2.0, prescribe))
+
+
+def test_alternating_forms_keep_one_flow_each(monkeypatch, helix11):
+    # the helix_q_family pattern: same-angle and phi = pi/2 jobs alternate on one base field
+    scans = counted_scans(monkeypatch)
+    base = PrincipalNormalField(helix11)
+    for q, phi in ((0.3, None), (1.1, np.pi / 2), (2.5, None), (4.0, np.pi / 2)):
+        solve_on(base, q, None if phi is None else (lambda t, phi=phi: phi))
+    assert len(scans) == 2
+
+
+def test_a_new_phi_rebuilds_the_flow(monkeypatch, helix11):
+    scans = counted_scans(monkeypatch)
+    base = PrincipalNormalField(helix11)
+    solve_on(base, 0.7, lambda t: 1.2)
+    got = solve_on(base, 0.7, lambda t: 1.0)
+    assert len(scans) == 2
+    assert_same_solution(got, solve_on(PrincipalNormalField(helix11), 0.7, lambda t: 1.0))
+
+
+def test_a_field_keeps_one_flow_per_form(helix11):
+    base = PrincipalNormalField(helix11)
+    for phi in (0.6, 0.9, 1.2, 1.5, 2.1):
+        solve_on(base, 0.7, lambda t, phi=phi: phi)
+    solve_on(base, 0.7, None)
+    flows = [kind for kind, _ in base._grid_tables if kind[0] == "flow"]
+    assert sorted(flows) == [("flow", "prescribed"), ("flow", "same_angle")]
+
+
+@pytest.mark.parametrize("grid", [400, 2000])
+@pytest.mark.parametrize("phi", [None, 1.2], ids=["same_angle", "phi_1.2"])
+def test_estimate_bounds_the_error_of_the_exact_table(phi, grid, knot):
+    # the reference takes 4x the steps on the field itself, so no interpolation error hides from the estimate
+    base = TorusNormalField(knot)
+    prescribe = None if phi is None else (lambda t: phi)
+    sol = solved_rotation_field(base, 0.7, grid_size=grid, scalars_grid=grid + 1, phi=prescribe)[1]
+    rhs = same_angle_rhs(base.sample) if phi is None else prescribed_angle_rhs(base.sample, prescribe)
+    reference = solve_theta_family(rhs, knot.length, [0.7], 4 * grid)
+    error = np.max(np.abs(sol.values - reference.values[0, ::4]))
+    assert error <= 1.1 * sol.error_estimate
 
 
 # ---------------------------------------------------------------- lazy spline
