@@ -17,10 +17,10 @@ G = 1/2 [[a, b + c], [b - c, -a]] (the Riccati linearization, W. T. Reid,
 *Riccati Differential Equations*, 1972), whose RK4 step matrices compose
 by a prefix product.  That :class:`ThetaFlow` depends on the table and n
 but not on q, which enters only through the start vector
-(sin q/2, cos q/2).  ``solved_rotation_field`` takes its table exactly from
-the base field's frame table on the 4n+1 stage nodes and keeps one flow per
-form and n on the base field, so further angles on that field read the
-kept flow.
+(sin q/2, cos q/2).  ``solved_rotation_field`` reads its table exactly,
+through :func:`~flatribbon.frames.sampled_scalars` on the 4n+1 stage nodes,
+and keeps one flow per form and n on the base field, so further angles on
+that field read the kept flow.
 """
 
 import math
@@ -382,10 +382,11 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
     prescribed-angle ODE is integrated; otherwise the same-angle shortcut
     is used when kappa_n of the base field's ``scalars_grid`` table stays
     away from zero, falling back to the prescribed form with phi equal to
-    the base ruling angle, from ``mu_field`` on that grid.  The coefficient
-    table is exact: it reads the scalars off ``base_field.on_grid(4n + 1)``,
-    n = grid_size, taken first so that the field's coarser grid tables nest
-    in it as views.  Off those nodes (``ThetaSolution.derivative`` and
+    the base ruling angle, from ``mu_field`` on the 4n+1 stage nodes,
+    n = grid_size.  F reads the scalars through
+    ``sampled_scalars(base_field, 4n + 1)``, taken first so that the field's
+    coarser grid tables nest in its table as views: the coefficient table is
+    exact on the stage nodes, and off them (``ThetaSolution.derivative`` and
     ``ode_residual`` elsewhere) F samples the base field.  The base field
     keeps one :class:`ThetaFlow` per form (same-angle, prescribed, base
     angle) and n next to its grid tables, and a call whose table equals the
@@ -395,26 +396,18 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
     and theta' off the solution's node table, with no spline and no new
     evaluation of F.  Returns (rotated_field, theta_solution).
     """
-    from .frames import DarbouxScalars, RotatedNormalField
+    from .frames import RotatedNormalField, sampled_scalars
     from .ribbon import mu_field
 
     curve = base_field.curve
     n = max(int(grid_size), 2)
-    stages = base_field.on_grid(4 * n + 1)
-    nodes = curve.grid(4 * n + 1)
-
-    def scalars(ts):
-        s = nested_stride(nodes, ts)
-        if s is None:
-            return base_field.sample(ts)
-        return DarbouxScalars(stages.kappa_g[::s], stages.kappa_n[::s], stages.tau_g[::s])
-
+    scalars = sampled_scalars(base_field, 4 * n + 1)
     if phi is not None:
         form, rhs = "prescribed", prescribed_angle_rhs(scalars, phi)
     elif float(np.min(np.abs(base_field.on_grid(scalars_grid).kappa_n))) > 1e-6:
         form, rhs = "same_angle", same_angle_rhs(scalars)
     else:
-        mu = mu_field(curve, base_field, grid_size=scalars_grid)
+        mu = mu_field(curve, base_field, grid_size=4 * n + 1)
         form, rhs = "base_angle", prescribed_angle_rhs(scalars, lambda t: arccot(mu(t)))
     table = _coefficient_table(rhs, curve.length, n)[1]
     build = lambda ts: ThetaFlow.of(ts, table)

@@ -14,7 +14,8 @@ and kept read-only for the field's lifetime.  A grid of m nodes whose every
 node is a node of a kept table's M-node grid, M - 1 = 2^k (m - 1), is not
 sampled again: its table is a strided view of the finer one.  The nesting
 test is :func:`~flatribbon.numerics.nested_stride`, the same one by which a
-``ThetaSolution`` serves its node table.
+``ThetaSolution`` serves its node table and :func:`sampled_scalars`, the
+exact reader of the scalars, serves views.
 """
 
 from dataclasses import dataclass
@@ -289,22 +290,20 @@ def frenet_rotation_field(curve, x, grid_size=201):
 
 
 def sampled_scalars(normal_field, grid_size=2001):
-    """Spline-backed t -> DarbouxScalars evaluator, built once per field and node count.
+    """The exact t -> DarbouxScalars reader of ``normal_field``; no scalar is interpolated.
 
-    Sampling once and interpolating makes ODE right-hand sides cheap; the
-    interpolation error is O(h^4) on the uniform grid.  The evaluator is kept
-    on the field (see ``NormalField.grid_table``), so every call on one field
-    and grid shares one spline.
+    On a grid nested in ``curve.grid(grid_size)`` (:func:`nested_stride`) it
+    returns views of ``on_grid(grid_size)``, taken at the call so that grids
+    sampled later nest in it; at any other t, the scalars of ``sample(t)``.
     """
-    return normal_field.grid_table("scalars", grid_size, lambda ts: _scalars_evaluator(normal_field, ts))
-
-
-def _scalars_evaluator(normal_field, ts):
-    frame = normal_field.on_grid(len(ts))
-    table = spline(ts, np.stack([frame.kappa_g, frame.kappa_n, frame.tau_g], axis=-1))
+    nodes, table = normal_field.curve.grid(grid_size), normal_field.on_grid(grid_size)
 
     def evaluate(t):
-        return DarbouxScalars(*np.moveaxis(table(t), -1, 0))
+        s = nested_stride(nodes, t)
+        if s is None:
+            frame = normal_field.sample(t)
+            return DarbouxScalars(frame.kappa_g, frame.kappa_n, frame.tau_g)
+        return DarbouxScalars(table.kappa_g[::s], table.kappa_n[::s], table.tau_g[::s])
 
     return evaluate
 

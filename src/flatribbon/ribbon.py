@@ -268,7 +268,6 @@ class FlatnessReport:
     tangent_plane: float  # sup |<X x T, X'>|
     gauss_estimate: float
     second_form_f: float  # sup |<X', N>| (zero for a flat ribbon)
-    second_form_g: float = 0.0
     rows: tuple = ()  # (t, |<X, N>|, |<X x T, X'>|) on the residual grid
 
 

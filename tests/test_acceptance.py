@@ -63,7 +63,7 @@ def report(label, measured, bound, passed=None):
 # 1. Fixed-step RK4 reproduces the linear solution of the right-angle ruling
 #    equation on a helix.
 def test_criterion_01_helix_right_angle_ivp(helix11, pn11):
-    scalars = sampled_scalars(pn11, 2001)
+    scalars = sampled_scalars(pn11, 4 * 2000 + 1)  # exact at every stage node of the 2000-step runs
     rhs = prescribed_angle_rhs(scalars, lambda t: np.pi / 2)
     sol = solve_theta(rhs, helix11.length, InitialCondition(0.0, 0.0), grid_size=2000)
     exact = closed_form_helix_pi2(1.0, 1.0)
@@ -74,7 +74,7 @@ def test_criterion_01_helix_right_angle_ivp(helix11, pn11):
 # 2. The same-angle equation integrates to the cotangent-shift closed form for
 #    several starting angles.
 def test_criterion_02_same_angle_closed_form(helix11, pn11):
-    scalars = sampled_scalars(pn11, 2001)
+    scalars = sampled_scalars(pn11, 4 * 2000 + 1)  # exact at every stage node of the 2000-step runs
     rhs = same_angle_rhs(scalars)
     psi = integrated_torsion(helix11)
     worst = 0.0

@@ -8,6 +8,7 @@ is the reference: the two discretizations differ at the order of their
 Richardson estimates.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -49,21 +50,34 @@ CASES = {
 
 
 @pytest.fixture(scope="module")
-def problems(helix11, pn11, knot, torus_field):
-    """case name -> (length, rhs), on the 2001-node scalars spline that solved_rotation_field uses."""
-    out = {}
-    for name, (curve_name, phi) in CASES.items():
-        curve, base = (helix11, pn11) if curve_name == "helix" else (knot, torus_field)
-        scalars_fn = sampled_scalars(base, 2001)
-        if phi is None:
-            rhs = same_angle_rhs(scalars_fn)
-        elif phi == "base":
-            mu = mu_field(curve, base, grid_size=2001)
-            rhs = prescribed_angle_rhs(scalars_fn, lambda t, mu=mu: arccot(mu(t)))
-        else:
-            rhs = prescribed_angle_rhs(scalars_fn, lambda t, phi=phi: phi)
-        out[name] = (curve.length, rhs)
-    return out
+def bases(pn11, torus_field):
+    return {"helix": pn11, "knot": torus_field}
+
+
+def case_rhs(case, base, scalars_fn, grid):
+    """The case's F on ``scalars_fn``; the base ruling angle comes from ``mu_field`` on the 4 grid + 1 stage nodes."""
+    phi = CASES[case][1]
+    if phi is None:
+        return same_angle_rhs(scalars_fn)
+    if phi == "base":
+        mu = mu_field(base.curve, base, grid_size=4 * grid + 1)
+        return prescribed_angle_rhs(scalars_fn, lambda t: arccot(mu(t)))
+    return prescribed_angle_rhs(scalars_fn, lambda t: phi)
+
+
+@pytest.fixture(scope="module")
+def problems(bases):
+    """problems(grid)[case] = (length, rhs), F read exactly off the 4 grid + 1 stage nodes."""
+
+    @functools.cache
+    def at(grid):
+        out = {}
+        for case, (curve_name, _) in CASES.items():
+            base = bases[curve_name]
+            out[case] = (base.curve.length, case_rhs(case, base, sampled_scalars(base, 4 * grid + 1), grid))
+        return out
+
+    return at
 
 
 def within_twice_richardson(family, rhs, length, grid):
@@ -85,18 +99,32 @@ def within_twice_richardson(family, rhs, length, grid):
 @pytest.mark.parametrize("grid", [400, 2000])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_family_matches_rk4_within_twice_richardson(case, grid, problems):
-    length, rhs = problems[case]
+    length, rhs = problems(grid)[case]
     family = solve_theta_family(rhs, length, QS, grid)
     assert family.values.shape == (len(QS), grid + 1)
     assert within_twice_richardson(family, rhs, length, grid)
 
 
+@pytest.mark.parametrize("grid", [400, 2000])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_estimate_bounds_the_error_of_every_family(case, grid, problems, bases):
+    # the reference takes 4x the steps on the field itself, so no error of the table hides from the estimate;
+    # the floor is the family's rounding, which the estimate of a theta that stays near 0 cannot see
+    length, rhs = problems(grid)[case]
+    base = bases[CASES[case][0]]
+    family = solve_theta_family(rhs, length, QS, grid)
+    reference = solve_theta_family(case_rhs(case, base, base.sample, 4 * grid), length, QS, 4 * grid)
+    error = np.max(np.abs(family.values - reference.values[:, ::4]), axis=1)
+    floor = grid * np.finfo(float).eps * np.max(np.abs(family.values))
+    assert np.all(error <= 1.1 * family.error_estimates + floor)
+
+
 @pytest.mark.parametrize("case", sorted(set(CASES) - {"helix_same_angle"}))
 def test_richardson_estimate_is_fifteen_sixteenths_of_the_error(case, problems):
     # a 4th-order error e_n has e_n - e_2n = (15/16) e_n; the same-angle helix flow is exact
-    length, rhs = problems[case]
+    length, rhs = problems(400)[case]
     family = solve_theta_family(rhs, length, QS, 400)
-    fine = solve_theta_family(rhs, length, QS, 3200)
+    fine = solve_theta_family(problems(3200)[case][1], length, QS, 3200)
     error = np.max(np.abs(family.values - fine.values[:, ::8]), axis=1)
     resolved = error > 1e-12  # theta = 0 solves the same-angle IVP from q = 0
     assert np.count_nonzero(resolved) >= len(QS) - 1
@@ -106,14 +134,14 @@ def test_richardson_estimate_is_fifteen_sixteenths_of_the_error(case, problems):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_family_starts_at_q_and_keeps_the_order_of_q(case, problems):
-    length, rhs = problems[case]
+    length, rhs = problems(400)[case]
     family = solve_theta_family(rhs, length, QS, 400)
     assert np.array_equal(family.values[:, 0], QS)
     assert np.all(np.diff(family.values, axis=0) > 0.0)
 
 
 def test_shift_by_two_pi_shifts_theta(problems):
-    length, rhs = problems["knot_same_angle"]
+    length, rhs = problems(400)["knot_same_angle"]
     family = solve_theta_family(rhs, length, QS, 400)
     shifted = solve_theta_family(rhs, length, QS + 2.0 * np.pi, 400)
     assert np.max(np.abs(shifted.values - family.values - 2.0 * np.pi)) <= 1e-12
@@ -155,7 +183,7 @@ def test_rescaled_products_keep_a_stiff_flow_finite(monkeypatch):
 
 
 def test_items_are_theta_solutions(problems):
-    length, rhs = problems["helix_phi_1.2"]
+    length, rhs = problems(200)["helix_phi_1.2"]
     family = solve_theta_family(rhs, length, [0.3, 2.0], 200)
     assert isinstance(family, ThetaFamily) and len(family) == 2
     items = list(family)
@@ -277,7 +305,7 @@ def test_solve_command_builds_no_theta_spline(tmp_path, monkeypatch):
 
 
 def test_lazy_spline_equals_the_eager_one_bit_for_bit(helix11, pn11):
-    rhs = prescribed_angle_rhs(sampled_scalars(pn11, 2001), lambda t: 1.2)
+    rhs = prescribed_angle_rhs(sampled_scalars(pn11, 4 * 400 + 1), lambda t: 1.2)
     sol = solve_theta(rhs, helix11.length, InitialCondition(0.0, 0.7), 400)
     assert "_spline" not in vars(sol)
     mids = 0.5 * (sol.ts[:-1] + sol.ts[1:])
@@ -292,14 +320,10 @@ def test_lazy_spline_equals_the_eager_one_bit_for_bit(helix11, pn11):
 # ---------------------------------------------------------------- node table
 
 
-def curve_of(case, helix11, knot):
-    return helix11 if CASES[case][0] == "helix" else knot
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_nested_grids_read_the_node_table(case, problems, helix11, knot):
-    length, rhs = problems[case]
-    curve = curve_of(case, helix11, knot)
+def test_nested_grids_read_the_node_table(case, problems, bases):
+    length, rhs = problems(400)[case]
+    curve = bases[CASES[case][0]].curve
     family = solve_theta_family(rhs, length, [0.3, 2.0], 400)
     for values, derivatives in ((family.values, family.derivatives), (family[1].values, family[1].derivatives)):
         for table in (values, derivatives):
@@ -323,9 +347,9 @@ def test_nested_grids_read_the_node_table(case, problems, helix11, knot):
 
 
 @pytest.mark.parametrize("case", ["helix_phi_1.2", "knot_same_angle"])
-def test_other_arguments_read_the_spline(case, problems, helix11, knot):
-    length, rhs = problems[case]
-    curve = curve_of(case, helix11, knot)
+def test_other_arguments_read_the_spline(case, problems, bases):
+    length, rhs = problems(400)[case]
+    curve = bases[CASES[case][0]].curve
     sol = solve_theta_family(rhs, length, [0.7], 400)[0]
     eager = spline(sol.ts, sol.values)
     grid = curve.grid(201)
@@ -350,7 +374,7 @@ def test_rotated_field_on_nested_grids_builds_no_theta_spline(field, helix11, kn
 
 
 def test_rk4_solution_tables_are_read_only(problems):
-    length, rhs = problems["helix_phi_1.2"]
+    length, rhs = problems(200)["helix_phi_1.2"]
     sol = solve_theta(rhs, length, InitialCondition(0.0, 0.7), 200)
     assert np.shares_memory(sol(sol.ts[::2]), sol.values)
     for table in (sol.ts, sol.values, sol.derivatives):
@@ -359,7 +383,7 @@ def test_rk4_solution_tables_are_read_only(problems):
 
 
 def test_family_keeps_the_callers_angles_writable(problems):
-    length, rhs = problems["helix_phi_1.2"]
+    length, rhs = problems(100)["helix_phi_1.2"]
     qs = np.array([0.3, 2.0])
     family = solve_theta_family(rhs, length, qs, 100)
     qs[0] = 0.4

@@ -27,7 +27,7 @@ finite = st.floats(-5.0, 5.0, allow_nan=False)
 
 @pytest.fixture(scope="module")
 def pn_scalars(pn11):
-    return sampled_scalars(pn11, 2001)
+    return sampled_scalars(pn11, 4 * 2000 + 1)  # exact at every stage node of the 2000-step runs
 
 
 # ---------------------------------------------------------------- right sides
@@ -128,7 +128,7 @@ def test_off_grid_initial_time_is_rejected():
 
 
 # The per-stage solver the tables replaced: one right-hand-side call per RK4
-# stage, so every stage samples the scalar spline anew.
+# stage, each at one scalar t.
 def _reference_sweep(rhs, ts, i0, q):
     theta = np.empty(len(ts))
     theta[i0] = q
@@ -168,13 +168,19 @@ TABLE_CASES = {
 def test_table_solver_matches_per_stage_reference(case, helix11, pn11, knot, torus_field):
     curve_name, phi = TABLE_CASES[case]
     curve, base = (helix11, pn11) if curve_name == "helix" else (knot, torus_field)
-    scalars_fn = sampled_scalars(base, 1001)
+    scalars_fn = sampled_scalars(base, 4 * 1000 + 1)
+    table = scalars_fn(curve.grid(4 * 1000 + 1))
+
+    def at(t):  # the table row of the stage node nearest t: each stage of the reference is a node up to rounding
+        i = round(t / curve.length * 4000)
+        return DarbouxScalars(table.kappa_g[i], table.kappa_n[i], table.tau_g[i])
+
     if phi is None:
         rhs = same_angle_rhs(scalars_fn)
-        pointwise = lambda t, y: rhs_same_angle(t, y, scalars_fn(t))
+        pointwise = lambda t, y: rhs_same_angle(t, y, at(t))
     else:
         rhs = prescribed_angle_rhs(scalars_fn, phi)
-        pointwise = lambda t, y: rhs_prescribed(t, y, scalars_fn(t), phi(t))
+        pointwise = lambda t, y: rhs_prescribed(t, y, at(t), phi(t))
     t0 = 0.25 * curve.length  # a node of the 1000-step grid, so both directions run
     sol = solve_theta(rhs, curve.length, InitialCondition(t0, 0.7), grid_size=1000)
     values, derivs, err = _reference_solve(pointwise, curve.length, t0, 0.7, 1000)

@@ -113,7 +113,6 @@ def test_helix_strip_is_flat(helix_strip):
     assert report.ruling_in_plane < 1e-8
     assert report.tangent_plane < 1e-8
     assert report.second_form_f < 1e-8
-    assert report.second_form_g == 0.0
 
 
 def test_knot_ribbon_is_flat(knot_ribbon):
