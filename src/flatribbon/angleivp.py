@@ -141,7 +141,6 @@ class ThetaSolution:
     ts: np.ndarray
     values: np.ndarray
     derivatives: np.ndarray
-    method: str
     step: float
     error_estimate: float
     rhs: AngleRHS = field(repr=False)
@@ -222,7 +221,7 @@ def solve_theta(rhs, length, ic=InitialCondition(), grid_size=2000):
     err = float(np.max(np.abs(theta - theta_half[::2])))
     ts = nodes[::4]  # = linspace(0, length, n + 1) entry for entry
     derivs = _combine([x[::4] for x in table], theta)
-    return read_only(ThetaSolution(ts, theta, derivs, "rk4", ts[1] - ts[0], err, rhs=rhs))
+    return read_only(ThetaSolution(ts, theta, derivs, ts[1] - ts[0], err, rhs=rhs))
 
 
 def _coefficient_table(rhs, length, n):
@@ -268,7 +267,7 @@ class ThetaFamily(Sequence):
     def __getitem__(self, i):
         i = range(len(self))[i]  # an int in range, else IndexError or TypeError
         est = float(self.error_estimates[i])
-        return ThetaSolution(self.ts, self.values[i], self.derivatives[i], "rk4_flow", self.step, est, self.rhs)
+        return ThetaSolution(self.ts, self.values[i], self.derivatives[i], self.step, est, self.rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,9 +417,9 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
     return field, solution
 
 
-def integrated_torsion(curve, grid_size=2001):
-    """psi(t) = integral of the Frenet torsion from 0 to t, as a spline."""
-    ts = curve.grid(grid_size)
+def integrated_torsion(curve):
+    """psi(t) = integral of the Frenet torsion from 0 to t, as a spline through a 2001-node table."""
+    ts = curve.grid(2001)
     fd = frenet_data(curve, ts)
     check_curvature(fd.kappa, ts)  # the torsion needs kappa > KAPPA_MIN
     table = cumulative_simpson_uniform(fd.tau, ts[1] - ts[0])

@@ -19,13 +19,7 @@ from . import angleivp, energy, validate
 from .config import RunConfig, build_base_field, build_curve, check_domains, parse_config, set_value, write_csv
 from .errors import ConfigError, FlatRibbonError
 from .frames import RotatedNormalField
-from .ribbon import (
-    construct_ribbon,
-    flatness_residuals,
-    max_regular_width,
-    tessellate,
-    write_obj,
-)
+from .ribbon import angle_defect_gauss, construct_ribbon, flatness_residuals, max_regular_width, tessellate, write_obj
 
 
 @functools.cache
@@ -37,25 +31,20 @@ def _make_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=(name != "validate"), help="key = value config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--grid", type=int, help="override grid size")
-        p.add_argument("--width", type=float, help="override ribbon half-width")
-        p.add_argument("--q", type=float, help="override initial rotation angle")
+        p.add_argument("--grid", help="override grid size")
+        p.add_argument("--width", help="override ribbon half-width")
+        p.add_argument("--q", help="override initial rotation angle")
         p.add_argument("--r", help="comma-separated r values for sweeps")
     return parser
 
 
 def _load_config(args):
+    """The config file's values, overridden by each flag given, parsed as its config key is."""
     cfg = parse_config(args.config) if args.config else RunConfig()
-    if args.out is not None:
-        cfg.out = args.out
-    if args.grid is not None:
-        cfg.grid = args.grid
-    if args.width is not None:
-        cfg.width = args.width
-    if args.q is not None:
-        cfg.q = args.q
-    if args.r is not None:
-        set_value(cfg, "r", args.r, "--r")
+    for key in ("out", "grid", "width", "q", "r"):
+        value = getattr(args, key)
+        if value is not None:
+            set_value(cfg, key, value, f"--{key}")
     check_domains(cfg)
     return cfg
 
@@ -92,15 +81,16 @@ def cmd_build(cfg):
     mesh = tessellate(rib, cfg.mesh_nt, cfg.mesh_nu)
     if np.any(np.all(mesh.vertices[:, 1:] == mesh.vertices[:, :-1], axis=-1)):
         raise ConfigError(f"width {rib.w:.6g} is below the mesh resolution: vertices along a ruling coincide")
+    gauss = angle_defect_gauss(mesh)
     os.makedirs(cfg.out, exist_ok=True)
     tag = f"q{cfg.q:g}"
     write_obj(mesh, os.path.join(cfg.out, f"ribbon_{tag}.obj"))
-    report = flatness_residuals(rib, 201, mesh=mesh)
+    report = flatness_residuals(rib, 201)
     ts, in_plane, tangent_plane = report.rows
     write_csv(
         os.path.join(cfg.out, f"residuals_{tag}.csv"),
         ("t", "ruling_in_plane", "tangent_plane", "gauss_estimate"),
-        zip(ts, in_plane, tangent_plane, np.full(len(ts), report.gauss_estimate)),
+        zip(ts, in_plane, tangent_plane, np.full(len(ts), gauss)),
     )
     print(f"wrote ribbon_{tag}.obj ({cfg.mesh_nt}x{cfg.mesh_nu}), w = {rib.w:.6g}")
     print(f"flatness residuals: {report.ruling_in_plane:.3e} / {report.tangent_plane:.3e}")

@@ -10,7 +10,7 @@ exceed MESH_MAX, so an oversized request fails before it allocates.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -24,12 +24,6 @@ from .curves import (
 )
 from .errors import ConfigError
 from .frames import PrincipalNormalField, RotationMinimizingField, TorusNormalField
-
-_KNOWN_KEYS = {
-    "kind", "a", "b", "length", "R", "rho", "n", "csv",
-    "normal", "q", "phi", "width", "grid",
-    "mesh_nt", "mesh_nu", "r", "out", "fault",
-}
 
 GRID_MIN = 16  # smallest `grid`: below it a sampled table is too coarse to mean anything
 GRID_MAX = 200_000  # largest `grid`: `solve` at it peaks near 175 MB of resident memory
@@ -59,6 +53,10 @@ class RunConfig:
     r: tuple = (1.0, 2.0, 3.0, 4.0)
     out: str = "."
     fault: str = "none"
+
+
+_KNOWN_KEYS = {f.name for f in fields(RunConfig)}
+_FAULTS = ("none", "perturb_ruling")  # perturb_ruling: `validate` must detect a non-flat ruling
 
 
 def parse_config(path):
@@ -114,6 +112,8 @@ def check_domains(cfg):
             raise ConfigError(f"{key} must be at least 2, got {getattr(cfg, key)}")
     if cfg.mesh_nt * cfg.mesh_nu > MESH_MAX:
         raise ConfigError(f"mesh_nt * mesh_nu must be at most {MESH_MAX}, got {cfg.mesh_nt} * {cfg.mesh_nu}")
+    if cfg.fault not in _FAULTS:
+        raise ConfigError(f"fault must be one of {', '.join(_FAULTS)}, got '{cfg.fault}'")
     if not abs(cfg.q) <= 2.0 * np.pi:
         raise ConfigError(f"q must be an angle in [-2 pi, 2 pi], got {cfg.q:g}")
     if cfg.phi != "base" and not 0.0 < cfg.phi < np.pi:

@@ -69,19 +69,16 @@ class CurveSpec:
     derivatives : sequence of callables, optional
         Analytic derivative evaluators of orders 1..3, with the same
         calling convention as ``position``.  Missing orders fall back to
-        4th-order central differences of ``position``.
-    fd_step : float, optional
-        Step for the finite-difference fallback; defaults to 1e-4 times
+        4th-order central differences of ``position`` with step 1e-4 times
         the domain length.
     """
 
-    def __init__(self, position, domain, derivatives=None, fd_step=None, name="curve"):
+    def __init__(self, position, domain, derivatives=None, name="curve"):
         self.domain = (float(domain[0]), float(domain[1]))
         if self.domain[1] <= self.domain[0]:
             raise InvalidParams("curve domain must have positive length")
         self.position = position
         self._derivatives = tuple(derivatives or ())
-        self.fd_step = fd_step if fd_step else 1e-4 * (self.domain[1] - self.domain[0])
         self.name = name
 
     def point(self, x):
@@ -92,7 +89,7 @@ class CurveSpec:
             raise ValueError("derivative order must be 1, 2, or 3")
         if order <= len(self._derivatives):
             return _vectors(self._derivatives[order - 1], x)
-        return central_difference(self.point, x, order, self.fd_step)
+        return central_difference(self.point, x, order, 1e-4 * (self.domain[1] - self.domain[0]))
 
     def speed(self, x):
         return rownorm(self.derivative(x, 1))

@@ -172,9 +172,10 @@ class EnergyBoundReport:
     satisfied: bool
 
 
-def energy_bound(curve, base_field, other_field, w, n_t=2001, angle_tol=1e-6):
+def energy_bound(curve, base_field, other_field, w, n_t=2001):
     """Upper bounds on the energy of a same-ruling-angle companion ribbon.
 
+    The two ruling angles must agree to 1e-6 (RulingAngleMismatch otherwise).
     Additive bound: E(other) <= E(base) + (w/2) integral of
     kappa_g^2 (1 + cot(alpha)^2)^2 for the base field.  The ratio bound
     1 + max (kappa_g/kappa_n)^2 applies only when kappa_n never vanishes.
@@ -182,7 +183,7 @@ def energy_bound(curve, base_field, other_field, w, n_t=2001, angle_tol=1e-6):
     mu_base = mu_field(curve, base_field, grid_size=n_t)
     mu_other = mu_field(curve, other_field, grid_size=n_t)
     angle_gap = float(np.max(np.abs(arccot(mu_base.values) - arccot(mu_other.values))))
-    if angle_gap > angle_tol:
+    if angle_gap > 1e-6:
         raise RulingAngleMismatch(f"ruling angles differ by up to {angle_gap:.3e}")
     kg, kn = mu_base.frame.kappa_g, mu_base.frame.kappa_n
     h = mu_base.ts[1] - mu_base.ts[0]

@@ -60,13 +60,14 @@ class DarbouxScalars:
 
 @dataclass(frozen=True)
 class FrameSample:
-    """The frame (T, H, N), T', N' and its scalars at each t of a grid; vectors end in an axis of 3."""
+    """The frame (T, H, N), T', N', H' and its scalars at each t of a grid; vectors end in an axis of 3."""
 
     T: np.ndarray
     H: np.ndarray  # N x T
     N: np.ndarray
     Tp: np.ndarray
     Np: np.ndarray
+    Hp: np.ndarray  # N' x T + N x T'
     kappa_g: np.ndarray
     kappa_n: np.ndarray
     tau_g: np.ndarray
@@ -133,7 +134,7 @@ class NormalField:
             raise NonOrthogonalNormal(f"<N, T> = {first_where(bad, off):.3e} at t={first_where(bad, ts):.6g}")
         H = np.cross(N, T)
         Hp = np.cross(Np, T) + np.cross(N, Tp)
-        return FrameSample(T, H, N, Tp, Np, np.vecdot(Tp, H), np.vecdot(Tp, N), np.vecdot(Hp, N), jet[0])
+        return FrameSample(T, H, N, Tp, Np, Hp, np.vecdot(Tp, H), np.vecdot(Tp, N), np.vecdot(Hp, N), jet[0])
 
     def scalars(self, t):
         """(kappa_g, kappa_n, tau_g) at one t: the zero-dimensional :meth:`sample`."""
@@ -214,7 +215,7 @@ class RotatedNormalField(NormalField):
     defaults to zero for constants and to a 4th-order finite difference
     otherwise.  A callable's value must broadcast to the shape of t (so a
     constant map works), else the sample raises InvalidParams.
-    The frame table comes from the base field's table: N and N' by the
+    The frame table comes from the base field's table: N, N' and H' by the
     rotation, the scalars by :func:`rotate`; on a grid that is the base's
     ``on_grid`` table, so fields rotated from one base share its sample.
     The base's sample is checked, and a rotation within the normal plane
@@ -244,9 +245,10 @@ class RotatedNormalField(NormalField):
         c, s = np.cos(th)[..., None], np.sin(th)[..., None]
         H = c * b.H + s * b.N  # = N x T for the rotated N below
         N = -s * b.H + c * b.N
-        Np = -dth[..., None] * H - s * (np.cross(b.Np, b.T) + np.cross(b.N, b.Tp)) + c * b.Np
+        Np = -dth[..., None] * H - s * b.Hp + c * b.Np
+        Hp = np.cross(Np, b.T) + np.cross(N, b.Tp)
         sc = rotate(b, th, dth)
-        return FrameSample(b.T, H, N, b.Tp, Np, sc.kappa_g, sc.kappa_n, sc.tau_g, b.x)
+        return FrameSample(b.T, H, N, b.Tp, Np, Hp, sc.kappa_g, sc.kappa_n, sc.tau_g, b.x)
 
 
 def _angles(fn, ts):
@@ -278,13 +280,13 @@ def rotate(scalars, theta, theta_prime=0.0):
     )
 
 
-def frenet_rotation_field(curve, x, grid_size=201):
+def frenet_rotation_field(curve, x):
     """Principal normal rotated by the constant angle x.
 
     The resulting field has tau_g equal to the Frenet torsion and normal
-    curvature kappa * cos(x); requires kappa > 0 along the whole curve.
+    curvature kappa * cos(x); requires kappa > 0 on the curve's 201-node grid.
     """
-    ts = curve.grid(grid_size)
+    ts = curve.grid(201)
     check_curvature(frenet_data(curve, ts).kappa, ts)
     return RotatedNormalField(PrincipalNormalField(curve), float(x))
 
@@ -292,18 +294,17 @@ def frenet_rotation_field(curve, x, grid_size=201):
 def sampled_scalars(normal_field, grid_size=2001):
     """The exact t -> DarbouxScalars reader of ``normal_field``; no scalar is interpolated.
 
-    On a grid nested in ``curve.grid(grid_size)`` (:func:`nested_stride`) it
-    returns views of ``on_grid(grid_size)``, taken at the call so that grids
-    sampled later nest in it; at any other t, the scalars of ``sample(t)``.
+    On a grid of 4k+1 nodes nested in ``curve.grid(grid_size)`` (:func:`nested_stride`)
+    it reads ``on_grid``, which serves views of ``on_grid(grid_size)``, taken at
+    the call so that grids sampled later nest in it; at any other t, ``sample(t)``.
     """
-    nodes, table = normal_field.curve.grid(grid_size), normal_field.on_grid(grid_size)
+    nodes = normal_field.curve.grid(grid_size)
+    normal_field.on_grid(grid_size)
 
     def evaluate(t):
-        s = nested_stride(nodes, t)
-        if s is None:
-            frame = normal_field.sample(t)
-            return DarbouxScalars(frame.kappa_g, frame.kappa_n, frame.tau_g)
-        return DarbouxScalars(table.kappa_g[::s], table.kappa_n[::s], table.tau_g[::s])
+        on_grid = nested_stride(nodes, t) is not None and len(t) == odd_node_count(len(t))
+        frame = normal_field.on_grid(len(t)) if on_grid else normal_field.sample(t)
+        return DarbouxScalars(frame.kappa_g, frame.kappa_n, frame.tau_g)
 
     return evaluate
 

@@ -29,6 +29,7 @@ __all__ = [
     "ruling_angle",
     "max_regular_width",
     "tessellate",
+    "angle_defect_gauss",
     "flatness_residuals",
     "write_obj",
 ]
@@ -153,8 +154,7 @@ class FlatRibbon:
         self.w = float(w)
         self.mu = mu
         self.ts = mu.ts
-        self.kappa_g, self.kappa_n, self.tau_g = mu.frame.kappa_g, mu.frame.kappa_n, mu.frame.tau_g
-        self.lam = mu.derivative(self.ts) - (1.0 + mu.values**2) * self.kappa_g
+        self.lam = mu.derivative(self.ts) - (1.0 + mu.values**2) * mu.frame.kappa_g
         sup = float(np.max(np.abs(self.lam)))
         self.max_width = np.inf if sup < LAMBDA_FLAT_TOL else WIDTH_SAFETY / sup
 
@@ -165,8 +165,7 @@ class FlatRibbon:
 
     def ruling_derivative(self, t, frame=None):
         fr = self.normal.sample(t) if frame is None else frame
-        Hp = np.cross(fr.Np, fr.T) + np.cross(fr.N, fr.Tp)
-        return self.mu.derivative(t)[..., None] * fr.T + self.mu(t)[..., None] * fr.Tp + Hp
+        return self.mu.derivative(t)[..., None] * fr.T + self.mu(t)[..., None] * fr.Tp + fr.Hp
 
     def point(self, t, u):
         return self.curve.point(t) + u * self.ruling(t)
@@ -241,8 +240,12 @@ def write_obj(mesh, path):
 _RING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
 
-def _angle_defect_gauss(mesh):
-    """Max |K| over interior vertices via the angle-defect estimator, all vertices at once."""
+def angle_defect_gauss(mesh):
+    """Max |K| over interior vertices via the angle-defect estimator, all vertices at once.
+
+    DegenerateMetric where a vertex ring has zero area, or where a ring's area
+    or the estimate is not finite (coordinates so large that products overflow).
+    """
     v = mesh.vertices
     n_t, n_u, _ = v.shape
     p = v[1:-1, 1:-1]
@@ -250,47 +253,44 @@ def _angle_defect_gauss(mesh):
     ring = [v[1 + di : n_t - 1 + di, 1 + dj : n_u - 1 + dj] for di, dj in _RING]
     angle_sum = 0.0
     area = 0.0
-    for k in range(8):
-        e1 = ring[k] - p
-        e2 = ring[(k + 1) % 8] - p
-        cr = rownorm(np.cross(e1, e2))
-        angle_sum += np.arctan2(cr, np.vecdot(e1, e2))
-        area += 0.5 * cr
-    if np.any(area == 0.0):
-        raise DegenerateMetric("a vertex ring of the mesh has zero area: its vertices coincide")
-    k_est = (2.0 * np.pi - angle_sum) / (area / 3.0)
-    return float(np.max(np.abs(k_est), initial=0.0))
+    with np.errstate(all="ignore"):
+        for k in range(8):
+            e1 = ring[k] - p
+            e2 = ring[(k + 1) % 8] - p
+            cr = rownorm(np.cross(e1, e2))
+            angle_sum += np.arctan2(cr, np.vecdot(e1, e2))
+            area += 0.5 * cr
+        if np.any(area == 0.0):
+            raise DegenerateMetric("a vertex ring of the mesh has zero area: its vertices coincide")
+        k_est = np.abs((2.0 * np.pi - angle_sum) / (area / 3.0))
+    if not (np.all(np.isfinite(area)) and np.all(np.isfinite(k_est))):
+        raise DegenerateMetric("the angle-defect Gauss estimate is not finite: products of mesh coordinates overflow")
+    return float(np.max(k_est, initial=0.0))
 
 
 @dataclass(frozen=True)
 class FlatnessReport:
     ruling_in_plane: float  # sup |<X, N>|
     tangent_plane: float  # sup |<X x T, X'>|
-    gauss_estimate: float
     second_form_f: float  # sup |<X', N>| (zero for a flat ribbon)
     rows: tuple = ()  # (t, |<X, N>|, |<X x T, X'>|) on the residual grid
 
 
-def flatness_residuals(ribbon, grid_size=201, ruling=None, ruling_derivative=None, mesh=None):
-    """Developability residuals of a ribbon (or of an injected ruling field).
+def flatness_residuals(ribbon, grid_size, ruling=None):
+    """Developability residuals of a ribbon on ``curve.grid(grid_size)``.
 
-    ``ruling``/``ruling_derivative`` (maps of an array of t to vectors) override
-    the ribbon's own ruling, so tests can check that a perturbed one is non-flat.
-    ``gauss_estimate`` is read off ``mesh``, by default a 200 x 8 tessellation.
+    ``ruling`` (a map of an array of t to vectors) overrides the ribbon's own
+    ruling, its derivative taken by central differences, so a check can show
+    that a perturbed one is non-flat.
     """
     ts = ribbon.curve.grid(grid_size)
     frame = ribbon.normal.on_grid(grid_size)
     if ruling is None:
         x, xp = ribbon.ruling(ts, frame), ribbon.ruling_derivative(ts, frame)
-    elif ruling_derivative is None:
+    else:
         h = 1e-5 * max(ribbon.curve.length, 1.0)
         x, xp = ruling(ts), central_difference(ruling, ts, 1, h)
-    else:
-        x, xp = ruling(ts), ruling_derivative(ts)
     in_plane = np.abs(np.vecdot(x, frame.N))
     tangent_plane = np.abs(np.vecdot(np.cross(x, frame.T), xp))
     res_f = float(np.max(np.abs(np.vecdot(xp, frame.N))))
-    gauss = _angle_defect_gauss(tessellate(ribbon, 200, 8) if mesh is None else mesh)
-    return FlatnessReport(
-        float(np.max(in_plane)), float(np.max(tangent_plane)), gauss, res_f, rows=(ts, in_plane, tangent_plane)
-    )
+    return FlatnessReport(float(np.max(in_plane)), float(np.max(tangent_plane)), res_f, (ts, in_plane, tangent_plane))

@@ -83,14 +83,14 @@ def run_checks(fault="none"):
 
     scalars_fn = sampled_scalars(pn, 4 * 2000 + 1)  # exact at every stage node of the 2000-step runs
     rhs = angleivp.prescribed_angle_rhs(scalars_fn, lambda t: np.pi / 2.0)
-    sol = angleivp.solve_theta(rhs, helix.length, angleivp.InitialCondition(0.0, 0.0), 2000)
+    sol = angleivp.solve_theta_family(rhs, helix.length, [0.0], 2000)[0]
     exact = angleivp.closed_form_helix_pi2(1.0, 1.0)
     checks.append(
         Check("helix_ivp_pi2", float(np.max(np.abs(sol.values - exact(sol.ts)))), 1e-6)
     )
 
     rhs_b = angleivp.same_angle_rhs(scalars_fn)
-    sol_b = angleivp.solve_theta(rhs_b, helix.length, angleivp.InitialCondition(0.0, np.pi / 2), 2000)
+    sol_b = angleivp.solve_theta_family(rhs_b, helix.length, [np.pi / 2], 2000)[0]
     psi = angleivp.integrated_torsion(helix)
     exact_b = angleivp.closed_form_case_b(np.pi / 2, psi)
     checks.append(
@@ -101,8 +101,7 @@ def run_checks(fault="none"):
     phi = lambda t: np.pi / 4.0
     rhs_p = angleivp.prescribed_angle_rhs(scalars_fn, phi)
     eps = 1e-6
-    sol1 = angleivp.solve_theta(rhs_p, helix.length, angleivp.InitialCondition(0.0, 0.3), 2000)
-    sol2 = angleivp.solve_theta(rhs_p, helix.length, angleivp.InitialCondition(0.0, 0.3 + eps), 2000)
+    sol1, sol2 = angleivp.solve_theta_family(rhs_p, helix.length, [0.3, 0.3 + eps], 2000)
     grid = helix.grid(101)
     c = angleivp.lipschitz_bound(scalars_fn(grid), phi(grid))
     gap = float(np.max(np.abs(sol1.values - sol2.values)))

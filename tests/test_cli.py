@@ -13,7 +13,7 @@ from flatribbon.config import GRID_MIN, parse_config, write_csv
 from flatribbon.energy import bending_energy_closed, bending_energy_quadrature, limit_energy
 from flatribbon.errors import ConfigError
 from flatribbon.frames import RotationMinimizingField
-from flatribbon.ribbon import construct_ribbon, flatness_residuals
+from flatribbon.ribbon import angle_defect_gauss, construct_ribbon, flatness_residuals, tessellate
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "examples", "torus_knot.cfg")
 
@@ -153,6 +153,8 @@ def test_missing_config_exit_code(tmp_path):
         ("solve", "grid = 1000000000000000000\n", "grid must"),
         ("build", "mesh_nt = 1000000000000000000\n", "mesh_nt * mesh_nu"),
         ("build", "mesh_nu = 1000000000000000000\n", "mesh_nt * mesh_nu"),
+        # a misspelt fault once let validate pass 17/17 without its self-test
+        ("validate", "fault = perturb\n", "fault must"),
     ],
 )
 def test_out_of_domain_config_exit_code(tmp_path, capsys, command, extra, key):
@@ -176,6 +178,15 @@ def test_unparsable_r_flag_exit_code(tmp_path, capsys, value):
         assert message.startswith("config error:") and f"bad value for 'r': {value}" in message
         assert len(message.splitlines()) == 1
     assert err.startswith("config error: --r:")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["--grid", "--width", "--q"])
+def test_unparsable_number_flag_exit_code(tmp_path, capsys, flag):
+    # each flag takes its config key's parser: one config error line, not argparse's usage message
+    assert run(["build", "--config", EXAMPLE, "--out", str(tmp_path / "o"), flag, "abc"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {flag}: bad value for '{flag[2:]}': abc\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -234,6 +245,18 @@ def test_build_width_below_mesh_resolution_exit_code(tmp_path, capsys):
     assert np.all(np.isfinite(residuals))
 
 
+@pytest.mark.parametrize("width", ["1e100", "1e200", "1e300"])
+def test_huge_width_on_unbounded_ribbon_exit_code(tmp_path, capsys, width):
+    # lambda = 0 on a helix, so any width passes the bound; 1e200 and 1e300 once wrote NaN Gauss estimates
+    cfg = write_cfg(tmp_path, HELIX_CFG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["build", "--config", cfg, "--out", str(tmp_path / "o"), "--width", width]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_import_loads_no_scipy():
     # the package runs on numpy alone; scipy is only the tests' oracle
     src = os.path.dirname(os.path.dirname(flatribbon.__file__))
@@ -264,8 +287,8 @@ def reference_write_csv(path, header, rows):
 
 def test_write_csv_matches_per_element_writer(tmp_path, helix11, pn11):
     rib = construct_ribbon(helix11, pn11, 0.1, grid_size=201)
-    report = flatness_residuals(rib, 201)
-    ts, in_plane, tangent_plane = report.rows
+    ts, in_plane, tangent_plane = flatness_residuals(rib, 201).rows
+    gauss = angle_defect_gauss(tessellate(rib, 40, 5))
     solution = solved_rotation_field(pn11, 0.7, grid_size=200, scalars_grid=201)[1]
     reports = [
         ("closed", bending_energy_closed(rib, n_t=201)),
@@ -275,7 +298,7 @@ def test_write_csv_matches_per_element_writer(tmp_path, helix11, pn11):
     tables = {
         "residuals": (
             ("t", "ruling_in_plane", "tangent_plane", "gauss_estimate"),
-            lambda: zip(ts, in_plane, tangent_plane, np.full(len(ts), report.gauss_estimate)),
+            lambda: zip(ts, in_plane, tangent_plane, np.full(len(ts), gauss)),
         ),
         "theta": (("t", "theta", "theta_prime"), lambda: zip(solution.ts, solution.values, solution.derivatives)),
         "energy": (

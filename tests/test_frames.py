@@ -234,6 +234,36 @@ def test_sampled_scalars_matches_direct_evaluation(knot, torus_field, rng):
         assert fn(t) == torus_field.scalars(t)
 
 
+def test_sampled_scalars_on_a_nested_grid_of_other_size(helix11, pn11):
+    # 803 nodes nest in 1605 by stride 2, but on_grid(803) would be an 805-node table
+    fn = sampled_scalars(pn11, 1605)
+    ts = helix11.grid(1605)[::2]
+    table = pn11.on_grid(1605)
+    got = fn(ts)
+    for name in ("kappa_g", "kappa_n", "tau_g"):
+        assert np.array_equal(getattr(got, name), getattr(table, name)[::2])
+
+
+def test_sampled_hp_is_the_frame_cross_products(knot, torus_field, helix11, pn11, rng):
+    # every sample carries H' = N' x T + N x T', bitwise, which rotated fields and rulings read
+    from flatribbon.angleivp import solved_rotation_field
+
+    solved = solved_rotation_field(torus_field, 0.7, grid_size=200, scalars_grid=201)[0]
+    cases = [
+        (pn11, helix11.grid(101)),
+        (torus_field, knot.grid(101)),
+        (RotationMinimizingField(helix11), helix11.grid(101)),
+        (RotatedNormalField(pn11, 0.4), helix11.grid(101)),
+        (RotatedNormalField(torus_field, lambda t: 0.3 * np.sin(t)), knot.grid(101)),
+        (solved, knot.grid(201)),  # the solution's nodes: theta read off its table
+        (solved, np.sort(rng.uniform(0.0, knot.length, 50))),  # off them: its spline
+    ]
+    for field, ts in cases:
+        fr = field.sample(ts)
+        want = np.cross(fr.Np, fr.T) + np.cross(fr.N, fr.Tp)
+        assert np.array_equal(fr.Hp, want), type(field).__name__
+
+
 # ------------------------------------------------------------ isometric pairs
 
 

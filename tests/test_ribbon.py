@@ -3,13 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
+from flatribbon import ribbon as ribbon_mod
 from flatribbon.curves import HelixParams, make_helix
 from flatribbon.errors import DegenerateMetric, SingularRuling, WidthTooLarge
 from flatribbon.frames import PrincipalNormalField, RotatedNormalField, TorusNormalField, frenet_rotation_field
 from flatribbon.ribbon import (
     FlatRibbon,
-    _angle_defect_gauss,
     _extend_at_zero,
+    angle_defect_gauss,
     construct_ribbon,
     flatness_residuals,
     max_regular_width,
@@ -258,13 +259,12 @@ def test_obj_export_is_valid(tmp_path, knot_ribbon):
 
 
 def test_gauss_curvature_small_on_fine_mesh(knot_ribbon):
-    report = flatness_residuals(knot_ribbon, 101, mesh=tessellate(knot_ribbon, 800, 20))
-    assert report.gauss_estimate <= 1e-4
+    assert angle_defect_gauss(tessellate(knot_ribbon, 800, 20)) <= 1e-4
 
 
 def test_gauss_estimate_decreases_under_refinement(knot_ribbon):
-    coarse = _angle_defect_gauss(tessellate(knot_ribbon, 200, 6))
-    fine = _angle_defect_gauss(tessellate(knot_ribbon, 400, 11))
+    coarse = angle_defect_gauss(tessellate(knot_ribbon, 200, 6))
+    fine = angle_defect_gauss(tessellate(knot_ribbon, 400, 11))
     assert fine <= 0.5 * coarse
 
 
@@ -274,7 +274,16 @@ def test_zero_area_mesh_raises_degenerate_metric(knot):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateMetric):
-            flatness_residuals(ribbon, 201)
+            angle_defect_gauss(tessellate(ribbon, 200, 8))
+
+
+def test_flatness_residuals_builds_no_mesh(monkeypatch, knot_ribbon):
+    def refuse(*args):
+        raise AssertionError("flatness_residuals tessellated the ribbon")
+
+    monkeypatch.setattr(ribbon_mod, "tessellate", refuse)
+    report = flatness_residuals(knot_ribbon, 201)
+    assert max(report.ruling_in_plane, report.tangent_plane) <= 1e-8
 
 
 def test_perturbed_ruling_detected(helix_strip):

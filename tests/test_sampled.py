@@ -14,7 +14,7 @@ import pytest
 from flatribbon.angleivp import solved_rotation_field
 from flatribbon.curves import TorusKnotParams, curve_from_samples, make_torus_knot
 from flatribbon.frames import RotatedNormalField, RotationMinimizingField
-from flatribbon.ribbon import _angle_defect_gauss, construct_ribbon, tessellate
+from flatribbon.ribbon import angle_defect_gauss, construct_ribbon, tessellate
 
 REL = 1e-12
 
@@ -128,4 +128,4 @@ def test_angle_defect_matches_vertex_loop(knot, torus_field):
     ribbon = construct_ribbon(knot, torus_field, 0.1, grid_size=1001)
     mesh = tessellate(ribbon, 400, 9)
     want = reference_angle_defect(mesh)
-    assert abs(_angle_defect_gauss(mesh) - want) <= REL * want
+    assert abs(angle_defect_gauss(mesh) - want) <= REL * want
