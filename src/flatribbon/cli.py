@@ -90,7 +90,7 @@ def cmd_build(cfg):
     write_csv(
         os.path.join(cfg.out, f"residuals_{tag}.csv"),
         ("t", "ruling_in_plane", "tangent_plane", "gauss_estimate"),
-        zip(ts, in_plane, tangent_plane, np.full(len(ts), gauss)),
+        np.column_stack([ts, in_plane, tangent_plane, np.full(len(ts), gauss)]),
     )
     print(f"wrote ribbon_{tag}.obj ({cfg.mesh_nt}x{cfg.mesh_nu}), w = {rib.w:.6g}")
     print(f"flatness residuals: {report.ruling_in_plane:.3e} / {report.tangent_plane:.3e}")
@@ -102,7 +102,7 @@ def cmd_solve(cfg):
     _, solution = _solved_field(cfg, build_base_field(cfg, curve))
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, f"theta_q{cfg.q:g}.csv")
-    write_csv(path, ("t", "theta", "theta_prime"), zip(solution.ts, solution.values, solution.derivatives))
+    write_csv(path, ("t", "theta", "theta_prime"), np.column_stack([solution.ts, solution.values, solution.derivatives]))
     print(f"wrote {path}; step {solution.step:.3e}, error estimate {solution.error_estimate:.3e}")
     return 0
 

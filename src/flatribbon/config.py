@@ -11,7 +11,6 @@ exceed MESH_MAX, so an oversized request fails before it allocates.
 import csv
 import math
 from dataclasses import dataclass, fields
-from itertools import chain
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .curves import (
 )
 from .errors import ConfigError
 from .frames import PrincipalNormalField, RotationMinimizingField, TorusNormalField
+from .textio import lines
 
 GRID_MIN = 16  # smallest `grid`: below it a sampled table is too coarse to mean anything
 GRID_MAX = 200_000  # largest `grid`: `solve` at it peaks near 175 MB of resident memory
@@ -170,14 +170,17 @@ def build_base_field(cfg, curve):
 
 
 def write_csv(path, header, rows):
-    """Write a table with one %-format of a repeated line template.
+    """Write a table as one :func:`~flatribbon.textio.lines` call.
 
-    Each column holds strings, written as they are, or numbers, written with
-    17 significant digits (%.17g prints a number as f"{float(x):.17g}" does);
-    the first row decides which.
+    ``rows`` is a 2-D array or an iterable of rows.  Each column holds
+    strings, written as they are, or numbers, written as f"{float(x):.17g}"
+    writes them; the first row decides which.
     """
-    rows = list(rows)
-    line = ",".join("%s" if isinstance(x, str) else "%.17g" for x in rows[0]) + "\n" if rows else ""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(line * len(rows) % tuple(chain.from_iterable(rows)))
+    if isinstance(rows, np.ndarray):
+        columns = list(rows.astype(np.float64, copy=False).T)
+    else:
+        columns = [col if isinstance(col[0], str) else np.array(col, dtype=np.float64) for col in zip(*rows)]
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        if len(columns) and len(columns[0]):
+            fh.write(lines(columns, ("",) + (",",) * (len(columns) - 1) + ("\n",)))

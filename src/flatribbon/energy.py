@@ -22,7 +22,7 @@ from .errors import (
     WidthTooLarge,
 )
 from .numerics import arccot, cumulative_simpson_uniform, odd_node_count, simpson_uniform
-from .ribbon import LAMBDA_FLAT_TOL, mu_field
+from .ribbon import mu_field
 
 __all__ = [
     "FundamentalForms",
@@ -53,10 +53,11 @@ class FundamentalForms:
     e: float | np.ndarray
     f: float = 0.0
     g: float = 0.0
+    det: float | None = None  # EG - F^2 where it is known exactly
 
     def metric_det(self):
         """EG - F^2 at every point; DegenerateMetric where it is not positive."""
-        det = self.E * self.G - self.F**2
+        det = self.E * self.G - self.F**2 if self.det is None else self.det
         if np.any(det <= 0.0):
             raise DegenerateMetric(f"EG - F^2 = {float(np.min(det)):.3e}")
         return det
@@ -73,22 +74,33 @@ class EnergyReport:
     error_estimate: float
 
 
-def _forms(mu, mup, kg, kn, u):
-    """The forms at (t, u) from mu, mu', kappa_g and kappa_n at t; all broadcast together."""
-    stretch = 1.0 + u * (mup - (1.0 + mu**2) * kg)  # 1 + u lambda
+def _lam(ribbon, mu, mup, kg):
+    """lambda = mu' - (1 + mu^2) kappa_g; exactly 0 on a ribbon that FlatRibbon found flat."""
+    return 0.0 if ribbon.flat else mup - (1.0 + mu**2) * kg
+
+
+def _forms(mu, mup, kg, kn, lam, u):
+    """The forms at (t, u) from mu, mu', kappa_g, kappa_n and lambda at t; all broadcast together.
+
+    A flat ribbon's forms have EG - F^2 = (1 + u lambda)^2.  Where lambda is the 0.0 of a ribbon
+    that FlatRibbon found flat, that is 1, free of the cancellation that EG - F^2 suffers where
+    u mu' or u kappa_g is large.
+    """
+    stretch = 1.0 + u * lam
     if np.any(stretch <= 0.0):
         raise OutsideRegularDomain(f"1 + u*lambda = {float(np.min(stretch)):.3e}: outside the regular domain")
     E = (1.0 + u * (mup - kg)) ** 2 + (u * mu * kg) ** 2
     F = mu * (1.0 + u * mup)
     G = 1.0 + mu**2
     e = kn * stretch
-    return FundamentalForms(E, F, G, e)
+    return FundamentalForms(E, F, G, e, det=1.0 if np.ndim(lam) == 0 and lam == 0.0 else None)
 
 
 def fundamental_forms(ribbon, t, u):
     """First and second fundamental forms of sigma at (t, u), scalars or arrays broadcast together."""
     frame = ribbon.normal.sample(t)
-    return _forms(ribbon.mu(t), ribbon.mu.derivative(t), frame.kappa_g, frame.kappa_n, u)
+    mu, mup = ribbon.mu(t), ribbon.mu.derivative(t)
+    return _forms(mu, mup, frame.kappa_g, frame.kappa_n, _lam(ribbon, mu, mup, frame.kappa_g), u)
 
 
 def mean_curvature(forms):
@@ -107,8 +119,10 @@ def bending_energy_quadrature(ribbon, n_t=2001, n_u=41):
     frame = ribbon.normal.on_grid(n_t)
     us = np.linspace(-ribbon.w, ribbon.w, n_u)
     # t down the rows, u across the columns
-    rows = [a[:, None] for a in (ribbon.mu(ts), ribbon.mu.derivative(ts), frame.kappa_g, frame.kappa_n)]
-    forms = _forms(*rows, us)
+    mu, mup = ribbon.mu(ts), ribbon.mu.derivative(ts)
+    lam = _lam(ribbon, mu, mup, frame.kappa_g)
+    rows = [a[:, None] for a in (mu, mup, frame.kappa_g, frame.kappa_n)]
+    forms = _forms(*rows, lam if ribbon.flat else lam[:, None], us)
     integrand = mean_curvature(forms) ** 2 * forms.area_element()
     hu = us[1] - us[0]
     ht = ts[1] - ts[0]
@@ -126,13 +140,14 @@ def _inner_integral(w, lam):
 def bending_energy_closed(ribbon, n_t=2001):
     """Finite-width bending energy with the u-integration done in closed form.
 
-    The method is ``special_case_lambda_zero`` when sup|lambda| is below
-    ``ribbon.LAMBDA_FLAT_TOL``, where the width bound is infinite.
+    The method is ``special_case_lambda_zero`` on a ribbon that FlatRibbon
+    found flat (sup|lambda| below ``ribbon.LAMBDA_FLAT_TOL``, no width bound),
+    where lambda is 0 and the energy is linear in w.
     """
     ts = ribbon.curve.grid(n_t)
     mu = ribbon.mu(ts)
     frame = ribbon.normal.on_grid(n_t)
-    lam = ribbon.mu.derivative(ts) - (1.0 + mu**2) * frame.kappa_g
+    lam = _lam(ribbon, mu, ribbon.mu.derivative(ts), frame.kappa_g)
     w = ribbon.w
     sup = float(np.max(np.abs(lam)))
     if w * sup >= 1.0:
@@ -141,7 +156,7 @@ def bending_energy_closed(ribbon, n_t=2001):
     h = ts[1] - ts[0]
     value = simpson_uniform(integrand, h)
     coarse = simpson_uniform(integrand[::2], 2 * h)
-    method = "special_case_lambda_zero" if sup < LAMBDA_FLAT_TOL else "closed_form"
+    method = "special_case_lambda_zero" if ribbon.flat else "closed_form"
     return EnergyReport(value, method, w, abs(value - coarse) / 15.0)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DegenerateMetric, ExtensionOrderExceeded, SingularRuling, WidthTooLarge
 from .numerics import arccot, central_difference, read_only, rownorm, spline, stencil_difference
+from .textio import lines
 
 WIDTH_SAFETY = 0.9
 LAMBDA_FLAT_TOL = 1e-8  # below this sup|lambda| the regular width is unbounded
@@ -156,7 +157,8 @@ class FlatRibbon:
         self.ts = mu.ts
         self.lam = mu.derivative(self.ts) - (1.0 + mu.values**2) * mu.frame.kappa_g
         sup = float(np.max(np.abs(self.lam)))
-        self.max_width = np.inf if sup < LAMBDA_FLAT_TOL else WIDTH_SAFETY / sup
+        self.flat = sup < LAMBDA_FLAT_TOL  # lambda is rounding noise: the energies take it as 0
+        self.max_width = np.inf if self.flat else WIDTH_SAFETY / sup
 
     def ruling(self, t, frame=None):
         """X(t); ``frame`` is the field's sample at t when the caller already has it."""
@@ -221,20 +223,21 @@ def tessellate(ribbon, n_t, n_u):
 def write_obj(mesh, path):
     """Write the mesh as ASCII Wavefront OBJ (triangles, 1-based indices).
 
-    Each block is one %-format of a repeated line template; %.17g prints a
-    float exactly as f"{x:.17g}" does.  A corner's normal is the one of its
-    vertex's row, so each vertex has one "v//n" token for all its corners.
+    Vertices, normals and faces are one :func:`~flatribbon.textio.lines`
+    table each, floats written as f"{x:.17g}" writes them.  A corner's normal
+    is the one of its vertex's row i, so a corner is "v//n" with n = i + 1.
     """
     n_t, n_u, _ = mesh.vertices.shape
-    corner = np.array([f"{v + 1}//{v // n_u + 1}" for v in range(n_t * n_u)], dtype=object)
-    i, j = np.mgrid[0 : n_t - 1, 0 : n_u - 1]
-    a = i * n_u + j  # vertex (i, j), 0-based
+    i, j = np.indices((n_t - 1, n_u - 1), dtype=np.int32)
+    a = i * n_u + j + 1  # vertex (i, j), 1-based
     b = a + n_u
-    faces = corner[np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1)]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("v %.17g %.17g %.17g\n" * (n_t * n_u) % tuple(mesh.vertices.ravel().tolist()))
-        fh.write("vn %.17g %.17g %.17g\n" * n_t % tuple(mesh.normals.ravel().tolist()))
-        fh.write("f %s %s %s\n" * (2 * a.size) % tuple(faces.ravel().tolist()))
+    na, nb = i + 1, i + 2
+    faces = np.stack([a, na, b, nb, b + 1, nb, a, na, b + 1, nb, a + 1, na], axis=-1).reshape(-1, 6)
+    vertices = mesh.vertices.reshape(-1, 3)
+    with open(path, "wb") as fh:
+        fh.write(lines(vertices.T, ("v ", " ", " ", "\n")))
+        fh.write(lines(mesh.normals.T, ("vn ", " ", " ", "\n")))
+        fh.write(lines(faces.T, ("f ", "//", " ", "//", " ", "//", "\n")))
 
 
 _RING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))

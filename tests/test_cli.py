@@ -257,6 +257,19 @@ def test_huge_width_on_unbounded_ribbon_exit_code(tmp_path, capsys, width):
     assert not (tmp_path / "o").exists()
 
 
+def test_huge_width_energy_on_flat_ribbon_exit_code(tmp_path, capsys):
+    # lambda = 0 on a helix: the energies take it as exactly 0, so 1e20 (once exit 3 on rounding noise) is linear
+    cfg = write_cfg(tmp_path, HELIX_CFG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["energy", "--config", cfg, "--out", str(tmp_path / "o"), "--width", "1e20"]) == 0
+    assert capsys.readouterr().err == ""
+    header, *rows = (tmp_path / "o" / "energy.csv").read_text().splitlines()
+    values = [float(row.split(",")[3]) for row in rows]
+    assert len(values) == 3 and np.all(np.isfinite(values))
+    assert values == pytest.approx([values[2]] * 3, rel=1e-12)
+
+
 def test_import_loads_no_scipy():
     # the package runs on numpy alone; scipy is only the tests' oracle
     src = os.path.dirname(os.path.dirname(flatribbon.__file__))

@@ -7,6 +7,7 @@ loaded by path and only read.
 
 import importlib
 import importlib.util
+import inspect
 import os
 
 import pytest
@@ -32,3 +33,11 @@ def test_traced_function_resolves(name, module, attr):
 @pytest.mark.parametrize("name, module, cls, attr", tracer.METHODS, ids=[f"{c}.{a}" for _, _, c, a in tracer.METHODS])
 def test_traced_method_is_defined_on_its_class(name, module, cls, attr):
     assert attr in vars(getattr(importlib.import_module(module), cls))
+
+
+@pytest.mark.parametrize("name, index", sorted(tracer.OUTPUT_PATH_ARG.items()))
+def test_output_path_argument_is_where_the_tracer_reads_it(name, index):
+    # the tracer counts the bytes of the file named by this positional argument
+    (module, attr), *_ = [(m, a) for n, m, a in tracer.FUNCTIONS if n == name]
+    parameters = list(inspect.signature(getattr(importlib.import_module(module), attr)).parameters)
+    assert parameters[index] == "path"
