@@ -274,7 +274,7 @@ def _no_nul(encoded):
 
 def _column(values):
     """(kind, cells): 'f' a float array, 'i' an integer array, 's' the UTF-8 text as NUL-padded uint8 rows."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "fiub":
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
         return ("f" if values.dtype.kind == "f" else "i"), values
     encoded = np.array(_no_nul([s.encode() for s in values]), dtype=bytes)
     return "s", encoded.view(np.uint8).reshape(len(encoded), -1)
