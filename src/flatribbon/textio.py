@@ -61,7 +61,7 @@ _BEFORE = np.array([0, 1, 9, -3, 5, 13], np.int8).reshape(2, 3, 1)
 
 
 def _scales():
-    """10^m for m = 16 - k = -292..340 as (s_hi, s_lo, q): s_hi + s_lo is 10^m 2^-q to 2^-106, exactly for m = 0..22."""
+    """10^m, m = 16 - k = -292..340, as (s_hi, s_lo, q): s_hi + s_lo = 10^m 2^-q to 2^-106, exactly for m = 0..22."""
     s_hi, s_lo, q = [], [], []
     for m in range(-292, 341):  # 10^m = t 2^(e - 128) with 2^127 <= t < 2^128
         if m >= 0:
@@ -108,8 +108,8 @@ def _tables():
     leading = np.where(np.logical_or.accumulate(nonzero, axis=1), digits, np.uint8(0))
     leading[0, 3] = ord("0")
     words = np.concatenate([digits, leading, np.zeros((1, 4), np.uint8)]).view("<u4").ravel()
-    # The slot: byte 0 the sign (set per cell), bytes 1..22 the text E[:p] + "." + E[p:] kept from index start to end.
-    # E is "0000" + D with p = 5 + k in fixed point, D itself with p = 1 in exponent notation.
+    # The slot: byte 0 the sign (set per cell), bytes 1..22 the text E[:p] + "." + E[p:] from index start
+    # to end.  E is "0000" + D with p = 5 + k in fixed point, D itself with p = 1 in exponent notation.
     zeros = np.where(np.arange(22) == _EXPONENT, 0, 4)[:, None, None]
     k_text = np.where(zeros == 0, 0, np.arange(22)[:, None, None] - 4)
     sig = np.arange(18)[None, :, None]
@@ -225,7 +225,10 @@ def _float_cells(x):
 
 
 def _int_cells(v):
-    """'%d' % v per entry of the int64 array v, as NUL-padded rows of 4 g bytes (g groups of 4 digits), one more with a sign."""
+    """'%d' % v per entry of the int64 array v, as NUL-padded rows of 4 g bytes (g groups of 4 digits).
+
+    The rows have one byte more, for the sign, where some v is negative.
+    """
     if len(v) < SMALL_BLOCK:
         return _python(v, "%d", 21)
     words = _tables().words
@@ -266,17 +269,17 @@ _SPELL = {"f": _float_cells, "i": _int_cells}
 _DTYPE = {"f": np.float64, "i": np.int64}
 
 
-def _no_nul(encoded):
-    if any(b"\0" in s for s in encoded):
+def _no_nul(texts):
+    if "\0" in "".join(texts):
         raise ValueError("text cells and separators must not contain NUL")
-    return encoded
+    return texts
 
 
 def _column(values):
     """(kind, cells): 'f' a float array, 'i' an integer array, 's' the UTF-8 text as NUL-padded uint8 rows."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
         return ("f" if values.dtype.kind == "f" else "i"), values
-    encoded = np.array(_no_nul([s.encode() for s in values]), dtype=bytes)
+    encoded = np.array([s.encode() for s in _no_nul(values)], dtype=bytes)
     return "s", encoded.view(np.uint8).reshape(len(encoded), -1)
 
 
@@ -289,7 +292,7 @@ def lines(columns, separators):
     """
     if len(separators) != len(columns) + 1 or len(columns) == 0:
         raise ValueError("lines needs at least one column and one separator more than columns")
-    seps = [np.frombuffer(s, np.uint8) for s in _no_nul([s.encode() for s in separators])]
+    seps = [np.frombuffer(s.encode(), np.uint8) for s in _no_nul(separators)]
     cols = [_column(c) for c in columns]
     n = len(cols[0][1])
     picked = {kind: [i for i, (k, _) in enumerate(cols) if k == kind] for kind in _SPELL}
