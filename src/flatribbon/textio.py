@@ -8,22 +8,23 @@ byte for byte, without one Python format call per number.
 10^(16-k)), where k is the decimal exponent of D's leading digit: in fixed
 point when -4 <= k <= 16 (the point after digit k, or "0." and -k-1 zeros
 before D when k < 0), else as d.ddd followed by e-XX or e+XX, in both cases
-without trailing fraction zeros or a bare point.  With 10^(16-k) = (s_hi +
-s_lo) 2^q as a double-double, |x| 10^(16-k) = hi + lo follows from Dekker's
-exact product (Dekker 1971, "A floating-point technique for extending the
-available precision") of x's mantissa and s_hi, plus the mantissa times s_lo.
-Where the product is at least 10^16 > 2^53, hi is an even integer, so D = hi
-+ rint(lo) is the product rounded half to even: the digits Ryu (Adams 2018)
-reaches with wider integers.  For -6 <= k <= 16 the scale is a double (s_lo
-= 0) and D is exact; elsewhere hi + lo is within 2^-47 of the product, and a
-product within ``TIE_GUARD`` of a half-integer is left to Python.  Each cell
-is spelled from a table of 4-digit words into a fixed slot padded with NUL
-bytes, and one ``bytes.translate`` per block of rows drops the padding.
-Zeros, non-finite values, those near-ties and the rare x whose estimated
-exponent is off by one (D outside [10^16, 10^17)) go through Python's own
-'%.17g', in one call per block.
+without trailing fraction zeros or a bare point.  With 10^(16-k) = s + s_tail
+as a double-double, |x| 10^(16-k) = hi + lo follows from Dekker's exact
+product (Dekker 1971, "A floating-point technique for extending the available
+precision") of |x| and s, plus |x| s_tail.  Where the product is at least
+10^16 > 2^53, hi is an even integer, so D = hi + rint(lo) is the product
+rounded half to even: the digits Ryu (Adams 2018) reaches with wider
+integers.  For -6 <= k <= 16 the scale is a double (s_tail = 0) and D is
+exact; elsewhere hi + lo is within 2^-47 of the product, and a product within
+``TIE_GUARD`` of a half-integer is left to Python.  Each cell is spelled from
+a table of 4-digit words into a fixed slot padded with NUL bytes, and one
+``bytes.translate`` per block of rows drops the padding.  Zeros, non-finite
+values, |x| outside the scale table (k < -284 or k > 292), those near-ties
+and the rare x whose estimated exponent is off by one (D outside [10^16,
+10^17)) go through Python's own '%.17g', in one call per block.
 """
 
+import math
 from functools import cache
 from typing import NamedTuple
 
@@ -41,12 +42,11 @@ _EXPONENT = 21  # the slot layout of exponent notation; layouts 0..20 are fixed 
 
 
 class _Tables(NamedTuple):
-    # by the index 308 - k of D's decimal exponent k = -324..308, where 10^(16 - k) = (s_hi + s_lo) 2^q:
-    scale: np.ndarray  # s_hi, in [0.5, 1]
-    scale_hi: np.ndarray  # the Veltkamp halves of s_hi
+    # by the index 292 - k of D's decimal exponent k = -284..292, where 10^(16 - k) = s + s_tail:
+    scale: np.ndarray  # s
+    scale_hi: np.ndarray  # the Veltkamp halves of s
     scale_lo: np.ndarray
-    scale_tail: np.ndarray  # s_lo, 0 where 10^(16 - k) is a double
-    scale_exp: np.ndarray  # q
+    scale_tail: np.ndarray  # 0 where 10^(16 - k) is a double
     layout: np.ndarray  # 18 times the slot layout of the cell
     suffix: np.ndarray  # "e-XX" or "e+XXX" in bytes 3..7 of the slot's last word, 0 in fixed point
     # by the value i < 10^4 of a 4-digit group:
@@ -61,9 +61,9 @@ _BEFORE = np.array([0, 1, 9, -3, 5, 13], np.int8).reshape(2, 3, 1)
 
 
 def _scales():
-    """10^m, m = 16 - k = -292..340, as (s_hi, s_lo, q): s_hi + s_lo = 10^m 2^-q to 2^-106, exactly for m = 0..22."""
-    s_hi, s_lo, q = [], [], []
-    for m in range(-292, 341):  # 10^m = t 2^(e - 128) with 2^127 <= t < 2^128
+    """10^m for m = 16 - k = -276..300 as a double-double s + s_tail, to 2^-106 relative, exactly for m = 0..22."""
+    s, s_tail = [], []
+    for m in range(-276, 301):  # 10^m = t 2^(e - 128) with 2^127 <= t < 2^128
         if m >= 0:
             n = 10**m
             e = n.bit_length()
@@ -73,10 +73,9 @@ def _scales():
             e = 1 - d.bit_length()
             t = (1 << (128 - e)) // d
         top = (t + (1 << 74)) >> 75  # t rounded to 53 bits
-        s_hi.append(top / 2.0**53)
-        s_lo.append((t - (top << 75)) / 2.0**128)
-        q.append(e)
-    return np.array(s_hi), np.array(s_lo), np.array(q)
+        s.append(math.ldexp(top, e - 53))
+        s_tail.append(math.ldexp(t - (top << 75), e - 128))
+    return np.array(s), np.array(s_tail)
 
 
 @cache
@@ -86,14 +85,14 @@ def _tables():
     A float cell's masks are picked by code = 18 layout + sig, where sig is the count of D's digits
     up to its last non-zero one.
     """
-    scale, scale_tail, scale_exp = _scales()
+    scale, scale_tail = _scales()
     c = scale * _SPLIT
     scale_hi = c - (c - scale)
-    k = 308 - np.arange(633)
+    k = 292 - np.arange(577)
     fixed = (k >= -4) & (k <= 16)
     layout = 18 * np.where(fixed, k + 4, _EXPONENT)
     # "e", the exponent's sign and its 2 or 3 digits, from byte 3 of the slot's last word
-    suffix = np.zeros((633, 8), np.uint8)
+    suffix = np.zeros((577, 8), np.uint8)
     suffix[:, 3] = ord("e")
     suffix[:, 4] = np.where(k < 0, ord("-"), ord("+"))
     wide = abs(k) >= 100
@@ -127,7 +126,6 @@ def _tables():
         scale_hi,
         scale - scale_hi,
         scale_tail,
-        scale_exp,
         layout,
         suffix.view(_U8).ravel(),
         words,
@@ -147,31 +145,27 @@ def _float_cells(x):
     if len(x) < SMALL_BLOCK:
         return _python(x, "%.17g", FLOAT_SLOT)
     t = _tables()
-    with np.errstate(all="ignore"):  # zeros, inf and nan give values that the tests below reject
-        f, exp2 = np.frexp(x)
-        np.abs(f, out=f)
-        i = np.log10(np.abs(x))
+    a = np.abs(x)
+    with np.errstate(all="ignore"):  # 0, inf, nan and |x| beyond the table give values the tests below reject
+        i = np.log10(a)
         np.floor(i, out=i)
         i = i.astype(np.intp)
-        np.subtract(308, i, out=i)
-        np.clip(i, 0, 632, out=i)
-        # Dekker's product f s_hi = p + err, with f and s_hi split into 26-bit halves
+        np.subtract(292, i, out=i)
+        np.clip(i, 0, 576, out=i)
+        # Dekker's product a s = hi + lo, with a and s split into 26-bit halves, plus a s_tail
         s = t.scale.take(i)
-        p = f * s
-        f_hi = f * _SPLIT
-        f_hi -= f_hi - f
-        f_lo = f - f_hi
+        hi = a * s
+        a_hi = a * _SPLIT
+        a_hi -= a_hi - a
+        a_lo = a - a_hi
         s_hi, s_lo = t.scale_hi.take(i), t.scale_lo.take(i)
-        err = f_hi * s_hi
-        err -= p
-        err += f_hi * s_lo
-        err += f_lo * s_hi
-        err += f_lo * s_lo
+        lo = a_hi * s_hi
+        lo -= hi
+        lo += a_hi * s_lo
+        lo += a_lo * s_hi
+        lo += a_lo * s_lo
         tail = t.scale_tail.take(i)
-        err += f * tail
-        exp2 += t.scale_exp.take(i)
-        hi = np.ldexp(p, exp2)
-        lo = np.ldexp(err, exp2)  # hi + lo = |x| 10^(16 - k), exactly where the tail is 0
+        lo += a * tail  # hi + lo = |x| 10^(16 - k), exactly where the tail is 0
         fast = hi - 1e16
         fast += lo
         fast = (fast >= 0.0) & (hi < 1e17)  # 10^16 <= hi + lo < 10^17
@@ -181,7 +175,7 @@ def _float_cells(x):
             fast &= ~inexact | (np.abs(frac - 0.5) > TIE_GUARD)
         d = hi.astype(np.int64)
         d += np.rint(lo).astype(np.int64)
-    del f, exp2, p, f_hi, f_lo, s, s_hi, s_lo, err, tail, hi, lo
+    del a, a_hi, a_lo, s, s_hi, s_lo, tail, hi, lo
     np.copyto(d, 10**16, where=~fast)
     g = np.empty((2, 3, len(d)), np.intp)
     g[0, 0] = 0
