@@ -21,11 +21,15 @@ a table of 4-digit words into a fixed slot padded with NUL bytes, and one
 ``bytes.translate`` per block of rows drops the padding.  Zeros, non-finite
 values, |x| outside the scale table (k < -284 or k > 292), those near-ties
 and the rare x whose estimated exponent is off by one (D outside [10^16,
-10^17)) go through Python's own '%.17g', in one call per block.
+10^17)) go through Python's own '%.17g', in one call per block.  A table of
+fewer than ``SMALL_TABLE`` numeric cells (the three-row energy.csv) goes
+through one Python %-format whole: there the array steps cost more than they
+save.
 """
 
 import math
 from functools import cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +37,7 @@ import numpy as np
 __all__ = ["lines"]
 
 BLOCK_CELLS = 2048  # float cells per block (an integer cell counts 1/4): bounds the temporaries of any table
-SMALL_BLOCK = 64  # a block of fewer cells goes to the fallback whole: the array steps cost more there
+SMALL_TABLE = 64  # a table of fewer numeric cells goes to Python's %-format whole: the array steps cost more
 FLOAT_SLOT = 24  # bytes: the longest '%.17g' of a double, '-2.2250738585072014e-308'
 TIE_GUARD = 2.0**-30  # distance of an inexact product from a half-integer below which Python decides
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
@@ -142,8 +146,6 @@ def _python(values, template, width):
 
 def _float_cells(x):
     """'%.17g' % x per entry of the float64 array x, as NUL-padded rows of FLOAT_SLOT bytes."""
-    if len(x) < SMALL_BLOCK:
-        return _python(x, "%.17g", FLOAT_SLOT)
     t = _tables()
     a = np.abs(x)
     with np.errstate(all="ignore"):  # 0, inf, nan and |x| beyond the table give values the tests below reject
@@ -223,8 +225,6 @@ def _int_cells(v):
 
     The rows have one byte more, for the sign, where some v is negative.
     """
-    if len(v) < SMALL_BLOCK:
-        return _python(v, "%d", 21)
     words = _tables().words
     m = np.abs(v)
     slow = m < 0  # -2^63, whose magnitude int64 does not hold
@@ -261,6 +261,8 @@ def _int_cells(v):
 
 _SPELL = {"f": _float_cells, "i": _int_cells}
 _DTYPE = {"f": np.float64, "i": np.int64}
+_KIND = {"f": "f", "i": "i", "u": "i"}  # by numpy dtype kind; any other column is text
+_FORMAT = {"f": "%.17g", "i": "%d", "s": "%s"}
 
 
 def _no_nul(texts):
@@ -269,12 +271,18 @@ def _no_nul(texts):
     return texts
 
 
-def _column(values):
-    """(kind, cells): 'f' a float array, 'i' an integer array, 's' the UTF-8 text as NUL-padded uint8 rows."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
-        return ("f" if values.dtype.kind == "f" else "i"), values
+def _python_table(kinds, columns, separators):
+    """The table through one Python %-format, for tables below SMALL_TABLE numeric cells."""
+    line = "".join(sep.replace("%", "%%") + _FORMAT[k] for sep, k in zip(separators, kinds))
+    line += separators[-1].replace("%", "%%")
+    cells = [c.tolist() if k != "s" else _no_nul(c) for k, c in zip(kinds, columns)]
+    return (line * len(cells[0]) % tuple(chain.from_iterable(zip(*cells)))).encode()
+
+
+def _text(values):
+    """The str cells as UTF-8, NUL-padded uint8 rows."""
     encoded = np.array([s.encode() for s in _no_nul(values)], dtype=bytes)
-    return "s", encoded.view(np.uint8).reshape(len(encoded), -1)
+    return encoded.view(np.uint8).reshape(len(encoded), -1)
 
 
 def lines(columns, separators):
@@ -286,9 +294,12 @@ def lines(columns, separators):
     """
     if len(separators) != len(columns) + 1 or len(columns) == 0:
         raise ValueError("lines needs at least one column and one separator more than columns")
+    kinds = [_KIND.get(c.dtype.kind, "s") if isinstance(c, np.ndarray) else "s" for c in columns]
+    n = len(columns[0])
+    if n * sum(k != "s" for k in kinds) < SMALL_TABLE:
+        return _python_table(kinds, columns, _no_nul(separators))
     seps = [np.frombuffer(s.encode(), np.uint8) for s in _no_nul(separators)]
-    cols = [_column(c) for c in columns]
-    n = len(cols[0][1])
+    cols = [(k, _text(c) if k == "s" else c) for k, c in zip(kinds, columns)]
     picked = {kind: [i for i, (k, _) in enumerate(cols) if k == kind] for kind in _SPELL}
     step = max(1, int(BLOCK_CELLS / max(1.0, len(picked["f"]) + len(picked["i"]) / 4)))
     chunks = []

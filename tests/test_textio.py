@@ -1,8 +1,8 @@
 """The array-to-text kernel writes exactly what Python's %-format writes.
 
 Float cells must match '%.17g' % x and integer cells '%d' % i byte for
-byte; tables shorter than ``SMALL_BLOCK`` cells are repeated up to it, so the
-array path runs and not only its Python fallback.
+byte; tables shorter than ``SMALL_TABLE`` cells are repeated up to it, so the
+array path runs and not only Python's %-format.
 """
 
 import numpy as np
@@ -45,7 +45,7 @@ def expected(values):
 
 def at_least_a_block(values):
     values = np.asarray(values, dtype=np.float64)
-    return np.resize(values, max(len(values), 2 * textio.SMALL_BLOCK))
+    return np.resize(values, max(len(values), 2 * textio.SMALL_TABLE))
 
 
 def test_random_bit_patterns_match_percent_17g():
@@ -60,7 +60,10 @@ def test_edge_values_match_percent_17g():
     powers = 10.0 ** np.arange(-8, 20)
     values += list(powers) + list(np.nextafter(powers, 0.0)) + list(np.nextafter(powers, np.inf))
     assert spelled(at_least_a_block(values)) == expected(at_least_a_block(values))
-    assert spelled(EDGES) == expected(EDGES)  # a table below SMALL_BLOCK, spelled by the fallback
+    assert spelled(EDGES) == expected(EDGES)  # a table below SMALL_TABLE, spelled by Python
+    # a last block of one row goes through the array steps too
+    tail = np.resize(values, textio.BLOCK_CELLS + 1)
+    assert spelled(tail) == expected(tail)
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,7 +79,8 @@ def test_integers_match_percent_d():
     for values in (
         np.concatenate([edges, rng.integers(-(2**63), 2**63 - 1, 5000, dtype=np.int64, endpoint=True)]),
         rng.integers(0, 4000, 5000),  # the face indices of a mesh: one 4-digit group, no sign
-        np.resize(edges, 2 * textio.SMALL_BLOCK),
+        np.resize(edges, 2 * textio.SMALL_TABLE),
+        np.resize(edges, 4 * textio.BLOCK_CELLS + 1),  # a last block of one cell
         edges,
     ):
         got = lines([values], ("", "\n")).decode().split("\n")[:-1]
@@ -88,8 +92,12 @@ def test_mixed_columns_and_separators():
     i = np.arange(150, dtype=np.int32) - 70
     text = [f"r{k}" for k in range(150)]
     got = lines([text, x, i, x * 1e-9], ("<", ",", "|", ";", ">\n"))
-    want = "".join("<%s,%.17g|%d;%.17g>\n" % (t, a, b, c) for t, a, b, c in zip(text, x.tolist(), i.tolist(), (x * 1e-9).tolist()))
+    rows = zip(text, x.tolist(), i.tolist(), (x * 1e-9).tolist())
+    want = "".join("<%s,%.17g|%d;%.17g>\n" % row for row in rows)
     assert got == want.encode()
+    # a table below SMALL_TABLE goes through one %-format, so a % in a separator or cell stays literal
+    small = lines([["a%s", "%d"], np.array([1.5, -0.0]), np.array([2, -3])], ("%", ",", ";", "%%\n"))
+    assert small == b"%a%s,1.5;2%%\n%%d,-0;-3%%\n"
 
 
 def test_the_array_path_spells_most_cells(monkeypatch):
