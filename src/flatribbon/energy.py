@@ -89,8 +89,9 @@ def _forms(mu, mup, kg, kn, lam, u):
     stretch = 1.0 + u * lam
     if np.any(stretch <= 0.0):
         raise OutsideRegularDomain(f"1 + u*lambda = {float(np.min(stretch)):.3e}: outside the regular domain")
-    E = (1.0 + u * (mup - kg)) ** 2 + (u * mu * kg) ** 2
-    F = mu * (1.0 + u * mup)
+    with np.errstate(over="ignore"):  # only at a flat ribbon's widths, where the energies read det = 1
+        E = (1.0 + u * (mup - kg)) ** 2 + (u * mu * kg) ** 2
+        F = mu * (1.0 + u * mup)
     G = 1.0 + mu**2
     e = kn * stretch
     return FundamentalForms(E, F, G, e, det=1.0 if np.ndim(lam) == 0 and lam == 0.0 else None)

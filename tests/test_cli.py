@@ -257,12 +257,13 @@ def test_huge_width_on_unbounded_ribbon_exit_code(tmp_path, capsys, width):
     assert not (tmp_path / "o").exists()
 
 
-def test_huge_width_energy_on_flat_ribbon_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("width", ["1e20", "1e300"])
+def test_huge_width_energy_on_flat_ribbon_exit_code(tmp_path, capsys, width):
     # lambda = 0 on a helix: the energies take it as exactly 0, so 1e20 (once exit 3 on rounding noise) is linear
     cfg = write_cfg(tmp_path, HELIX_CFG)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run(["energy", "--config", cfg, "--out", str(tmp_path / "o"), "--width", "1e20"]) == 0
+        assert run(["energy", "--config", cfg, "--out", str(tmp_path / "o"), "--width", width]) == 0
     assert capsys.readouterr().err == ""
     header, *rows = (tmp_path / "o" / "energy.csv").read_text().splitlines()
     values = [float(row.split(",")[3]) for row in rows]
