@@ -1,10 +1,14 @@
-"""Command-line front end.
+"""Command-line front end; each flag overrides the config key of its name.
 
-    ribbon build|solve|energy|sweep|validate --config <path>
-           [--out <dir>] [--grid N] [--width W] [--q Q] [--r R,...]
+    ribbon build|energy --config <path> [--out <dir>] [--grid N] [--width W] [--q Q]
+    ribbon solve --config <path> [--out <dir>] [--grid N] [--q Q]
+    ribbon sweep --config <path> [--out <dir>] [--r R,...]
+    ribbon validate [--config <path>]
 
-Exit codes: 0 success, 1 failed validation check, 2 config error,
-3 mathematical error (e.g. width beyond the regularity bound), 4 I/O error.
+`energy` takes its three energies on the ribbon's own min(grid, 2001)-node grid.
+Exit codes: 0 success, 1 failed validation check, 2 config error or a flag the
+command does not read, 3 mathematical error (e.g. width beyond the regularity
+bound), 4 I/O error.
 CSV output is deterministic: 17 significant digits, '\\n' line endings.
 """
 
@@ -22,26 +26,33 @@ from .frames import RotatedNormalField
 from .ribbon import angle_defect_gauss, construct_ribbon, flatness_residuals, max_regular_width, tessellate, write_obj
 
 
+# the config keys each command reads, each of which a flag of its name overrides
+_FLAGS = {
+    "build": ("out", "grid", "width", "q"),
+    "solve": ("out", "grid", "q"),
+    "energy": ("out", "grid", "width", "q"),
+    "sweep": ("out", "r"),
+    "validate": (),
+}
+
+
 @functools.cache
 def _make_parser():
     """The argument parser, built on first use and reused by every later ``main`` call."""
     parser = argparse.ArgumentParser(prog="ribbon", description="Flat ribbons along space curves")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("build", "solve", "energy", "sweep", "validate"):
+    for name, flags in _FLAGS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=(name != "validate"), help="key = value config file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--grid", help="override grid size")
-        p.add_argument("--width", help="override ribbon half-width")
-        p.add_argument("--q", help="override initial rotation angle")
-        p.add_argument("--r", help="comma-separated r values for sweeps")
+        for key in flags:
+            p.add_argument(f"--{key}", help=f"override the config key '{key}'")
     return parser
 
 
 def _load_config(args):
     """The config file's values, overridden by each flag given, parsed as its config key is."""
     cfg = parse_config(args.config) if args.config else RunConfig()
-    for key in ("out", "grid", "width", "q", "r"):
+    for key in _FLAGS[args.command]:
         value = getattr(args, key)
         if value is not None:
             set_value(cfg, key, value, f"--{key}")
@@ -51,10 +62,7 @@ def _load_config(args):
 
 def _solved_field(cfg, base):
     """(rotated field, theta solution) of the IVP from theta(0) = q with the config's phi."""
-    phi = None
-    if cfg.phi != "base":
-        phi_value = float(cfg.phi)
-        phi = lambda t: phi_value
+    phi = None if cfg.phi == "base" else lambda t: float(cfg.phi)
     return angleivp.solved_rotation_field(base, cfg.q, grid_size=cfg.grid, phi=phi)
 
 
@@ -114,7 +122,7 @@ def cmd_energy(cfg):
     reports = [
         ("closed", energy.bending_energy_closed(rib)),
         ("quadrature", energy.bending_energy_quadrature(rib)),
-        ("limit", energy.limit_energy(curve, field, rib.w)),
+        ("limit", energy.limit_energy(curve, field, rib.w, n_t=len(rib.ts))),
     ]
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "energy.csv")
@@ -132,10 +140,10 @@ def cmd_sweep(cfg):
     os.makedirs(cfg.out, exist_ok=True)
     qs = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
     for r in cfg.r:
-        rows_a = [(q, energy.helix_ratio_a(q, r)) for q in qs]
-        rows_b = [(q, 1.0 if q == 0.0 else energy.helix_ratio_b(q, r)) for q in qs]
-        write_csv(os.path.join(cfg.out, f"ratioA_r{r:g}.csv"), ("q", "ratio"), rows_a)
-        write_csv(os.path.join(cfg.out, f"ratioB_r{r:g}.csv"), ("q", "ratio"), rows_b)
+        with np.errstate(divide="ignore", invalid="ignore"):  # ratio B's q = 0 pole, where its limit is 1
+            ratio_b = np.where(qs == 0.0, 1.0, energy.helix_ratio_b(qs, r))
+        for name, ratio in (("A", energy.helix_ratio_a(qs, r)), ("B", ratio_b)):
+            write_csv(os.path.join(cfg.out, f"ratio{name}_r{r:g}.csv"), ("q", "ratio"), np.column_stack([qs, ratio]))
     print(f"wrote ratio tables for r in {list(cfg.r)} to {cfg.out}")
     return 0
 

@@ -21,7 +21,7 @@ from .curves import (
     make_helix,
     make_torus_knot,
 )
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParams
 from .frames import PrincipalNormalField, RotationMinimizingField, TorusNormalField
 from .textio import lines
 
@@ -124,10 +124,14 @@ def check_domains(cfg):
 
 
 def build_curve(cfg):
-    if cfg.kind == "helix":
-        return make_helix(HelixParams(cfg.a, cfg.b, cfg.length))
-    if cfg.kind == "torus_knot":
-        return make_torus_knot(TorusKnotParams(cfg.R, cfg.rho, cfg.n))
+    """The config's curve; curve parameters outside the domain the curve checks are a ConfigError."""
+    try:
+        if cfg.kind == "helix":
+            return make_helix(HelixParams(cfg.a, cfg.b, cfg.length))
+        if cfg.kind == "torus_knot":
+            return make_torus_knot(TorusKnotParams(cfg.R, cfg.rho, cfg.n))
+    except InvalidParams as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.kind == "samples":
         if not cfg.csv:
             raise ConfigError("kind = samples requires a 'csv' path")

@@ -73,13 +73,12 @@ class CurveSpec:
         the domain length.
     """
 
-    def __init__(self, position, domain, derivatives=None, name="curve"):
+    def __init__(self, position, domain, derivatives=None):
         self.domain = (float(domain[0]), float(domain[1]))
         if self.domain[1] <= self.domain[0]:
             raise InvalidParams("curve domain must have positive length")
         self.position = position
         self._derivatives = tuple(derivatives or ())
-        self.name = name
 
     def point(self, x):
         return _vectors(self.position, x)
@@ -285,7 +284,7 @@ def make_helix(params):
     def d3(t):
         return _stack3(a / m**3 * np.sin(t / m), -a / m**3 * np.cos(t / m), 0.0)
 
-    spec = CurveSpec(pos, (0.0, L), derivatives=(d1, d2, d3), name=f"helix(a={a}, b={b})")
+    spec = CurveSpec(pos, (0.0, L), derivatives=(d1, d2, d3))
     return ArcLengthCurve.from_unit_speed(spec)
 
 
@@ -357,15 +356,13 @@ def make_torus_knot(params=TorusKnotParams()):
             -rho * n**3 * np.cos(n * phi),
         )
 
-    spec = CurveSpec(
-        pos, (0.0, 2.0 * np.pi), derivatives=(d1, d2, d3), name=f"torus_knot({R}, {rho}, {n})"
-    )
+    spec = CurveSpec(pos, (0.0, 2.0 * np.pi), derivatives=(d1, d2, d3))
     return arc_length_reparametrize(
         spec, grid_size=params.grid_size, tol=params.tol, curve_class=TorusKnotCurve, params=params
     )
 
 
-def curve_from_samples(ts, points, grid_size=1001, tol=1e-8, name="samples"):
+def curve_from_samples(ts, points, grid_size=1001):
     """Cubic-spline curve through (t, x, y, z) samples, arc-length reparametrized."""
     ts = np.asarray(ts, dtype=float)
     points = np.asarray(points, dtype=float)
@@ -380,9 +377,8 @@ def curve_from_samples(ts, points, grid_size=1001, tol=1e-8, name="samples"):
         cubic,
         (ts[0], ts[-1]),
         derivatives=(lambda x: cubic(x, 1), lambda x: cubic(x, 2), lambda x: cubic(x, 3)),
-        name=name,
     )
-    return arc_length_reparametrize(spec, grid_size=grid_size, tol=tol)
+    return arc_length_reparametrize(spec, grid_size=grid_size)
 
 
 @dataclass(frozen=True)

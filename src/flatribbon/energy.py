@@ -109,16 +109,15 @@ def mean_curvature(forms):
     return forms.G * forms.e / (2.0 * forms.metric_det())
 
 
-def bending_energy_quadrature(ribbon, n_t=2001, n_u=41):
-    """Double composite-Simpson quadrature of H^2 dA over the ribbon.
+def bending_energy_quadrature(ribbon, n_t=None, n_u=41):
+    """Double composite-Simpson quadrature of H^2 dA over the ribbon, on its grid unless ``n_t`` is given.
 
     Independent oracle for :func:`bending_energy_closed`: it integrates
     H^2 times the area element of :func:`fundamental_forms` numerically in u.
     """
-    n_t, n_u = odd_node_count(n_t), odd_node_count(n_u)
-    ts = ribbon.curve.grid(n_t)
-    frame = ribbon.normal.on_grid(n_t)
-    us = np.linspace(-ribbon.w, ribbon.w, n_u)
+    ts = ribbon.curve.grid(len(ribbon.ts) if n_t is None else n_t)
+    frame = ribbon.normal.on_grid(len(ts))
+    us = np.linspace(-ribbon.w, ribbon.w, odd_node_count(n_u))
     # t down the rows, u across the columns
     mu, mup = ribbon.mu(ts), ribbon.mu.derivative(ts)
     lam = _lam(ribbon, mu, mup, frame.kappa_g)
@@ -138,16 +137,16 @@ def _inner_integral(w, lam):
         return np.where(lam == 0.0, 2.0 * w, 2.0 * np.arctanh(w * lam) / lam)
 
 
-def bending_energy_closed(ribbon, n_t=2001):
-    """Finite-width bending energy with the u-integration done in closed form.
+def bending_energy_closed(ribbon, n_t=None):
+    """Finite-width bending energy, the u-integration in closed form, on the ribbon's grid unless ``n_t`` is given.
 
     The method is ``special_case_lambda_zero`` on a ribbon that FlatRibbon
     found flat (sup|lambda| below ``ribbon.LAMBDA_FLAT_TOL``, no width bound),
     where lambda is 0 and the energy is linear in w.
     """
-    ts = ribbon.curve.grid(n_t)
+    ts = ribbon.curve.grid(len(ribbon.ts) if n_t is None else n_t)
     mu = ribbon.mu(ts)
-    frame = ribbon.normal.on_grid(n_t)
+    frame = ribbon.normal.on_grid(len(ts))
     lam = _lam(ribbon, mu, ribbon.mu.derivative(ts), frame.kappa_g)
     w = ribbon.w
     sup = float(np.max(np.abs(lam)))

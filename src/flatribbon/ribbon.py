@@ -165,9 +165,8 @@ class FlatRibbon:
         fr = self.normal.sample(t) if frame is None else frame
         return self.mu(t)[..., None] * fr.T + fr.H
 
-    def ruling_derivative(self, t, frame=None):
-        fr = self.normal.sample(t) if frame is None else frame
-        return self.mu.derivative(t)[..., None] * fr.T + self.mu(t)[..., None] * fr.Tp + fr.Hp
+    def ruling_derivative(self, t, frame):
+        return self.mu.derivative(t)[..., None] * frame.T + self.mu(t)[..., None] * frame.Tp + frame.Hp
 
     def point(self, t, u):
         return self.curve.point(t) + u * self.ruling(t)

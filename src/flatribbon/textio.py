@@ -21,10 +21,10 @@ a table of 4-digit words into a fixed slot padded with NUL bytes, and one
 ``bytes.translate`` per block of rows drops the padding.  Zeros, non-finite
 values, |x| outside the scale table (k < -284 or k > 292), those near-ties
 and the rare x whose estimated exponent is off by one (D outside [10^16,
-10^17)) go through Python's own '%.17g', in one call per block.  A table of
-fewer than ``SMALL_TABLE`` numeric cells (the three-row energy.csv) goes
-through one Python %-format whole: there the array steps cost more than they
-save.
+10^17)) go through Python's own '%.17g', in one call per block.  A table
+with a str column (the three-row energy.csv) or of fewer than
+``SMALL_TABLE`` numeric cells goes through one Python %-format whole: there
+the array steps cost more than they save.
 """
 
 import math
@@ -272,17 +272,11 @@ def _no_nul(texts):
 
 
 def _python_table(kinds, columns, separators):
-    """The table through one Python %-format, for tables below SMALL_TABLE numeric cells."""
+    """The table through one Python %-format, for text tables and tables below SMALL_TABLE numeric cells."""
     line = "".join(sep.replace("%", "%%") + _FORMAT[k] for sep, k in zip(separators, kinds))
     line += separators[-1].replace("%", "%%")
     cells = [c.tolist() if k != "s" else _no_nul(c) for k, c in zip(kinds, columns)]
     return (line * len(cells[0]) % tuple(chain.from_iterable(zip(*cells)))).encode()
-
-
-def _text(values):
-    """The str cells as UTF-8, NUL-padded uint8 rows."""
-    encoded = np.array([s.encode() for s in _no_nul(values)], dtype=bytes)
-    return encoded.view(np.uint8).reshape(len(encoded), -1)
 
 
 def lines(columns, separators):
@@ -296,16 +290,15 @@ def lines(columns, separators):
         raise ValueError("lines needs at least one column and one separator more than columns")
     kinds = [_KIND.get(c.dtype.kind, "s") if isinstance(c, np.ndarray) else "s" for c in columns]
     n = len(columns[0])
-    if n * sum(k != "s" for k in kinds) < SMALL_TABLE:
+    if "s" in kinds or n * len(kinds) < SMALL_TABLE:
         return _python_table(kinds, columns, _no_nul(separators))
     seps = [np.frombuffer(s.encode(), np.uint8) for s in _no_nul(separators)]
-    cols = [(k, _text(c) if k == "s" else c) for k, c in zip(kinds, columns)]
-    picked = {kind: [i for i, (k, _) in enumerate(cols) if k == kind] for kind in _SPELL}
+    picked = {kind: [i for i, k in enumerate(kinds) if k == kind] for kind in _SPELL}
     step = max(1, int(BLOCK_CELLS / max(1.0, len(picked["f"]) + len(picked["i"]) / 4)))
     chunks = []
     for r0 in range(0, n, step):
         r1 = min(n, r0 + step)
-        cells = [values[r0:r1] for _, values in cols]
+        cells = [values[r0:r1] for values in columns]
         for kind, spell in _SPELL.items():
             if picked[kind]:
                 values = np.stack([cells[i] for i in picked[kind]], axis=1, dtype=_DTYPE[kind])

@@ -155,11 +155,19 @@ def test_missing_config_exit_code(tmp_path):
         ("build", "mesh_nu = 1000000000000000000\n", "mesh_nt * mesh_nu"),
         # a misspelt fault once let validate pass 17/17 without its self-test
         ("validate", "fault = perturb\n", "fault must"),
+        # curve parameters the curve rejects, once "error:" and exit 3
+        ("energy", "a = -1\n", "radius a must be positive"),
+        ("energy", "b = -1\n", "pitch b must be nonnegative"),
+        ("energy", "length = 0\n", "positive length"),
+        ("build", "length = -2\n", "positive length"),
+        ("energy", "kind = torus_knot\nnormal = torus_normal\nrho = 0\n", "0 < rho < R"),
+        ("solve", "kind = torus_knot\nnormal = torus_normal\nrho = 3\n", "0 < rho < R"),
     ],
 )
 def test_out_of_domain_config_exit_code(tmp_path, capsys, command, extra, key):
     cfg = write_cfg(tmp_path, HELIX_CFG + extra)
-    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    out = [] if command == "validate" else ["--out", str(tmp_path / "o")]  # validate writes nothing
+    assert run([command, "--config", cfg] + out) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
     assert len(err.splitlines()) == 1
@@ -278,6 +286,62 @@ def test_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# the flags a command does not read, with a value each would parse
+REMOVED_FLAGS = [
+    ("build", "--r", "1"),
+    ("energy", "--r", "1"),
+    ("solve", "--width", "0.1"),
+    ("solve", "--r", "1"),
+    ("sweep", "--grid", "100"),
+    ("sweep", "--width", "0.1"),
+    ("sweep", "--q", "1"),
+    ("validate", "--out", None),
+    ("validate", "--grid", "5"),
+    ("validate", "--width", "0.1"),
+    ("validate", "--q", "1"),
+    ("validate", "--r", "1"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", REMOVED_FLAGS)
+def test_flag_the_command_does_not_read_exit_code(tmp_path, capsys, command, flag, value):
+    out = str(tmp_path / "o")
+    args = [command, "--config", EXAMPLE] + (["--out", out] if command != "validate" else [])
+    with pytest.raises(SystemExit) as info:
+        run(args + [flag, out if value is None else value])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+KEPT_FLAGS = {
+    "build": ("--out", "--grid", "--width", "--q"),
+    "energy": ("--out", "--grid", "--width", "--q"),
+    "solve": ("--out", "--grid", "--q"),
+    "sweep": ("--out", "--r"),
+    "validate": (),
+}
+FLAG_VALUES = {
+    "--out": ("x", "x"),
+    "--grid": ("64", 64),
+    "--width": ("0.25", 0.25),
+    "--q": ("0.5", 0.5),
+    "--r": ("1.5,2", (1.5, 2.0)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(KEPT_FLAGS))
+def test_each_kept_flag_overrides_its_key(monkeypatch, command):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command, lambda c: seen.append(c) or 0)
+    for flag in KEPT_FLAGS[command]:
+        text, value = FLAG_VALUES[flag]
+        assert run([command, "--config", EXAMPLE, flag, text]) == 0
+        assert getattr(seen.pop(), flag[2:]) == value
+    assert run([command, "--config", EXAMPLE]) == 0
+    assert seen.pop() == parse_config(EXAMPLE)
 
 
 def test_parser_is_built_once_and_keeps_no_options(tmp_path, monkeypatch):

@@ -33,7 +33,7 @@ from flatribbon.errors import (
     WidthTooLarge,
 )
 from flatribbon.frames import PrincipalNormalField, RotatedNormalField, frenet_rotation_field
-from flatribbon.ribbon import FlatRibbon, construct_ribbon, mu_field
+from flatribbon.ribbon import FlatRibbon, construct_ribbon, max_regular_width, mu_field
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +228,17 @@ def test_limit_energy_approached_quadratically(knot, torus_field, knot_ribbon):
         es.append(bending_energy_closed(rib, n_t=1001).value / width)
     ratio = (es[0] - e0) / (es[1] - e0)
     assert 3.5 <= ratio <= 4.5
+
+
+def test_energies_default_to_the_ribbon_grid(knot, torus_field):
+    # the 101-node slope spline read on 2001 nodes is 1.02e-6 off the 2001-node energy
+    w = 0.5 * max_regular_width(knot, torus_field, grid_size=2001)
+    fine = bending_energy_closed(construct_ribbon(knot, torus_field, w, grid_size=2001)).value
+    rib = construct_ribbon(knot, torus_field, w, grid_size=101)
+    closed = bending_energy_closed(rib)
+    assert closed == bending_energy_closed(rib, n_t=101)
+    assert bending_energy_quadrature(rib) == bending_energy_quadrature(rib, n_t=101)
+    assert abs(closed.value - fine) <= 1e-7
 
 
 # ---------------------------------------------------------------- bounds

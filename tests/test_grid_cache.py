@@ -58,6 +58,13 @@ def test_energy_command_samples_each_grid_once(tmp_path, jet_calls):
     assert jet_calls == [(2001,)]
 
 
+@pytest.mark.parametrize("grid,nodes", [(100, 101), (500, 501)])
+def test_energy_command_samples_only_the_ribbon_grid(tmp_path, jet_calls, grid, nodes):
+    # below 2000 the three energies read the ribbon's own grid, not a second one of 2001 nodes
+    assert cli.main(["energy", "--config", EXAMPLE, "--out", str(tmp_path), "--grid", str(grid)]) == 0
+    assert jet_calls == [(nodes,)]
+
+
 @pytest.mark.parametrize("name", ["torus_knot.cfg", "samples_rmf.cfg"])
 def test_build_inverts_the_mesh_grid_once(name, tmp_path, monkeypatch):
     # tessellate takes the base points from its frame sample's one arc-length inversion

@@ -90,11 +90,12 @@ def test_integers_match_percent_d():
 def test_mixed_columns_and_separators():
     x = np.linspace(-2.0, 3.0, 150)
     i = np.arange(150, dtype=np.int32) - 70
-    text = [f"r{k}" for k in range(150)]
-    got = lines([text, x, i, x * 1e-9], ("<", ",", "|", ";", ">\n"))
+    text = [f"r{k}%s" for k in range(150)]
+    # 450 numeric cells, above SMALL_TABLE: a table with a text column is one %-format too, % kept literal
+    got = lines([text, x, i, x * 1e-9], ("<", ",", "|", "%;", ">\n"))
     rows = zip(text, x.tolist(), i.tolist(), (x * 1e-9).tolist())
-    want = "".join("<%s,%.17g|%d;%.17g>\n" % row for row in rows)
-    assert got == want.encode()
+    want = "".join("<%s,%.17g|%d%%;%.17g>\n" % row for row in rows)
+    assert 3 * len(x) > textio.SMALL_TABLE and got == want.encode()
     # a table below SMALL_TABLE goes through one %-format, so a % in a separator or cell stays literal
     small = lines([["a%s", "%d"], np.array([1.5, -0.0]), np.array([2, -3])], ("%", ",", ";", "%%\n"))
     assert small == b"%a%s,1.5;2%%\n%%d,-0;-3%%\n"
