@@ -26,25 +26,15 @@ from .frames import RotatedNormalField
 from .ribbon import angle_defect_gauss, construct_ribbon, flatness_residuals, max_regular_width, tessellate, write_obj
 
 
-# the config keys each command reads, each of which a flag of its name overrides
-_FLAGS = {
-    "build": ("out", "grid", "width", "q"),
-    "solve": ("out", "grid", "q"),
-    "energy": ("out", "grid", "width", "q"),
-    "sweep": ("out", "r"),
-    "validate": (),
-}
-
-
 @functools.cache
 def _make_parser():
     """The argument parser, built on first use and reused by every later ``main`` call."""
     parser = argparse.ArgumentParser(prog="ribbon", description="Flat ribbons along space curves")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in _FLAGS.items():
+    for name, (_, keys) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=(name != "validate"), help="key = value config file")
-        for key in flags:
+        for key in keys:
             p.add_argument(f"--{key}", help=f"override the config key '{key}'")
     return parser
 
@@ -52,7 +42,7 @@ def _make_parser():
 def _load_config(args):
     """The config file's values, overridden by each flag given, parsed as its config key is."""
     cfg = parse_config(args.config) if args.config else RunConfig()
-    for key in _FLAGS[args.command]:
+    for key in _COMMANDS[args.command][1]:
         value = getattr(args, key)
         if value is not None:
             set_value(cfg, key, value, f"--{key}")
@@ -62,7 +52,10 @@ def _load_config(args):
 
 def _solved_field(cfg, base):
     """(rotated field, theta solution) of the IVP from theta(0) = q with the config's phi."""
-    phi = None if cfg.phi == "base" else lambda t: float(cfg.phi)
+    phi = None
+    if cfg.phi != "base":
+        phi_value = float(cfg.phi)
+        phi = lambda t: phi_value
     return angleivp.solved_rotation_field(base, cfg.q, grid_size=cfg.grid, phi=phi)
 
 
@@ -159,12 +152,13 @@ def cmd_validate(cfg):
     return 1 if failed else 0
 
 
+# each command and the config keys it reads, each of which a flag of its name overrides
 _COMMANDS = {
-    "build": cmd_build,
-    "solve": cmd_solve,
-    "energy": cmd_energy,
-    "sweep": cmd_sweep,
-    "validate": cmd_validate,
+    "build": (cmd_build, ("out", "grid", "width", "q")),
+    "solve": (cmd_solve, ("out", "grid", "q")),
+    "energy": (cmd_energy, ("out", "grid", "width", "q")),
+    "sweep": (cmd_sweep, ("out", "r")),
+    "validate": (cmd_validate, ()),
 }
 
 
@@ -172,7 +166,7 @@ def main(argv=None):
     args = _make_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

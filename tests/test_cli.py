@@ -335,7 +335,7 @@ FLAG_VALUES = {
 @pytest.mark.parametrize("command", sorted(KEPT_FLAGS))
 def test_each_kept_flag_overrides_its_key(monkeypatch, command):
     seen = []
-    monkeypatch.setitem(cli._COMMANDS, command, lambda c: seen.append(c) or 0)
+    monkeypatch.setitem(cli._COMMANDS, command, (lambda c: seen.append(c) or 0, cli._COMMANDS[command][1]))
     for flag in KEPT_FLAGS[command]:
         text, value = FLAG_VALUES[flag]
         assert run([command, "--config", EXAMPLE, flag, text]) == 0
@@ -347,7 +347,7 @@ def test_each_kept_flag_overrides_its_key(monkeypatch, command):
 def test_parser_is_built_once_and_keeps_no_options(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, KNOT_CFG)
     seen = []
-    monkeypatch.setitem(cli._COMMANDS, "solve", lambda c: seen.append((c.grid, c.q)) or 0)
+    monkeypatch.setitem(cli._COMMANDS, "solve", (lambda c: seen.append((c.grid, c.q)) or 0, cli._COMMANDS["solve"][1]))
     assert run(["solve", "--config", cfg, "--grid", "64", "--q", "0.5"]) == 0
     assert run(["solve", "--config", cfg]) == 0
     assert run(["solve", "--config", cfg, "--q", "0.25"]) == 0

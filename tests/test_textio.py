@@ -87,9 +87,15 @@ def test_integers_match_percent_d():
         assert got == ["%d" % i for i in values.tolist()]
 
 
-def test_mixed_columns_and_separators():
+def test_mixed_columns_and_separators(monkeypatch):
     x = np.linspace(-2.0, 3.0, 150)
     i = np.arange(150, dtype=np.int32) - 70
+    # float and int columns in one table, 450 numeric cells: the array kernel, never the %-format
+    with monkeypatch.context() as m:
+        m.setattr(textio, "_python_table", None)
+        numeric = lines([x, i, x * 1e-9], ("<", ",", "|", ">\n"))
+    want = "".join("<%.17g,%d|%.17g>\n" % row for row in zip(x.tolist(), i.tolist(), (x * 1e-9).tolist()))
+    assert 3 * len(x) >= textio.SMALL_TABLE and numeric == want.encode()
     text = [f"r{k}%s" for k in range(150)]
     # 450 numeric cells, above SMALL_TABLE: a table with a text column is one %-format too, % kept literal
     got = lines([text, x, i, x * 1e-9], ("<", ",", "|", "%;", ">\n"))
