@@ -208,7 +208,8 @@ def solve_theta(rhs, length, ic=InitialCondition(), grid_size=2000):
     """
     n = max(int(grid_size), 2)
     length = float(length)
-    nodes, table = _coefficient_table(rhs, length, n)
+    nodes = np.linspace(0.0, length, 4 * n + 1)
+    table = _coefficient_table(rhs, nodes)
     i0 = round(ic.t0 / length * n) if np.isfinite(ic.t0) else -1
     if not (0 <= i0 <= n and abs(ic.t0 - nodes[4 * i0]) <= 1e-9 * length):
         raise InvalidParams(f"t0 = {ic.t0:.6g} is not a node of the {n}-step grid on [0, {length:.6g}]")
@@ -224,10 +225,10 @@ def solve_theta(rhs, length, ic=InitialCondition(), grid_size=2000):
     return read_only(ThetaSolution(ts, theta, derivs, ts[1] - ts[0], err, rhs=rhs))
 
 
-def _coefficient_table(rhs, length, n):
-    """The 4n+1 nodes linspace(0, length, 4n+1) and (a, b, c) at each: every stage of the n- and 2n-step runs."""
-    nodes = np.linspace(0.0, length, 4 * n + 1)
-    return nodes, [np.broadcast_to(np.asarray(x, dtype=float), nodes.shape) for x in rhs.coefficients(nodes)]
+def _coefficient_table(rhs, nodes):
+    """(a, b, c) at every node of ``nodes``, the 4n+1 nodes that hold every stage of the n- and 2n-step runs."""
+    table = [np.asarray(x, dtype=float) for x in rhs.coefficients(nodes)]
+    return [x if x.shape == nodes.shape else np.broadcast_to(x, nodes.shape) for x in table]
 
 
 def _matmul(x, y):
@@ -341,8 +342,8 @@ def solve_theta_family(rhs, length, qs, grid_size=2000):
     reads every q off it.  NormalCurvatureZero comes from the table,
     StepSizeUnderflow from a non-finite angle.
     """
-    n = max(int(grid_size), 2)
-    return ThetaFlow.of(*_coefficient_table(rhs, float(length), n)).family(qs, rhs)
+    nodes = np.linspace(0.0, float(length), 4 * max(int(grid_size), 2) + 1)
+    return ThetaFlow.of(nodes, _coefficient_table(rhs, nodes)).family(qs, rhs)
 
 
 def lipschitz_bound(scalars, phi):
@@ -408,7 +409,7 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
     else:
         mu = mu_field(curve, base_field, grid_size=4 * n + 1)
         form, rhs = "base_angle", prescribed_angle_rhs(scalars, lambda t: arccot(mu(t)))
-    table = _coefficient_table(rhs, curve.length, n)[1]
+    table = _coefficient_table(rhs, curve.grid(4 * n + 1))
     build = lambda ts: ThetaFlow.of(ts, table)
     same_table = lambda kept: all(map(np.array_equal, kept.table, table))
     flow = base_field.grid_table(("flow", form), 4 * n + 1, build, keep=same_table)

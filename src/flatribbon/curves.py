@@ -14,6 +14,8 @@ and takes Newton steps on s(x).
 inversion gives the raw parameter, the raw speed and the derivatives up to
 the order its caller reads; ``derivative`` is the last of them.
 Evaluators take a scalar or an array of parameters; vectors gain a trailing axis of 3.
+:meth:`ArcLengthCurve.grid` keeps one read-only array per node count, so
+every table on the n-node grid is taken at the same array of t.
 """
 
 from dataclasses import dataclass, field
@@ -21,11 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams, NonRegularCurve, ToleranceNotMet, VanishingCurvature
-from .numerics import Cubic, central_difference, cumulative_simpson_uniform, first_where
+from .numerics import Cubic, central_difference, cross, cumulative_simpson_uniform, first_where
 from .numerics import odd_node_count, rownorm, simpson_uniform, spline
 
 KAPPA_MIN = 1e-9  # below this curvature the Frenet normal/torsion are reported absent
 NEWTON_STEPS = 3  # of the arc-length inversion; two already reach rounding on the test curves
+LENGTH_ROUNDING = 64 * np.finfo(float).eps  # relative arc-length error estimate that is Simpson's rounding
 
 __all__ = [
     "CurveSpec",
@@ -45,7 +48,9 @@ __all__ = [
 
 def _stack3(x, y, z):
     """Components (broadcast together) as vectors along a trailing axis."""
-    return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+    out = np.empty(np.broadcast(x, y, z).shape + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = x, y, z
+    return out
 
 
 def _vectors(fn, x):
@@ -128,6 +133,7 @@ class ArcLengthCurve:
             # s(x) in Hermite form on the node speeds |c'(x_i)|, its exact slopes
             self._s_of_raw = Cubic(self._raw_nodes, self._s_table, speeds)
         self.grid_size = 0 if self._identity else len(self._raw_nodes)
+        self._grids = {}
 
     @classmethod
     def from_unit_speed(cls, spec):
@@ -189,8 +195,13 @@ class ArcLengthCurve:
         return self.jet(t, order)[-1]
 
     def grid(self, n):
-        """Uniform arc-length grid of ``odd_node_count(n)`` nodes: 4k+1 >= n."""
-        return np.linspace(0.0, self.length, odd_node_count(n))
+        """Uniform arc-length grid of ``odd_node_count(n)`` nodes: 4k+1 >= n; one read-only array per node count."""
+        n = odd_node_count(n)
+        ts = self._grids.get(n)
+        if ts is None:
+            ts = self._grids[n] = np.linspace(0.0, self.length, n)
+            ts.flags.writeable = False
+        return ts
 
 
 def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8, curve_class=ArcLengthCurve, **extra):
@@ -199,8 +210,9 @@ def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8, curve_class=ArcLen
     The arc-length table is built with cumulative Simpson on ``grid_size``
     nodes (rounded up to 4k+1) and keeps the node speeds as its slopes; the
     total-length error is estimated by Richardson extrapolation against the
-    half-resolution table and must not exceed ``tol``.  The result is a ``curve_class`` (ArcLengthCurve or
-    a subclass) built with the keyword arguments ``extra``.
+    half-resolution table and must not exceed ``tol``, or LENGTH_ROUNDING times the length on
+    a curve so long that rounding alone exceeds ``tol``.  The result is a ``curve_class``
+    (ArcLengthCurve or a subclass) built with the keyword arguments ``extra``.
     """
     n = odd_node_count(grid_size)
     x0, x1 = curve.domain
@@ -219,7 +231,7 @@ def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8, curve_class=ArcLen
         raise NonRegularCurve(f"curve speed vanishes near parameter {bad:.6g}")
     if not np.isfinite(length):
         raise ToleranceNotMet(f"arc length {length:.3e} is not finite")
-    if not err <= tol:
+    if not err <= max(tol, LENGTH_ROUNDING * length):
         raise ToleranceNotMet(
             f"arc-length error estimate {err:.3e} exceeds tol {tol:.3e}; increase grid_size"
         )
@@ -240,8 +252,8 @@ def frenet_data(curve, t):
     flat = kappa <= KAPPA_MIN
     with np.errstate(divide="ignore", invalid="ignore"):
         pn = np.where(flat[..., None], np.nan, g2 / kappa[..., None])
-        tau = np.where(flat, np.nan, np.vecdot(np.cross(g1, g2), g3) / np.float_power(kappa, 2))[()]
-    return FrenetData(g1, kappa, tau, pn, np.cross(g1, pn))
+        tau = np.where(flat, np.nan, np.vecdot(cross(g1, g2), g3) / np.float_power(kappa, 2))[()]
+    return FrenetData(g1, kappa, tau, pn, cross(g1, pn))
 
 
 @dataclass(frozen=True)

@@ -141,8 +141,8 @@ def bending_energy_closed(ribbon, n_t=None):
     """Finite-width bending energy, the u-integration in closed form, on the ribbon's grid unless ``n_t`` is given.
 
     The method is ``special_case_lambda_zero`` on a ribbon that FlatRibbon
-    found flat (sup|lambda| below ``ribbon.LAMBDA_FLAT_TOL``, no width bound),
-    where lambda is 0 and the energy is linear in w.
+    found flat (the dimensionless sup|lambda| L below ``ribbon.LAMBDA_FLAT_TOL``,
+    no width bound), where lambda is 0 and the energy is linear in w.
     """
     ts = ribbon.curve.grid(len(ribbon.ts) if n_t is None else n_t)
     mu = ribbon.mu(ts)

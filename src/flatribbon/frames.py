@@ -26,6 +26,7 @@ from .curves import KAPPA_MIN, check_curvature, frenet_data
 from .errors import InvalidParams, NonOrthogonalNormal, VanishingCurvature
 from .numerics import (
     central_difference,
+    cross,
     first_where,
     nested_stride,
     odd_node_count,
@@ -132,8 +133,8 @@ class NormalField:
         bad = ~(off <= 1e-8)  # NaN too
         if np.any(bad):
             raise NonOrthogonalNormal(f"<N, T> = {first_where(bad, off):.3e} at t={first_where(bad, ts):.6g}")
-        H = np.cross(N, T)
-        Hp = np.cross(Np, T) + np.cross(N, Tp)
+        H = cross(N, T)
+        Hp = cross(Np, T) + cross(N, Tp)
         return FrameSample(T, H, N, Tp, Np, Hp, np.vecdot(Tp, H), np.vecdot(Tp, N), np.vecdot(Hp, N), jet[0])
 
     def scalars(self, t):
@@ -246,7 +247,7 @@ class RotatedNormalField(NormalField):
         H = c * b.H + s * b.N  # = N x T for the rotated N below
         N = -s * b.H + c * b.N
         Np = -dth[..., None] * H - s * b.Hp + c * b.Np
-        Hp = np.cross(Np, b.T) + np.cross(N, b.Tp)
+        Hp = cross(Np, b.T) + cross(N, b.Tp)
         sc = rotate(b, th, dth)
         return FrameSample(b.T, H, N, b.Tp, Np, Hp, sc.kappa_g, sc.kappa_n, sc.tau_g, b.x)
 
@@ -254,6 +255,8 @@ class RotatedNormalField(NormalField):
 def _angles(fn, ts):
     """fn(ts) as floats, checked to broadcast to the shape of ts (InvalidParams otherwise)."""
     value = np.asarray(fn(ts), dtype=float)
+    if value.shape == np.shape(ts):
+        return value
     try:
         np.broadcast_to(value, np.shape(ts))
     except ValueError:

@@ -7,7 +7,8 @@ form: on slopes the caller knows (the arc-length table takes the curve
 speeds), or else on the slopes of the not-a-knot cubic spline
 (:func:`spline_slopes`, de Boor 1978).  Running products of square
 matrices take a parallel prefix scan (:func:`prefix_products`; Hillis &
-Steele 1986, Blelloch 1990).
+Steele 1986, Blelloch 1990).  Vectors end in an axis of 3, and their cross
+product is :func:`cross`, bitwise ``np.cross`` without its axis handling.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "central_difference",
     "odd_node_count",
     "rownorm",
+    "cross",
     "first_where",
     "read_only",
     "nested_stride",
@@ -50,6 +52,21 @@ def rownorm(a):
     return np.sqrt(np.vecdot(a, a))
 
 
+def cross(a, b):
+    """Cross product of the 3-vectors along the last axes of the arrays a and b, broadcast together.
+
+    Bitwise ``np.cross(a, b)``, which forms the same products and differences
+    in the same order, but with none of its axis moves and checks.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast(a0, b0).shape + (3,))
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
 def first_where(mask, values):
     """The entry of ``values`` at the first True of ``mask`` (broadcast together)."""
     mask, values = np.broadcast_arrays(mask, values)
@@ -76,7 +93,7 @@ def nested_stride(nodes, t):
     if np.ndim(t) != 1 or len(t) < 2:
         return None
     s, rest = divmod(len(nodes) - 1, len(t) - 1)
-    if rest or s < 1 or s & (s - 1) or not np.array_equal(nodes[::s], t):
+    if rest or s < 1 or s & (s - 1) or not (nodes[::s] == t).all():  # of one length here
         return None
     return s
 
@@ -294,6 +311,6 @@ def prefix_products(m):
     d = 1
     while d < p.shape[-1]:
         p[..., d:] = np.einsum("ij...,jk...->ik...", p[..., d:], p[..., :-d])
-        p /= np.max(np.abs(p), axis=(0, 1))
+        p /= np.maximum.reduce(np.abs(p), axis=(0, 1))
         d *= 2
     return p

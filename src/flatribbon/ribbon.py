@@ -14,11 +14,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateMetric, ExtensionOrderExceeded, SingularRuling, WidthTooLarge
-from .numerics import arccot, central_difference, read_only, rownorm, spline, stencil_difference
+from .numerics import arccot, central_difference, cross, read_only, rownorm, spline, stencil_difference
 from .textio import lines
 
 WIDTH_SAFETY = 0.9
-LAMBDA_FLAT_TOL = 1e-8  # below this sup|lambda| the regular width is unbounded
+LAMBDA_FLAT_TOL = 1e-8  # below this sup|lambda| L, free of the curve's scale, the regular width is unbounded
 
 __all__ = [
     "MuField",
@@ -157,7 +157,7 @@ class FlatRibbon:
         self.ts = mu.ts
         self.lam = mu.derivative(self.ts) - (1.0 + mu.values**2) * mu.frame.kappa_g
         sup = float(np.max(np.abs(self.lam)))
-        self.flat = sup < LAMBDA_FLAT_TOL  # lambda is rounding noise: the energies take it as 0
+        self.flat = sup * curve.length < LAMBDA_FLAT_TOL  # lambda is rounding noise: the energies take it as 0
         self.max_width = np.inf if self.flat else WIDTH_SAFETY / sup
 
     def ruling(self, t, frame=None):
@@ -259,7 +259,7 @@ def angle_defect_gauss(mesh):
         for k in range(8):
             e1 = ring[k] - p
             e2 = ring[(k + 1) % 8] - p
-            cr = rownorm(np.cross(e1, e2))
+            cr = rownorm(cross(e1, e2))
             angle_sum += np.arctan2(cr, np.vecdot(e1, e2))
             area += 0.5 * cr
         if np.any(area == 0.0):
@@ -293,6 +293,6 @@ def flatness_residuals(ribbon, grid_size, ruling=None):
         h = 1e-5 * max(ribbon.curve.length, 1.0)
         x, xp = ruling(ts), central_difference(ruling, ts, 1, h)
     in_plane = np.abs(np.vecdot(x, frame.N))
-    tangent_plane = np.abs(np.vecdot(np.cross(x, frame.T), xp))
+    tangent_plane = np.abs(np.vecdot(cross(x, frame.T), xp))
     res_f = float(np.max(np.abs(np.vecdot(xp, frame.N))))
     return FlatnessReport(float(np.max(in_plane)), float(np.max(tangent_plane)), res_f, (ts, in_plane, tangent_plane))

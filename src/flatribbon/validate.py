@@ -22,7 +22,7 @@ from .frames import (
     rotate,
     sampled_scalars,
 )
-from .numerics import rownorm
+from .numerics import cross, rownorm
 
 __all__ = ["Check", "run_checks"]
 
@@ -57,7 +57,7 @@ def run_checks(fault="none"):
     fr = RotationMinimizingField(helix).sample(helix.grid(101))
     basis = np.stack([fr.T, fr.H, fr.N], axis=-2)
     gram = basis @ np.swapaxes(basis, -1, -2)
-    handedness = np.vecdot(np.cross(fr.T, fr.H), fr.N)
+    handedness = np.vecdot(cross(fr.T, fr.H), fr.N)
     defect = max(float(np.max(np.abs(gram - np.eye(3)))), float(np.max(np.abs(handedness - 1.0))))
     checks.append(Check("frame_orthonormality", defect, 1e-10))
 
@@ -127,7 +127,7 @@ def run_checks(fault="none"):
 
     ts = helix.grid(41)
     x, tangent = strip.ruling(ts), helix.derivative(ts, 1)
-    measured = np.arctan2(rownorm(np.cross(tangent, x)), np.vecdot(tangent, x))
+    measured = np.arctan2(rownorm(cross(tangent, x)), np.vecdot(tangent, x))
     worst = float(np.max(np.abs(measured - ribbon_mod.ruling_angle(strip, ts))))
     checks.append(Check("ruling_angle_identity", worst, 1e-10))
 

@@ -560,3 +560,53 @@ def test_validate_detects_injected_fault(tmp_path, capsys):
     assert run(["validate", "--config", cfg]) == 1
     out = capsys.readouterr().out
     assert any("FAIL" in l for l in out.splitlines() if "flatness" in l)
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--config", EXAMPLE],
+        ["energy", "--config", EXAMPLE],
+        ["solve", "--config", EXAMPLE],
+        ["build", "--config", EXAMPLE, "--q", "0.7"],
+        ["energy", "--config", EXAMPLE, "--q", "0.7"],
+        ["solve", "--config", EXAMPLE, "--q", "0.7"],
+        ["build", "--config", os.path.join("examples", "samples_rmf.cfg")],
+    ],
+    ids=["build", "energy", "solve", "build_q0.7", "energy_q0.7", "solve_q0.7", "build_samples"],
+)
+def test_commands_take_no_np_cross(tmp_path, monkeypatch, argv):
+    # numerics.cross is bitwise np.cross without its Python-level axis handling, which cost more than the products
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.cross called on a command's path")
+
+    monkeypatch.setattr(np, "cross", refuse)
+    monkeypatch.chdir(ROOT)  # the samples config names its csv relative to the repo root
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+
+
+def _energy_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("scale", [1e8, 1e10])
+def test_scaled_knot_gives_the_unscaled_energies(tmp_path, scale):
+    # the arc-length error test and the flatness test are relative to the length, so the scale drops out
+    text = open(EXAMPLE).read()
+    scaled = text.replace("R = 2.0", f"R = {2.0 * scale:g}").replace("rho = 1.0", f"rho = {scale:g}")
+    assert f"R = {2.0 * scale:g}\nrho = {scale:g}\n" in scaled
+    rows = []
+    for name, body in (("knot.cfg", text), ("scaled.cfg", scaled)):
+        out = tmp_path / name.replace(".cfg", "")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["energy", "--config", write_cfg(tmp_path, body, name), "--out", str(out)]) == 0
+        rows.append(_energy_rows(out / "energy.csv"))
+    unscaled, rescaled = rows
+    assert [r[4] for r in rescaled] == [r[4] for r in unscaled] == ["closed_form", "quadrature", "limit_formula"]
+    for got, want in zip(rescaled, unscaled):
+        assert float(got[3]) == pytest.approx(float(want[3]), rel=1e-9)
+        assert float(got[2]) == pytest.approx(scale * float(want[2]), rel=1e-9)  # w scales with the knot

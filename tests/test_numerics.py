@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from flatribbon.numerics import (
     arccot,
     central_difference,
+    cross,
     cumulative_simpson_uniform,
     odd_node_count,
     prefix_products,
@@ -137,3 +138,34 @@ def test_prefix_products_take_batch_axes():
     got = prefix_products(batch)
     np.testing.assert_array_equal(got[:, :, 0, 1], [[0.0, -1.0], [1.0, 0.0]])
     np.testing.assert_array_equal(got[:, :, 1, 0], [[0.0, -1.0], [1.0, 0.0]])
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape_a,shape_b",
+    [((3,), (3,)), ((7, 3), (7, 3)), ((4, 5, 3), (4, 5, 3)), ((4, 1, 3), (1, 5, 3)), ((3,), (7, 3))],
+)
+def test_cross_is_bitwise_np_cross(rng, shape_a, shape_b):
+    a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+    assert_same_bits(cross(a, b), np.cross(a, b))
+    assert_same_bits(cross(b, a), np.cross(b, a))
+
+
+@pytest.mark.parametrize("s", [1, 2, 4])
+def test_cross_on_strided_read_only_views(rng, s):
+    # the kept frame tables are read-only, and a coarser grid reads every s-th row of one
+    table = rng.normal(size=(41, 2, 3))
+    table.flags.writeable = False
+    a, b = table[::s, 0], table[::s, 1]
+    assert_same_bits(cross(a, b), np.cross(a, b))
+
+
+def test_cross_with_nan_and_inf_entries():
+    a = np.array([[np.nan, 1.0, 2.0], [np.inf, 0.0, 1.0], [1.0, -np.inf, 0.0], [np.inf, np.inf, 1.0]])
+    b = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, np.inf], [-np.inf, 2.0, 0.0], [np.inf, -np.inf, 0.0]])
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf
+        assert_same_bits(cross(a, b), np.cross(a, b))
