@@ -93,7 +93,7 @@ def nested_stride(nodes, t):
     if np.ndim(t) != 1 or len(t) < 2:
         return None
     s, rest = divmod(len(nodes) - 1, len(t) - 1)
-    if rest or s < 1 or s & (s - 1) or not (nodes[::s] == t).all():  # of one length here
+    if rest or s < 1 or s & (s - 1) or not (nodes[::s] == t).all():  # one length here
         return None
     return s
 
