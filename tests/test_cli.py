@@ -15,7 +15,8 @@ from flatribbon.errors import ConfigError
 from flatribbon.frames import RotationMinimizingField
 from flatribbon.ribbon import angle_defect_gauss, construct_ribbon, flatness_residuals, tessellate
 
-EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "examples", "torus_knot.cfg")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+EXAMPLE = os.path.join(ROOT, "examples", "torus_knot.cfg")
 
 
 def run(args):
@@ -562,9 +563,6 @@ def test_validate_detects_injected_fault(tmp_path, capsys):
     assert any("FAIL" in l for l in out.splitlines() if "flatness" in l)
 
 
-ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -595,7 +593,8 @@ def _energy_rows(path):
 @pytest.mark.parametrize("scale", [1e8, 1e10])
 def test_scaled_knot_gives_the_unscaled_energies(tmp_path, scale):
     # the arc-length error test and the flatness test are relative to the length, so the scale drops out
-    text = open(EXAMPLE).read()
+    with open(EXAMPLE) as fh:
+        text = fh.read()
     scaled = text.replace("R = 2.0", f"R = {2.0 * scale:g}").replace("rho = 1.0", f"rho = {scale:g}")
     assert f"R = {2.0 * scale:g}\nrho = {scale:g}\n" in scaled
     rows = []
