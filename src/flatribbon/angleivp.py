@@ -422,6 +422,6 @@ def integrated_torsion(curve):
     """psi(t) = integral of the Frenet torsion from 0 to t, as a spline through a 2001-node table."""
     ts = curve.grid(2001)
     fd = frenet_data(curve, ts)
-    check_curvature(fd.kappa, ts)  # the torsion needs kappa > KAPPA_MIN
+    check_curvature(fd.kappa, ts, curve.length)  # the torsion needs kappa L > KAPPA_MIN
     table = cumulative_simpson_uniform(fd.tau, ts[1] - ts[0])
     return spline(ts, table)

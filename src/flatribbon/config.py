@@ -165,7 +165,7 @@ def build_base_field(cfg, curve):
     if cfg.normal == "principal":
         return PrincipalNormalField(curve)
     if cfg.normal == "torus_normal":
-        if not hasattr(curve, "surface_normal_raw"):
+        if not hasattr(curve, "surface_normal_jet"):
             raise ConfigError("normal = torus_normal requires kind = torus_knot")
         return TorusNormalField(curve)
     if cfg.normal == "rotation_minimizing":

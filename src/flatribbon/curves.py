@@ -9,7 +9,9 @@ obtained from the raw derivatives by the chain rule, with dx/ds = 1/|c'|.
 The map s(x) is one table: cumulative Simpson values at the raw nodes, in
 Hermite form on the node speeds |c'(x_i)| that the quadrature already
 evaluated.  Its inverse starts from the linear interpolant of that table
-and takes Newton steps on s(x).
+and takes Newton steps on s(x).  A curve may give its speed in closed form
+(the torus knot does); the table and every Newton step then read that one
+speed map, and neither evaluates c'.
 :meth:`ArcLengthCurve.jet` is the one evaluation point: a single arc-length
 inversion gives the raw parameter, the raw speed and the derivatives up to
 the order its caller reads; ``derivative`` is the last of them.
@@ -26,7 +28,7 @@ from .errors import InvalidParams, NonRegularCurve, ToleranceNotMet, VanishingCu
 from .numerics import Cubic, central_difference, cross, cumulative_simpson_uniform, first_where
 from .numerics import odd_node_count, rownorm, simpson_uniform, spline
 
-KAPPA_MIN = 1e-9  # below this curvature the Frenet normal/torsion are reported absent
+KAPPA_MIN = 1e-9  # bounds kappa L: below it, free of the curve's scale, the Frenet normal/torsion are absent
 NEWTON_STEPS = 3  # of the arc-length inversion; two already reach rounding on the test curves
 LENGTH_ROUNDING = 64 * np.finfo(float).eps  # relative arc-length error estimate that is Simpson's rounding
 
@@ -76,14 +78,19 @@ class CurveSpec:
         calling convention as ``position``.  Missing orders fall back to
         4th-order central differences of ``position`` with step 1e-4 times
         the domain length.
+    speed : callable, optional
+        The speed |c'(x)| in closed form, called on a scalar or an array x;
+        it must return shape x.shape.  Without it the speed is the norm of
+        ``derivative(x, 1)``.
     """
 
-    def __init__(self, position, domain, derivatives=None):
+    def __init__(self, position, domain, derivatives=None, speed=None):
         self.domain = (float(domain[0]), float(domain[1]))
         if self.domain[1] <= self.domain[0]:
             raise InvalidParams("curve domain must have positive length")
         self.position = position
         self._derivatives = tuple(derivatives or ())
+        self._speed = speed
 
     def point(self, x):
         return _vectors(self.position, x)
@@ -96,7 +103,13 @@ class CurveSpec:
         return central_difference(self.point, x, order, 1e-4 * (self.domain[1] - self.domain[0]))
 
     def speed(self, x):
-        return rownorm(self.derivative(x, 1))
+        """|c'(x)|: the closed-form speed map if the curve has one, else the norm of ``derivative(x, 1)``."""
+        if self._speed is None:
+            return rownorm(self.derivative(x, 1))
+        value = np.asarray(self._speed(x), dtype=float)
+        if value.shape != np.shape(x):
+            raise InvalidParams(f"a speed map returned shape {value.shape} for parameters of shape {np.shape(x)}")
+        return value[()]
 
 
 @dataclass(frozen=True)
@@ -166,12 +179,14 @@ class ArcLengthCurve:
 
         x is the raw parameter and speed = |c'(x)|; the derivatives are taken
         with respect to arc length by the chain rule, dx/ds = 1/speed.  Only
-        the raw derivatives up to ``order`` (1..3) are evaluated.
+        the raw derivatives up to ``order`` (1..3) are evaluated, each once.
         """
         if not 1 <= order <= 3:
             raise ValueError("derivative order must be 1, 2, or 3")
         x = self.raw_parameter(t)
         c1, c2, c3 = (self.spec.derivative(x, k) if k <= order else None for k in (1, 2, 3))
+        # the norm of the c' at hand, not the closed-form speed, which differs by up to 2 ulp:
+        # a c'/speed off unit length moved the README knot's q = 0.7 width by 1e-12 relative
         speed = rownorm(c1)
         if self._identity:
             return (x, speed, c1, c2, c3)[: order + 2]
@@ -238,9 +253,9 @@ def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8, curve_class=ArcLen
     return curve_class(curve, length, raw_nodes=nodes, s_table=s_table, speeds=speeds, **extra)
 
 
-def check_curvature(kappa, t):
-    """Raise VanishingCurvature where the curvature table ``kappa`` at ``t`` is <= KAPPA_MIN."""
-    flat = kappa <= KAPPA_MIN
+def check_curvature(kappa, t, length):
+    """Raise VanishingCurvature where the curvature table ``kappa`` at ``t`` has kappa * length <= KAPPA_MIN."""
+    flat = kappa * length <= KAPPA_MIN
     if np.any(flat):
         raise VanishingCurvature(f"curvature vanishes at t={first_where(flat, t):.6g}")
 
@@ -249,7 +264,7 @@ def frenet_data(curve, t):
     """Tangent, curvature, torsion, and Frenet normals at arc length t (or a grid)."""
     _, _, g1, g2, g3 = curve.jet(t)
     kappa = rownorm(g2)
-    flat = kappa <= KAPPA_MIN
+    flat = kappa * curve.length <= KAPPA_MIN
     with np.errstate(divide="ignore", invalid="ignore"):
         pn = np.where(flat[..., None], np.nan, g2 / kappa[..., None])
         tau = np.where(flat, np.nan, np.vecdot(cross(g1, g2), g3) / np.float_power(kappa, 2))[()]
@@ -318,57 +333,58 @@ class TorusKnotCurve(ArcLengthCurve):
         super().__init__(spec, length, raw_nodes=raw_nodes, s_table=s_table, speeds=speeds)
         self.params = params
 
-    def surface_normal_raw(self, phi):
+    def surface_normal_jet(self, phi):
+        """(N, dN/dphi): the outward torus normal and its phi-derivative, from one cos and sin of phi and n phi."""
+        cn, sn, c, s = _knot_trig(self.params.n, phi)
         n = self.params.n
-        cn, sn = np.cos(n * phi), np.sin(n * phi)
-        return _stack3(cn * np.cos(phi), cn * np.sin(phi), sn)
+        return _stack3(cn * c, cn * s, sn), _stack3(-n * sn * c - cn * s, -n * sn * s + cn * c, n * cn)
 
-    def surface_normal_raw_derivative(self, phi):
-        n = self.params.n
-        cn, sn = np.cos(n * phi), np.sin(n * phi)
-        return _stack3(
-            -n * sn * np.cos(phi) - cn * np.sin(phi),
-            -n * sn * np.sin(phi) + cn * np.cos(phi),
-            n * cn,
-        )
+
+def _knot_trig(n, phi):
+    """cos(n phi), sin(n phi), cos(phi), sin(phi)."""
+    return np.cos(n * phi), np.sin(n * phi), np.cos(phi), np.sin(phi)
 
 
 def make_torus_knot(params=TorusKnotParams()):
-    """Trivial torus knot c(phi) = ((R + rho cos n phi) cos phi, ..., rho sin n phi)."""
+    """Trivial torus knot c(phi) = ((R + rho cos n phi) cos phi, ..., rho sin n phi).
+
+    Its speed is sqrt(r^2 + (rho n)^2), r = R + rho cos n phi, in closed form:
+    the squares are formed, not a hypot, so the speed overflows to inf where
+    |c'|^2 does.
+    """
     R, rho, n = float(params.R), float(params.rho), int(params.n)
     if not 0.0 < rho < R:
         raise InvalidParams("torus knot needs 0 < rho < R")
-
-    def radial(phi):
-        return R + rho * np.cos(n * phi), -rho * n * np.sin(n * phi)
 
     def pos(phi):
         r = R + rho * np.cos(n * phi)
         return _stack3(r * np.cos(phi), r * np.sin(phi), rho * np.sin(n * phi))
 
+    def speed(phi):
+        r = R + rho * np.cos(n * phi)
+        rn = np.float64(rho * n)
+        return np.sqrt(r * r + rn * rn)
+
     def d1(phi):
-        r, r1 = radial(phi)
-        c, s = np.cos(phi), np.sin(phi)
-        return _stack3(r1 * c - r * s, r1 * s + r * c, rho * n * np.cos(n * phi))
+        cn, sn, c, s = _knot_trig(n, phi)
+        r, r1 = R + rho * cn, -rho * n * sn
+        return _stack3(r1 * c - r * s, r1 * s + r * c, rho * n * cn)
 
     def d2(phi):
-        r, r1 = radial(phi)
-        r2 = -rho * n**2 * np.cos(n * phi)
-        c, s = np.cos(phi), np.sin(phi)
-        return _stack3(r2 * c - 2 * r1 * s - r * c, r2 * s + 2 * r1 * c - r * s, -rho * n**2 * np.sin(n * phi))
+        cn, sn, c, s = _knot_trig(n, phi)
+        r, r1, r2 = R + rho * cn, -rho * n * sn, -rho * n**2 * cn
+        return _stack3(r2 * c - 2 * r1 * s - r * c, r2 * s + 2 * r1 * c - r * s, -rho * n**2 * sn)
 
     def d3(phi):
-        r, r1 = radial(phi)
-        r2 = -rho * n**2 * np.cos(n * phi)
-        r3 = rho * n**3 * np.sin(n * phi)
-        c, s = np.cos(phi), np.sin(phi)
+        cn, sn, c, s = _knot_trig(n, phi)
+        r, r1, r2, r3 = R + rho * cn, -rho * n * sn, -rho * n**2 * cn, rho * n**3 * sn
         return _stack3(
             r3 * c - 3 * r2 * s - 3 * r1 * c + r * s,
             r3 * s + 3 * r2 * c - 3 * r1 * s - r * c,
-            -rho * n**3 * np.cos(n * phi),
+            -rho * n**3 * cn,
         )
 
-    spec = CurveSpec(pos, (0.0, 2.0 * np.pi), derivatives=(d1, d2, d3))
+    spec = CurveSpec(pos, (0.0, 2.0 * np.pi), derivatives=(d1, d2, d3), speed=speed)
     return arc_length_reparametrize(
         spec, grid_size=params.grid_size, tol=params.tol, curve_class=TorusKnotCurve, params=params
     )

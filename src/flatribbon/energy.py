@@ -283,7 +283,7 @@ def case_b_energy(curve, q, w, n_t=2001):
     """
     ts = curve.grid(n_t)
     fd = frenet_data(curve, ts)
-    check_curvature(fd.kappa, ts)
+    check_curvature(fd.kappa, ts, curve.length)
     kappa, tau = fd.kappa, fd.tau
     mu = -tau / kappa
     sadowsky = kappa**2 * (1.0 + mu**2) ** 2

@@ -149,7 +149,7 @@ class PrincipalNormalField(NormalField):
     def normal(self, t, jet):
         _, _, _, g2, g3 = jet
         kappa = rownorm(g2)
-        check_curvature(kappa, t)
+        check_curvature(kappa, t, self.curve.length)
         kappa = kappa[..., None]
         kappa1 = np.vecdot(g2, g3)[..., None] / kappa
         Np = g3 / kappa - g2 * (kappa1 / np.float_power(kappa, 2))  # libm pow, as for a scalar t
@@ -161,8 +161,8 @@ class TorusNormalField(NormalField):
 
     def normal(self, t, jet):
         phi, speed = jet[0], jet[1]
-        N = self.curve.surface_normal_raw(phi)
-        return N, self.curve.surface_normal_raw_derivative(phi) / speed[..., None]
+        N, dN = self.curve.surface_normal_jet(phi)
+        return N, dN / speed[..., None]
 
 
 class RotationMinimizingField(NormalField):
@@ -183,7 +183,7 @@ class RotationMinimizingField(NormalField):
         ts = curve.grid(2001)
         x, _, tangents, g2 = curve.jet(ts, 2)
         kappa = rownorm(g2[0])
-        if kappa > KAPPA_MIN:
+        if kappa * curve.length > KAPPA_MIN:
             n = g2[0] / kappa  # the principal normal at t = 0
         else:
             n = np.array([0.0, 1.0, 0.0] if abs(tangents[0, 2]) > 0.9 else [0.0, 0.0, 1.0])
@@ -290,7 +290,7 @@ def frenet_rotation_field(curve, x):
     curvature kappa * cos(x); requires kappa > 0 on the curve's 201-node grid.
     """
     ts = curve.grid(201)
-    check_curvature(frenet_data(curve, ts).kappa, ts)
+    check_curvature(frenet_data(curve, ts).kappa, ts, curve.length)
     return RotatedNormalField(PrincipalNormalField(curve), float(x))
 
 

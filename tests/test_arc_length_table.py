@@ -3,7 +3,8 @@
 ``arc_length_reparametrize`` evaluates |c'| at every raw node for the
 cumulative Simpson table, so those speeds are the table's slopes and no
 spline is solved for it.  ``raw_parameter`` starts Newton from the linear
-interpolant of the same table.  The sample curves come from the benchmark's
+interpolant of the same table.  The torus knot gives its speed in closed
+form, so neither its table nor its Newton steps evaluate c'.  The sample curves come from the benchmark's
 ``perturbed_knot_samples`` generator; ``perfbench/workloads.py`` is loaded by
 path and only read.
 """
@@ -15,8 +16,9 @@ import numpy as np
 import pytest
 
 from flatribbon import curves, numerics
-from flatribbon.curves import TorusKnotParams, curve_from_samples, make_torus_knot
+from flatribbon.curves import CurveSpec, TorusKnotParams, curve_from_samples, make_torus_knot
 from flatribbon.errors import ToleranceNotMet
+from flatribbon.numerics import rownorm
 
 WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
 
@@ -91,3 +93,34 @@ def test_table_holds_the_node_values_and_speeds(name, sample_curves):
     # the last node is the end of the last piece, reached to rounding
     assert abs(table(nodes[-1]) - curve.length) <= 1e-14 * curve.length
     assert abs(table(nodes[-1], 1) - curve.spec.speed(nodes[-1])) <= 1e-12 * curve.spec.speed(nodes[-1])
+
+
+def test_closed_form_knot_speed_is_the_norm_of_the_velocity():
+    rng = np.random.default_rng(20)
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        R = 10.0 ** rng.uniform(-3.0, 3.0)
+        knot = make_torus_knot(TorusKnotParams(R, rng.uniform(0.05, 0.95) * R, int(rng.integers(1, 8))))
+        phi = rng.uniform(0.0, 2.0 * np.pi, 64)
+        speed, norm = knot.spec.speed(phi), rownorm(knot.spec.derivative(phi, 1))
+        assert speed.shape == phi.shape and np.all(np.abs(speed - norm) <= 4 * eps * norm)
+        scalar = knot.spec.speed(float(phi[0]))
+        assert np.shape(scalar) == () and scalar == speed[0]
+
+
+def test_knot_table_and_newton_evaluate_no_derivative_map(monkeypatch):
+    # the speed map serves the table and the Newton steps; a jet takes each order once
+    calls = []
+    original = CurveSpec.derivative
+
+    def counted(self, x, order=1):
+        calls.append(order)
+        return original(self, x, order)
+
+    monkeypatch.setattr(CurveSpec, "derivative", counted)
+    knot = make_torus_knot(TorusKnotParams(grid_size=401))
+    knot.raw_parameter(knot.grid(2001))
+    knot.raw_parameter(0.37 * knot.length)
+    assert calls == []
+    knot.jet(knot.grid(201))
+    assert calls == [1, 2, 3]

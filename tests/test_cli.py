@@ -590,11 +590,17 @@ def _energy_rows(path):
     return [line.split(",") for line in path.read_text().splitlines()[1:]]
 
 
-@pytest.mark.parametrize("scale", [1e8, 1e10])
-def test_scaled_knot_gives_the_unscaled_energies(tmp_path, scale):
-    # the arc-length error test and the flatness test are relative to the length, so the scale drops out
+@pytest.mark.parametrize(
+    "scale, normal",
+    [(1e8, "torus_normal"), (1e10, "torus_normal"), (1e10, "principal")],
+    ids=["100000000.0", "10000000000.0", "principal-10000000000.0"],
+)
+def test_scaled_knot_gives_the_unscaled_energies(tmp_path, scale, normal):
+    # the arc-length error test, the flatness test and the curvature floor are relative to the length,
+    # so the scale drops out
     with open(EXAMPLE) as fh:
-        text = fh.read()
+        text = fh.read().replace("normal = torus_normal", f"normal = {normal}")
+    assert f"normal = {normal}\n" in text
     scaled = text.replace("R = 2.0", f"R = {2.0 * scale:g}").replace("rho = 1.0", f"rho = {scale:g}")
     assert f"R = {2.0 * scale:g}\nrho = {scale:g}\n" in scaled
     rows = []

@@ -176,6 +176,18 @@ def test_frenet_binormal_consistency(knot):
         assert np.max(np.abs(np.cross(fd.tangent, fd.principal_normal) - fd.binormal)) <= 1e-8
 
 
+@pytest.mark.parametrize("scale", [1e-10, 1e10])
+def test_scaled_knot_keeps_its_frenet_frame(knot, scale):
+    # the curvature floor bounds kappa L, so the frame and kappa L, tau L do not see the scale
+    scaled = make_torus_knot(TorusKnotParams(2.0 * scale, scale))
+    ts = knot.grid(51)
+    fd, fs = frenet_data(knot, ts), frenet_data(scaled, ts * scale)
+    assert np.allclose(fs.kappa * scaled.length, fd.kappa * knot.length, rtol=1e-10, atol=0.0)
+    assert np.allclose(fs.tau * scaled.length, fd.tau * knot.length, rtol=1e-10, atol=0.0)
+    for got, want in ((fs.principal_normal, fd.principal_normal), (fs.binormal, fd.binormal)):
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+
 def test_straight_segment_reports_absent_frenet_fields():
     from test_grid_cache import straight_line
 
@@ -238,14 +250,14 @@ def test_make_torus_knot_builds_its_arc_length_table_once(monkeypatch):
 
 def test_torus_knot_outer_equator_point(knot):
     assert np.max(np.abs(knot.point(0.0) - np.array([3.0, 0.0, 0.0]))) < 1e-10
-    n0 = knot.surface_normal_raw(0.0)
+    n0 = knot.surface_normal_jet(0.0)[0]
     assert np.max(np.abs(n0 - np.array([1.0, 0.0, 0.0]))) < 1e-12
 
 
 def test_torus_normal_orthogonal_to_tangent(knot, rng):
     for t in rng.uniform(0.0, knot.length, 100):
         phi = knot.raw_parameter(t)
-        n = knot.surface_normal_raw(phi)
+        n = knot.surface_normal_jet(phi)[0]
         assert abs(np.dot(n, knot.derivative(t, 1))) < 1e-9
 
 
@@ -326,6 +338,11 @@ def test_curve_map_of_the_wrong_shape_is_rejected_on_the_call():
     spec = CurveSpec(lambda x: _stack3(np.cos(x), np.sin(x), np.zeros((2, 1))), (0.0, 1.0))
     with pytest.raises(InvalidParams):
         spec.point(0.5)
+    with pytest.raises(InvalidParams):
+        arc_length_reparametrize(spec)
+    # a speed map that gives one value for a whole grid of parameters
+    spec = CurveSpec(_on_x_axis, (0.0, 1.0), speed=lambda x: 1.0)
+    assert spec.speed(0.5) == 1.0
     with pytest.raises(InvalidParams):
         arc_length_reparametrize(spec)
 

@@ -228,6 +228,14 @@ def test_rotation_minimizing_field_has_zero_geodesic_torsion(helix11):
         assert abs(np.dot(rmf.sample(t).N, helix11.derivative(t, 1))) < 1e-8
 
 
+def test_rotation_minimizing_field_seeds_a_scaled_knot_alike(knot):
+    # the principal normal seeds the field wherever kappa L clears the floor, whatever the scale
+    scaled = make_torus_knot(TorusKnotParams(2e10, 1e10))
+    ts = knot.grid(51)
+    got = RotationMinimizingField(scaled).sample(ts * 1e10).N
+    assert np.max(np.abs(got - RotationMinimizingField(knot).sample(ts).N)) <= 1e-9
+
+
 def test_sampled_scalars_matches_direct_evaluation(knot, torus_field, rng):
     fn = sampled_scalars(torus_field, 2001)
     for t in rng.uniform(0.0, knot.length, 20):

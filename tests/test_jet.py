@@ -62,11 +62,21 @@ def test_jet_equals_per_order_chain_rule_bit_for_bit(name, helix11, knot):
     for t in (0.37 * curve.length, curve.grid(101)):
         x, speed, *derivatives = curve.jet(t)
         assert np.array_equal(x, curve.raw_parameter(t))
-        assert np.array_equal(speed, curve.spec.speed(x))
+        # the chain rule divides by the norm of the velocity it holds, the speed map agrees within a few ulp
+        assert np.array_equal(speed, rownorm(curve.spec.derivative(x, 1)))
+        assert np.all(np.abs(speed - curve.spec.speed(x)) <= 4 * np.finfo(float).eps * speed)
         for order, got in enumerate(derivatives, start=1):
             want = reference_derivative(curve, t, order)
             assert got.shape == want.shape and np.array_equal(got, want)
             assert np.array_equal(curve.derivative(t, order), want)
+
+
+def test_knot_jet_at_a_scalar_is_its_grid_row(knot):
+    ts = knot.grid(101)
+    rows = knot.jet(ts)
+    for i in range(len(ts)):
+        for got, want in zip(knot.jet(float(ts[i])), rows):
+            assert np.shape(got) == np.shape(want[i]) and np.array_equal(got, want[i])
 
 
 def test_derivative_order_out_of_range(knot):
