@@ -4,9 +4,9 @@
 cumulative Simpson table, so those speeds are the table's slopes and no
 spline is solved for it.  ``raw_parameter`` starts Newton from the linear
 interpolant of the same table.  The torus knot gives its speed in closed
-form, so neither its table nor its Newton steps evaluate c'.  The sample curves come from the benchmark's
-``perturbed_knot_samples`` generator; ``perfbench/workloads.py`` is loaded by
-path and only read.
+form, so neither its table nor its Newton steps evaluate c'.  The sample
+curves come from the benchmark's ``perturbed_knot_samples`` generator;
+``perfbench/workloads.py`` is loaded by path and only read.
 """
 
 import importlib.util
