@@ -66,7 +66,7 @@ def _prescribed_coefficients(scalars, phi):
 
 
 def _same_angle_coefficients(t, scalars):
-    small = np.abs(scalars.kappa_n) < 1e-9
+    small = np.abs(scalars.kappa_n) <= 1e-9 * np.hypot(scalars.kappa_g, scalars.kappa_n)
     if np.any(small):
         raise NormalCurvatureZero(
             f"kappa_n vanishes at t={first_where(small, t):.6g}; use the prescribed-angle form"
@@ -118,7 +118,7 @@ def prescribed_angle_rhs(scalars_fn, phi_fn):
 
 
 def same_angle_rhs(scalars_fn):
-    """Bind the same-angle right hand side; NormalCurvatureZero where |kappa_n| < 1e-9."""
+    """Bind the same-angle right hand side; NormalCurvatureZero where |kappa_n| <= 1e-9 hypot(kappa_g, kappa_n)."""
     return AngleRHS(lambda ts: _same_angle_coefficients(ts, scalars_fn(ts)))
 
 
@@ -380,10 +380,10 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
 
     With ``phi`` given (a callable ruling-angle prescription) the
     prescribed-angle ODE is integrated; otherwise the same-angle shortcut
-    is used when kappa_n of the base field's ``scalars_grid`` table stays
-    away from zero, falling back to the prescribed form with phi equal to
-    the base ruling angle, from ``mu_field`` on the 4n+1 stage nodes,
-    n = grid_size.  F reads the scalars through
+    is used when min |kappa_n| L on the base field's ``scalars_grid`` table
+    exceeds 1e-6, free of the curve's scale, falling back to the prescribed
+    form with phi equal to the base ruling angle, from ``mu_field`` on the
+    4n+1 stage nodes, n = grid_size.  F reads the scalars through
     ``sampled_scalars(base_field, 4n + 1)``, taken first so that the field's
     coarser grid tables nest in its table as views: the coefficient table is
     exact on the stage nodes, and off them (``ThetaSolution.derivative`` and
@@ -404,7 +404,7 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
     scalars = sampled_scalars(base_field, 4 * n + 1)
     if phi is not None:
         form, rhs = "prescribed", prescribed_angle_rhs(scalars, phi)
-    elif float(np.min(np.abs(base_field.on_grid(scalars_grid).kappa_n))) > 1e-6:
+    elif float(np.min(np.abs(base_field.on_grid(scalars_grid).kappa_n))) * curve.length > 1e-6:
         form, rhs = "same_angle", same_angle_rhs(scalars)
     else:
         mu = mu_field(curve, base_field, grid_size=4 * n + 1)

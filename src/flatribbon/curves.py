@@ -1,7 +1,7 @@
 """Smooth space curves, arc-length reparametrization, and example curves.
 
-A curve enters the package as a :class:`CurveSpec` (position map plus
-derivative evaluators on an arbitrary parameter interval) and is used
+A curve enters the package as a :class:`CurveSpec` (position map plus one
+jet map x -> (c', c'', c''') on an arbitrary parameter interval) and is used
 everywhere else as an :class:`ArcLengthCurve`, whose parameter is arc
 length on [0, L].  The reparametrized curve is unit-speed to machine
 precision by construction: derivatives with respect to arc length are
@@ -13,8 +13,8 @@ and takes Newton steps on s(x).  A curve may give its speed in closed form
 (the torus knot does); the table and every Newton step then read that one
 speed map, and neither evaluates c'.
 :meth:`ArcLengthCurve.jet` is the one evaluation point: a single arc-length
-inversion gives the raw parameter, the raw speed and the derivatives up to
-the order its caller reads; ``derivative`` is the last of them.
+inversion and one call of the jet map give the raw parameter, the raw speed
+and gamma', gamma'', gamma'''; ``derivative`` is one of them.
 Evaluators take a scalar or an array of parameters; vectors gain a trailing axis of 3.
 :meth:`ArcLengthCurve.grid` keeps one read-only array per node count, so
 every table on the n-node grid is taken at the same array of t.
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams, NonRegularCurve, ToleranceNotMet, VanishingCurvature
-from .numerics import Cubic, central_difference, cross, cumulative_simpson_uniform, first_where
-from .numerics import odd_node_count, rownorm, simpson_uniform, spline
+from .numerics import Cubic, cross, cumulative_simpson_uniform, first_where, odd_node_count, rownorm
+from .numerics import simpson_uniform, spline, stencil_difference
 
 KAPPA_MIN = 1e-9  # bounds kappa L: below it, free of the curve's scale, the Frenet normal/torsion are absent
 NEWTON_STEPS = 3  # of the arc-length inversion; two already reach rounding on the test curves
@@ -55,9 +55,9 @@ def _stack3(x, y, z):
     return out
 
 
-def _vectors(fn, x):
-    """fn(x) as floats; InvalidParams unless it has the shape x.shape + (3,)."""
-    value = np.asarray(fn(x), dtype=float)
+def _vectors(value, x):
+    """value as floats; InvalidParams unless it has the shape x.shape + (3,)."""
+    value = np.asarray(value, dtype=float)
     if value.shape != np.shape(x) + (3,):
         raise InvalidParams(f"a curve map returned shape {value.shape} for parameters of shape {np.shape(x)}")
     return value
@@ -73,39 +73,41 @@ class CurveSpec:
         return shape x.shape + (3,), else the call raises InvalidParams.
     domain : (float, float)
         Parameter interval [x0, x1].
-    derivatives : sequence of callables, optional
-        Analytic derivative evaluators of orders 1..3, with the same
-        calling convention as ``position``.  Missing orders fall back to
-        4th-order central differences of ``position`` with step 1e-4 times
-        the domain length.
+    jet : callable, optional
+        Map x -> (c', c'', c''') in closed form; each of the three must have
+        shape x.shape + (3,), as for ``position``.  Without it the three come
+        from one call of ``position`` on the 7-point stencils of x: 4th-order
+        central differences with step 1e-4 times the domain length.
     speed : callable, optional
         The speed |c'(x)| in closed form, called on a scalar or an array x;
-        it must return shape x.shape.  Without it the speed is the norm of
-        ``derivative(x, 1)``.
+        it must return shape x.shape.  Without it the speed is |``jet(x)[0]``|.
     """
 
-    def __init__(self, position, domain, derivatives=None, speed=None):
+    def __init__(self, position, domain, jet=None, speed=None):
         self.domain = (float(domain[0]), float(domain[1]))
         if self.domain[1] <= self.domain[0]:
             raise InvalidParams("curve domain must have positive length")
         self.position = position
-        self._derivatives = tuple(derivatives or ())
+        self._jet = jet
         self._speed = speed
 
     def point(self, x):
-        return _vectors(self.position, x)
+        return _vectors(self.position(x), x)
 
-    def derivative(self, x, order=1):
-        if not 1 <= order <= 3:
-            raise ValueError("derivative order must be 1, 2, or 3")
-        if order <= len(self._derivatives):
-            return _vectors(self._derivatives[order - 1], x)
-        return central_difference(self.point, x, order, 1e-4 * (self.domain[1] - self.domain[0]))
+    def jet(self, x):
+        """(c'(x), c''(x), c'''(x)) from the jet map, else from one ``position`` call on the stencils of x."""
+        if self._jet is not None:
+            c1, c2, c3 = self._jet(x)
+            return _vectors(c1, x), _vectors(c2, x), _vectors(c3, x)
+        h = 1e-4 * (self.domain[1] - self.domain[0])
+        nodes = np.asarray(x, dtype=float)[..., None] + np.arange(-3, 4) * h
+        values = np.moveaxis(self.point(nodes.ravel()).reshape(nodes.shape + (3,)), -1, -2)
+        return tuple(stencil_difference(values, order, h) for order in (1, 2, 3))
 
     def speed(self, x):
-        """|c'(x)|: the closed-form speed map if the curve has one, else the norm of ``derivative(x, 1)``."""
+        """|c'(x)|: the closed-form speed map if the curve has one, else the norm of ``jet(x)[0]``."""
         if self._speed is None:
-            return rownorm(self.derivative(x, 1))
+            return rownorm(self.jet(x)[0])
         value = np.asarray(self._speed(x), dtype=float)
         if value.shape != np.shape(x):
             raise InvalidParams(f"a speed map returned shape {value.shape} for parameters of shape {np.shape(x)}")
@@ -174,40 +176,35 @@ class ArcLengthCurve:
     def point(self, t):
         return self.spec.point(self.raw_parameter(t))
 
-    def jet(self, t, order=3):
-        """(x, speed, gamma', ..., gamma^(order)) at arc length t (or a grid) from one inversion.
+    def jet(self, t):
+        """(x, speed, gamma', gamma'', gamma''') at arc length t (or a grid) from one inversion.
 
         x is the raw parameter and speed = |c'(x)|; the derivatives are taken
-        with respect to arc length by the chain rule, dx/ds = 1/speed.  Only
-        the raw derivatives up to ``order`` (1..3) are evaluated, each once.
+        with respect to arc length by the chain rule, dx/ds = 1/speed.
         """
-        if not 1 <= order <= 3:
-            raise ValueError("derivative order must be 1, 2, or 3")
         x = self.raw_parameter(t)
-        c1, c2, c3 = (self.spec.derivative(x, k) if k <= order else None for k in (1, 2, 3))
+        c1, c2, c3 = self.spec.jet(x)
         # the norm of the c' at hand, not the closed-form speed, which differs by up to 2 ulp:
         # a c'/speed off unit length moved the README knot's q = 0.7 width by 1e-12 relative
         speed = rownorm(c1)
         if self._identity:
-            return (x, speed, c1, c2, c3)[: order + 2]
+            return x, speed, c1, c2, c3
         # float_power is the C library's pow per entry, as for a scalar t; ** on an
         # array takes a SIMD pow loop that can differ in the last bit
         v = speed[..., None]
         x1 = 1.0 / v
-        d = [c1 * x1]
-        if order >= 2:
-            v1 = np.vecdot(c1, c2)[..., None] / v
-            x2 = -v1 / np.float_power(v, 3)
-            d.append(c2 * np.float_power(x1, 2) + c1 * x2)
-        if order == 3:
-            v2 = ((np.vecdot(c2, c2) + np.vecdot(c1, c3))[..., None] - np.float_power(v1, 2)) / v
-            x3 = (3.0 * np.float_power(v1, 2) - v * v2) / np.float_power(v, 5)
-            d.append(c3 * np.float_power(x1, 3) + 3.0 * c2 * x1 * x2 + c1 * x3)
-        return (x, speed, *d)
+        v1 = np.vecdot(c1, c2)[..., None] / v
+        x2 = -v1 / np.float_power(v, 3)
+        v2 = ((np.vecdot(c2, c2) + np.vecdot(c1, c3))[..., None] - np.float_power(v1, 2)) / v
+        x3 = (3.0 * np.float_power(v1, 2) - v * v2) / np.float_power(v, 5)
+        g2 = c2 * np.float_power(x1, 2) + c1 * x2
+        return x, speed, c1 * x1, g2, c3 * np.float_power(x1, 3) + 3.0 * c2 * x1 * x2 + c1 * x3
 
     def derivative(self, t, order=1):
-        """Derivative of gamma with respect to arc length, order 1..3: the last entry of ``jet(t, order)``."""
-        return self.jet(t, order)[-1]
+        """Derivative of gamma with respect to arc length, order 1..3: an entry of ``jet(t)``."""
+        if not 1 <= order <= 3:
+            raise ValueError("derivative order must be 1, 2, or 3")
+        return self.jet(t)[order + 1]
 
     def grid(self, n):
         """Uniform arc-length grid of ``odd_node_count(n)`` nodes: 4k+1 >= n; one read-only array per node count."""
@@ -302,16 +299,15 @@ def make_helix(params):
     def pos(t):
         return _stack3(a * np.cos(t / m), a * np.sin(t / m), b * t / m)
 
-    def d1(t):
-        return _stack3(-a / m * np.sin(t / m), a / m * np.cos(t / m), b / m)
+    def jet(t):
+        c, s = np.cos(t / m), np.sin(t / m)
+        return (
+            _stack3(-a / m * s, a / m * c, b / m),
+            _stack3(-a / m**2 * c, -a / m**2 * s, 0.0),
+            _stack3(a / m**3 * s, -a / m**3 * c, 0.0),
+        )
 
-    def d2(t):
-        return _stack3(-a / m**2 * np.cos(t / m), -a / m**2 * np.sin(t / m), 0.0)
-
-    def d3(t):
-        return _stack3(a / m**3 * np.sin(t / m), -a / m**3 * np.cos(t / m), 0.0)
-
-    spec = CurveSpec(pos, (0.0, L), derivatives=(d1, d2, d3))
+    spec = CurveSpec(pos, (0.0, L), jet=jet)
     return ArcLengthCurve.from_unit_speed(spec)
 
 
@@ -365,26 +361,18 @@ def make_torus_knot(params=TorusKnotParams()):
         rn = np.float64(rho * n)
         return np.sqrt(r * r + rn * rn)
 
-    def d1(phi):
-        cn, sn, c, s = _knot_trig(n, phi)
-        r, r1 = R + rho * cn, -rho * n * sn
-        return _stack3(r1 * c - r * s, r1 * s + r * c, rho * n * cn)
-
-    def d2(phi):
-        cn, sn, c, s = _knot_trig(n, phi)
-        r, r1, r2 = R + rho * cn, -rho * n * sn, -rho * n**2 * cn
-        return _stack3(r2 * c - 2 * r1 * s - r * c, r2 * s + 2 * r1 * c - r * s, -rho * n**2 * sn)
-
-    def d3(phi):
+    def jet(phi):
         cn, sn, c, s = _knot_trig(n, phi)
         r, r1, r2, r3 = R + rho * cn, -rho * n * sn, -rho * n**2 * cn, rho * n**3 * sn
-        return _stack3(
-            r3 * c - 3 * r2 * s - 3 * r1 * c + r * s,
-            r3 * s + 3 * r2 * c - 3 * r1 * s - r * c,
-            -rho * n**3 * cn,
+        x3 = r3 * c - 3 * r2 * s - 3 * r1 * c + r * s
+        y3 = r3 * s + 3 * r2 * c - 3 * r1 * s - r * c
+        return (
+            _stack3(r1 * c - r * s, r1 * s + r * c, rho * n * cn),
+            _stack3(r2 * c - 2 * r1 * s - r * c, r2 * s + 2 * r1 * c - r * s, -rho * n**2 * sn),
+            _stack3(x3, y3, -rho * n**3 * cn),
         )
 
-    spec = CurveSpec(pos, (0.0, 2.0 * np.pi), derivatives=(d1, d2, d3), speed=speed)
+    spec = CurveSpec(pos, (0.0, 2.0 * np.pi), jet=jet, speed=speed)
     return arc_length_reparametrize(
         spec, grid_size=params.grid_size, tol=params.tol, curve_class=TorusKnotCurve, params=params
     )
@@ -401,11 +389,8 @@ def curve_from_samples(ts, points, grid_size=1001):
     if np.any(np.diff(ts) <= 0.0):
         raise InvalidParams("sample parameters t must be strictly increasing")
     cubic = spline(ts, points)
-    spec = CurveSpec(
-        cubic,
-        (ts[0], ts[-1]),
-        derivatives=(lambda x: cubic(x, 1), lambda x: cubic(x, 2), lambda x: cubic(x, 3)),
-    )
+    jet = lambda x: (cubic(x, 1), cubic(x, 2), cubic(x, 3))
+    spec = CurveSpec(cubic, (ts[0], ts[-1]), jet=jet, speed=lambda x: rownorm(cubic(x, 1)))
     return arc_length_reparametrize(spec, grid_size=grid_size)
 
 
@@ -418,15 +403,15 @@ class NonplanarityReport:
 def is_locally_nonplanar(curve, grid_size=1001, tol=1e-10):
     """Grid scan for subintervals where the curve is planar.
 
-    A node is flagged when the curvature is below ``tol`` (straight) or the
-    torsion is below ``tol`` (locally planar); a run of >= 3 consecutive
-    flagged nodes yields a witness interval and a negative verdict.  An
-    isolated zero below grid resolution cannot be distinguished from a
-    short vanishing run; refine the grid if in doubt.
+    A node is flagged when kappa L is below ``tol`` (straight) or |tau| L
+    is below ``tol`` (locally planar), free of the curve's scale; a run of
+    >= 3 consecutive flagged nodes yields a witness interval and a negative
+    verdict.  An isolated zero below grid resolution cannot be distinguished
+    from a short vanishing run; refine the grid if in doubt.
     """
     ts = curve.grid(grid_size)
     fd = frenet_data(curve, ts)
-    flagged = (fd.kappa <= tol) | (np.abs(fd.tau) <= tol)  # NaN torsion compares False
+    flagged = (fd.kappa * curve.length <= tol) | (np.abs(fd.tau) * curve.length <= tol)  # NaN compares False
     edges = np.diff(flagged.astype(int), prepend=0, append=0)
     starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)  # runs [start, end)
     long_runs = np.flatnonzero(ends - starts >= 3)

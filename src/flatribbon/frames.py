@@ -181,7 +181,7 @@ class RotationMinimizingField(NormalField):
     def __init__(self, curve):
         super().__init__(curve)
         ts = curve.grid(2001)
-        x, _, tangents, g2 = curve.jet(ts, 2)
+        x, _, tangents, g2, _ = curve.jet(ts)
         kappa = rownorm(g2[0])
         if kappa * curve.length > KAPPA_MIN:
             n = g2[0] / kappa  # the principal normal at t = 0
@@ -213,7 +213,7 @@ class RotatedNormalField(NormalField):
     """Base field rotated about the tangent by an angle function theta.
 
     ``theta`` may be a constant or a callable of an array of t; ``theta_prime``
-    defaults to zero for constants and to a 4th-order finite difference
+    defaults to zero for constants and to a 4th-order difference of step 1e-5 L
     otherwise.  A callable's value must broadcast to the shape of t (so a
     constant map works), else the sample raises InvalidParams.
     The frame table comes from the base field's table: N, N' and H' by the
@@ -230,7 +230,7 @@ class RotatedNormalField(NormalField):
             q = float(theta)
             theta, theta_prime = (lambda t: q), (lambda t: 0.0)
         elif theta_prime is None:
-            h = 1e-5 * max(base.curve.length, 1.0)
+            h = 1e-5 * base.curve.length
             theta_prime = lambda t: central_difference(theta, t, 1, h)
         self.theta, self.theta_prime = theta, theta_prime
 

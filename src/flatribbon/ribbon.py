@@ -70,7 +70,7 @@ def _extend_at_zero(normal_field, ts, kn_scale, tg_scale):
     kappa_n^(l) != 0 must have tau_g^(0..l-1) = 0 as well.  The first t that
     admits no extension raises.
     """
-    h = 1e-3 * max(normal_field.curve.length, 1.0)
+    h = 1e-3 * normal_field.curve.length
     frame = normal_field.sample(ts[:, None] + np.arange(-3, 4) * h)
 
     def scaled(v):  # row l: the l-th derivative times h^l, l = 0..3, at every t
@@ -290,7 +290,7 @@ def flatness_residuals(ribbon, grid_size, ruling=None):
     if ruling is None:
         x, xp = ribbon.ruling(ts, frame), ribbon.ruling_derivative(ts, frame)
     else:
-        h = 1e-5 * max(ribbon.curve.length, 1.0)
+        h = 1e-5 * ribbon.curve.length
         x, xp = ruling(ts), central_difference(ruling, ts, 1, h)
     in_plane = np.abs(np.vecdot(x, frame.N))
     tangent_plane = np.abs(np.vecdot(cross(x, frame.T), xp))

@@ -102,25 +102,30 @@ def test_closed_form_knot_speed_is_the_norm_of_the_velocity():
         R = 10.0 ** rng.uniform(-3.0, 3.0)
         knot = make_torus_knot(TorusKnotParams(R, rng.uniform(0.05, 0.95) * R, int(rng.integers(1, 8))))
         phi = rng.uniform(0.0, 2.0 * np.pi, 64)
-        speed, norm = knot.spec.speed(phi), rownorm(knot.spec.derivative(phi, 1))
+        speed, norm = knot.spec.speed(phi), rownorm(knot.spec.jet(phi)[0])
         assert speed.shape == phi.shape and np.all(np.abs(speed - norm) <= 4 * eps * norm)
         scalar = knot.spec.speed(float(phi[0]))
         assert np.shape(scalar) == () and scalar == speed[0]
 
 
 def test_knot_table_and_newton_evaluate_no_derivative_map(monkeypatch):
-    # the speed map serves the table and the Newton steps; a jet takes each order once
-    calls = []
-    original = CurveSpec.derivative
+    # the speed map serves the table and the Newton steps; a jet calls the jet map once, whose trig is taken once
+    calls, trig = [], []
+    original, original_trig = CurveSpec.jet, curves._knot_trig
 
-    def counted(self, x, order=1):
-        calls.append(order)
-        return original(self, x, order)
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return original(self, x)
 
-    monkeypatch.setattr(CurveSpec, "derivative", counted)
+    def counted_trig(n, phi):
+        trig.append(np.shape(phi))
+        return original_trig(n, phi)
+
+    monkeypatch.setattr(CurveSpec, "jet", counted)
+    monkeypatch.setattr(curves, "_knot_trig", counted_trig)
     knot = make_torus_knot(TorusKnotParams(grid_size=401))
     knot.raw_parameter(knot.grid(2001))
     knot.raw_parameter(0.37 * knot.length)
-    assert calls == []
+    assert calls == [] and trig == []
     knot.jet(knot.grid(201))
-    assert calls == [1, 2, 3]
+    assert calls == [(201,)] and trig == [(201,)]

@@ -43,8 +43,7 @@ def test_circle_circumference():
 
 def test_helix_length_against_adaptive_quadrature():
     spec = _raw_helix_spec(1.0, 1.0)
-    speed = lambda x: np.linalg.norm(spec.derivative(x, 1))
-    oracle, _ = quad(speed, 0.0, 2.0 * np.pi)
+    oracle, _ = quad(spec.speed, 0.0, 2.0 * np.pi)
     curve = arc_length_reparametrize(spec, grid_size=1000)
     assert oracle == pytest.approx(2.0 * np.pi * np.sqrt(2.0), abs=1e-10)
     assert curve.length == pytest.approx(oracle, abs=1e-8)
@@ -72,7 +71,7 @@ def test_arc_length_roundtrip_inverse():
     for t in np.linspace(0.0, curve.length, 17):
         x = curve.raw_parameter(t)
         # arc length up to x recomputed independently
-        s, _ = quad(lambda z: np.linalg.norm(spec.derivative(z, 1)), 0.0, x)
+        s, _ = quad(spec.speed, 0.0, x)
         assert s == pytest.approx(t, abs=1e-8)
 
 
@@ -123,8 +122,7 @@ def test_overflowing_speed_rejected_without_warnings(make):
 
 def test_overflowing_length_rejected_without_warnings():
     # finite speeds whose integral overflows
-    velocity = lambda x: np.broadcast_to([1e100, 0.0, 0.0], np.shape(x) + (3,))
-    spec = CurveSpec(lambda x: _on_x_axis(1e100 * x), (0.0, 1e300), derivatives=(velocity,))
+    spec = CurveSpec(lambda x: _on_x_axis(1e100 * x), (0.0, 1e300), speed=lambda x: np.full(np.shape(x), 1e100))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ToleranceNotMet, match="not finite"):
@@ -282,6 +280,15 @@ def test_nonplanarity_scan(helix11, circle, knot):
     assert hi == pytest.approx(circle.length, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e9])
+def test_nonplanarity_scan_is_scale_free(scale):
+    # kappa L and |tau| L meet tol, so the verdict does not move with the curve's size
+    knot = make_torus_knot(TorusKnotParams(2.0 * scale, scale))
+    circle = make_helix(HelixParams(scale, 0.0))
+    assert is_locally_nonplanar(knot, 501).nonplanar
+    assert not is_locally_nonplanar(circle, 501).nonplanar
+
+
 def test_curve_from_samples_recovers_helix_length(helix11):
     ts = np.linspace(0.0, helix11.length, 400)
     pts = np.array([helix11.point(t) for t in ts])
@@ -311,16 +318,17 @@ def test_curve_from_samples_rejects_bad_samples(ts, points):
 
 
 def test_fd_derivative_fallback_matches_analytic():
-    # same curve with and without analytic derivatives must agree to O(h^4)
-    spec_fd = _raw_helix_spec(1.0, 1.0)
-    a = b = 1.0
-
-    def d1(x):
-        return np.stack(np.broadcast_arrays(-a * np.sin(x), a * np.cos(x), b), axis=-1)
-
-    spec_an = CurveSpec(spec_fd.position, spec_fd.domain, derivatives=(d1,))
-    for x in (0.1, 2.0, 5.5):
-        assert np.max(np.abs(spec_fd.derivative(x, 1) - spec_an.derivative(x, 1))) < 1e-9
+    # the stencil jet of the raw helix (step 1e-4 of its 2 pi domain) against its analytic jet, order by order
+    spec = _raw_helix_spec(1.0, 1.0)
+    analytic = (
+        lambda x: _stack3(-np.sin(x), np.cos(x), 1.0),
+        lambda x: _stack3(-np.cos(x), -np.sin(x), 0.0),
+        lambda x: _stack3(np.sin(x), -np.cos(x), 0.0),
+    )
+    for x in (0.1, 2.0, 5.5, np.linspace(0.0, 2.0 * np.pi, 101)):
+        for got, exact, bound in zip(spec.jet(x), analytic, (1e-11, 1e-8, 1e-5)):
+            assert got.shape == np.shape(x) + (3,)
+            assert np.max(np.abs(got - exact(x))) <= bound
 
 
 def test_curve_map_of_the_wrong_shape_is_rejected_on_the_call():
@@ -331,9 +339,9 @@ def test_curve_map_of_the_wrong_shape_is_rejected_on_the_call():
         spec.point(np.linspace(0.0, 1.0, 5))
     with pytest.raises(InvalidParams):
         arc_length_reparametrize(spec)
-    line = CurveSpec(lambda x: np.zeros(np.shape(x) + (3,)), (0.0, 1.0), derivatives=(lambda x: np.ones(3),))
+    line = CurveSpec(lambda x: np.zeros(np.shape(x) + (3,)), (0.0, 1.0), jet=lambda x: (np.ones(3),) * 3)
     with pytest.raises(InvalidParams):
-        line.derivative(np.linspace(0.0, 1.0, 5), 1)
+        line.jet(np.linspace(0.0, 1.0, 5))
     # a component with an axis of its own broadcasts to a table of the wrong shape
     spec = CurveSpec(lambda x: _stack3(np.cos(x), np.sin(x), np.zeros((2, 1))), (0.0, 1.0))
     with pytest.raises(InvalidParams):

@@ -28,6 +28,7 @@ from flatribbon.angleivp import (
     solve_theta_family,
     solved_rotation_field,
 )
+from flatribbon.curves import TorusKnotParams, make_torus_knot
 from flatribbon.energy import limit_energy
 from flatribbon.errors import StepSizeUnderflow
 from flatribbon.frames import PrincipalNormalField, TorusNormalField, sampled_scalars
@@ -205,6 +206,20 @@ def test_solved_rotation_field_solves_through_the_flow(monkeypatch, pn11, torus_
     assert sol.values[0] == 0.7
     solved_rotation_field(pn11, 0.7, grid_size=400, scalars_grid=401, phi=lambda t: 1.2)
     solved_rotation_field(torus_field, 0.7, grid_size=400, scalars_grid=401)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6, 1e9])
+def test_scaled_knot_solves_the_same_form_and_angle(scale, knot):
+    # min|kappa_n| L picks the form and |kappa_n| <= 1e-9 hypot(kappa_g, kappa_n) guards it, both free of scale
+    def solve(curve):
+        base = TorusNormalField(curve)
+        sol = solved_rotation_field(base, 0.7, grid_size=400, scalars_grid=401)[1]
+        return [kind for kind, _ in base._grid_tables if kind[0] == "flow"], sol
+
+    want_forms, want = solve(knot)
+    got_forms, got = solve(make_torus_knot(TorusKnotParams(2.0 * scale, scale)))
+    assert want_forms == got_forms == [("flow", "same_angle")]
+    assert np.max(np.abs(got.values - want.values)) <= 1e-12
 
 
 def test_same_angle_test_reads_the_grid_table(monkeypatch, helix11):

@@ -169,6 +169,19 @@ def test_rotated_field_finite_difference_theta_prime(helix11, pn11):
     assert abs(sc.tau_g - want.tau_g) < 1e-7
 
 
+@pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+def test_differenced_theta_prime_is_scale_free(scale):
+    # the difference step is 1e-5 L, so tau_g L misses the exact theta' by rounding alone at any length
+    helix = make_helix(HelixParams(scale, scale))
+    L = helix.length
+    theta = lambda t: np.sin(2.0 * np.pi * t / L)
+    exact = lambda t: 2.0 * np.pi / L * np.cos(2.0 * np.pi * t / L)
+    base, ts = PrincipalNormalField(helix), helix.grid(201)
+    got = RotatedNormalField(base, theta).sample(ts).tau_g
+    want = RotatedNormalField(base, theta, exact).sample(ts).tau_g
+    assert np.max(np.abs(got - want)) * L <= 1e-9
+
+
 # ------------------------------------------------- rotated principal normal
 
 

@@ -206,15 +206,12 @@ def test_explicit_grid_sample_stays_uncached(knot, jet_calls):
 
 
 def straight_line():
-    """The unit segment of the x axis, with its (vanishing) derivatives; the maps take arrays."""
+    """The unit segment of the x axis, with its jet (c' = e_x, c'' = c''' = 0); the maps take arrays."""
+    zero = lambda x: np.zeros(np.shape(x) + (3,))
     spec = CurveSpec(
         lambda x: np.stack(np.broadcast_arrays(x, 0.0, 0.0), axis=-1),
         (0.0, 1.0),
-        derivatives=(
-            lambda x: np.broadcast_to([1.0, 0.0, 0.0], np.shape(x) + (3,)),
-            lambda x: np.zeros(np.shape(x) + (3,)),
-            lambda x: np.zeros(np.shape(x) + (3,)),
-        ),
+        jet=lambda x: (np.broadcast_to([1.0, 0.0, 0.0], np.shape(x) + (3,)), zero(x), zero(x)),
     )
     return ArcLengthCurve.from_unit_speed(spec)
 
