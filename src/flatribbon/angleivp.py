@@ -8,22 +8,21 @@ is used throughout: the right hand side is smooth, so adaptivity buys
 nothing and determinism keeps the tests simple.
 
 Both ODEs have the form theta' = a(t) sin theta + b(t) cos theta + c(t),
-so the solvers tabulate a, b, c once at every stage node.  ``solve_theta``
-steps one initial angle on Python floats.  ``solve_theta_family`` solves
-every initial angle at once through the linearization: with
+so ``solve_theta`` tabulates a, b, c once at every stage node and solves
+every initial angle theta(0) = q at once through the linearization: with
 (p, r) = (sin theta/2, cos theta/2) up to a positive factor, the ODE is
 the traceless linear system (p, r)' = G(t) (p, r),
 G = 1/2 [[a, b + c], [b - c, -a]] (the Riccati linearization, W. T. Reid,
 *Riccati Differential Equations*, 1972), whose RK4 step matrices compose
 by a prefix product.  That :class:`ThetaFlow` depends on the table and n
 but not on q, which enters only through the start vector
-(sin q/2, cos q/2).  ``solved_rotation_field`` reads its table exactly,
+(sin q/2, cos q/2); one q is item 0 of the family of ``[q]``.
+``solved_rotation_field`` reads its table exactly,
 through :func:`~flatribbon.frames.sampled_scalars` on the 4n+1 stage nodes,
 and keeps one flow per form and n on the base field, so further angles on
 that field read the kept flow.
 """
 
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,11 +30,10 @@ from functools import cached_property
 import numpy as np
 
 from .curves import check_curvature, frenet_data
-from .errors import InvalidParams, NormalCurvatureZero, StepSizeUnderflow
+from .errors import NormalCurvatureZero, StepSizeUnderflow
 from .numerics import arccot, cumulative_simpson_uniform, first_where, nested_stride, prefix_products, read_only, spline
 
 __all__ = [
-    "InitialCondition",
     "AngleRHS",
     "ThetaSolution",
     "ThetaFamily",
@@ -45,19 +43,12 @@ __all__ = [
     "prescribed_angle_rhs",
     "same_angle_rhs",
     "solve_theta",
-    "solve_theta_family",
     "lipschitz_bound",
     "closed_form_case_b",
     "closed_form_helix_pi2",
     "solved_rotation_field",
     "integrated_torsion",
 ]
-
-
-@dataclass(frozen=True)
-class InitialCondition:
-    t0: float = 0.0
-    q: float = 0.0
 
 
 def _prescribed_coefficients(scalars, phi):
@@ -164,67 +155,6 @@ class ThetaSolution:
         return float(np.max(np.abs(self._spline(mids, 1) - self.rhs(mids, self._spline(mids)))))
 
 
-def _rk4_sweep(ts, table, stride, i0, q):
-    """Fixed-step RK4 over every ``stride``-th entry of ``ts``, from step node i0 outward.
-
-    ``table`` holds the coefficients (a, b, c) as lists over ``ts``; the
-    stage t + h/2 is the entry stride/2 away, so no stage needs a new
-    evaluation.  An infinite angle (math.sin refuses it) turns the run to NaN.
-    """
-    a, b, c = table
-    sin, cos = math.sin, math.cos
-    half = stride // 2
-    m = (len(ts) - 1) // stride
-    theta = [0.0] * (m + 1)
-    theta[i0] = q
-    try:
-        for step in (1, -1):
-            for i in range(i0, m) if step == 1 else range(i0, 0, -1):
-                j = i * stride
-                jm, je = j + step * half, j + step * stride
-                h = ts[je] - ts[j]
-                y = theta[i]
-                k1 = a[j] * sin(y) + b[j] * cos(y) + c[j]
-                y2 = y + 0.5 * h * k1
-                k2 = a[jm] * sin(y2) + b[jm] * cos(y2) + c[jm]
-                y3 = y + 0.5 * h * k2
-                k3 = a[jm] * sin(y3) + b[jm] * cos(y3) + c[jm]
-                y4 = y + h * k3
-                k4 = a[je] * sin(y4) + b[je] * cos(y4) + c[je]
-                theta[i + step] = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    except ValueError:
-        return np.full(m + 1, np.nan)
-    return np.array(theta)
-
-
-def solve_theta(rhs, length, ic=InitialCondition(), grid_size=2000):
-    """Integrate theta' = F(t, theta) over [0, length] from theta(t0) = q.
-
-    ``rhs`` is an :class:`AngleRHS`.  Classical RK4 with step length/grid_size,
-    forward and backward from t0, which must be a node of that grid
-    (InvalidParams otherwise).  The coefficients of F are tabulated once on
-    the 4n+1 nodes that hold every stage of the n-step run and of the
-    half-step run; the error estimate is the maximum deviation between the two.
-    """
-    n = max(int(grid_size), 2)
-    length = float(length)
-    nodes = np.linspace(0.0, length, 4 * n + 1)
-    table = _coefficient_table(rhs, nodes)
-    i0 = round(ic.t0 / length * n) if np.isfinite(ic.t0) else -1
-    if not (0 <= i0 <= n and abs(ic.t0 - nodes[4 * i0]) <= 1e-9 * length):
-        raise InvalidParams(f"t0 = {ic.t0:.6g} is not a node of the {n}-step grid on [0, {length:.6g}]")
-    lists = [x.tolist() for x in table]
-    grid = nodes.tolist()
-    theta = _rk4_sweep(grid, lists, 4, i0, ic.q)
-    theta_half = _rk4_sweep(grid, lists, 2, 2 * i0, ic.q)
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(theta_half))):
-        raise StepSizeUnderflow("RK4 produced non-finite values")
-    err = float(np.max(np.abs(theta - theta_half[::2])))
-    ts = nodes[::4]  # = linspace(0, length, n + 1) entry for entry
-    derivs = _combine([x[::4] for x in table], theta)
-    return read_only(ThetaSolution(ts, theta, derivs, ts[1] - ts[0], err, rhs=rhs))
-
-
 def _coefficient_table(rhs, nodes):
     """(a, b, c) at every node of ``nodes``, the 4n+1 nodes that hold every stage of the n- and 2n-step runs."""
     table = [np.asarray(x, dtype=float) for x in rhs.coefficients(nodes)]
@@ -315,10 +245,14 @@ class ThetaFlow:
         with np.errstate(all="ignore"):
             start = np.array([np.sin(0.5 * qs), np.cos(0.5 * qs)])  # (p, r)(0) of every q
             z = start.T @ self.images  # r + i p, shape (run, q, n + 1)
-            # theta/2 = arg z, so theta turns by 2 arg(z_k conj(z_{k-1})) over step k
+            p, r = z.imag, z.real
+            # theta/2 = arg z, so theta turns by twice the angle from z_{k-1} to z_k over step k, taken in
+            # real arithmetic: numpy's z_k conj(z_{k-1}) can round off the real axis where z does not turn
+            cross = p[..., 1:] * r[..., :-1] - r[..., 1:] * p[..., :-1]
+            dot = r[..., 1:] * r[..., :-1] + p[..., 1:] * p[..., :-1]
             theta = np.empty(z.shape)
             theta[..., 0] = 0.0
-            np.cumsum(np.angle(z[..., 1:] * z[..., :-1].conj()), axis=-1, out=theta[..., 1:])
+            np.cumsum(np.arctan2(cross, dot), axis=-1, out=theta[..., 1:])
             theta *= 2.0
             theta += qs[:, None]
         if not np.all(np.isfinite(theta)):
@@ -330,17 +264,18 @@ class ThetaFlow:
         return read_only(ThetaFamily(qs, ts, values, derivs, ts[1] - ts[0], err, rhs=rhs))
 
 
-def solve_theta_family(rhs, length, qs, grid_size=2000):
+def solve_theta(rhs, length, qs, grid_size=2000):
     """Integrate theta' = F(t, theta) over [0, length] from theta(0) = q, for every q of ``qs``.
 
-    ``rhs`` is an :class:`AngleRHS` and the coefficient table is the one of
-    :func:`solve_theta`.  RK4 runs on the linear system (p, r)' = G (p, r),
-    G = 1/2 [[a, b + c], [b - c, -a]], with n = grid_size steps and with 2n
-    half steps, each pair of half-step matrices composed into one; the
-    running products of both runs come from one :func:`prefix_products`.
-    That :class:`ThetaFlow` does not depend on q; :meth:`ThetaFlow.family`
-    reads every q off it.  NormalCurvatureZero comes from the table,
-    StepSizeUnderflow from a non-finite angle.
+    ``rhs`` is an :class:`AngleRHS`, tabulated once on the 4n+1 nodes
+    ``linspace(0, length, 4n + 1)``, n = grid_size, that hold every stage of
+    the n-step run and of the half-step run.  RK4 runs on the linear system
+    (p, r)' = G (p, r), G = 1/2 [[a, b + c], [b - c, -a]], in both runs, each
+    pair of half-step matrices composed into one; the running products of
+    both runs come from one :func:`prefix_products`.  That :class:`ThetaFlow`
+    does not depend on q; :meth:`ThetaFlow.family` reads every q off it.
+    NormalCurvatureZero comes from the table, StepSizeUnderflow from a
+    non-finite angle.
     """
     nodes = np.linspace(0.0, float(length), 4 * max(int(grid_size), 2) + 1)
     return ThetaFlow.of(nodes, _coefficient_table(rhs, nodes)).family(qs, rhs)

@@ -193,7 +193,8 @@ def energy_bound(curve, base_field, other_field, w, n_t=2001):
     The two ruling angles must agree to 1e-6 (RulingAngleMismatch otherwise).
     Additive bound: E(other) <= E(base) + (w/2) integral of
     kappa_g^2 (1 + cot(alpha)^2)^2 for the base field.  The ratio bound
-    1 + max (kappa_g/kappa_n)^2 applies only when kappa_n never vanishes.
+    1 + max (kappa_g/kappa_n)^2 applies only when min |kappa_n| L > 1e-9, L the
+    curve's length, so the test is free of the curve's scale.
     """
     mu_base = mu_field(curve, base_field, grid_size=n_t)
     mu_other = mu_field(curve, other_field, grid_size=n_t)
@@ -207,7 +208,7 @@ def energy_bound(curve, base_field, other_field, w, n_t=2001):
     e_other = _limit_report(mu_other, w).value
     additive = e_base + extra
     ratio = None
-    if float(np.min(np.abs(kn))) > 1e-9:
+    if float(np.min(np.abs(kn))) * curve.length > 1e-9:
         ratio = 1.0 + float(np.max((kg / kn) ** 2))
     satisfied = e_other <= additive + 1e-12 * max(1.0, abs(additive))
     return EnergyBoundReport(e_base, e_other, additive, ratio, satisfied)
@@ -217,8 +218,8 @@ def _case_a_arrays(curve, normal_field, n_t):
     ts = curve.grid(n_t)
     frame = normal_field.on_grid(n_t)
     tg_sup = float(np.max(np.abs(frame.tau_g)))
-    if tg_sup > 1e-8:
-        raise NotCaseA(f"tau_g is not identically zero (sup {tg_sup:.3e})")
+    if tg_sup * curve.length > 1e-8:
+        raise NotCaseA(f"tau_g is not identically zero (sup {tg_sup:.3e} on length {curve.length:.3e})")
     return ts, frame.kappa_g, frame.kappa_n
 
 
@@ -226,7 +227,8 @@ def case_a_energy(curve, normal_field, q, w, n_t=2001):
     """Small-width energy (w/2) integral of (kappa_n cos q - kappa_g sin q)^2.
 
     Valid for a field with tau_g = 0 (ruling angle pi/2), whose rotated
-    family has the constant solution theta = q.
+    family has the constant solution theta = q; NotCaseA where
+    sup |tau_g| L > 1e-8, L the curve's length.
     """
     ts, kg, kn = _case_a_arrays(curve, normal_field, n_t)
     integrand = (kn * np.cos(q) - kg * np.sin(q)) ** 2

@@ -83,14 +83,14 @@ def run_checks(fault="none"):
 
     scalars_fn = sampled_scalars(pn, 4 * 2000 + 1)  # exact at every stage node of the 2000-step runs
     rhs = angleivp.prescribed_angle_rhs(scalars_fn, lambda t: np.pi / 2.0)
-    sol = angleivp.solve_theta_family(rhs, helix.length, [0.0], 2000)[0]
+    sol = angleivp.solve_theta(rhs, helix.length, [0.0], 2000)[0]
     exact = angleivp.closed_form_helix_pi2(1.0, 1.0)
     checks.append(
         Check("helix_ivp_pi2", float(np.max(np.abs(sol.values - exact(sol.ts)))), 1e-6)
     )
 
     rhs_b = angleivp.same_angle_rhs(scalars_fn)
-    sol_b = angleivp.solve_theta_family(rhs_b, helix.length, [np.pi / 2], 2000)[0]
+    sol_b = angleivp.solve_theta(rhs_b, helix.length, [np.pi / 2], 2000)[0]
     psi = angleivp.integrated_torsion(helix)
     exact_b = angleivp.closed_form_case_b(np.pi / 2, psi)
     checks.append(
@@ -101,21 +101,22 @@ def run_checks(fault="none"):
     phi = lambda t: np.pi / 4.0
     rhs_p = angleivp.prescribed_angle_rhs(scalars_fn, phi)
     eps = 1e-6
-    sol1, sol2 = angleivp.solve_theta_family(rhs_p, helix.length, [0.3, 0.3 + eps], 2000)
+    sol1, sol2 = angleivp.solve_theta(rhs_p, helix.length, [0.3, 0.3 + eps], 2000)
     grid = helix.grid(101)
     c = angleivp.lipschitz_bound(scalars_fn(grid), phi(grid))
     gap = float(np.max(np.abs(sol1.values - sol2.values)))
     checks.append(Check("gronwall_continuity", gap, eps * np.exp(c * helix.length) * 1.000001))
 
-    # the linear-flow family against the scalar solver, per q, relative to twice the larger Richardson estimate
+    # a 16-angle family against its exact solution, relative to twice its Richardson estimate plus n eps max|theta|:
+    # kappa = tau and phi = pi/4 make eta = theta + pi solve case B's ODE (and G nilpotent, so RK4 is exact)
     qs = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-    family = angleivp.solve_theta_family(rhs_p, helix.length, qs, 2000)
     worst = 0.0
-    for q, flow in zip(qs, family):
-        rk4 = angleivp.solve_theta(rhs_p, helix.length, angleivp.InitialCondition(0.0, float(q)), 2000)
-        gap = float(np.max(np.abs(flow.values - rk4.values)))
-        worst = max(worst, gap / (2.0 * max(flow.error_estimate, rk4.error_estimate)))
-    checks.append(Check("theta_flow_vs_rk4", worst, 1.0))
+    for q, sol in zip(qs, angleivp.solve_theta(rhs_p, helix.length, qs, 2000)):
+        eta0 = (q + np.pi) % (2.0 * np.pi)
+        exact = angleivp.closed_form_case_b(eta0, psi)(sol.ts) + (q - eta0)
+        floor = 2000 * np.finfo(float).eps * np.max(np.abs(exact))
+        worst = max(worst, float(np.max(np.abs(sol.values - exact))) / (2.0 * sol.error_estimate + floor))
+    checks.append(Check("theta_flow_vs_exact", worst, 1.0))
 
     strip = ribbon_mod.construct_ribbon(helix, pn, 0.1, grid_size=801)
     if fault == "perturb_ruling":

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from flatribbon.angleivp import (
-    InitialCondition,
     closed_form_case_b,
     closed_form_helix_pi2,
     integrated_torsion,
@@ -65,7 +64,7 @@ def report(label, measured, bound, passed=None):
 def test_criterion_01_helix_right_angle_ivp(helix11, pn11):
     scalars = sampled_scalars(pn11, 4 * 2000 + 1)  # exact at every stage node of the 2000-step runs
     rhs = prescribed_angle_rhs(scalars, lambda t: np.pi / 2)
-    sol = solve_theta(rhs, helix11.length, InitialCondition(0.0, 0.0), grid_size=2000)
+    sol = solve_theta(rhs, helix11.length, [0.0], grid_size=2000)[0]
     exact = closed_form_helix_pi2(1.0, 1.0)
     err = float(np.max(np.abs(sol.values - exact(sol.ts))))
     assert report("helix right-angle IVP vs closed form", err, 1e-6)
@@ -79,7 +78,7 @@ def test_criterion_02_same_angle_closed_form(helix11, pn11):
     psi = integrated_torsion(helix11)
     worst = 0.0
     for q in (np.pi / 4, np.pi / 2, np.pi, 3 * np.pi / 2):
-        sol = solve_theta(rhs, helix11.length, InitialCondition(0.0, q), grid_size=2000)
+        sol = solve_theta(rhs, helix11.length, [q], grid_size=2000)[0]
         exact = closed_form_case_b(q, psi)
         worst = max(worst, float(np.max(np.abs(sol.values - exact(sol.ts)))))
     assert report("same-angle IVP vs closed form (4 starts)", worst, 1e-6)

