@@ -14,7 +14,9 @@ and takes Newton steps on s(x).  A curve may give its speed in closed form
 speed map, and neither evaluates c'.
 :meth:`ArcLengthCurve.jet` is the one evaluation point: a single arc-length
 inversion and one call of the jet map give the raw parameter, the raw speed
-and gamma', gamma'', gamma'''; ``derivative`` is one of them.
+and gamma', gamma'', gamma'''; ``derivative`` is one of them.  The chain
+rule is :meth:`ArcLengthCurve.raw_jet`, the same jet at a raw parameter,
+which nodes from :meth:`ArcLengthCurve.near_grid` reach with no inversion.
 Evaluators take a scalar or an array of parameters; vectors gain a trailing axis of 3.
 :meth:`ArcLengthCurve.grid` keeps one read-only array per node count, so
 every table on the n-node grid is taken at the same array of t.
@@ -176,13 +178,29 @@ class ArcLengthCurve:
     def point(self, t):
         return self.spec.point(self.raw_parameter(t))
 
-    def jet(self, t):
-        """(x, speed, gamma', gamma'', gamma''') at arc length t (or a grid) from one inversion.
+    def near_grid(self, n):
+        """(t, x): nodes within O(h^2) of ``grid(n)`` whose raw parameters x need no inversion.
 
-        x is the raw parameter and speed = |c'(x)|; the derivatives are taken
-        with respect to arc length by the chain rule, dx/ds = 1/speed.
+        x is the inversion's first guess, the linear interpolant of the table
+        at ``grid(n)``, and t = s(x) is read off the same table; a unit-speed
+        curve keeps its grid exactly.
         """
-        x = self.raw_parameter(t)
+        ts = self.grid(n)
+        if self._identity:
+            return ts, self.spec.domain[0] + ts
+        x = np.interp(ts, self._s_table, self._raw_nodes)
+        return self._s_of_raw(x), x
+
+    def jet(self, t):
+        """(x, speed, gamma', gamma'', gamma''') at arc length t (or a grid): ``raw_jet`` after one inversion."""
+        return self.raw_jet(self.raw_parameter(t))
+
+    def raw_jet(self, x):
+        """(x, speed, gamma', gamma'', gamma''') at the raw parameter x (or a grid of them).
+
+        speed = |c'(x)|; the derivatives are taken with respect to arc length
+        by the chain rule, dx/ds = 1/speed.
+        """
         c1, c2, c3 = self.spec.jet(x)
         # the norm of the c' at hand, not the closed-form speed, which differs by up to 2 ulp:
         # a c'/speed off unit length moved the README knot's q = 0.7 width by 1e-12 relative
@@ -389,8 +407,7 @@ def curve_from_samples(ts, points, grid_size=1001):
     if np.any(np.diff(ts) <= 0.0):
         raise InvalidParams("sample parameters t must be strictly increasing")
     cubic = spline(ts, points)
-    jet = lambda x: (cubic(x, 1), cubic(x, 2), cubic(x, 3))
-    spec = CurveSpec(cubic, (ts[0], ts[-1]), jet=jet, speed=lambda x: rownorm(cubic(x, 1)))
+    spec = CurveSpec(cubic, (ts[0], ts[-1]), jet=cubic.jet, speed=lambda x: rownorm(cubic(x, 1)))
     return arc_length_reparametrize(spec, grid_size=grid_size)
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from .curves import KAPPA_MIN, check_curvature, frenet_data
 from .errors import InvalidParams, NonOrthogonalNormal, VanishingCurvature
 from .numerics import (
+    Cubic,
     central_difference,
     cross,
     first_where,
@@ -33,7 +34,6 @@ from .numerics import (
     prefix_products,
     read_only,
     rownorm,
-    spline,
 )
 
 __all__ = [
@@ -168,20 +168,21 @@ class TorusNormalField(NormalField):
 class RotationMinimizingField(NormalField):
     """Parallel-transported (rotation-minimizing) reference field.
 
-    Discretized by the double-reflection method (Wang et al. 2008) on a
-    2001-node grid, interpolated componentwise and projected back onto the
-    normal plane of T before normalizing; the derivative uses the
-    defining relation N' = -<T', N> T of a rotation-minimizing frame.  Both
-    reflections depend only on the curve, so each step is one 3x3 matrix
-    built as an array from one jet of the grid; the running products of the
-    steps carry the normal at t = 0 (the principal normal where kappa > 0)
-    to every node.
+    Discretized by the double-reflection method (Wang et al. 2008) on the
+    2001 nodes of ``curve.near_grid``, which need no arc-length inversion.
+    Both reflections depend only on the curve, so each step is one 3x3
+    matrix built as an array from one jet of the nodes; the running products
+    of the steps carry the normal at t = 0 (the principal normal where
+    kappa > 0) to every node.  Between the nodes the normals are a Hermite
+    cubic on their exact slopes, N' = -<T', N> T, the defining relation of a
+    rotation-minimizing frame (Bishop 1975), projected back onto the normal
+    plane of T before normalizing; the derivative uses the same relation.
     """
 
     def __init__(self, curve):
         super().__init__(curve)
-        ts = curve.grid(2001)
-        x, _, tangents, g2, _ = curve.jet(ts)
+        ts, x = curve.near_grid(2001)
+        _, _, tangents, g2, _ = curve.raw_jet(x)
         kappa = rownorm(g2[0])
         if kappa * curve.length > KAPPA_MIN:
             n = g2[0] / kappa  # the principal normal at t = 0
@@ -199,11 +200,12 @@ class RotationMinimizingField(NormalField):
         c = b - r1 * np.vecdot(v1, v2) * a
         steps = np.eye(3)[..., None] - r1 * a[:, None] * a[None] - r2 * b[:, None] * c[None]
         normals = np.vstack([n, np.einsum("ijk,j->ki", prefix_products(steps), n)])
-        self._spline = spline(ts, normals / rownorm(normals)[:, None])
+        normals /= rownorm(normals)[:, None]
+        self._normals = Cubic(ts, normals, -np.vecdot(g2, normals)[:, None] * tangents)
 
     def normal(self, t, jet):
         T = jet[2]
-        n = self._spline(t)
+        n = self._normals(t)
         n = n - np.vecdot(n, T)[..., None] * T  # the interpolant leaves the normal plane between nodes
         N = n / rownorm(n)[..., None]
         return N, -np.vecdot(jet[3], N)[..., None] * T

@@ -4,7 +4,8 @@ All t-integrals in the package run through composite Simpson on uniform
 grids of 4k+1 nodes (:func:`odd_node_count`), so every module sees the same
 O(h^4) accuracy.  Every interpolant is one :class:`Cubic` table in Hermite
 form: on slopes the caller knows (the arc-length table takes the curve
-speeds), or else on the slopes of the not-a-knot cubic spline
+speeds, the rotation-minimizing normals N' = -<T', N> T), or else on the
+slopes of the not-a-knot cubic spline
 (:func:`spline_slopes`, de Boor 1978).  Running products of square
 matrices take a parallel prefix scan (:func:`prefix_products`; Hillis &
 Steele 1986, Blelloch 1990).  Vectors end in an axis of 3, and their cross
@@ -148,9 +149,10 @@ class Cubic:
 
     ``x`` is strictly increasing; ``y`` and ``slopes`` may carry one trailing
     axis.  Calling ``(t, nu=0)`` gives the nu-th derivative, nu = 0..3, at a
-    scalar or an array t; the end pieces extrapolate outside [x_0, x_{n-1}].
-    The table keeps the pieces along its last axis, so each pass of an
-    evaluation runs over the points, whatever the trailing axis of ``y``.
+    scalar or an array t, and ``jet(t)`` the first three from one lookup; the
+    end pieces extrapolate outside [x_0, x_{n-1}].  The table keeps the
+    pieces along its last axis, so each pass of an evaluation runs over the
+    points, whatever the trailing axis of ``y``.
     """
 
     def __init__(self, x, y, slopes):
@@ -165,23 +167,37 @@ class Cubic:
         self._table = np.stack([y[..., :-1], s[..., :-1], (m - s[..., :-1]) / h - c, c / h])
 
     def __call__(self, t, nu=0):
+        d, c = self._pieces(t)
+        return self._y_axis_last(_derivative(nu, d, *c))
+
+    def jet(self, t):
+        """(first, second, third derivative) at t from one interval lookup; each is bitwise ``self(t, nu)``."""
+        d, c = self._pieces(t)
+        return tuple(self._y_axis_last(_derivative(nu, d, *c)) for nu in (1, 2, 3))
+
+    def _pieces(self, t):
+        """d = t - x_i and the coefficients of the piece i that holds each t."""
         t = np.asarray(t, dtype=float)
         i = np.searchsorted(self._breaks, t, side="right")
-        d = t - self.x[i]
-        c0, c1, c2, c3 = np.take(self._table, i, axis=-1)
-        if nu == 0:
-            value = c0 + d * (c1 + d * (c2 + d * c3))
-        elif nu == 1:
-            value = c1 + d * (2.0 * c2 + d * (3.0 * c3))
-        elif nu == 2:
-            value = 2.0 * c2 + d * (6.0 * c3)
-        elif nu == 3:
-            value = 6.0 * c3
-        else:
-            raise ValueError(f"derivative order must be 0..3, got {nu}")
+        return t - self.x[i], np.take(self._table, i, axis=-1)
+
+    def _y_axis_last(self, value):
         if self._table.ndim == 2:
             return value
         return value.transpose(*range(1, value.ndim), 0)  # the trailing axis of y last again
+
+
+def _derivative(nu, d, c0, c1, c2, c3):
+    """The nu-th derivative, nu = 0..3, of c0 + c1 d + c2 d^2 + c3 d^3."""
+    if nu == 0:
+        return c0 + d * (c1 + d * (c2 + d * c3))
+    if nu == 1:
+        return c1 + d * (2.0 * c2 + d * (3.0 * c3))
+    if nu == 2:
+        return 2.0 * c2 + d * (6.0 * c3)
+    if nu == 3:
+        return 6.0 * c3
+    raise ValueError(f"derivative order must be 0..3, got {nu}")
 
 
 def _nodes_last(y):

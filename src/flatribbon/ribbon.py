@@ -9,7 +9,7 @@ developable the result actually is.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -223,20 +223,31 @@ def write_obj(mesh, path):
     """Write the mesh as ASCII Wavefront OBJ (triangles, 1-based indices).
 
     Vertices, normals and faces are one :func:`~flatribbon.textio.lines`
-    table each, floats written as f"{x:.17g}" writes them.  A corner's normal
-    is the one of its vertex's row i, so a corner is "v//n" with n = i + 1.
+    table each, floats written as f"{x:.17g}" writes them.  The face block
+    depends only on the mesh shape, so it is spelled once per shape
+    (:func:`_obj_faces`).
     """
     n_t, n_u, _ = mesh.vertices.shape
+    vertices = mesh.vertices.reshape(-1, 3)
+    with open(path, "wb") as fh:
+        fh.write(lines(vertices.T, ("v ", " ", " ", "\n")))
+        fh.write(lines(mesh.normals.T, ("vn ", " ", " ", "\n")))
+        fh.write(_obj_faces(n_t, n_u))
+
+
+@lru_cache(maxsize=1)
+def _obj_faces(n_t, n_u):
+    """The face block of an n_t x n_u mesh as bytes; the last shape written is kept.
+
+    A corner's normal is the one of its vertex's row i, so a corner is "v//n"
+    with n = i + 1.
+    """
     i, j = np.indices((n_t - 1, n_u - 1), dtype=np.int32)
     a = i * n_u + j + 1  # vertex (i, j), 1-based
     b = a + n_u
     na, nb = i + 1, i + 2
     faces = np.stack([a, na, b, nb, b + 1, nb, a, na, b + 1, nb, a + 1, na], axis=-1).reshape(-1, 6)
-    vertices = mesh.vertices.reshape(-1, 3)
-    with open(path, "wb") as fh:
-        fh.write(lines(vertices.T, ("v ", " ", " ", "\n")))
-        fh.write(lines(mesh.normals.T, ("vn ", " ", " ", "\n")))
-        fh.write(lines(faces.T, ("f ", "//", " ", "//", " ", "//", "\n")))
+    return lines(faces.T, ("f ", "//", " ", "//", " ", "//", "\n"))
 
 
 _RING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
@@ -251,14 +262,13 @@ def angle_defect_gauss(mesh):
     v = mesh.vertices
     n_t, n_u, _ = v.shape
     p = v[1:-1, 1:-1]
-    # the 8 grid neighbours (i + di, j + dj) of every interior vertex, in ring order
-    ring = [v[1 + di : n_t - 1 + di, 1 + dj : n_u - 1 + dj] for di, dj in _RING]
     angle_sum = 0.0
     area = 0.0
     with np.errstate(all="ignore"):
+        # the edges to the 8 grid neighbours (i + di, j + dj) of every interior vertex, in ring order
+        edges = [v[1 + di : n_t - 1 + di, 1 + dj : n_u - 1 + dj] - p for di, dj in _RING]
         for k in range(8):
-            e1 = ring[k] - p
-            e2 = ring[(k + 1) % 8] - p
+            e1, e2 = edges[k], edges[(k + 1) % 8]
             cr = rownorm(cross(e1, e2))
             angle_sum += np.arctan2(cr, np.vecdot(e1, e2))
             area += 0.5 * cr

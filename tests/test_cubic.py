@@ -1,7 +1,8 @@
 """The numpy interpolants and cumulative Simpson against scipy as an oracle.
 
 ``Cubic`` with ``spline_slopes`` must be scipy's not-a-knot ``CubicSpline``
-up to rounding, and ``cumulative_simpson_uniform`` scipy's
+up to rounding, its ``jet`` the three derivative calls bit for bit, and
+``cumulative_simpson_uniform`` scipy's
 ``cumulative_simpson`` on equal intervals.  scipy is imported here only; the package does not use it.
 """
 
@@ -62,6 +63,16 @@ def test_scalar_argument_keeps_the_value_shape(vector):
         assert np.array_equal(cubic(1.3, nu), cubic(np.array([1.3]), nu)[0])
     with pytest.raises(ValueError):
         cubic(1.3, 4)
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("n", [2, 33, 2001])
+def test_jet_is_the_three_derivative_calls_bit_for_bit(n, vector):
+    x = grid(n, True)
+    cubic = spline(x, data(x, vector))
+    for t in (probes(x), 1.3, probes(x).reshape(-1, 1)):
+        for nu, value in zip((1, 2, 3), cubic.jet(t)):
+            assert np.array_equal(value, cubic(t, nu)), nu  # the shape too
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 4001])
