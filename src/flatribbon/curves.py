@@ -33,6 +33,7 @@ from .numerics import simpson_uniform, spline, stencil_difference
 KAPPA_MIN = 1e-9  # bounds kappa L: below it, free of the curve's scale, the Frenet normal/torsion are absent
 NEWTON_STEPS = 3  # of the arc-length inversion; two already reach rounding on the test curves
 LENGTH_ROUNDING = 64 * np.finfo(float).eps  # relative arc-length error estimate that is Simpson's rounding
+_TINY = np.finfo(float).tiny  # the least normal double: speed^5 and the helix's m^3 must reach it
 
 __all__ = [
     "CurveSpec",
@@ -253,14 +254,19 @@ def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8, curve_class=ArcLen
         length = s_table[-1]
         coarse = simpson_uniform(speeds[::2], 2.0 * (nodes[1] - nodes[0]))
         err = abs(length - coarse) / 15.0
+        slowest, fastest = speeds.min(), speeds.max()
+        # raw_jet divides by speed^5; the factor 2 leaves room for the speeds between the nodes
+        low, high = (0.5 * slowest) ** 5, (2.0 * fastest) ** 5
     infinite = ~np.isfinite(speeds)
     if np.any(infinite):
         raise NonRegularCurve(f"curve speed is not finite near parameter {first_where(infinite, nodes):.6g}")
-    if speeds.min() < 1e-12:
-        bad = nodes[int(np.argmin(speeds))]
-        raise NonRegularCurve(f"curve speed vanishes near parameter {bad:.6g}")
     if not np.isfinite(length):
         raise ToleranceNotMet(f"arc length {length:.3e} is not finite")
+    if slowest < 1e-12 * length / (x1 - x0):  # below 1e-12 of the mean speed
+        bad = nodes[int(np.argmin(speeds))]
+        raise NonRegularCurve(f"curve speed vanishes near parameter {bad:.6g}")
+    if not (low >= _TINY and high < np.inf):
+        raise NonRegularCurve(f"curve speeds up to {fastest:.3e} put the chain rule's speed^5 out of range")
     if not err <= max(tol, LENGTH_ROUNDING * length):
         raise ToleranceNotMet(
             f"arc-length error estimate {err:.3e} exceeds tol {tol:.3e}; increase grid_size"
@@ -312,6 +318,9 @@ def make_helix(params):
     if b < 0.0:
         raise InvalidParams("helix reduced pitch b must be nonnegative")
     m = np.hypot(a, b)
+    with np.errstate(over="ignore"):  # the jet's a / m^3
+        if not _TINY <= m**3 < np.inf:
+            raise NonRegularCurve(f"the helix jet's (a^2 + b^2)^(3/2) = {m:.3e}^3 is out of range")
     L = params.arc_length()
 
     def pos(t):
@@ -337,7 +346,6 @@ class TorusKnotParams:
     rho: float = 1.0
     n: int = 3
     grid_size: int = 4001
-    tol: float = 1e-8
 
 
 class TorusKnotCurve(ArcLengthCurve):
@@ -391,9 +399,7 @@ def make_torus_knot(params=TorusKnotParams()):
         )
 
     spec = CurveSpec(pos, (0.0, 2.0 * np.pi), jet=jet, speed=speed)
-    return arc_length_reparametrize(
-        spec, grid_size=params.grid_size, tol=params.tol, curve_class=TorusKnotCurve, params=params
-    )
+    return arc_length_reparametrize(spec, grid_size=params.grid_size, curve_class=TorusKnotCurve, params=params)
 
 
 def curve_from_samples(ts, points, grid_size=1001):

@@ -257,7 +257,7 @@ def case_a_extrema(curve, normal_field, w, n_t=2001):
     A = simpson_uniform(kg**2 - kn**2, h)
     B = simpson_uniform(kg * kn, h)
     K = simpson_uniform(kg**2 + kn**2, h)
-    tiny = 1e-10 * max(K, 1e-30)
+    tiny = 1e-10 * K
     if abs(B) <= tiny and abs(A) <= tiny:
         e = 0.25 * w * K
         return CaseAExtrema(A, B, (), e, e)

@@ -10,7 +10,7 @@ class InvalidParams(FlatRibbonError):
 
 
 class NonRegularCurve(FlatRibbonError):
-    """The curve's speed vanishes (or nearly vanishes) at some parameter."""
+    """The curve's speed vanishes (or nearly vanishes) at some parameter, or its jet overflows."""
 
 
 class ToleranceNotMet(FlatRibbonError):

@@ -116,8 +116,8 @@ def mu_field(curve, normal_field, grid_size=2001):
 def _mu_table(curve, normal_field, ts):
     frame = normal_field.on_grid(len(ts))
     kn, tg = frame.kappa_n, frame.tau_g
-    kn_scale = max(np.max(np.abs(kn)), 1e-30)
-    tg_scale = max(np.max(np.abs(tg)), 1e-30)
+    kn_scale = np.max(np.abs(kn))
+    tg_scale = np.max(np.abs(tg))
     floor = 1e-12 / curve.length
     if kn_scale <= max(floor, 1e-10 * tg_scale):
         # kappa_n vanishes identically at working precision
@@ -240,9 +240,9 @@ def _obj_faces(n_t, n_u):
     """The face block of an n_t x n_u mesh as bytes; the last shape written is kept.
 
     A corner's normal is the one of its vertex's row i, so a corner is "v//n"
-    with n = i + 1.
+    with n = i + 1.  The indices are float cells: below MESH_MAX they spell as '%d'.
     """
-    i, j = np.indices((n_t - 1, n_u - 1), dtype=np.int32)
+    i, j = np.indices((n_t - 1, n_u - 1), dtype=np.float64)
     a = i * n_u + j + 1  # vertex (i, j), 1-based
     b = a + n_u
     na, nb = i + 1, i + 2

@@ -1,8 +1,10 @@
 """Tables as text: the one number writer behind every file the package writes.
 
 :func:`lines` spells a whole table in array arithmetic: float cells come out
-as ``'%.17g' % x``, integer cells as ``'%d' % i`` and str cells unchanged,
-byte for byte, without one Python format call per number.
+as ``'%.17g' % x`` and str cells unchanged, byte for byte, without one Python
+format call per number.  Integers go in as floats (the OBJ face indices):
+below 10^17 they spell as ``'%d'``, and an integer column raises ValueError
+rather than be rounded above 2^53.
 
 %.17g writes a finite non-zero x as the 17 digits of D = round-half-even(|x|
 10^(16-k)), where k is the decimal exponent of D's leading digit: in fixed
@@ -23,8 +25,8 @@ values, |x| outside the scale table (k < -284 or k > 292), those near-ties
 and the rare x whose estimated exponent is off by one (D outside [10^16,
 10^17)) go through Python's own '%.17g', in one call per block.  A table
 with a str column (the three-row energy.csv) or of fewer than
-``SMALL_TABLE`` numeric cells goes through one Python %-format whole: there
-the array steps cost more than they save.
+``SMALL_TABLE`` cells goes through one Python %-format whole: there the
+array steps cost more than they save.
 """
 
 import math
@@ -36,8 +38,8 @@ import numpy as np
 
 __all__ = ["lines"]
 
-BLOCK_CELLS = 2048  # float cells per block (an integer cell counts 1/4): bounds the temporaries of any table
-SMALL_TABLE = 64  # a table of fewer numeric cells goes to Python's %-format whole: the array steps cost more
+BLOCK_CELLS = 2048  # cells per block: bounds the temporaries of any table
+SMALL_TABLE = 64  # a table of fewer cells goes to Python's %-format whole: the array steps cost more
 FLOAT_SLOT = 24  # bytes: the longest '%.17g' of a double, '-2.2250738585072014e-308'
 TIE_GUARD = 2.0**-30  # distance of an inexact product from a half-integer below which Python decides
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
@@ -54,7 +56,7 @@ class _Tables(NamedTuple):
     layout: np.ndarray  # 18 times the slot layout of the cell
     suffix: np.ndarray  # "e-XX" or "e+XXX" in bytes 3..7 of the slot's last word, 0 in fixed point
     # by the value i < 10^4 of a 4-digit group:
-    words: np.ndarray  # 4-byte words [i], [i + 10^4], [2 10^4]: the digits of i; with leading zeros NUL; NUL
+    words: np.ndarray  # 4-byte words [i]: the 4 digits of i, leading zeros kept
     significant: np.ndarray  # the digits of i up to its last non-zero one, 0 if i = 0
     masks: np.ndarray  # [:, code]: the slot words that keep bytes of A and of B, and the point
 
@@ -84,7 +86,7 @@ def _scales():
 
 @cache
 def _tables():
-    """The constant tables of the float and integer spellers, built at first use.
+    """The constant tables of the float speller, built at first use.
 
     A float cell's masks are picked by code = 18 layout + sig, where sig is the count of D's digits
     up to its last non-zero one.
@@ -108,9 +110,7 @@ def _tables():
     digits = np.stack([np.repeat(np.tile(ten, 10**p), 10 ** (3 - p)) for p in range(4)], axis=1)
     nonzero = digits != ord("0")
     significant = np.where(nonzero.any(axis=1), 4 - np.argmax(nonzero[:, ::-1], axis=1), 0)
-    leading = np.where(np.logical_or.accumulate(nonzero, axis=1), digits, np.uint8(0))
-    leading[0, 3] = ord("0")
-    words = np.concatenate([digits, leading, np.zeros((1, 4), np.uint8)]).view("<u4").ravel()
+    words = digits.view("<u4").ravel()
     # The slot: byte 0 the sign (set per cell), bytes 1..22 the text E[:p] + "." + E[p:] from index start
     # to end.  E is "0000" + D with p = 5 + k in fixed point, D itself with p = 1 in exponent notation.
     zeros = np.where(np.arange(22) == _EXPONENT, 0, 4)[:, None, None]
@@ -138,10 +138,10 @@ def _tables():
     )
 
 
-def _python(values, template, width):
-    """The cells of ``values`` spelled by Python's own %-format, as NUL-padded rows of ``width`` bytes."""
-    spelled = (f"{template}\0" * len(values) % tuple(values.tolist())).encode().split(b"\0")[:-1]
-    return np.array(spelled, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+def _python(values):
+    """'%.17g' per entry of ``values`` by Python's own %-format, as NUL-padded rows of FLOAT_SLOT bytes."""
+    spelled = ("%.17g\0" * len(values) % tuple(values.tolist())).encode().split(b"\0")[:-1]
+    return np.array(spelled, dtype=f"S{FLOAT_SLOT}").view(np.uint8).reshape(-1, FLOAT_SLOT)
 
 
 def _float_cells(x):
@@ -216,53 +216,8 @@ def _float_cells(x):
     out = np.ascontiguousarray(pick_a.T).view(np.uint8)
     slow = ~fast
     if slow.any():
-        out[slow] = _python(x[slow], "%.17g", FLOAT_SLOT)
+        out[slow] = _python(x[slow])
     return out
-
-
-def _int_cells(v):
-    """'%d' % v per entry of the int64 array v, as NUL-padded rows of 4 g bytes (g groups of 4 digits).
-
-    The rows have one byte more, for the sign, where some v is negative.
-    """
-    words = _tables().words
-    m = np.abs(v)
-    slow = m < 0  # -2^63, whose magnitude int64 does not hold
-    n_groups = 5
-    if slow.any():
-        np.copyto(m, 0, where=slow)
-    else:
-        n_groups = (len(str(int(m.max()))) + 3) // 4
-    # group g counts 10^(4 (n_groups - 1 - g)); a leading group takes the NUL-led words, a zero one above it NUL
-    index = np.empty((n_groups, len(v)), np.intp)
-    above = None
-    for g in range(n_groups):
-        place = 10 ** (4 * (n_groups - 1 - g))
-        full = m // place
-        q = index[g]
-        if above is None:
-            np.add(full, 10**4, out=q)
-        else:
-            np.subtract(full, above * 10**4, out=q)
-            q += (m < place * 10**4) * 10**4
-        if g < n_groups - 1:
-            q += (m < place) * 10**4
-        above = full
-    negative = v < 0
-    sign = int(negative.any())  # a sign byte only where some cell needs one
-    out = np.empty((len(v), sign + 4 * n_groups), np.uint8)
-    out[:, sign:] = words.take(index.T).view(np.uint8)
-    if sign:
-        out[:, 0] = negative * ord("-")
-    if slow.any():
-        out[slow] = _python(v[slow], "%d", out.shape[1])
-    return out
-
-
-_SPELL = {"f": _float_cells, "i": _int_cells}
-_DTYPE = {"f": np.float64, "i": np.int64}
-_KIND = {"f": "f", "i": "i", "u": "i"}  # by numpy dtype kind; any other column is text
-_FORMAT = {"f": "%.17g", "i": "%d", "s": "%s"}
 
 
 def _no_nul(texts):
@@ -271,47 +226,45 @@ def _no_nul(texts):
     return texts
 
 
-def _python_table(kinds, columns, separators):
-    """The table through one Python %-format, for text tables and tables below SMALL_TABLE numeric cells."""
-    line = "".join(sep.replace("%", "%%") + _FORMAT[k] for sep, k in zip(separators, kinds))
+def _python_table(floats, columns, separators):
+    """The table through one Python %-format, for text tables and tables below SMALL_TABLE cells."""
+    line = "".join(sep.replace("%", "%%") + ("%.17g" if f else "%s") for sep, f in zip(separators, floats))
     line += separators[-1].replace("%", "%%")
-    cells = [c.tolist() if k != "s" else _no_nul(c) for k, c in zip(kinds, columns)]
+    cells = [c.tolist() if f else _no_nul(c) for f, c in zip(floats, columns)]
     return (line * len(cells[0]) % tuple(chain.from_iterable(zip(*cells)))).encode()
 
 
 def lines(columns, separators):
     """The table as bytes: one line per row, separators[i] before column i and separators[-1] after the last.
 
-    ``columns`` are equal-length float or integer arrays, written as '%.17g'
-    and '%d' (integers within int64), or sequences of str, written as they
-    are (UTF-8).  Text cells and separators must not contain NUL.
+    ``columns`` are equal-length float arrays, written as '%.17g', or
+    sequences of str, written as they are (UTF-8).  An integer, bool or
+    complex array raises ValueError: give integers as floats, which spell as
+    '%d' below 10^17 and are exact to 2^53.  Text cells and separators must
+    not contain NUL.
     """
     if len(separators) != len(columns) + 1 or len(columns) == 0:
         raise ValueError("lines needs at least one column and one separator more than columns")
-    kinds = [_KIND.get(c.dtype.kind, "s") if isinstance(c, np.ndarray) else "s" for c in columns]
-    n = len(columns[0])
-    if "s" in kinds or n * len(kinds) < SMALL_TABLE:
-        return _python_table(kinds, columns, _no_nul(separators))
+    kinds = [c.dtype.kind if isinstance(c, np.ndarray) else "s" for c in columns]
+    if any(k in "biuc" for k in kinds):
+        raise ValueError("lines takes float and text columns: give integers as float64, exact to 2^53")
+    floats = [k == "f" for k in kinds]
+    n, width = len(columns[0]), len(columns)
+    if not all(floats) or n * width < SMALL_TABLE:
+        return _python_table(floats, columns, _no_nul(separators))
     seps = [np.frombuffer(s.encode(), np.uint8) for s in _no_nul(separators)]
-    picked = {kind: [i for i, k in enumerate(kinds) if k == kind] for kind in _SPELL}
-    step = max(1, int(BLOCK_CELLS / max(1.0, len(picked["f"]) + len(picked["i"]) / 4)))
+    step = max(1, BLOCK_CELLS // width)
     chunks = []
     for r0 in range(0, n, step):
-        r1 = min(n, r0 + step)
-        cells = [values[r0:r1] for values in columns]
-        for kind, spell in _SPELL.items():
-            if picked[kind]:
-                values = np.stack([cells[i] for i in picked[kind]], axis=1, dtype=_DTYPE[kind])
-                spelled = spell(values.ravel()).reshape(r1 - r0, len(picked[kind]), -1)
-                for m, i in enumerate(picked[kind]):
-                    cells[i] = spelled[:, m]
-        block = np.empty((r1 - r0, sum(map(len, seps)) + sum(c.shape[1] for c in cells)), np.uint8)
+        values = np.stack([c[r0 : r0 + step] for c in columns], axis=1, dtype=np.float64)
+        cells = _float_cells(values.ravel()).reshape(len(values), width, FLOAT_SLOT)
+        block = np.empty((len(values), sum(map(len, seps)) + width * FLOAT_SLOT), np.uint8)
         pos = 0
-        for sep, cell in zip(seps, cells + [None]):
+        for m, sep in enumerate(seps):
             block[:, pos : pos + len(sep)] = sep
             pos += len(sep)
-            if cell is not None:
-                block[:, pos : pos + cell.shape[1]] = cell
-                pos += cell.shape[1]
+            if m < width:
+                block[:, pos : pos + FLOAT_SLOT] = cells[:, m]
+                pos += FLOAT_SLOT
         chunks.append(block.tobytes().translate(None, b"\0"))
     return b"".join(chunks)

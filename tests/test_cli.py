@@ -240,6 +240,24 @@ def test_overflowing_curve_exit_code(tmp_path, capsys, command):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["energy", "build", "solve"])
+@pytest.mark.parametrize(
+    "body",
+    ["kind = helix\na = 1e103\n", "kind = torus_knot\nR = 2e62\nrho = 1e62\nn = 3\nnormal = torus_normal\n"],
+    ids=["helix_a1e103", "knot_R2e62"],
+)
+def test_overflowing_jet_exit_code(tmp_path, capsys, command, body):
+    # the helix jet's a / m^3 and the arc-length chain rule's speed^5 overflow: once a RuntimeWarning,
+    # and without the warning a silently dropped term of the third derivative
+    cfg = write_cfg(tmp_path, body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "out of range" in err and "Warning" not in err
+    assert len(err.splitlines()) == 1
+
+
 def test_build_width_below_mesh_resolution_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, KNOT_CFG)
     with warnings.catch_warnings():
@@ -607,28 +625,48 @@ def _energy_rows(path):
     return [line.split(",") for line in path.read_text().splitlines()[1:]]
 
 
-@pytest.mark.parametrize(
-    "scale, normal",
-    [(1e8, "torus_normal"), (1e10, "torus_normal"), (1e10, "principal")],
-    ids=["100000000.0", "10000000000.0", "principal-10000000000.0"],
-)
-def test_scaled_knot_gives_the_unscaled_energies(tmp_path, scale, normal):
-    # the arc-length error test, the flatness test and the curvature floor are relative to the length,
-    # so the scale drops out
-    with open(EXAMPLE) as fh:
-        text = fh.read().replace("normal = torus_normal", f"normal = {normal}")
-    assert f"normal = {normal}\n" in text
-    scaled = text.replace("R = 2.0", f"R = {2.0 * scale:g}").replace("rho = 1.0", f"rho = {scale:g}")
-    assert f"R = {2.0 * scale:g}\nrho = {scale:g}\n" in scaled
+def _unscaled_and_scaled_energies(tmp_path, text, scaled):
+    """The energy.csv rows of `energy` on both config texts, any warning an error."""
     rows = []
-    for name, body in (("knot.cfg", text), ("scaled.cfg", scaled)):
+    for name, body in (("unscaled.cfg", text), ("scaled.cfg", scaled)):
         out = tmp_path / name.replace(".cfg", "")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["energy", "--config", write_cfg(tmp_path, body, name), "--out", str(out)]) == 0
         rows.append(_energy_rows(out / "energy.csv"))
-    unscaled, rescaled = rows
+    return rows
+
+
+@pytest.mark.parametrize(
+    "scale, normal",
+    [(1e8, "torus_normal"), (1e10, "torus_normal"), (1e10, "principal")]
+    + [(s, "torus_normal") for s in (1e-20, 1e-13, 1e40, 1e60)],
+    ids=["100000000.0", "10000000000.0", "principal-10000000000.0", "1e-20", "1e-13", "1e+40", "1e+60"],
+)
+def test_scaled_knot_gives_the_unscaled_energies(tmp_path, scale, normal):
+    # the arc-length error and speed tests, the flatness test, the curvature floor and the slope
+    # table's kappa_n test are relative to the length, so the scale drops out
+    with open(EXAMPLE) as fh:
+        text = fh.read().replace("normal = torus_normal", f"normal = {normal}")
+    assert f"normal = {normal}\n" in text
+    scaled = text.replace("R = 2.0", f"R = {2.0 * scale:g}").replace("rho = 1.0", f"rho = {scale:g}")
+    assert f"R = {2.0 * scale:g}\nrho = {scale:g}\n" in scaled
+    unscaled, rescaled = _unscaled_and_scaled_energies(tmp_path, text, scaled)
     assert [r[4] for r in rescaled] == [r[4] for r in unscaled] == ["closed_form", "quadrature", "limit_formula"]
     for got, want in zip(rescaled, unscaled):
         assert float(got[3]) == pytest.approx(float(want[3]), rel=1e-9)
         assert float(got[2]) == pytest.approx(scale * float(want[2]), rel=1e-9)  # w scales with the knot
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e40])
+def test_scaled_helix_gives_the_unscaled_energies(tmp_path, scale):
+    # the slope table once floored sup|kappa_n| at 1e-30, so at a = b = 1e40 every node took the
+    # L'Hopital extension and the run ended in ExtensionOrderExceeded
+    scaled = HELIX_CFG.replace("a = 1.0", f"a = {scale:g}").replace("b = 1.0", f"b = {scale:g}")
+    scaled = scaled.replace("width = 0.1", f"width = {0.1 * scale:g}")
+    assert f"a = {scale:g}\nb = {scale:g}\n" in scaled and f"width = {0.1 * scale:g}\n" in scaled
+    unscaled, rescaled = _unscaled_and_scaled_energies(tmp_path, HELIX_CFG, scaled)
+    assert [r[4] for r in rescaled] == [r[4] for r in unscaled] and len(unscaled) == 3
+    for got, want in zip(rescaled, unscaled):
+        assert float(got[3]) == pytest.approx(float(want[3]), rel=1e-9)
+        assert float(got[2]) == pytest.approx(scale * float(want[2]), rel=1e-9)

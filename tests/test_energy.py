@@ -373,6 +373,19 @@ def test_case_a_and_ratio_gates_are_scale_free(s):
     assert energy_bound(h, pn, pn, 0.1 * s, n_t=201).ratio_bound == 1.0
 
 
+@pytest.mark.parametrize("s", [1e-13, 1.0, 1e40])
+def test_case_a_extrema_are_scale_free(s):
+    # the helix a = b = s over 0.9 of a turn, rotated by -tau t: the extrema at w = 0.1 s are free of s.
+    # The test of A and B against 1e-10 K once floored K at 1e-30, so at s = 1e40 (K = 2.0e-40)
+    # the extrema read as independent of q
+    h = make_helix(HelixParams(s, s, length=0.9 * 2 * np.pi * np.sqrt(2) * s))
+    field = RotatedNormalField(PrincipalNormalField(h), lambda t: -0.5 / s * t, lambda t: -0.5 / s)
+    ex = case_a_extrema(h, field, 0.1 * s, n_t=201)
+    assert len(ex.q_candidates) == 2
+    assert ex.q_candidates == pytest.approx((0.42850099537637, 1.9992973221713), rel=1e-9)
+    assert (ex.e_max, ex.e_min) == pytest.approx((0.059430972519724, 0.040533893588839), rel=1e-9)
+
+
 # ---------------------------------------------------------------- Case B
 
 

@@ -1,8 +1,8 @@
 """The array-to-text kernel writes exactly what Python's %-format writes.
 
-Float cells must match '%.17g' % x and integer cells '%d' % i byte for
-byte; tables shorter than ``SMALL_TABLE`` cells are repeated up to it, so the
-array path runs and not only Python's %-format.
+Float cells must match '%.17g' % x byte for byte, and integer-valued ones
+(OBJ face indices) '%d' % i; tables shorter than ``SMALL_TABLE`` cells are
+repeated up to it, so the array path runs and not only Python's %-format.
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatribbon import textio
+from flatribbon.config import MESH_MAX
 from flatribbon.textio import lines
 
 EDGES = [
@@ -73,24 +74,35 @@ def test_hypothesis_floats_match_percent_17g(values):
     assert spelled(block) == expected(block)
 
 
-def test_integers_match_percent_d():
-    rng = np.random.default_rng(7)
-    edges = np.array([0, 1, -1, 9, 10, 9999, 10_000, -10_000, 2**31, 2**53 + 1, -(2**63), 2**63 - 1], np.int64)
-    for values in (
-        np.concatenate([edges, rng.integers(-(2**63), 2**63 - 1, 5000, dtype=np.int64, endpoint=True)]),
-        rng.integers(0, 4000, 5000),  # the face indices of a mesh: one 4-digit group, no sign
+def test_integer_valued_floats_match_percent_d():
+    # every face index a mesh within MESH_MAX can hold, and integers out to +-2^53, as float cells
+    edges = np.array([0, 1, -1, 9, 10, 9999, 10_000, -10_000, 2**31, 2**52 + 1, 2**53 - 1, 2**53, -(2**53)])
+    for ints in (
+        np.arange(MESH_MAX + 1),
         np.resize(edges, 2 * textio.SMALL_TABLE),
-        np.resize(edges, 4 * textio.BLOCK_CELLS + 1),  # a last block of one cell
-        edges,
+        np.resize(edges, textio.BLOCK_CELLS + 1),  # a last block of one cell
+        edges,  # below SMALL_TABLE: Python's %-format
     ):
-        got = lines([values], ("", "\n")).decode().split("\n")[:-1]
-        assert got == ["%d" % i for i in values.tolist()]
+        got = lines([ints.astype(np.float64)], ("", "\n")).decode().split("\n")[:-1]
+        assert got == ["%d" % i for i in ints.tolist()]
+
+
+def test_integer_column_is_rejected():
+    # int64 above 2^53 has no float64 of the same value: lines raises rather than round it
+    for ints in (np.arange(3), np.arange(2 * textio.SMALL_TABLE, dtype=np.uint32), np.array([2**53 + 1] * 100)):
+        with pytest.raises(ValueError, match="float and text"):
+            lines([ints], ("", "\n"))
+        with pytest.raises(ValueError, match="float and text"):
+            lines([ints.astype(np.float64), ints], ("", ",", "\n"))
+    for other in (np.ones(3, bool), np.ones(3, complex)):  # once a TypeError from the text path
+        with pytest.raises(ValueError, match="float and text"):
+            lines([other], ("", "\n"))
 
 
 def test_mixed_columns_and_separators(monkeypatch):
     x = np.linspace(-2.0, 3.0, 150)
-    i = np.arange(150, dtype=np.int32) - 70
-    # float and int columns in one table, 450 numeric cells: the array kernel, never the %-format
+    i = np.arange(150.0) - 70
+    # three float columns, one of them integer-valued, 450 cells: the array kernel, never the %-format
     with monkeypatch.context() as m:
         m.setattr(textio, "_python_table", None)
         numeric = lines([x, i, x * 1e-9], ("<", ",", "|", ">\n"))
@@ -103,7 +115,7 @@ def test_mixed_columns_and_separators(monkeypatch):
     want = "".join("<%s,%.17g|%d%%;%.17g>\n" % row for row in rows)
     assert 3 * len(x) > textio.SMALL_TABLE and got == want.encode()
     # a table below SMALL_TABLE goes through one %-format, so a % in a separator or cell stays literal
-    small = lines([["a%s", "%d"], np.array([1.5, -0.0]), np.array([2, -3])], ("%", ",", ";", "%%\n"))
+    small = lines([["a%s", "%d"], np.array([1.5, -0.0]), np.array([2.0, -3.0])], ("%", ",", ";", "%%\n"))
     assert small == b"%a%s,1.5;2%%\n%%d,-0;-3%%\n"
 
 
