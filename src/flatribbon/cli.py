@@ -22,7 +22,6 @@ import numpy as np
 from . import angleivp, energy, validate
 from .config import RunConfig, build_base_field, build_curve, check_domains, parse_config, set_value, write_csv
 from .errors import ConfigError, FlatRibbonError
-from .frames import RotatedNormalField
 from .ribbon import angle_defect_gauss, construct_ribbon, flatness_residuals, max_regular_width, tessellate, write_obj
 
 
@@ -62,7 +61,7 @@ def _solved_field(cfg, base):
 def _field(cfg, curve):
     base = build_base_field(cfg, curve)
     if cfg.q == 0.0 and cfg.phi == "base":
-        return RotatedNormalField(base, 0.0)  # theta = 0 solves the same-angle IVP exactly
+        return base  # theta = 0 solves the same-angle IVP exactly
     return _solved_field(cfg, base)[0]
 
 

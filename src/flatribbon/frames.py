@@ -31,7 +31,6 @@ from .numerics import (
     first_where,
     nested_stride,
     odd_node_count,
-    prefix_products,
     read_only,
     rownorm,
 )
@@ -170,13 +169,14 @@ class RotationMinimizingField(NormalField):
 
     Discretized by the double-reflection method (Wang et al. 2008) on the
     2001 nodes of ``curve.near_grid``, which need no arc-length inversion.
-    Both reflections depend only on the curve, so each step is one 3x3
-    matrix built as an array from one jet of the nodes; the running products
-    of the steps carry the normal at t = 0 (the principal normal where
-    kappa > 0) to every node.  Between the nodes the normals are a Hermite
-    cubic on their exact slopes, N' = -<T', N> T, the defining relation of a
-    rotation-minimizing frame (Bishop 1975), projected back onto the normal
-    plane of T before normalizing; the derivative uses the same relation.
+    A step's two reflections depend only on the curve and turn one node's
+    normal plane onto the next by an angle, read in the frames u = T x e /
+    |T x e|, v = T x u (e the axis least aligned with T); the normal at
+    t = 0 (the principal normal where kappa > 0) turns by their cumulative
+    sum (Bishop 1975).  Between the nodes the normals are a Hermite cubic
+    on their exact slopes, N' = -<T', N> T, the defining relation of a
+    rotation-minimizing frame, projected back onto the normal plane of T
+    before normalizing; the derivative uses the same relation.
     """
 
     def __init__(self, curve):
@@ -190,17 +190,20 @@ class RotationMinimizingField(NormalField):
             n = np.array([0.0, 1.0, 0.0] if abs(tangents[0, 2]) > 0.9 else [0.0, 0.0, 1.0])
         n = n - np.dot(n, tangents[0]) * tangents[0]
         n /= np.linalg.norm(n)
-        # reflect in the chord v1, then in v2 = T_{i+1} - (T_i reflected in v1)
+        # a frame (u, v) of each normal plane: u along T x e, e the axis least aligned with T, so |T x e| >= sqrt(2/3)
+        u = cross(tangents, np.eye(3)[np.argmin(np.abs(tangents), axis=1)])
+        u /= rownorm(u)[:, None]
+        v = cross(tangents, u)
+        # reflect u_i in the chord v1, then in v2 = T_{i+1} - (T_i reflected in v1); read its angle in (u, v)_{i+1}
         v1 = np.diff(curve.spec.point(x), axis=0)
         r1 = 2.0 / np.vecdot(v1, v1)
         v2 = tangents[1:] - (tangents[:-1] - (r1 * np.vecdot(v1, tangents[:-1]))[:, None] * v1)
-        r2 = 2.0 / np.vecdot(v2, v2)
-        # step i: (I - r2 v2 v2^T)(I - r1 v1 v1^T) = I - r1 v1 v1^T - r2 v2 (v2 - r1 <v1, v2> v1)^T
-        a, b = v1.T, v2.T
-        c = b - r1 * np.vecdot(v1, v2) * a
-        steps = np.eye(3)[..., None] - r1 * a[:, None] * a[None] - r2 * b[:, None] * c[None]
-        normals = np.vstack([n, np.einsum("ijk,j->ki", prefix_products(steps), n)])
-        normals /= rownorm(normals)[:, None]
+        w = u[:-1] - (r1 * np.vecdot(v1, u[:-1]))[:, None] * v1
+        w -= (2.0 / np.vecdot(v2, v2) * np.vecdot(v2, w))[:, None] * v2
+        delta = np.arctan2(np.vecdot(w, v[1:]), np.vecdot(w, u[1:]))
+        alpha = np.cumsum(np.concatenate([[np.arctan2(np.dot(n, v[0]), np.dot(n, u[0]))], delta]))
+        normals = np.cos(alpha)[:, None] * u + np.sin(alpha)[:, None] * v
+        normals[0] = n  # the seed itself
         self._normals = Cubic(ts, normals, -np.vecdot(g2, normals)[:, None] * tangents)
 
     def normal(self, t, jet):

@@ -6,10 +6,11 @@ O(h^4) accuracy.  Every interpolant is one :class:`Cubic` table in Hermite
 form: on slopes the caller knows (the arc-length table takes the curve
 speeds, the rotation-minimizing normals N' = -<T', N> T), or else on the
 slopes of the not-a-knot cubic spline
-(:func:`spline_slopes`, de Boor 1978).  Running products of square
-matrices take a parallel prefix scan (:func:`prefix_products`; Hillis &
-Steele 1986, Blelloch 1990).  Vectors end in an axis of 3, and their cross
-product is :func:`cross`, bitwise ``np.cross`` without its axis handling.
+(:func:`spline_slopes`, de Boor 1978).  The running products of the
+theta flow's RK4 step matrices take a parallel prefix scan
+(:func:`prefix_products`; Hillis & Steele 1986, Blelloch 1990).  Vectors
+end in an axis of 3, and their cross product is :func:`cross`, bitwise
+``np.cross`` without its axis handling.
 """
 
 import numpy as np
@@ -317,13 +318,13 @@ def prefix_products(m):
     ``m`` has shape (r, r, ..., n): matrix k is ``m[:, :, ..., k]`` and the
     axes between are batch axes.  Inclusive Hillis-Steele scan: the pass of
     offset d = 1, 2, 4, ... multiplies every product from entry d on by the
-    product d entries earlier, so log2 n einsum passes run over the
-    contiguous last axis.  Each
+    product d entries earlier, so log2 n einsum passes run over the last
+    axis, contiguous in the C-ordered copy the scan takes of ``m``.  Each
     pass divides every product by its largest entry.  A positive factor keeps
     the direction of every image vector, and the entries stay at most r in
     size, so a hyperbolic flow cannot overflow.
     """
-    p = np.array(m, dtype=float)
+    p = np.array(m, dtype=float, order="C")
     d = 1
     while d < p.shape[-1]:
         p[..., d:] = np.einsum("ij...,jk...->ik...", p[..., d:], p[..., :-d])

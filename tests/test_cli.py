@@ -13,7 +13,7 @@ from flatribbon.angleivp import solved_rotation_field
 from flatribbon.config import GRID_MIN, parse_config, write_csv
 from flatribbon.energy import bending_energy_closed, bending_energy_quadrature, limit_energy
 from flatribbon.errors import ConfigError
-from flatribbon.frames import RotationMinimizingField
+from flatribbon.frames import RotatedNormalField, RotationMinimizingField
 from flatribbon.ribbon import angle_defect_gauss, construct_ribbon, flatness_residuals, tessellate
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -471,6 +471,17 @@ def test_solve_writes_theta_table(tmp_path):
     assert len(rows) == 401
     t0, theta0, _ = (float(x) for x in rows[0].split(","))
     assert t0 == 0.0 and theta0 == pytest.approx(np.pi / 2, abs=1e-12)
+
+
+def test_zero_q_builds_on_the_base_field_itself(tmp_path, monkeypatch):
+    # theta = 0 solves the same-angle IVP exactly, so no frame sample pays a rotation by zero
+    calls = []
+    for name in ("sample", "_grid_sample"):
+        original = getattr(RotatedNormalField, name)
+        monkeypatch.setattr(RotatedNormalField, name, lambda self, ts, f=original: calls.append(1) or f(self, ts))
+    monkeypatch.chdir(ROOT)  # the samples config names its csv relative to the repo root
+    assert run(["build", "--config", "examples/samples_rmf.cfg", "--out", str(tmp_path), "--q", "0"]) == 0
+    assert calls == []
 
 
 def test_numeric_phi_applies_at_zero_q(tmp_path, monkeypatch):

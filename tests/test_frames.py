@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatribbon.angleivp import integrated_torsion
 from flatribbon.curves import HelixParams, TorusKnotParams, frenet_data, make_helix, make_torus_knot
 from flatribbon.errors import InvalidParams, NonOrthogonalNormal, VanishingCurvature
 from flatribbon.frames import (
@@ -19,6 +20,7 @@ from flatribbon.frames import (
     sampled_scalars,
 )
 from flatribbon.numerics import central_difference
+from test_build_path import samples_rmf_curve
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -247,6 +249,44 @@ def test_rotation_minimizing_field_seeds_a_scaled_knot_alike(knot):
     ts = knot.grid(51)
     got = RotationMinimizingField(scaled).sample(ts * 1e10).N
     assert np.max(np.abs(got - RotationMinimizingField(knot).sample(ts).N)) <= 1e-9
+
+
+def frenet_angle(field, ts):
+    """The angle beta of the field's normal in the Frenet frame: N = cos(beta) P + sin(beta) B."""
+    fd = frenet_data(field.curve, ts)
+    N = field.sample(ts).N
+    return np.arctan2(np.vecdot(N, fd.binormal), np.vecdot(N, fd.principal_normal))
+
+
+def mod_two_pi(angle):
+    return np.remainder(angle + np.pi, 2.0 * np.pi) - np.pi
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0)])
+def test_rotation_minimizing_field_turns_against_the_frenet_frame_on_helices(a, b):
+    # N' = -<T', N> T makes beta' = -tau, and the seed is the principal normal, so beta = -tau t
+    helix = make_helix(HelixParams(a, b))
+    ts = helix.grid(401)
+    beta = frenet_angle(RotationMinimizingField(helix), ts)
+    assert np.max(np.abs(mod_two_pi(beta + b / (a * a + b * b) * ts))) <= 1e-12
+
+
+def test_rotation_minimizing_field_turns_by_the_integrated_torsion_on_the_knot(knot):
+    ts = knot.grid(401)
+    beta = frenet_angle(RotationMinimizingField(knot), ts)
+    assert np.max(np.abs(mod_two_pi(beta + integrated_torsion(knot)(ts)))) <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["torus_knot", "samples_rmf_cfg"])
+def test_rotation_minimizing_node_normals_are_unit_and_normal(name, knot, monkeypatch):
+    curve = knot if name == "torus_knot" else samples_rmf_curve(monkeypatch)
+    ts, x = curve.near_grid(2001)  # the field's nodes
+    T = curve.raw_jet(x)[2]
+    axes = np.argmin(np.abs(T), axis=1)  # the axis each node's normal-plane frame is built from
+    assert np.count_nonzero(np.diff(axes)) >= 10
+    N = RotationMinimizingField(curve)._normals(ts)
+    assert np.max(np.abs(np.linalg.norm(N, axis=1) - 1.0)) <= 1e-15
+    assert np.max(np.abs(np.vecdot(N, T))) <= 1e-15
 
 
 def test_sampled_scalars_matches_direct_evaluation(knot, torus_field, rng):

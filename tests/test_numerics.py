@@ -140,6 +140,14 @@ def test_prefix_products_take_batch_axes():
     np.testing.assert_array_equal(got[:, :, 1, 0], [[0.0, -1.0], [1.0, 0.0]])
 
 
+def test_prefix_products_scan_a_c_ordered_copy():
+    steps = np.random.default_rng(7).normal(size=(2000, 3, 3)).T  # (3, 3, 2000) in the transposed layout, its last axis strided
+    assert not steps.flags.c_contiguous
+    got = prefix_products(steps)
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got, prefix_products(np.ascontiguousarray(steps)))
+
+
 def assert_same_bits(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
