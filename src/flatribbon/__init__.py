@@ -13,7 +13,6 @@ from .curves import (
     HelixParams,
     TorusKnotParams,
     arc_length_reparametrize,
-    frenet_data,
     make_helix,
     make_torus_knot,
 )

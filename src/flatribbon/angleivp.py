@@ -29,7 +29,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import check_curvature, frenet_data
 from .errors import NormalCurvatureZero, StepSizeUnderflow
 from .numerics import arccot, cumulative_simpson_uniform, first_where, nested_stride, prefix_products, read_only, spline
 
@@ -148,11 +147,6 @@ class ThetaSolution:
         # exact along the solution: theta' = F(t, theta(t))
         s = nested_stride(self.ts, t)
         return self.rhs(t, self._spline(t)) if s is None else self.derivatives[::s]
-
-    def ode_residual(self):
-        """Sup of |theta' - F(t, theta)| at grid midpoints, via interpolation."""
-        mids = 0.5 * (self.ts[:-1] + self.ts[1:])
-        return float(np.max(np.abs(self._spline(mids, 1) - self.rhs(mids, self._spline(mids)))))
 
 
 def _coefficient_table(rhs, nodes):
@@ -321,8 +315,8 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
     4n+1 stage nodes, n = grid_size.  F reads the scalars through
     ``sampled_scalars(base_field, 4n + 1)``, taken first so that the field's
     coarser grid tables nest in its table as views: the coefficient table is
-    exact on the stage nodes, and off them (``ThetaSolution.derivative`` and
-    ``ode_residual`` elsewhere) F samples the base field.  The base field
+    exact on the stage nodes, and off them (``ThetaSolution.derivative`` at
+    other t) F samples the base field.  The base field
     keeps one :class:`ThetaFlow` per form (same-angle, prescribed, base
     angle) and n next to its grid tables, and a call whose table equals the
     kept flow's bitwise reads q off it with no new scan; any other table
@@ -354,9 +348,13 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
 
 
 def integrated_torsion(curve):
-    """psi(t) = integral of the Frenet torsion from 0 to t, as a spline through a 2001-node table."""
+    """psi(t) = integral of the Frenet torsion from 0 to t, as a spline through a 2001-node table.
+
+    The torsion is tau_g of the principal normal, whose sample raises
+    VanishingCurvature unless kappa L > KAPPA_MIN.
+    """
+    from .frames import PrincipalNormalField
+
     ts = curve.grid(2001)
-    fd = frenet_data(curve, ts)
-    check_curvature(fd.kappa, ts, curve.length)  # the torsion needs kappa L > KAPPA_MIN
-    table = cumulative_simpson_uniform(fd.tau, ts[1] - ts[0])
+    table = cumulative_simpson_uniform(PrincipalNormalField(curve).on_grid(2001).tau_g, ts[1] - ts[0])
     return spline(ts, table)

@@ -22,12 +22,12 @@ Evaluators take a scalar or an array of parameters; vectors gain a trailing axis
 every table on the n-node grid is taken at the same array of t.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParams, NonRegularCurve, ToleranceNotMet, VanishingCurvature
-from .numerics import Cubic, cross, cumulative_simpson_uniform, first_where, odd_node_count, rownorm
+from .numerics import Cubic, cumulative_simpson_uniform, first_where, odd_node_count, rownorm
 from .numerics import simpson_uniform, spline, stencil_difference
 
 KAPPA_MIN = 1e-9  # bounds kappa L: below it, free of the curve's scale, the Frenet normal/torsion are absent
@@ -38,16 +38,13 @@ _TINY = np.finfo(float).tiny  # the least normal double: speed^5 and the helix's
 __all__ = [
     "CurveSpec",
     "ArcLengthCurve",
-    "FrenetData",
     "HelixParams",
     "TorusKnotParams",
     "arc_length_reparametrize",
-    "frenet_data",
     "check_curvature",
     "make_helix",
     "make_torus_knot",
     "curve_from_samples",
-    "is_locally_nonplanar",
 ]
 
 
@@ -115,21 +112,6 @@ class CurveSpec:
         if value.shape != np.shape(x):
             raise InvalidParams(f"a speed map returned shape {value.shape} for parameters of shape {np.shape(x)}")
         return value[()]
-
-
-@dataclass(frozen=True)
-class FrenetData:
-    """Frenet data at an arc-length parameter or along a grid of them.
-
-    Where the curvature (nearly) vanishes, ``principal_normal``, ``binormal``
-    and ``tau`` are NaN; a scalar parameter is the zero-dimensional grid.
-    """
-
-    tangent: np.ndarray
-    kappa: float | np.ndarray
-    tau: float | np.ndarray
-    principal_normal: np.ndarray
-    binormal: np.ndarray
 
 
 class ArcLengthCurve:
@@ -269,7 +251,7 @@ def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8, curve_class=ArcLen
         raise NonRegularCurve(f"curve speeds up to {fastest:.3e} put the chain rule's speed^5 out of range")
     if not err <= max(tol, LENGTH_ROUNDING * length):
         raise ToleranceNotMet(
-            f"arc-length error estimate {err:.3e} exceeds tol {tol:.3e}; increase grid_size"
+            f"arc-length error estimate {err:.3e} of the {n}-node table exceeds tol {tol:.3e}"
         )
     return curve_class(curve, length, raw_nodes=nodes, s_table=s_table, speeds=speeds, **extra)
 
@@ -279,17 +261,6 @@ def check_curvature(kappa, t, length):
     flat = kappa * length <= KAPPA_MIN
     if np.any(flat):
         raise VanishingCurvature(f"curvature vanishes at t={first_where(flat, t):.6g}")
-
-
-def frenet_data(curve, t):
-    """Tangent, curvature, torsion, and Frenet normals at arc length t (or a grid)."""
-    _, _, g1, g2, g3 = curve.jet(t)
-    kappa = rownorm(g2)
-    flat = kappa * curve.length <= KAPPA_MIN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pn = np.where(flat[..., None], np.nan, g2 / kappa[..., None])
-        tau = np.where(flat, np.nan, np.vecdot(cross(g1, g2), g3) / np.float_power(kappa, 2))[()]
-    return FrenetData(g1, kappa, tau, pn, cross(g1, pn))
 
 
 @dataclass(frozen=True)
@@ -415,30 +386,3 @@ def curve_from_samples(ts, points, grid_size=1001):
     cubic = spline(ts, points)
     spec = CurveSpec(cubic, (ts[0], ts[-1]), jet=cubic.jet, speed=lambda x: rownorm(cubic(x, 1)))
     return arc_length_reparametrize(spec, grid_size=grid_size)
-
-
-@dataclass(frozen=True)
-class NonplanarityReport:
-    nonplanar: bool
-    witness: tuple[float, float] | None = None
-
-
-def is_locally_nonplanar(curve, grid_size=1001, tol=1e-10):
-    """Grid scan for subintervals where the curve is planar.
-
-    A node is flagged when kappa L is below ``tol`` (straight) or |tau| L
-    is below ``tol`` (locally planar), free of the curve's scale; a run of
-    >= 3 consecutive flagged nodes yields a witness interval and a negative
-    verdict.  An isolated zero below grid resolution cannot be distinguished
-    from a short vanishing run; refine the grid if in doubt.
-    """
-    ts = curve.grid(grid_size)
-    fd = frenet_data(curve, ts)
-    flagged = (fd.kappa * curve.length <= tol) | (np.abs(fd.tau) * curve.length <= tol)  # NaN compares False
-    edges = np.diff(flagged.astype(int), prepend=0, append=0)
-    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)  # runs [start, end)
-    long_runs = np.flatnonzero(ends - starts >= 3)
-    if len(long_runs) == 0:
-        return NonplanarityReport(True)
-    run = long_runs[0]  # the witness is the whole first long run
-    return NonplanarityReport(False, (float(ts[starts[run]]), float(ts[ends[run] - 1])))

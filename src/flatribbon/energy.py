@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import check_curvature, frenet_data
 from .errors import (
     DegenerateMetric,
     NotCaseA,
@@ -21,6 +20,7 @@ from .errors import (
     RulingAngleMismatch,
     WidthTooLarge,
 )
+from .frames import PrincipalNormalField
 from .numerics import arccot, cumulative_simpson_uniform, odd_node_count, simpson_uniform
 from .ribbon import mu_field
 
@@ -281,12 +281,13 @@ def case_b_energy(curve, q, w, n_t=2001):
 
     q = 0 gives the Sadowsky energy of the rectifying developable itself;
     otherwise the integrand carries the factor ((1 - d^2)/(1 + d^2))^2
-    with d = cot(q/2) + psi(t), psi the cumulative torsion.
+    with d = cot(q/2) + psi(t), psi the cumulative torsion.  The curvature
+    and torsion are kappa_n and tau_g of the principal normal, whose sample
+    raises VanishingCurvature unless kappa L > KAPPA_MIN.
     """
     ts = curve.grid(n_t)
-    fd = frenet_data(curve, ts)
-    check_curvature(fd.kappa, ts, curve.length)
-    kappa, tau = fd.kappa, fd.tau
+    frenet = PrincipalNormalField(curve).on_grid(n_t)
+    kappa, tau = frenet.kappa_n, frenet.tau_g
     mu = -tau / kappa
     sadowsky = kappa**2 * (1.0 + mu**2) ** 2
     h = ts[1] - ts[0]

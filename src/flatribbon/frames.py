@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import KAPPA_MIN, check_curvature, frenet_data
+from .curves import KAPPA_MIN, check_curvature
 from .errors import InvalidParams, NonOrthogonalNormal, VanishingCurvature
 from .numerics import (
     Cubic,
-    central_difference,
     cross,
     first_where,
     nested_stride,
@@ -43,9 +42,7 @@ __all__ = [
     "TorusNormalField",
     "RotationMinimizingField",
     "RotatedNormalField",
-    "frame_derivative",
     "rotate",
-    "frenet_rotation_field",
     "sampled_scalars",
     "isometric_partner_angle",
 ]
@@ -217,9 +214,9 @@ class RotationMinimizingField(NormalField):
 class RotatedNormalField(NormalField):
     """Base field rotated about the tangent by an angle function theta.
 
-    ``theta`` may be a constant or a callable of an array of t; ``theta_prime``
-    defaults to zero for constants and to a 4th-order difference of step 1e-5 L
-    otherwise.  A callable's value must broadcast to the shape of t (so a
+    ``theta`` may be a constant, whose ``theta_prime`` is zero, or a callable
+    of an array of t, which must come with its ``theta_prime`` (InvalidParams
+    otherwise).  A callable's value must broadcast to the shape of t (so a
     constant map works), else the sample raises InvalidParams.
     The frame table comes from the base field's table: N, N' and H' by the
     rotation, the scalars by :func:`rotate`; on a grid that is the base's
@@ -235,8 +232,7 @@ class RotatedNormalField(NormalField):
             q = float(theta)
             theta, theta_prime = (lambda t: q), (lambda t: 0.0)
         elif theta_prime is None:
-            h = 1e-5 * base.curve.length
-            theta_prime = lambda t: central_difference(theta, t, 1, h)
+            raise InvalidParams("a callable theta needs its theta_prime")
         self.theta, self.theta_prime = theta, theta_prime
 
     def sample(self, ts):
@@ -269,15 +265,6 @@ def _angles(fn, ts):
     return value
 
 
-def frame_derivative(frame, scalars):
-    """(T', H', N') from the skew derivative relations of the Darboux frame."""
-    kg, kn, tg = scalars.kappa_g, scalars.kappa_n, scalars.tau_g
-    Tp = kg * frame.H + kn * frame.N
-    Hp = -kg * frame.T + tg * frame.N
-    Np = -kn * frame.T - tg * frame.H
-    return Tp, Hp, Np
-
-
 def rotate(scalars, theta, theta_prime=0.0):
     """Scalars with respect to the field rotated by theta (derivative theta_prime)."""
     c, s = np.cos(theta), np.sin(theta)
@@ -286,17 +273,6 @@ def rotate(scalars, theta, theta_prime=0.0):
         kappa_n=-scalars.kappa_g * s + scalars.kappa_n * c,
         tau_g=theta_prime + scalars.tau_g,
     )
-
-
-def frenet_rotation_field(curve, x):
-    """Principal normal rotated by the constant angle x.
-
-    The resulting field has tau_g equal to the Frenet torsion and normal
-    curvature kappa * cos(x); requires kappa > 0 on the curve's 201-node grid.
-    """
-    ts = curve.grid(201)
-    check_curvature(frenet_data(curve, ts).kappa, ts, curve.length)
-    return RotatedNormalField(PrincipalNormalField(curve), float(x))
 
 
 def sampled_scalars(normal_field, grid_size=2001):

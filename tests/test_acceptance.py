@@ -35,7 +35,6 @@ from flatribbon.frames import (
     DarbouxScalars,
     PrincipalNormalField,
     RotatedNormalField,
-    frenet_rotation_field,
     isometric_partner_angle,
     rotate,
     sampled_scalars,
@@ -262,7 +261,7 @@ def test_criterion_10_isometric_pairs(helix11, rng):
         worst = max(worst, abs(partner.kappa_g - s.kappa_g))
         done += 1
     ok = report("random pairs kappa_g mismatch", worst, 1e-12)
-    field = frenet_rotation_field(helix11, 0.7)
+    field = RotatedNormalField(PrincipalNormalField(helix11), 0.7)
     qbar = isometric_partner_angle(field.scalars(0.0))
     partner_field = RotatedNormalField(field, qbar)
     gap = max(

@@ -20,8 +20,9 @@ from scipy.interpolate import CubicHermiteSpline
 
 from flatribbon import cli
 from flatribbon.config import build_base_field, build_curve, parse_config
-from flatribbon.curves import ArcLengthCurve, CurveSpec, arc_length_reparametrize, frenet_data, make_torus_knot
-from flatribbon.frames import RotationMinimizingField
+from flatribbon.curves import ArcLengthCurve, CurveSpec, arc_length_reparametrize, make_torus_knot
+from flatribbon.errors import VanishingCurvature
+from flatribbon.frames import PrincipalNormalField, RotationMinimizingField
 from flatribbon.numerics import prefix_products
 from flatribbon.ribbon import RibbonMesh, construct_ribbon, tessellate, write_obj
 from test_sampled import sample_curve
@@ -33,10 +34,9 @@ def reference_rmf_normals(curve, ts):
     """Unit normals at the arc lengths ``ts`` of the per-step double-reflection loop (Wang et al. 2008)."""
     tangents = curve.derivative(ts, 1)
     points = curve.point(ts)
-    fd = frenet_data(curve, 0.0)
-    if np.all(np.isfinite(fd.principal_normal)):
-        seed = fd.principal_normal
-    else:
+    try:
+        seed = PrincipalNormalField(curve).sample(0.0).N
+    except VanishingCurvature:
         seed = np.array([0.0, 0.0, 1.0])
         if abs(np.dot(seed, tangents[0])) > 0.9:
             seed = np.array([0.0, 1.0, 0.0])

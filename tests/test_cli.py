@@ -461,6 +461,21 @@ def test_bad_samples_csv_exit_code(tmp_path, capsys, case, key):
     assert not (tmp_path / "o").exists()
 
 
+def test_coarse_samples_arc_length_error_names_the_table_exit_code(tmp_path, capsys):
+    # 52 rows of the (2, 1, 5) torus knot: the spline's arc-length estimate misses tol on the 1001-node
+    # table, which no key or flag sizes, so the message names the table and no option
+    ts = np.linspace(0.0, 2.0 * np.pi, 52)
+    r = 2.0 + np.cos(5.0 * ts)
+    csv_path = tmp_path / "samples.csv"
+    write_csv(csv_path, ("t", "x", "y", "z"), np.column_stack([ts, r * np.cos(ts), r * np.sin(ts), np.sin(5.0 * ts)]))
+    cfg = write_cfg(tmp_path, f"kind = samples\ncsv = {csv_path}\nnormal = rotation_minimizing\n")
+    assert run(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: arc-length error estimate") and "1001-node table" in err
+    assert "grid_size" not in err
+    assert len(err.splitlines()) == 1
+
+
 def test_solve_writes_theta_table(tmp_path):
     cfg = write_cfg(tmp_path, HELIX_CFG + "grid = 400\n")
     out = tmp_path / "out"

@@ -11,13 +11,12 @@ from flatribbon.curves import (
     TorusKnotParams,
     arc_length_reparametrize,
     curve_from_samples,
-    frenet_data,
-    is_locally_nonplanar,
     make_helix,
     make_torus_knot,
 )
 from flatribbon.curves import _stack3
 from flatribbon.errors import InvalidParams, NonRegularCurve, ToleranceNotMet
+from flatribbon.frames import PrincipalNormalField
 
 
 def _raw_helix_spec(a, b, turns=1.0):
@@ -139,6 +138,7 @@ def test_tolerance_not_met_on_coarse_grid():
 
 
 # ---------------------------------------------------------------- Frenet data
+# the principal normal's frame is the Frenet frame: kappa = kappa_n, tau = tau_g, N = P and B = -H
 
 
 @pytest.mark.parametrize("a,b", [(1.0, 1.0), (3.0, 4.0), (2.0, 0.5)])
@@ -146,32 +146,33 @@ def test_helix_curvature_torsion(a, b):
     curve = make_helix(HelixParams(a, b))
     m2 = a * a + b * b
     for t in (0.0, 0.3 * curve.length, 0.77 * curve.length):
-        fd = frenet_data(curve, t)
-        assert fd.kappa == pytest.approx(a / m2, abs=1e-10)
-        assert fd.tau == pytest.approx(b / m2, abs=1e-10)
+        sc = PrincipalNormalField(curve).scalars(t)
+        assert sc.kappa_n == pytest.approx(a / m2, abs=1e-10)
+        assert sc.tau_g == pytest.approx(b / m2, abs=1e-10)
 
 
 def test_circle_frenet_at_zero(circle):
-    fd = frenet_data(circle, 0.0)
-    assert fd.kappa == pytest.approx(1.0, abs=1e-12)
-    assert fd.tau == pytest.approx(0.0, abs=1e-12)
+    sc = PrincipalNormalField(circle).scalars(0.0)
+    assert sc.kappa_n == pytest.approx(1.0, abs=1e-12)
+    assert sc.tau_g == pytest.approx(0.0, abs=1e-12)
 
 
 def test_torus_knot_frenet_stable_under_grid_doubling():
     k1 = make_torus_knot(TorusKnotParams(grid_size=4001))
     k2 = make_torus_knot(TorusKnotParams(grid_size=8001))
-    f1 = frenet_data(k1, 0.0)
-    f2 = frenet_data(k2, 0.0)
-    assert abs(f1.kappa - f2.kappa) < 1e-6
-    assert abs(f1.tau - f2.tau) < 1e-6
-    assert np.max(np.abs(f1.tangent - f2.tangent)) < 1e-6
+    f1 = PrincipalNormalField(k1).sample(0.0)
+    f2 = PrincipalNormalField(k2).sample(0.0)
+    assert abs(f1.kappa_n - f2.kappa_n) < 1e-6
+    assert abs(f1.tau_g - f2.tau_g) < 1e-6
+    assert np.max(np.abs(f1.T - f2.T)) < 1e-6
 
 
 def test_frenet_binormal_consistency(knot):
+    field = PrincipalNormalField(knot)
     for t in knot.grid(51):
-        fd = frenet_data(knot, t)
-        assert fd.kappa > 1e-6
-        assert np.max(np.abs(np.cross(fd.tangent, fd.principal_normal) - fd.binormal)) <= 1e-8
+        fr = field.sample(t)
+        assert fr.kappa_n > 1e-6
+        assert np.max(np.abs(np.cross(fr.T, fr.N) + fr.H)) <= 1e-8
 
 
 @pytest.mark.parametrize("scale", [1e-10, 1e10])
@@ -179,23 +180,11 @@ def test_scaled_knot_keeps_its_frenet_frame(knot, scale):
     # the curvature floor bounds kappa L, so the frame and kappa L, tau L do not see the scale
     scaled = make_torus_knot(TorusKnotParams(2.0 * scale, scale))
     ts = knot.grid(51)
-    fd, fs = frenet_data(knot, ts), frenet_data(scaled, ts * scale)
-    assert np.allclose(fs.kappa * scaled.length, fd.kappa * knot.length, rtol=1e-10, atol=0.0)
-    assert np.allclose(fs.tau * scaled.length, fd.tau * knot.length, rtol=1e-10, atol=0.0)
-    for got, want in ((fs.principal_normal, fd.principal_normal), (fs.binormal, fd.binormal)):
+    fd, fs = PrincipalNormalField(knot).sample(ts), PrincipalNormalField(scaled).sample(ts * scale)
+    assert np.allclose(fs.kappa_n * scaled.length, fd.kappa_n * knot.length, rtol=1e-10, atol=0.0)
+    assert np.allclose(fs.tau_g * scaled.length, fd.tau_g * knot.length, rtol=1e-10, atol=0.0)
+    for got, want in ((fs.N, fd.N), (fs.H, fd.H)):
         assert np.max(np.abs(got - want)) <= 1e-10
-
-
-def test_straight_segment_reports_absent_frenet_fields():
-    from test_grid_cache import straight_line
-
-    # a scalar t is the zero-dimensional grid: NaN where the Frenet frame is undefined
-    line = straight_line()
-    fd = frenet_data(line, 0.5)
-    assert fd.kappa <= 1e-9
-    assert np.isnan(fd.tau) and np.all(np.isnan(fd.principal_normal)) and np.all(np.isnan(fd.binormal))
-    grid = frenet_data(line, np.array([0.5]))
-    assert np.isnan(grid.tau[0]) and np.all(np.isnan(grid.principal_normal[0]))
 
 
 # ---------------------------------------------------------------- constructors
@@ -268,25 +257,6 @@ def test_torus_knot_lies_on_torus(knot, rng):
 
 
 # ---------------------------------------------------------------- misc
-
-
-def test_nonplanarity_scan(helix11, circle, knot):
-    assert is_locally_nonplanar(helix11, 501).nonplanar
-    assert is_locally_nonplanar(knot, 501).nonplanar
-    report = is_locally_nonplanar(circle, 501)
-    assert not report.nonplanar
-    lo, hi = report.witness
-    assert lo == pytest.approx(0.0, abs=1e-12)
-    assert hi == pytest.approx(circle.length, abs=1e-12)
-
-
-@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e9])
-def test_nonplanarity_scan_is_scale_free(scale):
-    # kappa L and |tau| L meet tol, so the verdict does not move with the curve's size
-    knot = make_torus_knot(TorusKnotParams(2.0 * scale, scale))
-    circle = make_helix(HelixParams(scale, 0.0))
-    assert is_locally_nonplanar(knot, 501).nonplanar
-    assert not is_locally_nonplanar(circle, 501).nonplanar
 
 
 def test_curve_from_samples_recovers_helix_length(helix11):

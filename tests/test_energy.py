@@ -32,7 +32,7 @@ from flatribbon.errors import (
     RulingAngleMismatch,
     WidthTooLarge,
 )
-from flatribbon.frames import PrincipalNormalField, RotatedNormalField, frenet_rotation_field
+from flatribbon.frames import PrincipalNormalField, RotatedNormalField
 from flatribbon.ribbon import FlatRibbon, construct_ribbon, max_regular_width, mu_field
 
 
@@ -44,7 +44,7 @@ def helix_strip(helix11, pn11):
 @pytest.fixture(scope="module")
 def tilted_strip(helix11):
     # constant rotation by pi/4: kappa_g != 0, lambda != 0, finite width bound
-    field = frenet_rotation_field(helix11, np.pi / 4)
+    field = RotatedNormalField(PrincipalNormalField(helix11), np.pi / 4)
     return construct_ribbon(helix11, field, 0.2, grid_size=801)
 
 
@@ -140,7 +140,7 @@ def test_quadrature_helix_rectifying_small_width(helix11, pn11):
 
 def test_energy_zero_for_planar_strip(circle):
     # rotate the circle normal into the plane: kappa_n = tau_g = 0
-    field = frenet_rotation_field(circle, np.pi / 2)
+    field = RotatedNormalField(PrincipalNormalField(circle), np.pi / 2)
     rib = construct_ribbon(circle, field, 0.1, grid_size=401)
     assert bending_energy_quadrature(rib, n_t=401, n_u=11).value < 1e-25
     assert bending_energy_closed(rib, n_t=401).value < 1e-25
@@ -247,7 +247,7 @@ def test_energies_default_to_the_ribbon_grid(knot, torus_field):
 @pytest.mark.parametrize("n", [803, 2003])
 def test_node_counts_of_the_form_4k_plus_3_round_up(helix11, pn11, n):
     # the Richardson half grid of 4k+3 nodes has an even node count, which Simpson rejects
-    field = frenet_rotation_field(helix11, np.pi / 4)
+    field = RotatedNormalField(PrincipalNormalField(helix11), np.pi / 4)
     rib = construct_ribbon(helix11, field, 0.2, grid_size=n)
     assert len(rib.ts) == n + 2
     bending_energy_closed(rib, n_t=n)
@@ -273,13 +273,13 @@ def test_energy_bound_self_is_trivial(knot, torus_field):
 
 def test_energy_bound_ratio_with_equal_curvatures(helix11):
     # constant pi/4 rotation: kappa_g = kappa_n, so the ratio bound is 2
-    field = frenet_rotation_field(helix11, np.pi / 4)
+    field = RotatedNormalField(PrincipalNormalField(helix11), np.pi / 4)
     report = energy_bound(helix11, field, field, 0.1, n_t=501)
     assert report.ratio_bound == pytest.approx(2.0, abs=1e-9)
 
 
 def test_energy_bound_rejects_different_ruling_angles(helix11, pn11):
-    other = frenet_rotation_field(helix11, np.pi / 4)  # mu = -sqrt(2), not -1
+    other = RotatedNormalField(PrincipalNormalField(helix11), np.pi / 4)  # mu = -sqrt(2), not -1
     with pytest.raises(RulingAngleMismatch):
         energy_bound(helix11, pn11, other, 0.1, n_t=501)
 

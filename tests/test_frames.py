@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatribbon.angleivp import integrated_torsion
-from flatribbon.curves import HelixParams, TorusKnotParams, frenet_data, make_helix, make_torus_knot
+from flatribbon.curves import HelixParams, TorusKnotParams, make_helix, make_torus_knot
 from flatribbon.errors import InvalidParams, NonOrthogonalNormal, VanishingCurvature
 from flatribbon.frames import (
     DarbouxScalars,
@@ -13,8 +13,6 @@ from flatribbon.frames import (
     RotatedNormalField,
     RotationMinimizingField,
     TorusNormalField,
-    frame_derivative,
-    frenet_rotation_field,
     isometric_partner_angle,
     rotate,
     sampled_scalars,
@@ -53,9 +51,10 @@ def test_torus_normal_scalars_stable_under_grid_doubling():
 
 
 def test_pythagoras_on_torus_knot(knot, torus_field):
+    principal = PrincipalNormalField(knot)
     for t in knot.grid(51):
         sc = torus_field.scalars(t)
-        kappa = frenet_data(knot, t).kappa
+        kappa = principal.scalars(t).kappa_n
         assert sc.kappa_g**2 + sc.kappa_n**2 == pytest.approx(kappa**2, abs=1e-8)
 
 
@@ -79,31 +78,22 @@ def test_frame_orthonormal_and_right_handed(knot, torus_field):
         assert np.dot(np.cross(fr.T, fr.H), fr.N) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_frame_derivative_zero_scalars(pn11):
-    fr = pn11.sample(0.0)
-    for v in frame_derivative(fr, DarbouxScalars(0.0, 0.0, 0.0)):
-        assert np.max(np.abs(v)) == 0.0
-
-
 def test_helix_normal_derivative_relation(helix11, pn11):
     # N' = -kappa T - tau H for the principal normal of a helix
     kappa = tau = 0.5
     for t in (0.0, 2.0):
         fr = pn11.sample(t)
-        _, _, Np = frame_derivative(fr, pn11.scalars(t))
-        assert np.max(np.abs(Np - (-kappa * fr.T - tau * fr.H))) < 1e-10
-        assert np.max(np.abs(pn11.sample(t).Np - Np)) < 1e-10
+        assert np.max(np.abs(fr.Np - (-kappa * fr.T - tau * fr.H))) < 1e-10
 
 
 def test_frame_derivative_matches_finite_differences(knot, torus_field):
     h = 1e-3
     for t in (1.0, 7.0):
         fr = torus_field.sample(t)
-        Tp, Hp, Np = frame_derivative(fr, torus_field.scalars(t))
         for pick, want in (
-            (lambda z: torus_field.sample(z).T, Tp),
-            (lambda z: torus_field.sample(z).H, Hp),
-            (lambda z: torus_field.sample(z).N, Np),
+            (lambda z: torus_field.sample(z).T, fr.Tp),
+            (lambda z: torus_field.sample(z).H, fr.Hp),
+            (lambda z: torus_field.sample(z).N, fr.Np),
         ):
             got = central_difference(pick, t, 1, h)
             assert np.max(np.abs(got - want)) < 1e-8
@@ -162,53 +152,36 @@ def test_rotated_field_scalars_match_scalar_rotation(helix11, pn11, rng):
         assert abs(direct.tau_g - via_rotation.tau_g) < 1e-8
 
 
-def test_rotated_field_finite_difference_theta_prime(helix11, pn11):
-    # omit theta_prime: the field falls back to differencing theta
-    theta = lambda t: 0.3 * np.sin(t)
-    field = RotatedNormalField(pn11, theta)
-    sc = field.scalars(1.0)
-    want = rotate(pn11.scalars(1.0), theta(1.0), 0.3 * np.cos(1.0))
-    assert abs(sc.tau_g - want.tau_g) < 1e-7
-
-
-@pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 1e2, 1e4])
-def test_differenced_theta_prime_is_scale_free(scale):
-    # the difference step is 1e-5 L, so tau_g L misses the exact theta' by rounding alone at any length
-    helix = make_helix(HelixParams(scale, scale))
-    L = helix.length
-    theta = lambda t: np.sin(2.0 * np.pi * t / L)
-    exact = lambda t: 2.0 * np.pi / L * np.cos(2.0 * np.pi * t / L)
-    base, ts = PrincipalNormalField(helix), helix.grid(201)
-    got = RotatedNormalField(base, theta).sample(ts).tau_g
-    want = RotatedNormalField(base, theta, exact).sample(ts).tau_g
-    assert np.max(np.abs(got - want)) * L <= 1e-9
+def test_rotated_field_needs_theta_prime_with_a_callable_theta(pn11):
+    with pytest.raises(InvalidParams, match="theta_prime"):
+        RotatedNormalField(pn11, lambda t: 0.3 * np.sin(t))
 
 
 # ------------------------------------------------- rotated principal normal
 
 
 def test_principal_rotation_zero_is_principal(helix11, pn11):
-    field = frenet_rotation_field(helix11, 0.0)
+    field = RotatedNormalField(PrincipalNormalField(helix11), 0.0)
     for t in (0.0, 2.0):
         assert np.max(np.abs(field.sample(t).N - pn11.sample(t).N)) < 1e-12
 
 
 def test_principal_rotation_helix_scalars(helix11):
-    field = frenet_rotation_field(helix11, np.pi / 3)
+    field = RotatedNormalField(PrincipalNormalField(helix11), np.pi / 3)
     sc = field.scalars(1.0)
     assert sc.kappa_n == pytest.approx(0.25, abs=1e-10)  # (1/2) cos(pi/3)
     assert sc.tau_g == pytest.approx(0.5, abs=1e-10)
 
 
 def test_principal_rotation_small_normal_curvature(helix11):
-    field = frenet_rotation_field(helix11, np.pi / 2 - 1e-3)
+    field = RotatedNormalField(PrincipalNormalField(helix11), np.pi / 2 - 1e-3)
     kappa = 0.5
     for t in (0.0, 3.0):
         assert abs(field.scalars(t).kappa_n) < kappa * 1.1e-3
 
 
 def test_principal_rotation_keeps_frenet_torsion(helix11, rng):
-    field = frenet_rotation_field(helix11, 1.1)
+    field = RotatedNormalField(PrincipalNormalField(helix11), 1.1)
     for t in rng.uniform(0.0, helix11.length, 100):
         assert abs(field.scalars(t).tau_g - 0.5) <= 1e-8
 
@@ -217,8 +190,9 @@ def test_principal_rotation_needs_curvature(circle):
     # a straight line has kappa = 0; use a degenerate spec to trigger the guard
     from test_grid_cache import straight_line
 
+    field = RotatedNormalField(PrincipalNormalField(straight_line()), 0.3)
     with pytest.raises(VanishingCurvature):
-        frenet_rotation_field(straight_line(), 0.3)
+        field.on_grid(201)
 
 
 def test_angle_maps_must_broadcast_to_t(pn11):
@@ -253,9 +227,9 @@ def test_rotation_minimizing_field_seeds_a_scaled_knot_alike(knot):
 
 def frenet_angle(field, ts):
     """The angle beta of the field's normal in the Frenet frame: N = cos(beta) P + sin(beta) B."""
-    fd = frenet_data(field.curve, ts)
+    frenet = PrincipalNormalField(field.curve).sample(ts)  # P = N and B = -H
     N = field.sample(ts).N
-    return np.arctan2(np.vecdot(N, fd.binormal), np.vecdot(N, fd.principal_normal))
+    return np.arctan2(-np.vecdot(N, frenet.H), np.vecdot(N, frenet.N))
 
 
 def mod_two_pi(angle):
@@ -315,7 +289,7 @@ def test_sampled_hp_is_the_frame_cross_products(knot, torus_field, helix11, pn11
         (torus_field, knot.grid(101)),
         (RotationMinimizingField(helix11), helix11.grid(101)),
         (RotatedNormalField(pn11, 0.4), helix11.grid(101)),
-        (RotatedNormalField(torus_field, lambda t: 0.3 * np.sin(t)), knot.grid(101)),
+        (RotatedNormalField(torus_field, lambda t: 0.3 * np.sin(t), lambda t: 0.3 * np.cos(t)), knot.grid(101)),
         (solved, knot.grid(201)),  # the solution's nodes: theta read off its table
         (solved, np.sort(rng.uniform(0.0, knot.length, 50))),  # off them: its spline
     ]

@@ -6,7 +6,7 @@ import pytest
 from flatribbon import ribbon as ribbon_mod
 from flatribbon.curves import HelixParams, make_helix
 from flatribbon.errors import DegenerateMetric, SingularRuling, WidthTooLarge
-from flatribbon.frames import PrincipalNormalField, RotatedNormalField, TorusNormalField, frenet_rotation_field
+from flatribbon.frames import PrincipalNormalField, RotatedNormalField, TorusNormalField
 from flatribbon.ribbon import (
     FlatRibbon,
     _extend_at_zero,
@@ -59,7 +59,7 @@ def test_ruling_slope_extends_through_isolated_zeros(helix11, pn11):
 def test_singular_ruling_detected(helix11):
     # kappa_n identically zero while tau_g = 1/2: no ruling exists
     with pytest.raises(SingularRuling):
-        mu_field(helix11, frenet_rotation_field(helix11, np.pi / 2), grid_size=401)
+        mu_field(helix11, RotatedNormalField(PrincipalNormalField(helix11), np.pi / 2), grid_size=401)
 
 
 def bump_field(helix):
@@ -101,7 +101,7 @@ def test_lhopital_extension_rejects_torsion_at_a_simple_zero(pn11):
 
 def test_identically_flat_field_gives_planar_strip(circle):
     # kappa_n and tau_g both vanish: the strip degenerates to a plane, mu = 0
-    field = frenet_rotation_field(circle, np.pi / 2)
+    field = RotatedNormalField(PrincipalNormalField(circle), np.pi / 2)
     mu = mu_field(circle, field, grid_size=401)
     assert np.max(np.abs(mu.values)) == 0.0
 
@@ -156,7 +156,7 @@ def test_helix_rectifying_width_unbounded(helix11, pn11):
 def test_width_bound_constant_rotation(helix11):
     # constant rotation by pi/4: kappa_g = sqrt(2)/4, mu' = 0, so
     # |lambda| = (1 + mu^2) kappa_g = 3 sqrt(2)/4 and w_max = 0.9 / |lambda|
-    field = frenet_rotation_field(helix11, np.pi / 4)
+    field = RotatedNormalField(PrincipalNormalField(helix11), np.pi / 4)
     want = 0.9 / (3.0 * np.sqrt(2.0) / 4.0)
     assert max_regular_width(helix11, field, grid_size=801) == pytest.approx(want, abs=1e-10)
 
