@@ -8,7 +8,9 @@ at t, so a frame sample makes one arc-length inversion.
 scalars on a whole grid of t in one call, a scalar t being its
 zero-dimensional case, and raises where the field leaves the normal plane.
 Rotating a field about the tangent by an angle function produces a new field
-whose scalars transform by :func:`rotate`.  ``NormalField.on_grid(n)`` is
+whose scalars transform by :func:`rotate`; its grid table takes the scalars
+so from the base's table and builds its H, N, N' and H' only when they are
+first read.  ``NormalField.on_grid(n)`` is
 the sample on the curve's n-node grid, taken once per field and node count
 and kept read-only for the field's lifetime.  A grid of m nodes whose every
 node is a node of a kept table's M-node grid, M - 1 = 2^k (m - 1), is not
@@ -55,20 +57,38 @@ class DarbouxScalars:
     tau_g: float
 
 
-@dataclass(frozen=True)
-class FrameSample:
-    """The frame (T, H, N), T', N', H' and its scalars at each t of a grid; vectors end in an axis of 3."""
+VECTORS = ("H", "N", "Np", "Hp")
 
-    T: np.ndarray
-    H: np.ndarray  # N x T
-    N: np.ndarray
-    Tp: np.ndarray
-    Np: np.ndarray
-    Hp: np.ndarray  # N' x T + N x T'
-    kappa_g: np.ndarray
-    kappa_n: np.ndarray
-    tau_g: np.ndarray
-    x: np.ndarray  # the curve's raw parameter, from the sample's one arc-length inversion
+
+class FrameSample:
+    """The frame (T, H, N), T', N', H' and its scalars at each t of a grid; vectors end in an axis of 3.
+
+    H = N x T and H' = N' x T + N x T'.  ``vectors`` is (H, N, N', H'), or a
+    map returning them that is called on the first read of any of the four;
+    vectors built so are kept read-only.
+    """
+
+    def __init__(self, T, Tp, kappa_g, kappa_n, tau_g, x, vectors):
+        self.T, self.Tp, self.x = T, Tp, x  # x: the curve's raw parameter, from the sample's one arc-length inversion
+        self.kappa_g, self.kappa_n, self.tau_g = kappa_g, kappa_n, tau_g
+        if callable(vectors):
+            self._vectors = vectors
+        else:
+            self.H, self.N, self.Np, self.Hp = vectors
+
+    def __getattr__(self, name):  # only where normal lookup fails: a vector not built yet
+        if name not in VECTORS or "_vectors" not in vars(self):
+            raise AttributeError(name)
+        for key, value in zip(VECTORS, self._vectors()):
+            value.flags.writeable = False
+            setattr(self, key, value)
+        del self._vectors
+        return getattr(self, name)
+
+    def strided(self, s):
+        """Every s-th row, as views; its vectors are views of this table's, taken on their first read."""
+        rows = (value[::s] for value in (self.T, self.Tp, self.kappa_g, self.kappa_n, self.tau_g, self.x))
+        return FrameSample(*rows, lambda: [getattr(self, key)[::s] for key in VECTORS])
 
 
 class NormalField:
@@ -106,7 +126,7 @@ class NormalField:
         for (kind, size), table in self._grid_tables.items():
             s = nested_stride(self.curve.grid(size), ts) if kind == "frame" else None
             if s is not None:
-                return FrameSample(**{name: value[::s] for name, value in vars(table).items()})
+                return table.strided(s)
         return None
 
     def _grid_sample(self, ts):
@@ -131,7 +151,7 @@ class NormalField:
             raise NonOrthogonalNormal(f"<N, T> = {first_where(bad, off):.3e} at t={first_where(bad, ts):.6g}")
         H = cross(N, T)
         Hp = cross(Np, T) + cross(N, Tp)
-        return FrameSample(T, H, N, Tp, Np, Hp, np.vecdot(Tp, H), np.vecdot(Tp, N), np.vecdot(Hp, N), jet[0])
+        return FrameSample(T, Tp, np.vecdot(Tp, H), np.vecdot(Tp, N), np.vecdot(Hp, N), jet[0], (H, N, Np, Hp))
 
     def scalars(self, t):
         """(kappa_g, kappa_n, tau_g) at one t: the zero-dimensional :meth:`sample`."""
@@ -218,9 +238,10 @@ class RotatedNormalField(NormalField):
     of an array of t, which must come with its ``theta_prime`` (InvalidParams
     otherwise).  A callable's value must broadcast to the shape of t (so a
     constant map works), else the sample raises InvalidParams.
-    The frame table comes from the base field's table: N, N' and H' by the
-    rotation, the scalars by :func:`rotate`; on a grid that is the base's
-    ``on_grid`` table, so fields rotated from one base share its sample.
+    The frame table comes from the base field's table: the scalars by
+    :func:`rotate`, N, N' and H' by the rotation; on a grid that is the base's
+    ``on_grid`` table, so fields rotated from one base share its sample, and
+    the grid table builds its vectors only on their first read.
     The base's sample is checked, and a rotation within the normal plane
     keeps |<N, T>| at most the base's, so the rotated sample needs no check.
     """
@@ -240,17 +261,23 @@ class RotatedNormalField(NormalField):
         return self._rotated(self.base.sample(ts), ts)
 
     def _grid_sample(self, ts):
-        return self._rotated(self.base.on_grid(len(ts)), ts)
+        return self._rotated(self.base.on_grid(len(ts)), ts, lazy=True)
 
-    def _rotated(self, b, ts):
+    def _rotated(self, b, ts, lazy=False):
+        """The table ``b`` rotated: scalars by :func:`rotate`, vectors now or, if ``lazy``, on first read."""
         th, dth = _angles(self.theta, ts), _angles(self.theta_prime, ts)
-        c, s = np.cos(th)[..., None], np.sin(th)[..., None]
-        H = c * b.H + s * b.N  # = N x T for the rotated N below
-        N = -s * b.H + c * b.N
-        Np = -dth[..., None] * H - s * b.Hp + c * b.Np
-        Hp = cross(Np, b.T) + cross(N, b.Tp)
         sc = rotate(b, th, dth)
-        return FrameSample(b.T, H, N, b.Tp, Np, Hp, sc.kappa_g, sc.kappa_n, sc.tau_g, b.x)
+        vectors = lambda: _rotated_vectors(b, th, dth)  # holds no reference to the field
+        return FrameSample(b.T, b.Tp, sc.kappa_g, sc.kappa_n, sc.tau_g, b.x, vectors if lazy else vectors())
+
+
+def _rotated_vectors(b, th, dth):
+    """(H, N, N', H') of the frame table ``b`` rotated about T by th, of derivative dth."""
+    c, s = np.cos(th)[..., None], np.sin(th)[..., None]
+    H = c * b.H + s * b.N  # = N x T for the rotated N below
+    N = -s * b.H + c * b.N
+    Np = -dth[..., None] * H - s * b.Hp + c * b.Np
+    return H, N, Np, cross(Np, b.T) + cross(N, b.Tp)
 
 
 def _angles(fn, ts):
@@ -294,8 +321,11 @@ def sampled_scalars(normal_field, grid_size=2001):
 
 
 def isometric_partner_angle(scalars):
-    """Constant rotation angle whose field preserves the geodesic curvature."""
-    kappa = np.hypot(scalars.kappa_g, scalars.kappa_n)
-    if np.any(kappa <= KAPPA_MIN):
-        raise VanishingCurvature("kappa_g and kappa_n both vanish")
-    return np.pi - 2.0 * np.arctan2(scalars.kappa_g, scalars.kappa_n)
+    """Constant rotation angle whose field preserves the geodesic curvature; free of the scalars' scale.
+
+    VanishingCurvature where kappa_g and kappa_n both vanish or either is not finite.
+    """
+    kg, kn = scalars.kappa_g, scalars.kappa_n
+    if not np.all(np.isfinite(kg) & np.isfinite(kn) & ((kg != 0.0) | (kn != 0.0))):
+        raise VanishingCurvature("kappa_g and kappa_n both vanish or are not finite")
+    return np.pi - 2.0 * np.arctan2(kg, kn)

@@ -8,7 +8,6 @@ the stated bound.  Run with ``pytest -v`` to get one line per criterion.
 import time
 
 import numpy as np
-import pytest
 
 from flatribbon.angleivp import (
     closed_form_case_b,

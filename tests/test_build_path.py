@@ -1,8 +1,8 @@
 """The `ribbon build` path against the per-element loops it replaced.
 
-The rotation-minimizing field builds each double-reflection step as one
-3x3 matrix and carries n by their running products; `write_obj` formats
-each block with one template.  The references below are the previous
+The rotation-minimizing field reads each double-reflection step as an
+angle in the node's normal plane and turns its seed normal by their
+cumulative sum; `write_obj` formats each block with one template.  The references below are the previous
 per-step ``np.dot`` recurrence, run at the field's own nodes, and the
 per-line writer: the normals must agree to rounding, the OBJ bytes exactly,
 also when one process writes meshes of several shapes in turn.  Between

@@ -323,3 +323,16 @@ def test_partner_angle_preserves_geodesic_curvature(rng):
 def test_partner_angle_rejects_zero_curvature():
     with pytest.raises(VanishingCurvature):
         isometric_partner_angle(DarbouxScalars(0.0, 0.0, 0.3))
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_partner_angle_is_free_of_the_scale(scale):
+    # atan2 fixes the angle at any scale; an absolute floor of 1e-9 once raised at scale 1e12
+    s = DarbouxScalars(0.3 / scale, 0.2 / scale, 0.1 / scale)
+    assert isometric_partner_angle(s) == pytest.approx(np.pi - 2.0 * np.arctan2(0.3, 0.2), rel=1e-15)
+
+
+@pytest.mark.parametrize("kg,kn", [(np.nan, 0.2), (0.3, np.nan), (np.inf, 0.2), (0.3, -np.inf)])
+def test_partner_angle_rejects_non_finite_curvature(kg, kn):
+    with pytest.raises(VanishingCurvature):
+        isometric_partner_angle(DarbouxScalars(kg, kn, 0.1))

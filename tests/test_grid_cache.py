@@ -2,26 +2,28 @@
 
 ``NormalField.on_grid(n)`` samples the field on ``curve.grid(n)`` once and
 keeps the checked table, read-only, for the field's lifetime; a rotated
-field builds its table from its base field's.  A coarser grid of m nodes
-whose nodes are every s-th node of a kept M-node table, M - 1 = s (m - 1)
-with s a power of two, is read from that table as a strided view instead of
-being sampled again; stride 10 (2001 over 201 nodes) does not nest bitwise
+field builds its table from its base field's, and its vectors only on their
+first read.  A coarser grid of m nodes whose nodes are every s-th node of a
+kept M-node table, M - 1 = s (m - 1) with s a power of two, is read from
+that table as a strided view instead of being sampled again; stride 10 (2001 over 201 nodes) does not nest bitwise
 for most lengths, so it samples.  ``mu_field`` keeps its slope table on the
 field the same way.  Each test builds fresh fields, so no table from another
 test is reused.
 """
 
-import dataclasses
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatribbon import cli
+from flatribbon import cli, frames
+from flatribbon.angleivp import solved_rotation_field
 from flatribbon.curves import ArcLengthCurve, CurveSpec, HelixParams, make_helix
-from flatribbon.energy import case_a_energy, limit_energy
+from flatribbon.energy import bending_energy_closed, bending_energy_quadrature, case_a_energy, limit_energy
 from flatribbon.errors import NonOrthogonalNormal, VanishingCurvature
 from flatribbon.frames import (
     NormalField,
@@ -31,7 +33,8 @@ from flatribbon.frames import (
     TorusNormalField,
     sampled_scalars,
 )
-from flatribbon.ribbon import mu_field
+from flatribbon.numerics import cross
+from flatribbon.ribbon import construct_ribbon, flatness_residuals, max_regular_width, mu_field
 from test_sampled import sample_curve
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -118,6 +121,8 @@ def test_limit_energy_builds_no_slope_spline(helix11):
 
 FIELDS = {
     "principal_helix": lambda c: PrincipalNormalField(c["helix11"]),
+    "constant_theta": lambda c: RotatedNormalField(PrincipalNormalField(c["helix11"]), 0.3),
+    "solved_theta": lambda c: solved_rotation_field(PrincipalNormalField(c["helix11"]), 0.7, 400, 401)[0],
     "torus_knot": lambda c: TorusNormalField(c["knot"]),
     "rotation_minimizing_samples": lambda c: RotationMinimizingField(sample_curve()),
     "rotated_twice": lambda c: RotatedNormalField(
@@ -126,8 +131,11 @@ FIELDS = {
 }
 
 
+FRAME_NAMES = ("T", "H", "N", "Tp", "Np", "Hp", "kappa_g", "kappa_n", "tau_g", "x")  # a FrameSample's public arrays
+
+
 def arrays(table):
-    return {f.name: getattr(table, f.name) for f in dataclasses.fields(table)}
+    return {name: getattr(table, name) for name in FRAME_NAMES}
 
 
 def assert_same_bytes(table, sample):
@@ -186,6 +194,51 @@ def test_power_of_two_grids_nest_bitwise(length, k, s):
     curve = make_helix(HelixParams(1.0, 1.0, length=length))
     m = 4 * k + 1
     assert np.array_equal(curve.grid(s * (m - 1) + 1)[::s], curve.grid(m))
+
+
+# A family member: its base field's grid tables are built before the rotation.
+ROTATIONS = {
+    "constant_theta": lambda base: RotatedNormalField(base, 0.3),
+    "callable_theta": lambda base: RotatedNormalField(base, lambda t: 0.2 * np.sin(t), lambda t: 0.2 * np.cos(t)),
+    "solved_theta": lambda base: solved_rotation_field(base, 0.7, grid_size=400, scalars_grid=401)[0],
+    "rotated_twice": lambda base: RotatedNormalField(RotatedNormalField(base, 0.3), lambda t: 0.1 * t, lambda t: 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROTATIONS))
+def test_scalar_readers_build_no_rotated_vectors(name, helix11, monkeypatch):
+    # a rotated table takes its scalars by the rotation law and its vectors on first read, which
+    # only the flatness residuals make; grids of 201 and 101 nodes are views of the 401-node tables
+    base = PrincipalNormalField(helix11)
+    base.on_grid(401)
+    field = ROTATIONS[name](base)
+    calls = []
+    monkeypatch.setattr(frames, "cross", lambda a, b: calls.append(1) or cross(a, b))
+    w = min(0.1, 0.5 * max_regular_width(helix11, field, grid_size=201))
+    ribbon = construct_ribbon(helix11, field, w, grid_size=201)
+    bending_energy_closed(ribbon, n_t=101)
+    bending_energy_quadrature(ribbon, n_t=101)
+    limit_energy(helix11, field, w, n_t=101)
+    assert calls == []
+    assert flatness_residuals(ribbon, 201).tangent_plane <= 1e-12
+    assert calls  # the residuals read the vectors, and the spy sees them built
+
+
+@pytest.mark.parametrize("name", sorted(ROTATIONS))
+def test_rotated_field_dies_with_its_last_reference(name, helix11):
+    # its tables hold no reference back to the field, so no cycle waits for the collector
+    base = PrincipalNormalField(helix11)
+    base.on_grid(401)
+    field = ROTATIONS[name](base)
+    gc.disable()
+    try:
+        arrays(field.on_grid(401))  # vectors built and read
+        limit_energy(helix11, field, 0.1, n_t=205)  # not nested in 401 nodes: its vectors wait for a first read
+        ref = weakref.ref(field)
+        del field
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))

@@ -16,7 +16,6 @@ from flatribbon.angleivp import (
     solve_theta,
     solved_rotation_field,
 )
-from flatribbon.curves import HelixParams, make_helix
 from flatribbon.errors import NormalCurvatureZero, StepSizeUnderflow
 from flatribbon.frames import DarbouxScalars, rotate, sampled_scalars
 from flatribbon.numerics import central_difference

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from flatribbon import ribbon as ribbon_mod
-from flatribbon.curves import HelixParams, make_helix
 from flatribbon.errors import DegenerateMetric, SingularRuling, WidthTooLarge
 from flatribbon.frames import PrincipalNormalField, RotatedNormalField, TorusNormalField
 from flatribbon.ribbon import (
