@@ -14,7 +14,7 @@ and takes Newton steps on s(x).  A curve may give its speed in closed form
 speed map, and neither evaluates c'.
 :meth:`ArcLengthCurve.jet` is the one evaluation point: a single arc-length
 inversion and one call of the jet map give the raw parameter, the raw speed
-and gamma', gamma'', gamma'''; ``derivative`` is one of them.  The chain
+and gamma', gamma'' and, at order 3, gamma'''; ``derivative`` is one of them.  The chain
 rule is :meth:`ArcLengthCurve.raw_jet`, the same jet at a raw parameter,
 which nodes from :meth:`ArcLengthCurve.near_grid` reach with no inversion.
 Evaluators take a scalar or an array of parameters; vectors gain a trailing axis of 3.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, NonRegularCurve, ToleranceNotMet, VanishingCurvature
-from .numerics import Cubic, cumulative_simpson_uniform, first_where, odd_node_count, rownorm
+from .numerics import Cubic, cumulative_simpson_uniform, first_where, odd_node_count, rowdot, rownorm
 from .numerics import simpson_uniform, spline, stencil_difference
 
 KAPPA_MIN = 1e-9  # bounds kappa L: below it, free of the curve's scale, the Frenet normal/torsion are absent
@@ -76,8 +76,9 @@ class CurveSpec:
     jet : callable, optional
         Map x -> (c', c'', c''') in closed form; each of the three must have
         shape x.shape + (3,), as for ``position``.  Without it the three come
-        from one call of ``position`` on the 7-point stencils of x: 4th-order
-        central differences with step 1e-4 times the domain length.
+        from one call of ``position`` on the 7-point stencils of x (c' alone
+        from its 4 points, bitwise the same): 4th-order central differences
+        with step 1e-4 times the domain length.
     speed : callable, optional
         The speed |c'(x)| in closed form, called on a scalar or an array x;
         it must return shape x.shape.  Without it the speed is |``jet(x)[0]``|.
@@ -94,20 +95,20 @@ class CurveSpec:
     def point(self, x):
         return _vectors(self.position(x), x)
 
-    def jet(self, x):
-        """(c'(x), c''(x), c'''(x)) from the jet map, else from one ``position`` call on the stencils of x."""
+    def jet(self, x, order=3):
+        """(c'(x), c''(x), c'''(x)) to ``order`` from the jet map, else from one ``position`` call on x's stencils."""
         if self._jet is not None:
-            c1, c2, c3 = self._jet(x)
-            return _vectors(c1, x), _vectors(c2, x), _vectors(c3, x)
+            return tuple(_vectors(c, x) for c in self._jet(x))[:order]
         h = 1e-4 * (self.domain[1] - self.domain[0])
-        nodes = np.asarray(x, dtype=float)[..., None] + np.arange(-3, 4) * h
+        offsets = np.array([-2, -1, 1, 2]) if order == 1 else np.arange(-3, 4)  # c' alone needs its own 4 points
+        nodes = np.asarray(x, dtype=float)[..., None] + offsets * h
         values = np.moveaxis(self.point(nodes.ravel()).reshape(nodes.shape + (3,)), -1, -2)
-        return tuple(stencil_difference(values, order, h) for order in (1, 2, 3))
+        return tuple(stencil_difference(values, k, h) for k in range(1, order + 1))
 
     def speed(self, x):
-        """|c'(x)|: the closed-form speed map if the curve has one, else the norm of ``jet(x)[0]``."""
+        """|c'(x)|: the closed-form speed map if the curve has one, else the norm of ``jet(x, 1)[0]``."""
         if self._speed is None:
-            return rownorm(self.jet(x)[0])
+            return rownorm(self.jet(x, 1)[0])
         value = np.asarray(self._speed(x), dtype=float)
         if value.shape != np.shape(x):
             raise InvalidParams(f"a speed map returned shape {value.shape} for parameters of shape {np.shape(x)}")
@@ -174,38 +175,41 @@ class ArcLengthCurve:
         x = np.interp(ts, self._s_table, self._raw_nodes)
         return self._s_of_raw(x), x
 
-    def jet(self, t):
+    def jet(self, t, order=3):
         """(x, speed, gamma', gamma'', gamma''') at arc length t (or a grid): ``raw_jet`` after one inversion."""
-        return self.raw_jet(self.raw_parameter(t))
+        return self.raw_jet(self.raw_parameter(t), order)
 
-    def raw_jet(self, x):
+    def raw_jet(self, x, order=3):
         """(x, speed, gamma', gamma'', gamma''') at the raw parameter x (or a grid of them).
 
         speed = |c'(x)|; the derivatives are taken with respect to arc length
-        by the chain rule, dx/ds = 1/speed.
+        by the chain rule, dx/ds = 1/speed.  At ``order`` 2 the tuple ends at
+        gamma'', bitwise the same, and gamma''''s chain rule is not taken.
         """
         c1, c2, c3 = self.spec.jet(x)
         # the norm of the c' at hand, not the closed-form speed, which differs by up to 2 ulp:
         # a c'/speed off unit length moved the README knot's q = 0.7 width by 1e-12 relative
         speed = rownorm(c1)
         if self._identity:
-            return x, speed, c1, c2, c3
+            return (x, speed, c1, c2, c3)[: order + 2]
         # float_power is the C library's pow per entry, as for a scalar t; ** on an
         # array takes a SIMD pow loop that can differ in the last bit
         v = speed[..., None]
         x1 = 1.0 / v
-        v1 = np.vecdot(c1, c2)[..., None] / v
+        v1 = rowdot(c1, c2)[..., None] / v
         x2 = -v1 / np.float_power(v, 3)
-        v2 = ((np.vecdot(c2, c2) + np.vecdot(c1, c3))[..., None] - np.float_power(v1, 2)) / v
-        x3 = (3.0 * np.float_power(v1, 2) - v * v2) / np.float_power(v, 5)
         g2 = c2 * np.float_power(x1, 2) + c1 * x2
+        if order == 2:
+            return x, speed, c1 * x1, g2
+        v2 = ((rowdot(c2, c2) + rowdot(c1, c3))[..., None] - np.float_power(v1, 2)) / v
+        x3 = (3.0 * np.float_power(v1, 2) - v * v2) / np.float_power(v, 5)
         return x, speed, c1 * x1, g2, c3 * np.float_power(x1, 3) + 3.0 * c2 * x1 * x2 + c1 * x3
 
     def derivative(self, t, order=1):
-        """Derivative of gamma with respect to arc length, order 1..3: an entry of ``jet(t)``."""
+        """Derivative of gamma with respect to arc length, order 1..3: an entry of ``jet(t, max(order, 2))``."""
         if not 1 <= order <= 3:
             raise ValueError("derivative order must be 1, 2, or 3")
-        return self.jet(t)[order + 1]
+        return self.jet(t, max(order, 2))[order + 1]
 
     def grid(self, n):
         """Uniform arc-length grid of ``odd_node_count(n)`` nodes: 4k+1 >= n; one read-only array per node count."""

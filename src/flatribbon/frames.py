@@ -3,7 +3,7 @@
 The frame is (T, H, N) with H = N x T; its derivative is governed by the
 scalars (kappa_g, kappa_n, tau_g).  A normal field implements one hook,
 ``normal(t, jet) -> (N, N')``, fed by the curve's :meth:`ArcLengthCurve.jet`
-at t, so a frame sample makes one arc-length inversion.
+at t to the field's ``jet_order``, so a frame sample makes one arc-length inversion.
 :meth:`NormalField.sample` tabulates the frame, its derivative and the
 scalars on a whole grid of t in one call, a scalar t being its
 zero-dimensional case, and raises where the field leaves the normal plane.
@@ -33,6 +33,7 @@ from .numerics import (
     nested_stride,
     odd_node_count,
     read_only,
+    rowdot,
     rownorm,
 )
 
@@ -92,7 +93,9 @@ class FrameSample:
 
 
 class NormalField:
-    """A smooth unit vector field normal to the tangent of ``curve``."""
+    """A smooth unit vector field normal to the tangent of ``curve``; ``normal`` reads the jet to ``jet_order``."""
+
+    jet_order = 2
 
     def __init__(self, curve):
         self.curve = curve
@@ -133,7 +136,7 @@ class NormalField:
         return self.sample(ts)
 
     def normal(self, t, jet):
-        """(N, N') at t, given the curve's ``jet(t)``."""
+        """(N, N') at t, given the curve's ``jet(t, self.jet_order)``."""
         raise NotImplementedError
 
     def sample(self, ts):
@@ -142,16 +145,16 @@ class NormalField:
         Raises NonOrthogonalNormal where |<N, T>| > 1e-8 or is NaN, i.e. where the field leaves the normal plane.
         """
         ts = np.asarray(ts, dtype=float)
-        jet = self.curve.jet(ts)
+        jet = self.curve.jet(ts, self.jet_order)
         T, Tp = jet[2], jet[3]
         N, Np = self.normal(ts, jet)
-        off = np.abs(np.vecdot(N, T))
+        off = np.abs(rowdot(N, T))
         bad = ~(off <= 1e-8)  # NaN too
         if np.any(bad):
             raise NonOrthogonalNormal(f"<N, T> = {first_where(bad, off):.3e} at t={first_where(bad, ts):.6g}")
         H = cross(N, T)
         Hp = cross(Np, T) + cross(N, Tp)
-        return FrameSample(T, Tp, np.vecdot(Tp, H), np.vecdot(Tp, N), np.vecdot(Hp, N), jet[0], (H, N, Np, Hp))
+        return FrameSample(T, Tp, rowdot(Tp, H), rowdot(Tp, N), rowdot(Hp, N), jet[0], (H, N, Np, Hp))
 
     def scalars(self, t):
         """(kappa_g, kappa_n, tau_g) at one t: the zero-dimensional :meth:`sample`."""
@@ -160,14 +163,16 @@ class NormalField:
 
 
 class PrincipalNormalField(NormalField):
-    """N = gamma''/kappa; requires kappa > 0 wherever evaluated."""
+    """N = gamma''/kappa; requires kappa > 0 wherever evaluated.  N' reads gamma'''."""
+
+    jet_order = 3
 
     def normal(self, t, jet):
         _, _, _, g2, g3 = jet
         kappa = rownorm(g2)
         check_curvature(kappa, t, self.curve.length)
         kappa = kappa[..., None]
-        kappa1 = np.vecdot(g2, g3)[..., None] / kappa
+        kappa1 = rowdot(g2, g3)[..., None] / kappa
         Np = g3 / kappa - g2 * (kappa1 / np.float_power(kappa, 2))  # libm pow, as for a scalar t
         return g2 / kappa, Np
 
@@ -199,7 +204,7 @@ class RotationMinimizingField(NormalField):
     def __init__(self, curve):
         super().__init__(curve)
         ts, x = curve.near_grid(2001)
-        _, _, tangents, g2, _ = curve.raw_jet(x)
+        _, _, tangents, g2 = curve.raw_jet(x, 2)
         kappa = rownorm(g2[0])
         if kappa * curve.length > KAPPA_MIN:
             n = g2[0] / kappa  # the principal normal at t = 0
@@ -213,22 +218,22 @@ class RotationMinimizingField(NormalField):
         v = cross(tangents, u)
         # reflect u_i in the chord v1, then in v2 = T_{i+1} - (T_i reflected in v1); read its angle in (u, v)_{i+1}
         v1 = np.diff(curve.spec.point(x), axis=0)
-        r1 = 2.0 / np.vecdot(v1, v1)
-        v2 = tangents[1:] - (tangents[:-1] - (r1 * np.vecdot(v1, tangents[:-1]))[:, None] * v1)
-        w = u[:-1] - (r1 * np.vecdot(v1, u[:-1]))[:, None] * v1
-        w -= (2.0 / np.vecdot(v2, v2) * np.vecdot(v2, w))[:, None] * v2
-        delta = np.arctan2(np.vecdot(w, v[1:]), np.vecdot(w, u[1:]))
+        r1 = 2.0 / rowdot(v1, v1)
+        v2 = tangents[1:] - (tangents[:-1] - (r1 * rowdot(v1, tangents[:-1]))[:, None] * v1)
+        w = u[:-1] - (r1 * rowdot(v1, u[:-1]))[:, None] * v1
+        w -= (2.0 / rowdot(v2, v2) * rowdot(v2, w))[:, None] * v2
+        delta = np.arctan2(rowdot(w, v[1:]), rowdot(w, u[1:]))
         alpha = np.cumsum(np.concatenate([[np.arctan2(np.dot(n, v[0]), np.dot(n, u[0]))], delta]))
         normals = np.cos(alpha)[:, None] * u + np.sin(alpha)[:, None] * v
         normals[0] = n  # the seed itself
-        self._normals = Cubic(ts, normals, -np.vecdot(g2, normals)[:, None] * tangents)
+        self._normals = Cubic(ts, normals, -rowdot(g2, normals)[:, None] * tangents)
 
     def normal(self, t, jet):
         T = jet[2]
         n = self._normals(t)
-        n = n - np.vecdot(n, T)[..., None] * T  # the interpolant leaves the normal plane between nodes
+        n = n - rowdot(n, T)[..., None] * T  # the interpolant leaves the normal plane between nodes
         N = n / rownorm(n)[..., None]
-        return N, -np.vecdot(jet[3], N)[..., None] * T
+        return N, -rowdot(jet[3], N)[..., None] * T
 
 
 class RotatedNormalField(NormalField):

@@ -9,7 +9,8 @@ slopes of the not-a-knot cubic spline
 (:func:`spline_slopes`, de Boor 1978).  The running products of the
 theta flow's RK4 step matrices take a parallel prefix scan
 (:func:`prefix_products`; Hillis & Steele 1986, Blelloch 1990).  Vectors
-end in an axis of 3, and their cross product is :func:`cross`, bitwise
+end in an axis of 3: their dot product is :func:`rowdot`, three column
+products summed in order, and their cross product is :func:`cross`, bitwise
 ``np.cross`` without its axis handling.
 """
 
@@ -24,6 +25,7 @@ __all__ = [
     "spline_slopes",
     "central_difference",
     "odd_node_count",
+    "rowdot",
     "rownorm",
     "cross",
     "first_where",
@@ -49,9 +51,14 @@ def odd_node_count(n):
     return n + (1 - n) % 4
 
 
+def rowdot(a, b):
+    """a0 b0 + a1 b1 + a2 b2 over the last axes of 3 (broadcast); ``np.vecdot`` runs a gufunc loop per row."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def rownorm(a):
-    """Norm over the last axis; ``np.vecdot`` is ``np.dot`` per row, so this is ``np.linalg.norm`` per row."""
-    return np.sqrt(np.vecdot(a, a))
+    """Norm over the last axis of 3: sqrt(:func:`rowdot` (a, a))."""
+    return np.sqrt(rowdot(a, a))
 
 
 def cross(a, b):
@@ -298,18 +305,17 @@ def central_difference(f, x, order, h):
     """
     if order not in _STENCILS:
         raise ValueError(f"unsupported derivative order {order}")
-    offsets, coeffs = _STENCILS[order]
-    acc = None
-    for k, c in zip(offsets, coeffs):
-        term = c * np.asarray(f(x + k * h), dtype=float)
-        acc = term if acc is None else acc + term
-    return acc / h**order
+    samples = [np.asarray(f(x + k * h), dtype=float) for k in _STENCILS[order][0]]
+    return stencil_difference(np.stack(samples, axis=-1), order, h)
 
 
 def stencil_difference(values, order, h):
-    """:func:`central_difference` from samples at x + k h, k = -3..3, along the last axis of ``values``."""
+    """:func:`central_difference` from samples on the last axis: at x + k h for k = -3..3, or at the stencil's k only."""
     offsets, coeffs = _STENCILS[order]
-    return values[..., offsets + 3] @ coeffs / h**order
+    if values.shape[-1] != len(offsets):
+        values = values[..., offsets + 3]
+    terms = [c * values[..., i] for i, c in enumerate(coeffs)]
+    return sum(terms[1:], terms[0]) / h**order  # summed in stencil order, whatever the memory layout of values
 
 
 def prefix_products(m):

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DegenerateMetric, ExtensionOrderExceeded, SingularRuling, WidthTooLarge
-from .numerics import arccot, central_difference, cross, read_only, rownorm, spline, stencil_difference
+from .numerics import arccot, central_difference, cross, read_only, rowdot, spline, stencil_difference
 from .textio import lines
 
 WIDTH_SAFETY = 0.9
@@ -43,7 +43,8 @@ class MuField:
     spline; mu' comes from the spline derivative.  The spline is built on
     the first call or ``derivative``, so readers of ``values`` alone never
     pay for it.  ``frame`` is the :class:`~flatribbon.frames.FrameSample`
-    the slope was computed from.
+    the slope was computed from.  ``lam``, ``flat`` and ``max_width`` are
+    the ribbon's, taken on first read and kept.
     """
 
     def __init__(self, ts, values, frame):
@@ -54,6 +55,20 @@ class MuField:
     @cached_property
     def _spline(self):
         return spline(self.ts, self.values)
+
+    @cached_property
+    def lam(self):  # on ts, read-only
+        lam = self.derivative(self.ts) - (1.0 + self.values**2) * self.frame.kappa_g
+        lam.flags.writeable = False
+        return lam
+
+    @cached_property
+    def flat(self):  # lambda is rounding noise: the energies take it as 0
+        return float(np.max(np.abs(self.lam))) * self.ts[-1] < LAMBDA_FLAT_TOL  # ts ends at the curve's length
+
+    @cached_property
+    def max_width(self):
+        return np.inf if self.flat else WIDTH_SAFETY / float(np.max(np.abs(self.lam)))
 
     def __call__(self, t):
         return self._spline(t)
@@ -155,10 +170,7 @@ class FlatRibbon:
         self.w = float(w)
         self.mu = mu
         self.ts = mu.ts
-        self.lam = mu.derivative(self.ts) - (1.0 + mu.values**2) * mu.frame.kappa_g
-        sup = float(np.max(np.abs(self.lam)))
-        self.flat = sup * curve.length < LAMBDA_FLAT_TOL  # lambda is rounding noise: the energies take it as 0
-        self.max_width = np.inf if self.flat else WIDTH_SAFETY / sup
+        self.lam, self.flat, self.max_width = mu.lam, mu.flat, mu.max_width
 
     def ruling(self, t, frame=None):
         """X(t); ``frame`` is the field's sample at t when the caller already has it."""
@@ -194,8 +206,7 @@ def ruling_angle(ribbon, t):
 
 def max_regular_width(curve, normal_field, grid_size=2001):
     """Largest safe half-width: 0.9 / sup|lambda|, infinite when lambda == 0."""
-    mu = mu_field(curve, normal_field, grid_size=grid_size)
-    return FlatRibbon(curve, normal_field, 0.0, mu).max_width
+    return mu_field(curve, normal_field, grid_size=grid_size).max_width
 
 
 @dataclass(frozen=True)
@@ -259,18 +270,19 @@ def angle_defect_gauss(mesh):
     DegenerateMetric where a vertex ring has zero area, or where a ring's area
     or the estimate is not finite (coordinates so large that products overflow).
     """
-    v = mesh.vertices
-    n_t, n_u, _ = v.shape
-    p = v[1:-1, 1:-1]
+    v = np.ascontiguousarray(np.moveaxis(mesh.vertices, -1, 0))  # one contiguous (n_t, n_u) plane per coordinate
+    _, n_t, n_u = v.shape
+    p = v[:, 1:-1, 1:-1]
     angle_sum = 0.0
     area = 0.0
     with np.errstate(all="ignore"):
         # the edges to the 8 grid neighbours (i + di, j + dj) of every interior vertex, in ring order
-        edges = [v[1 + di : n_t - 1 + di, 1 + dj : n_u - 1 + dj] - p for di, dj in _RING]
+        edges = [v[:, 1 + di : n_t - 1 + di, 1 + dj : n_u - 1 + dj] - p for di, dj in _RING]
         for k in range(8):
-            e1, e2 = edges[k], edges[(k + 1) % 8]
-            cr = rownorm(cross(e1, e2))
-            angle_sum += np.arctan2(cr, np.vecdot(e1, e2))
+            (x1, y1, z1), (x2, y2, z2) = edges[k], edges[(k + 1) % 8]
+            cx, cy, cz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+            cr = np.sqrt(cx * cx + cy * cy + cz * cz)
+            angle_sum += np.arctan2(cr, x1 * x2 + y1 * y2 + z1 * z2)
             area += 0.5 * cr
         if np.any(area == 0.0):
             raise DegenerateMetric("a vertex ring of the mesh has zero area: its vertices coincide")
@@ -302,7 +314,7 @@ def flatness_residuals(ribbon, grid_size, ruling=None):
     else:
         h = 1e-5 * ribbon.curve.length
         x, xp = ruling(ts), central_difference(ruling, ts, 1, h)
-    in_plane = np.abs(np.vecdot(x, frame.N))
-    tangent_plane = np.abs(np.vecdot(cross(x, frame.T), xp))
-    res_f = float(np.max(np.abs(np.vecdot(xp, frame.N))))
+    in_plane = np.abs(rowdot(x, frame.N))
+    tangent_plane = np.abs(rowdot(cross(x, frame.T), xp))
+    res_f = float(np.max(np.abs(rowdot(xp, frame.N))))
     return FlatnessReport(float(np.max(in_plane)), float(np.max(tangent_plane)), res_f, (ts, in_plane, tangent_plane))

@@ -22,7 +22,7 @@ from .frames import (
     rotate,
     sampled_scalars,
 )
-from .numerics import cross, rownorm
+from .numerics import cross, rowdot, rownorm
 
 __all__ = ["Check", "run_checks"]
 
@@ -57,7 +57,7 @@ def run_checks(fault="none"):
     fr = RotationMinimizingField(helix).sample(helix.grid(101))
     basis = np.stack([fr.T, fr.H, fr.N], axis=-2)
     gram = basis @ np.swapaxes(basis, -1, -2)
-    handedness = np.vecdot(cross(fr.T, fr.H), fr.N)
+    handedness = rowdot(cross(fr.T, fr.H), fr.N)
     defect = max(float(np.max(np.abs(gram - np.eye(3)))), float(np.max(np.abs(handedness - 1.0))))
     checks.append(Check("frame_orthonormality", defect, 1e-10))
 
@@ -128,12 +128,12 @@ def run_checks(fault="none"):
 
     ts = helix.grid(41)
     x, tangent = strip.ruling(ts), helix.derivative(ts, 1)
-    measured = np.arctan2(rownorm(cross(tangent, x)), np.vecdot(tangent, x))
+    measured = np.arctan2(rownorm(cross(tangent, x)), rowdot(tangent, x))
     worst = float(np.max(np.abs(measured - ribbon_mod.ruling_angle(strip, ts))))
     checks.append(Check("ruling_angle_identity", worst, 1e-10))
 
     # projection of the ruling segment onto the normal plane has length 2w
-    proj = x - np.vecdot(x, tangent)[..., None] * tangent
+    proj = x - rowdot(x, tangent)[..., None] * tangent
     worst = float(np.max(np.abs(2.0 * strip.w * rownorm(proj) - 2.0 * strip.w)))
     checks.append(Check("width_projection", worst, 1e-10))
 

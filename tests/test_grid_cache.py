@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from flatribbon import cli, frames
 from flatribbon.angleivp import solved_rotation_field
+from flatribbon.config import build_curve, parse_config
 from flatribbon.curves import ArcLengthCurve, CurveSpec, HelixParams, make_helix
 from flatribbon.energy import bending_energy_closed, bending_energy_quadrature, case_a_energy, limit_energy
 from flatribbon.errors import NonOrthogonalNormal, VanishingCurvature
@@ -34,7 +35,7 @@ from flatribbon.frames import (
     sampled_scalars,
 )
 from flatribbon.numerics import cross
-from flatribbon.ribbon import construct_ribbon, flatness_residuals, max_regular_width, mu_field
+from flatribbon.ribbon import MuField, construct_ribbon, flatness_residuals, max_regular_width, mu_field
 from test_sampled import sample_curve
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -47,9 +48,9 @@ def jet_calls(monkeypatch):
     calls = []
     original = ArcLengthCurve.jet
 
-    def counted(self, t):
+    def counted(self, t, *args):
         calls.append(np.shape(t))
-        return original(self, t)
+        return original(self, t, *args)
 
     monkeypatch.setattr(ArcLengthCurve, "jet", counted)
     return calls
@@ -117,6 +118,27 @@ def test_limit_energy_builds_no_slope_spline(helix11):
     assert "_spline" not in vars(mu)
     mu.derivative(0.5)
     assert "_spline" in vars(mu)
+
+
+@pytest.mark.parametrize("name", ["torus_knot.cfg", "samples_rmf.cfg"])
+def test_width_bound_and_ribbon_take_one_mu_derivative(name, monkeypatch):
+    # lambda, flat and the width bound are the slope table's, so the ribbon after the bound reads mu' no more
+    calls = []
+    original = MuField.derivative
+
+    def counted(self, t):
+        calls.append(np.shape(t))
+        return original(self, t)
+
+    monkeypatch.setattr(MuField, "derivative", counted)
+    monkeypatch.chdir(ROOT)  # the samples config names its csv relative to the repo root
+    cfg = parse_config(os.path.join("examples", name))
+    curve = build_curve(cfg)
+    rib = cli._ribbon(cfg, curve, cli._field(cfg, curve))
+    assert calls == [rib.ts.shape]
+    assert rib.lam is rib.mu.lam and not rib.lam.flags.writeable
+    assert rib.max_width == max_regular_width(curve, rib.normal, grid_size=len(rib.ts)) == rib.mu.max_width
+    assert calls == [rib.ts.shape]
 
 
 FIELDS = {

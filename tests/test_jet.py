@@ -30,7 +30,7 @@ from flatribbon.frames import (
     RotatedNormalField,
     RotationMinimizingField,
 )
-from flatribbon.numerics import rownorm
+from flatribbon.numerics import rowdot, rownorm
 from test_sampled import sample_curve
 
 
@@ -44,11 +44,11 @@ def reference_derivative(curve, t, order):
     x1 = 1.0 / v
     if order == 1:
         return c1 * x1
-    v1 = np.vecdot(c1, c2)[..., None] / v
+    v1 = rowdot(c1, c2)[..., None] / v
     x2 = -v1 / np.float_power(v, 3)
     if order == 2:
         return c2 * np.float_power(x1, 2) + c1 * x2
-    v2 = ((np.vecdot(c2, c2) + np.vecdot(c1, c3))[..., None] - np.float_power(v1, 2)) / v
+    v2 = ((rowdot(c2, c2) + rowdot(c1, c3))[..., None] - np.float_power(v1, 2)) / v
     x3 = (3.0 * np.float_power(v1, 2) - v * v2) / np.float_power(v, 5)
     return c3 * np.float_power(x1, 3) + 3.0 * c2 * x1 * x2 + c1 * x3
 
@@ -80,6 +80,58 @@ def test_jet_equals_per_order_chain_rule_bit_for_bit(name, helix11, knot):
             want = reference_derivative(curve, t, order)
             assert got.shape == want.shape and np.array_equal(got, want)
             assert np.array_equal(curve.derivative(t, order), want)
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_order_two_jet_is_the_order_three_jet_bit_for_bit(name, helix11, knot):
+    # order 2 stops before gamma''''s chain rule; every entry it returns is the same array
+    curve = CURVES[name]({"helix11": helix11, "knot": knot})
+    for t in (0.37 * curve.length, curve.grid(101)):
+        full, short = curve.jet(t), curve.jet(t, 2)
+        assert len(short) == 4
+        for got, want in zip(short, full):
+            assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+        x = full[0]
+        for got, want in zip(curve.raw_jet(x, 2), curve.raw_jet(x)):
+            assert np.array_equal(got, want)
+
+
+def test_stencil_speed_takes_the_four_first_order_points():
+    # without a jet map |c'| comes from c''s own 4-point stencil: the jet's c' bit for bit, at 4 points per x
+    curve = fd_curve()
+    calls = []
+    position = curve.spec.position
+
+    def counted(x):
+        calls.append(np.size(x))
+        return position(x)
+
+    curve.spec.position = counted
+    for x in (0.5, np.linspace(0.0, 2.0 * np.pi, 2001), np.linspace(1.0, 2.0, 6).reshape(2, 3)):
+        calls.clear()
+        speed = curve.spec.speed(x)
+        assert calls == [4 * np.size(x)] and np.shape(speed) == np.shape(x)
+        assert np.array_equal(speed, rownorm(curve.spec.jet(x)[0]))
+
+
+def test_each_field_asks_for_the_jet_order_it_reads(knot, torus_field, monkeypatch):
+    # only the principal normal reads gamma'''; the rotation-minimizing build reads T and gamma'' alone
+    orders = []
+    original = ArcLengthCurve.raw_jet
+
+    def counted(self, x, order=3):
+        orders.append(order)
+        return original(self, x, order)
+
+    monkeypatch.setattr(ArcLengthCurve, "raw_jet", counted)
+    rmf = RotationMinimizingField(knot)
+    assert orders == [2]
+    fields = {"principal": (PrincipalNormalField(knot), 3), "torus": (torus_field, 2), "rmf": (rmf, 2)}
+    for field, order in fields.values():
+        for inner in (field, RotatedNormalField(field, 0.3)):
+            orders.clear()
+            inner.sample(knot.grid(101))
+            assert orders == [order]
 
 
 def test_knot_jet_at_a_scalar_is_its_grid_row(knot):

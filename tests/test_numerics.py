@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from flatribbon.numerics import (
     cumulative_simpson_uniform,
     odd_node_count,
     prefix_products,
+    rowdot,
+    rownorm,
     simpson_uniform,
     stencil_difference,
 )
@@ -177,3 +181,37 @@ def test_cross_with_nan_and_inf_entries():
     b = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, np.inf], [-np.inf, 2.0, 0.0], [np.inf, -np.inf, 0.0]])
     with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf
         assert_same_bits(cross(a, b), np.cross(a, b))
+
+
+@pytest.mark.parametrize("shape_a,shape_b", [((3,), (3,)), ((1000, 3), (1000, 3)), ((4, 1, 3), (1, 5, 3)), ((3,), (7, 3))])
+def test_rowdot_is_np_vecdot_within_two_ulp(rng, shape_a, shape_b):
+    # three column products summed in order against numpy's per-row dot: both within rounding of the exact sum
+    a = rng.normal(size=shape_a) * 10.0 ** rng.uniform(-5.0, 5.0, size=shape_a[:-1] + (1,))
+    b = rng.normal(size=shape_b)
+    got, want = rowdot(a, b), np.vecdot(a, b)
+    assert np.shape(got) == np.shape(want)
+    assert np.all(np.abs(got - want) <= 2.0 * np.finfo(float).eps * np.sum(np.abs(a * b), axis=-1))
+    assert np.array_equal(rownorm(a), np.sqrt(rowdot(a, a)))
+
+
+def test_rowdot_has_the_nan_and_inf_pattern_of_np_vecdot():
+    # every row of 3 x 3 entries from zeros, subnormals, a tiny normal, infinities, NaN and 1.5
+    entries = [0.0, -0.0, 5e-324, -2.2e-308, np.inf, -np.inf, np.nan, 1.5]
+    rows = np.array(list(itertools.product(entries, repeat=6)))
+    with np.errstate(invalid="ignore", under="ignore"):  # inf * 0, inf - inf and subnormal products
+        got, want = rowdot(rows[:, :3], rows[:, 3:]), np.vecdot(rows[:, :3], rows[:, 3:])
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    assert np.array_equal(got[np.isinf(got)], want[np.isinf(got)])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_stencil_difference_is_central_difference_bit_for_bit(order):
+    # the same samples summed in stencil order: from the 7-point table, from the order's own points, in any layout
+    x, h = np.linspace(0.3, 1.1, 9), 0.01
+    f = lambda t: np.stack([np.sin(t), np.cos(3.0 * t), t**3], axis=-1)
+    want = central_difference(f, x, order, h)
+    table = np.moveaxis(f(x[:, None] + np.arange(-3, 4) * h), -1, -2)  # (9, 3, 7), k last
+    own = {1: [1, 2, 4, 5], 2: [1, 2, 3, 4, 5], 3: [0, 1, 2, 4, 5, 6]}[order]
+    for values in (table, np.ascontiguousarray(table), table[..., own], np.asfortranarray(table[..., own])):
+        assert_same_bits(stencil_difference(values, order, h), want)
