@@ -76,9 +76,8 @@ class CurveSpec:
     jet : callable, optional
         Map x -> (c', c'', c''') in closed form; each of the three must have
         shape x.shape + (3,), as for ``position``.  Without it the three come
-        from one call of ``position`` on the 7-point stencils of x (c' alone
-        from its 4 points, bitwise the same): 4th-order central differences
-        with step 1e-4 times the domain length.
+        from one call of ``position`` on the 7-point stencils of x: 4th-order
+        central differences with step 1e-4 times the domain length.
     speed : callable, optional
         The speed |c'(x)| in closed form, called on a scalar or an array x;
         it must return shape x.shape.  Without it the speed is |``jet(x)[0]``|.
@@ -95,20 +94,20 @@ class CurveSpec:
     def point(self, x):
         return _vectors(self.position(x), x)
 
-    def jet(self, x, order=3):
-        """(c'(x), c''(x), c'''(x)) to ``order`` from the jet map, else from one ``position`` call on x's stencils."""
+    def jet(self, x):
+        """(c'(x), c''(x), c'''(x)) from the jet map, else from one ``position`` call on the stencils of x."""
         if self._jet is not None:
-            return tuple(_vectors(c, x) for c in self._jet(x))[:order]
+            c1, c2, c3 = self._jet(x)
+            return _vectors(c1, x), _vectors(c2, x), _vectors(c3, x)
         h = 1e-4 * (self.domain[1] - self.domain[0])
-        offsets = np.array([-2, -1, 1, 2]) if order == 1 else np.arange(-3, 4)  # c' alone needs its own 4 points
-        nodes = np.asarray(x, dtype=float)[..., None] + offsets * h
+        nodes = np.asarray(x, dtype=float)[..., None] + np.arange(-3, 4) * h
         values = np.moveaxis(self.point(nodes.ravel()).reshape(nodes.shape + (3,)), -1, -2)
-        return tuple(stencil_difference(values, k, h) for k in range(1, order + 1))
+        return tuple(stencil_difference(values, order, h) for order in (1, 2, 3))
 
     def speed(self, x):
-        """|c'(x)|: the closed-form speed map if the curve has one, else the norm of ``jet(x, 1)[0]``."""
+        """|c'(x)|: the closed-form speed map if the curve has one, else the norm of ``jet(x)[0]``."""
         if self._speed is None:
-            return rownorm(self.jet(x, 1)[0])
+            return rownorm(self.jet(x)[0])
         value = np.asarray(self._speed(x), dtype=float)
         if value.shape != np.shape(x):
             raise InvalidParams(f"a speed map returned shape {value.shape} for parameters of shape {np.shape(x)}")

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateMetric,
-    NotCaseA,
-    OutsideRegularDomain,
-    RulingAngleMismatch,
-    WidthTooLarge,
-)
+from .errors import DegenerateMetric, NotCaseA, OutsideRegularDomain, RulingAngleMismatch, WidthTooLarge
 from .frames import PrincipalNormalField
 from .numerics import arccot, cumulative_simpson_uniform, odd_node_count, simpson_uniform
 from .ribbon import mu_field

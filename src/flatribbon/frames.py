@@ -26,16 +26,7 @@ import numpy as np
 
 from .curves import KAPPA_MIN, check_curvature
 from .errors import InvalidParams, NonOrthogonalNormal, VanishingCurvature
-from .numerics import (
-    Cubic,
-    cross,
-    first_where,
-    nested_stride,
-    odd_node_count,
-    read_only,
-    rowdot,
-    rownorm,
-)
+from .numerics import Cubic, cross, first_where, nested_stride, odd_node_count, read_only, rowdot, rownorm
 
 __all__ = [
     "DarbouxScalars",

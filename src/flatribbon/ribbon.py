@@ -187,12 +187,9 @@ class FlatRibbon:
 def construct_ribbon(curve, normal_field, w, grid_size=2001):
     """Build the flat ribbon of half-width w normal to the field along the curve."""
     mu = mu_field(curve, normal_field, grid_size=grid_size)
-    ribbon = FlatRibbon(curve, normal_field, w, mu)
-    if not w < ribbon.max_width:
-        raise WidthTooLarge(
-            f"half-width {w:.6g} exceeds the regularity bound {ribbon.max_width:.6g}"
-        )
-    return ribbon
+    if not w < mu.max_width:
+        raise WidthTooLarge(f"half-width {w:.6g} exceeds the regularity bound {mu.max_width:.6g}")
+    return FlatRibbon(curve, normal_field, w, mu)
 
 
 def ruling_angle(ribbon, t):
@@ -273,8 +270,7 @@ def angle_defect_gauss(mesh):
     v = np.ascontiguousarray(np.moveaxis(mesh.vertices, -1, 0))  # one contiguous (n_t, n_u) plane per coordinate
     _, n_t, n_u = v.shape
     p = v[:, 1:-1, 1:-1]
-    angle_sum = 0.0
-    area = 0.0
+    angle_sum = area = 0.0
     with np.errstate(all="ignore"):
         # the edges to the 8 grid neighbours (i + di, j + dj) of every interior vertex, in ring order
         edges = [v[:, 1 + di : n_t - 1 + di, 1 + dj : n_u - 1 + dj] - p for di, dj in _RING]

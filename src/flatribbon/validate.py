@@ -12,16 +12,8 @@ import numpy as np
 
 from . import angleivp, energy, ribbon as ribbon_mod
 from .curves import HelixParams, TorusKnotParams, make_helix, make_torus_knot
-from .frames import (
-    DarbouxScalars,
-    PrincipalNormalField,
-    RotatedNormalField,
-    RotationMinimizingField,
-    TorusNormalField,
-    isometric_partner_angle,
-    rotate,
-    sampled_scalars,
-)
+from .frames import DarbouxScalars, PrincipalNormalField, RotatedNormalField, RotationMinimizingField, TorusNormalField
+from .frames import isometric_partner_angle, rotate, sampled_scalars
 from .numerics import cross, rowdot, rownorm
 
 __all__ = ["Check", "run_checks"]
@@ -85,17 +77,13 @@ def run_checks(fault="none"):
     rhs = angleivp.prescribed_angle_rhs(scalars_fn, lambda t: np.pi / 2.0)
     sol = angleivp.solve_theta(rhs, helix.length, [0.0], 2000)[0]
     exact = angleivp.closed_form_helix_pi2(1.0, 1.0)
-    checks.append(
-        Check("helix_ivp_pi2", float(np.max(np.abs(sol.values - exact(sol.ts)))), 1e-6)
-    )
+    checks.append(Check("helix_ivp_pi2", float(np.max(np.abs(sol.values - exact(sol.ts)))), 1e-6))
 
     rhs_b = angleivp.same_angle_rhs(scalars_fn)
     sol_b = angleivp.solve_theta(rhs_b, helix.length, [np.pi / 2], 2000)[0]
     psi = angleivp.integrated_torsion(helix)
     exact_b = angleivp.closed_form_case_b(np.pi / 2, psi)
-    checks.append(
-        Check("case_b_closed_form", float(np.max(np.abs(sol_b.values - exact_b(sol_b.ts)))), 1e-6)
-    )
+    checks.append(Check("case_b_closed_form", float(np.max(np.abs(sol_b.values - exact_b(sol_b.ts)))), 1e-6))
 
     # Gronwall continuity in the initial condition
     phi = lambda t: np.pi / 4.0
@@ -139,17 +127,8 @@ def run_checks(fault="none"):
 
     e_closed = energy.bending_energy_closed(strip, n_t=801)
     expected = strip.w * helix.length / 2.0
-    checks.append(
-        Check("rectifying_energy", abs(e_closed.value - expected) / expected, 1e-12)
-    )
-
-    checks.append(
-        Check(
-            "ratio_b_closed_form",
-            abs(energy.helix_ratio_b(np.pi, 1.0) - (2.0 - np.pi / 2.0)),
-            1e-10,
-        )
-    )
+    checks.append(Check("rectifying_energy", abs(e_closed.value - expected) / expected, 1e-12))
+    checks.append(Check("ratio_b_closed_form", abs(energy.helix_ratio_b(np.pi, 1.0) - (2.0 - np.pi / 2.0)), 1e-10))
 
     tf = TorusNormalField(knot)
     w = 0.5 * ribbon_mod.max_regular_width(knot, tf, grid_size=801)

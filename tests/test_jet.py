@@ -96,24 +96,6 @@ def test_order_two_jet_is_the_order_three_jet_bit_for_bit(name, helix11, knot):
             assert np.array_equal(got, want)
 
 
-def test_stencil_speed_takes_the_four_first_order_points():
-    # without a jet map |c'| comes from c''s own 4-point stencil: the jet's c' bit for bit, at 4 points per x
-    curve = fd_curve()
-    calls = []
-    position = curve.spec.position
-
-    def counted(x):
-        calls.append(np.size(x))
-        return position(x)
-
-    curve.spec.position = counted
-    for x in (0.5, np.linspace(0.0, 2.0 * np.pi, 2001), np.linspace(1.0, 2.0, 6).reshape(2, 3)):
-        calls.clear()
-        speed = curve.spec.speed(x)
-        assert calls == [4 * np.size(x)] and np.shape(speed) == np.shape(x)
-        assert np.array_equal(speed, rownorm(curve.spec.jet(x)[0]))
-
-
 def test_each_field_asks_for_the_jet_order_it_reads(knot, torus_field, monkeypatch):
     # only the principal normal reads gamma'''; the rotation-minimizing build reads T and gamma'' alone
     orders = []
