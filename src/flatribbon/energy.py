@@ -47,7 +47,7 @@ class FundamentalForms:
     e: float | np.ndarray
     f: float = 0.0
     g: float = 0.0
-    det: float | None = None  # EG - F^2 where it is known exactly
+    det: float | None = None  # EG - F^2 taken once by the builder, 1 on a flat ribbon; None: from E, F, G per read
 
     def metric_det(self):
         """EG - F^2 at every point; DegenerateMetric where it is not positive."""
@@ -78,7 +78,7 @@ def _forms(mu, mup, kg, kn, lam, u):
 
     A flat ribbon's forms have EG - F^2 = (1 + u lambda)^2.  Where lambda is the 0.0 of a ribbon
     that FlatRibbon found flat, that is 1, free of the cancellation that EG - F^2 suffers where
-    u mu' or u kappa_g is large.
+    u mu' or u kappa_g is large; elsewhere EG - F^2 is taken once here, for every reader of the forms.
     """
     stretch = 1.0 + u * lam
     if np.any(stretch <= 0.0):
@@ -88,7 +88,7 @@ def _forms(mu, mup, kg, kn, lam, u):
         F = mu * (1.0 + u * mup)
     G = 1.0 + mu**2
     e = kn * stretch
-    return FundamentalForms(E, F, G, e, det=1.0 if np.ndim(lam) == 0 and lam == 0.0 else None)
+    return FundamentalForms(E, F, G, e, det=1.0 if np.ndim(lam) == 0 and lam == 0.0 else E * G - F**2)
 
 
 def fundamental_forms(ribbon, t, u):
@@ -126,9 +126,10 @@ def bending_energy_quadrature(ribbon, n_t=None, n_u=41):
 
 
 def _inner_integral(w, lam):
-    """Exact u-integral of 1/(1 + u*lambda) over [-w, w] per entry: 2 artanh(w lambda) / lambda, 2w at 0."""
+    """Exact u-integral of 1/(1 + u*lambda) over [-w, w] per entry: 2 artanh(w lambda) / lambda, and its limit
+    2w, exact to rounding, where |w lambda| is below the least normal double (the quotient loses bits there)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(lam == 0.0, 2.0 * w, 2.0 * np.arctanh(w * lam) / lam)
+        return np.where(np.abs(w * lam) < np.finfo(float).tiny, 2.0 * w, 2.0 * np.arctanh(w * lam) / lam)
 
 
 def bending_energy_closed(ribbon, n_t=None):

@@ -14,6 +14,8 @@ products summed in order, and their cross product is :func:`cross`, bitwise
 ``np.cross`` without its axis handling.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -122,11 +124,18 @@ def simpson_uniform(values, h):
     n = values.shape[-1]
     if n < 3 or n % 2 == 0:
         raise ValueError(f"Simpson rule needs an odd number of nodes >= 3, got {n}")
+    total = h / 3.0 * np.vecdot(values, _simpson_weights(n))
+    return float(total) if values.ndim == 1 else total
+
+
+@lru_cache(maxsize=16)
+def _simpson_weights(n):
+    """The weights 1, 4, 2, 4, ..., 2, 4, 1 of n nodes, read-only; the last 16 node counts are kept."""
     weights = np.ones(n)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    total = h / 3.0 * np.vecdot(values, weights)
-    return float(total) if values.ndim == 1 else total
+    weights.flags.writeable = False
+    return weights
 
 
 def cumulative_simpson_uniform(values, h):
@@ -142,13 +151,13 @@ def cumulative_simpson_uniform(values, h):
     n = f.shape[-1]
     if n < 3:
         raise ValueError(f"cumulative Simpson needs at least 3 nodes, got {n}")
-    forward = h / 3 * (5 * f[..., :-2] / 4 + 2 * f[..., 1:-1] - f[..., 2:] / 4)  # interval i
-    backward = h / 3 * (5 * f[..., 2:] / 4 + 2 * f[..., 1:-1] - f[..., :-2] / 4)  # interval i + 1
+    a, b, c = f[..., :-2:2], f[..., 1:-1:2], f[..., 2::2]  # at nodes 2k, 2k + 1, 2k + 2
     parts = np.empty(f.shape[:-1] + (n,))
     parts[..., 0] = 0.0
-    parts[..., 1:-1:2] = forward[..., ::2]
-    parts[..., 2::2] = backward[..., ::2]
-    parts[..., -1] = backward[..., -1]
+    parts[..., 1:-1:2] = h / 3 * (5 * a / 4 + 2 * b - c / 4)  # forward, interval 2k
+    parts[..., 2::2] = h / 3 * (5 * c / 4 + 2 * b - a / 4)  # backward, interval 2k + 1
+    if n % 2 == 0:  # the last interval has no node after it for the forward formula
+        parts[..., -1] = h / 3 * (5 * f[..., -1] / 4 + 2 * f[..., -2] - f[..., -3] / 4)
     return np.cumsum(parts, axis=-1)
 
 

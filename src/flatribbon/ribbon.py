@@ -5,7 +5,8 @@ zeros), there is a unique flat ribbon normal to the field, parametrized by
 sigma(t, u) = gamma(t) + u (mu(t) T(t) + H(t)) with mu = -tau_g / kappa_n.
 This module builds that ribbon, bounds the regular half-width through the
 area element 1 + u * lambda, tessellates the surface, and measures how
-developable the result actually is.
+developable the result actually is.  mu and its spline's node slopes are
+kept on the grid, where the width bound and the energies read them.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DegenerateMetric, ExtensionOrderExceeded, SingularRuling, WidthTooLarge
-from .numerics import arccot, central_difference, cross, read_only, rowdot, spline, stencil_difference
+from .numerics import Cubic, arccot, central_difference, cross, nested_stride, read_only, rowdot, spline, spline_slopes
+from .numerics import stencil_difference
 from .textio import lines
 
 WIDTH_SAFETY = 0.9
@@ -39,12 +41,15 @@ __all__ = [
 class MuField:
     """The ruling slope mu = -tau_g / kappa_n, continuously extended.
 
-    Sampled on a uniform arc-length grid and interpolated by a cubic
-    spline; mu' comes from the spline derivative.  The spline is built on
-    the first call or ``derivative``, so readers of ``values`` alone never
-    pay for it.  ``frame`` is the :class:`~flatribbon.frames.FrameSample`
-    the slope was computed from.  ``lam``, ``flat`` and ``max_width`` are
-    the ribbon's, taken on first read and kept.
+    Sampled on a uniform arc-length grid; mu' is the slope of the not-a-knot
+    spline through it.  ``slopes``, its node slopes, are solved on first read
+    and kept read-only.  On every s-th node of ``ts``, s a power of two
+    (:func:`~flatribbon.numerics.nested_stride`), a call and ``derivative``
+    return the views ``values[::s]`` and ``slopes[::s]``, bitwise the spline's
+    but perhaps at t = L; any other t reads the spline, built on first use.
+    ``frame`` is the :class:`~flatribbon.frames.FrameSample` the slope was
+    computed from.  ``lam``, ``flat`` and ``max_width`` are the ribbon's,
+    taken on first read and kept.
     """
 
     def __init__(self, ts, values, frame):
@@ -53,12 +58,18 @@ class MuField:
         self.frame = frame
 
     @cached_property
+    def slopes(self):  # on ts, read-only
+        slopes = spline_slopes(self.ts, self.values)
+        slopes.flags.writeable = False
+        return slopes
+
+    @cached_property
     def _spline(self):
-        return spline(self.ts, self.values)
+        return Cubic(self.ts, self.values, self.slopes)
 
     @cached_property
     def lam(self):  # on ts, read-only
-        lam = self.derivative(self.ts) - (1.0 + self.values**2) * self.frame.kappa_g
+        lam = self.slopes - (1.0 + self.values**2) * self.frame.kappa_g
         lam.flags.writeable = False
         return lam
 
@@ -71,10 +82,12 @@ class MuField:
         return np.inf if self.flat else WIDTH_SAFETY / float(np.max(np.abs(self.lam)))
 
     def __call__(self, t):
-        return self._spline(t)
+        s = nested_stride(self.ts, t)
+        return self._spline(t) if s is None else self.values[::s]
 
     def derivative(self, t):
-        return self._spline(t, 1)
+        s = nested_stride(self.ts, t)
+        return self._spline(t, 1) if s is None else self.slopes[::s]
 
 
 def _extend_at_zero(normal_field, ts, kn_scale, tg_scale):

@@ -12,6 +12,8 @@ from flatribbon.curves import (
     make_torus_knot,
 )
 from flatribbon.energy import (
+    FundamentalForms,
+    _forms,
     _inner_integral,
     bending_energy_closed,
     bending_energy_quadrature,
@@ -105,8 +107,6 @@ def test_mean_curvature_two_expressions_agree(tilted_strip, rng):
 
 
 def test_mean_curvature_zero_normal_curvature():
-    from flatribbon.energy import FundamentalForms
-
     forms = FundamentalForms(E=1.0, F=0.3, G=1.2, e=0.0)
     assert mean_curvature(forms) == 0.0
 
@@ -121,8 +121,6 @@ def test_mean_curvature_helix_rectifying_constant(helix_strip):
 
 
 def test_degenerate_metric_rejected():
-    from flatribbon.energy import FundamentalForms
-
     with pytest.raises(DegenerateMetric):
         mean_curvature(FundamentalForms(E=1.0, F=1.0, G=1.0, e=0.5))
 
@@ -192,6 +190,44 @@ def test_inner_integral_branch_continuity():
     near = _inner_integral(0.1, np.array([2e-5]))
     x = 0.1 * 2e-5
     assert near[0] == pytest.approx(0.2 * (1.0 + x**2 / 3.0 + x**4 / 5.0), rel=1e-12)
+
+
+def test_inner_integral_where_w_lambda_underflows():
+    # 0.5 * 5e-324 rounds to 0, which the quotient turns into 0; 1e-310 * 0.5 is subnormal, short of bits
+    assert _inner_integral(0.5, np.array([5e-324]))[0] == 1.0
+    w = 1e-310
+    assert _inner_integral(w, np.array([0.5, -0.5, 0.0])).tolist() == [2.0 * w] * 3
+    # wherever w lambda is a normal double the quotient is kept, bit for bit
+    tiny = np.finfo(float).tiny
+    lam = np.array([tiny / 0.3, -tiny / 0.3, 1e-300, 1e-9, 0.7, -2.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.array_equal(_inner_integral(0.3, lam), 2.0 * np.arctanh(0.3 * lam) / lam)
+
+
+def test_energies_agree_at_a_subnormal_width(knot, torus_field):
+    # at w = 1e-310 the closed form took 2 artanh(w lambda)/lambda on subnormals, 5e-4 off the other two
+    rib = construct_ribbon(knot, torus_field, 1e-310, grid_size=2001)
+    closed = bending_energy_closed(rib).value
+    assert closed == pytest.approx(bending_energy_quadrature(rib).value, rel=1e-11, abs=0.0)
+    assert closed == pytest.approx(limit_energy(knot, torus_field, 1e-310, n_t=2001).value, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("strip", ["tilted_strip", "helix_strip"])
+def test_forms_keep_the_bits_of_eg_minus_f_squared(strip, request):
+    # det is taken once, as metric_det takes EG - F^2 from E, F, G, so H and the area element keep every bit
+    rib = request.getfixturevalue(strip)
+    ts = rib.ts
+    frame = rib.normal.on_grid(len(ts))
+    mu, mup, kg = rib.mu(ts), rib.mu.derivative(ts), frame.kappa_g
+    lam = 0.0 if rib.flat else (mup - (1.0 + mu**2) * kg)[:, None]
+    us = np.linspace(-rib.w, rib.w, 41)
+    forms = _forms(mu[:, None], mup[:, None], kg[:, None], frame.kappa_n[:, None], lam, us)
+    if rib.flat:
+        assert forms.det == 1.0
+    else:
+        old = FundamentalForms(forms.E, forms.F, forms.G, forms.e)  # no det: EG - F^2 on every read
+        assert np.array_equal(mean_curvature(forms), mean_curvature(old))
+        assert np.array_equal(forms.area_element(), old.area_element())
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-16, 1e-7, 1e-5, 0.5])

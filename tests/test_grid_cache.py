@@ -7,8 +7,8 @@ first read.  A coarser grid of m nodes whose nodes are every s-th node of a
 kept M-node table, M - 1 = s (m - 1) with s a power of two, is read from
 that table as a strided view instead of being sampled again; stride 10 (2001 over 201 nodes) does not nest bitwise
 for most lengths, so it samples.  ``mu_field`` keeps its slope table on the
-field the same way.  Each test builds fresh fields, so no table from another
-test is reused.
+field the same way, and serves its nodes, and their spline slopes, as views.
+Each test builds fresh fields, so no table from another test is reused.
 """
 
 import gc
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from flatribbon import cli, frames
 from flatribbon.angleivp import solved_rotation_field
-from flatribbon.config import build_curve, parse_config
+from flatribbon.config import build_curve, parse_config, set_value
 from flatribbon.curves import ArcLengthCurve, CurveSpec, HelixParams, make_helix
 from flatribbon.energy import bending_energy_closed, bending_energy_quadrature, case_a_energy, limit_energy
 from flatribbon.errors import NonOrthogonalNormal, VanishingCurvature
@@ -34,8 +34,8 @@ from flatribbon.frames import (
     TorusNormalField,
     sampled_scalars,
 )
-from flatribbon.numerics import cross
-from flatribbon.ribbon import MuField, construct_ribbon, flatness_residuals, max_regular_width, mu_field
+from flatribbon.numerics import cross, spline, spline_slopes
+from flatribbon.ribbon import construct_ribbon, flatness_residuals, max_regular_width, mu_field, tessellate
 from test_sampled import sample_curve
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -122,15 +122,14 @@ def test_limit_energy_builds_no_slope_spline(helix11):
 
 @pytest.mark.parametrize("name", ["torus_knot.cfg", "samples_rmf.cfg"])
 def test_width_bound_and_ribbon_take_one_mu_derivative(name, monkeypatch):
-    # lambda, flat and the width bound are the slope table's, so the ribbon after the bound reads mu' no more
+    # lambda, flat and the width bound are the slope table's, so the ribbon after the bound solves mu' no more
     calls = []
-    original = MuField.derivative
 
-    def counted(self, t):
-        calls.append(np.shape(t))
-        return original(self, t)
+    def counted(x, y):
+        calls.append(np.shape(x))
+        return spline_slopes(x, y)
 
-    monkeypatch.setattr(MuField, "derivative", counted)
+    monkeypatch.setattr("flatribbon.ribbon.spline_slopes", counted)
     monkeypatch.chdir(ROOT)  # the samples config names its csv relative to the repo root
     cfg = parse_config(os.path.join("examples", name))
     curve = build_curve(cfg)
@@ -139,6 +138,53 @@ def test_width_bound_and_ribbon_take_one_mu_derivative(name, monkeypatch):
     assert rib.lam is rib.mu.lam and not rib.lam.flags.writeable
     assert rib.max_width == max_regular_width(curve, rib.normal, grid_size=len(rib.ts)) == rib.mu.max_width
     assert calls == [rib.ts.shape]
+
+
+@pytest.mark.parametrize("n", [2001, 1001, 501])
+def test_mu_node_reads_are_read_only_views_of_the_slope_table(knot, n):
+    # on every s-th node a read is a view of values or slopes, bitwise the spline's but perhaps at t = L
+    mu = mu_field(knot, TorusNormalField(knot), grid_size=2001)
+    ts = knot.grid(n)
+    values, slopes = mu(ts), mu.derivative(ts)
+    assert "_spline" not in vars(mu)
+    assert np.shares_memory(values, mu.values) and np.shares_memory(slopes, mu.slopes)
+    assert not values.flags.writeable and not slopes.flags.writeable
+    ref = spline(mu.ts, mu.values)
+    assert np.array_equal(values[:-1], ref(ts[:-1])) and np.array_equal(slopes[:-1], ref(ts[:-1], 1))
+    # t = L lies at the far end of the spline's last piece, which may round differently
+    assert abs(values[-1] - ref(ts[-1])) <= 4 * np.spacing(np.max(np.abs(mu.values)))
+    assert abs(slopes[-1] - ref(ts[-1], 1)) <= 4 * np.spacing(np.max(np.abs(mu.slopes)))
+    assert np.array_equal(mu.slopes, spline_slopes(mu.ts, mu.values)) and not mu.slopes.flags.writeable
+
+
+@pytest.mark.parametrize("name,q", [("torus_knot.cfg", "0"), ("torus_knot.cfg", "0.7"), ("samples_rmf.cfg", "0")])
+def test_energies_on_the_ribbon_grid_build_no_slope_spline(name, q, monkeypatch):
+    # closed form, quadrature and limit read mu and mu' at the ribbon's own nodes
+    monkeypatch.chdir(ROOT)  # the samples config names its csv relative to the repo root
+    cfg = parse_config(os.path.join("examples", name))
+    set_value(cfg, "q", q, "--q")
+    curve = build_curve(cfg)
+    field = cli._field(cfg, curve)
+    rib = cli._ribbon(cfg, curve, field)
+    bending_energy_closed(rib)
+    bending_energy_quadrature(rib)
+    limit_energy(curve, field, rib.w, n_t=len(rib.ts))
+    assert "_spline" not in vars(rib.mu)
+
+
+@pytest.mark.parametrize("name", ["torus_knot.cfg", "samples_rmf.cfg"])
+def test_mesh_rows_read_the_slope_spline(name, monkeypatch):
+    # the mesh rows lie off the ribbon's nodes: mu there is the not-a-knot spline's, bit for bit
+    monkeypatch.chdir(ROOT)
+    cfg = parse_config(os.path.join("examples", name))
+    curve = build_curve(cfg)
+    rib = cli._ribbon(cfg, curve, cli._field(cfg, curve))
+    mesh = tessellate(rib, cfg.mesh_nt, cfg.mesh_nu)
+    frame = rib.normal.sample(mesh.ts)
+    ruling = spline(rib.ts, rib.mu.values)(mesh.ts)[:, None] * frame.T + frame.H
+    want = curve.spec.point(frame.x)[:, None, :] + mesh.us[None, :, None] * ruling[:, None, :]
+    assert np.array_equal(mesh.vertices, want)
+    assert "_spline" in vars(rib.mu)
 
 
 FIELDS = {

@@ -14,6 +14,7 @@ from flatribbon.numerics import (
     prefix_products,
     rowdot,
     rownorm,
+    _simpson_weights,
     simpson_uniform,
     stencil_difference,
 )
@@ -82,6 +83,52 @@ def test_cumulative_simpson_matches_antiderivative():
     table = cumulative_simpson_uniform(np.exp(xs), xs[1] - xs[0])
     assert table[0] == 0.0
     assert np.max(np.abs(table - (np.exp(xs) - 1.0))) < 1e-8
+
+
+def reference_simpson(values, h):
+    """``simpson_uniform`` as it was when it built its weights on every call."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    weights = np.ones(n)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    total = h / 3.0 * np.vecdot(values, weights)
+    return float(total) if values.ndim == 1 else total
+
+
+def reference_cumulative_simpson(values, h):
+    """``cumulative_simpson_uniform`` as it was when it formed both 3-point formulas on every interval."""
+    f = np.asarray(values, dtype=float)
+    n = f.shape[-1]
+    forward = h / 3 * (5 * f[..., :-2] / 4 + 2 * f[..., 1:-1] - f[..., 2:] / 4)  # interval i
+    backward = h / 3 * (5 * f[..., 2:] / 4 + 2 * f[..., 1:-1] - f[..., :-2] / 4)  # interval i + 1
+    parts = np.empty(f.shape[:-1] + (n,))
+    parts[..., 0] = 0.0
+    parts[..., 1:-1:2] = forward[..., ::2]
+    parts[..., 2::2] = backward[..., ::2]
+    parts[..., -1] = backward[..., -1]
+    return np.cumsum(parts, axis=-1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 101, 1001, 4001])
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_simpson_rules_are_their_reference_bit_for_bit(n, shape):
+    # kept weights and only the kept intervals change no bit, on one row or on a 2-D stack of rows
+    rng = np.random.default_rng(n)
+    values = np.exp(3.0 * rng.standard_normal(shape + (n,))) * rng.choice([-1.0, 1.0], shape + (n,))
+    h = 0.37
+    assert np.array_equal(cumulative_simpson_uniform(values, h), reference_cumulative_simpson(values, h))
+    if n % 2:
+        got = simpson_uniform(values, h)
+        assert np.array_equal(got, reference_simpson(values, h)) and type(got) is type(reference_simpson(values, h))
+
+
+def test_simpson_weights_are_kept_read_only():
+    weights = _simpson_weights(101)
+    assert _simpson_weights(101) is weights
+    assert np.array_equal(weights[:4], [1.0, 4.0, 2.0, 4.0]) and weights[-1] == 1.0
+    with pytest.raises(ValueError):
+        weights[0] = 2.0
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
