@@ -30,7 +30,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NormalCurvatureZero, StepSizeUnderflow
+from .frames import PrincipalNormalField, RotatedNormalField, sampled_scalars
 from .numerics import arccot, cumulative_simpson_uniform, first_where, nested_stride, prefix_products, read_only, spline
+from .ribbon import mu_field
 
 __all__ = [
     "AngleRHS",
@@ -325,9 +327,6 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
     and theta' off the solution's node table, with no spline and no new
     evaluation of F.  Returns (rotated_field, theta_solution).
     """
-    from .frames import RotatedNormalField, sampled_scalars
-    from .ribbon import mu_field
-
     curve = base_field.curve
     n = max(int(grid_size), 2)
     scalars = sampled_scalars(base_field, 4 * n + 1)
@@ -353,8 +352,6 @@ def integrated_torsion(curve):
     The torsion is tau_g of the principal normal, whose sample raises
     VanishingCurvature unless kappa L > KAPPA_MIN.
     """
-    from .frames import PrincipalNormalField
-
     ts = curve.grid(2001)
     table = cumulative_simpson_uniform(PrincipalNormalField(curve).on_grid(2001).tau_g, ts[1] - ts[0])
     return spline(ts, table)

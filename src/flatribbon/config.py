@@ -116,6 +116,7 @@ def check_domains(cfg):
         raise ConfigError(f"fault must be one of {', '.join(_FAULTS)}, got '{cfg.fault}'")
     if not abs(cfg.q) <= 2.0 * np.pi:
         raise ConfigError(f"q must be an angle in [-2 pi, 2 pi], got {cfg.q:g}")
+    cfg.q += 0.0  # -0.0 is the ribbon of q = 0: name and write it so
     if cfg.phi != "base" and not 0.0 < cfg.phi < np.pi:
         raise ConfigError(f"phi must be 'base' or a ruling angle in (0, pi), got {cfg.phi:g}")
     for r in cfg.r:

@@ -1,12 +1,13 @@
 """Bending energies of flat ribbons.
 
 Two independent routes compute the finite-width energy: brute-force
-double quadrature of H^2 dA from the fundamental forms, and the closed
-form obtained by integrating the u-direction analytically (one form,
-2 artanh(w lambda) / lambda, exactly 2w at lambda = 0).  The
-infinitesimal-width limit, the bound between same-ruling-angle ribbons,
-and the closed forms for the two special ruling-angle choices and for the
-circular helix live here too.
+double quadrature of H^2 dA, formed at every (t, u) from the fundamental
+forms, and the closed form obtained by integrating the u-direction
+analytically (one form, 2 artanh(w lambda) / lambda, exactly 2w at
+lambda = 0).  Both read mu, mu' and lambda from :meth:`FlatRibbon.rows`.
+The infinitesimal-width limit, the bound between same-ruling-angle
+ribbons, and the closed forms for the two special ruling-angle choices and
+for the circular helix live here too.
 """
 
 from dataclasses import dataclass
@@ -19,12 +20,9 @@ from .numerics import arccot, cumulative_simpson_uniform, odd_node_count, simpso
 from .ribbon import mu_field
 
 __all__ = [
-    "FundamentalForms",
     "EnergyReport",
     "CaseAExtrema",
     "EnergyBoundReport",
-    "fundamental_forms",
-    "mean_curvature",
     "bending_energy_quadrature",
     "bending_energy_closed",
     "limit_energy",
@@ -38,29 +36,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FundamentalForms:
-    """First and second fundamental forms of sigma, arrays over the points (t, u) asked for."""
-
-    E: float | np.ndarray
-    F: float | np.ndarray
-    G: float | np.ndarray
-    e: float | np.ndarray
-    f: float = 0.0
-    g: float = 0.0
-    det: float | None = None  # EG - F^2 taken once by the builder, 1 on a flat ribbon; None: from E, F, G per read
-
-    def metric_det(self):
-        """EG - F^2 at every point; DegenerateMetric where it is not positive."""
-        det = self.E * self.G - self.F**2 if self.det is None else self.det
-        if np.any(det <= 0.0):
-            raise DegenerateMetric(f"EG - F^2 = {float(np.min(det)):.3e}")
-        return det
-
-    def area_element(self):
-        return np.sqrt(self.metric_det())
-
-
-@dataclass(frozen=True)
 class EnergyReport:
     value: float
     method: str  # closed_form | special_case_lambda_zero | quadrature | limit_formula
@@ -68,58 +43,37 @@ class EnergyReport:
     error_estimate: float
 
 
-def _lam(ribbon, mu, mup, kg):
-    """lambda = mu' - (1 + mu^2) kappa_g; exactly 0 on a ribbon that FlatRibbon found flat."""
-    return 0.0 if ribbon.flat else mup - (1.0 + mu**2) * kg
+def _h2_area(mu, mup, kg, kn, lam, us):
+    """H^2 dA at every (t, u): mu, mu', kappa_g, kappa_n and lambda at each t down the rows, ``us`` across.
 
-
-def _forms(mu, mup, kg, kn, lam, u):
-    """The forms at (t, u) from mu, mu', kappa_g, kappa_n and lambda at t; all broadcast together.
-
-    A flat ribbon's forms have EG - F^2 = (1 + u lambda)^2.  Where lambda is the 0.0 of a ribbon
-    that FlatRibbon found flat, that is 1, free of the cancellation that EG - F^2 suffers where
-    u mu' or u kappa_g is large; elsewhere EG - F^2 is taken once here, for every reader of the forms.
+    H = G e / (2 (EG - F^2)) and dA = sqrt(EG - F^2), from the forms E, F, G of sigma and e = kappa_n (1 + u lambda).
+    EG - F^2 = (1 + u lambda)^2 is 1 where lambda is a flat ribbon's 0.0, free of cancellation at large u.
     """
-    stretch = 1.0 + u * lam
+    mu, mup, kg, kn = mu[:, None], mup[:, None], kg[:, None], kn[:, None]
+    flat = np.ndim(lam) == 0 and lam == 0.0
+    stretch = 1.0 + us * (lam if flat else lam[:, None])
     if np.any(stretch <= 0.0):
         raise OutsideRegularDomain(f"1 + u*lambda = {float(np.min(stretch)):.3e}: outside the regular domain")
-    with np.errstate(over="ignore"):  # only at a flat ribbon's widths, where the energies read det = 1
-        E = (1.0 + u * (mup - kg)) ** 2 + (u * mu * kg) ** 2
-        F = mu * (1.0 + u * mup)
+    with np.errstate(over="ignore"):  # only at a flat ribbon's widths, where det is 1
+        E = (1.0 + us * (mup - kg)) ** 2 + (us * mu * kg) ** 2
+        F = mu * (1.0 + us * mup)
     G = 1.0 + mu**2
     e = kn * stretch
-    return FundamentalForms(E, F, G, e, det=1.0 if np.ndim(lam) == 0 and lam == 0.0 else E * G - F**2)
-
-
-def fundamental_forms(ribbon, t, u):
-    """First and second fundamental forms of sigma at (t, u), scalars or arrays broadcast together."""
-    frame = ribbon.normal.sample(t)
-    mu, mup = ribbon.mu(t), ribbon.mu.derivative(t)
-    return _forms(mu, mup, frame.kappa_g, frame.kappa_n, _lam(ribbon, mu, mup, frame.kappa_g), u)
-
-
-def mean_curvature(forms):
-    """H = G e / (2 (EG - F^2)) for a flat ribbon (f = g = 0)."""
-    return forms.G * forms.e / (2.0 * forms.metric_det())
+    det = 1.0 if flat else E * G - F**2
+    if np.any(det <= 0.0):
+        raise DegenerateMetric(f"EG - F^2 = {float(np.min(det)):.3e}")
+    return (G * e / (2.0 * det)) ** 2 * np.sqrt(det)
 
 
 def bending_energy_quadrature(ribbon, n_t=None, n_u=41):
     """Double composite-Simpson quadrature of H^2 dA over the ribbon, on its grid unless ``n_t`` is given.
 
-    Independent oracle for :func:`bending_energy_closed`: it integrates
-    H^2 times the area element of :func:`fundamental_forms` numerically in u.
+    Independent oracle for :func:`bending_energy_closed`: it integrates H^2 dA numerically in u.
     """
-    ts = ribbon.curve.grid(len(ribbon.ts) if n_t is None else n_t)
-    frame = ribbon.normal.on_grid(len(ts))
+    ts, frame, mu, mup, lam = ribbon.rows(n_t)
     us = np.linspace(-ribbon.w, ribbon.w, odd_node_count(n_u))
-    # t down the rows, u across the columns
-    mu, mup = ribbon.mu(ts), ribbon.mu.derivative(ts)
-    lam = _lam(ribbon, mu, mup, frame.kappa_g)
-    rows = [a[:, None] for a in (mu, mup, frame.kappa_g, frame.kappa_n)]
-    forms = _forms(*rows, lam if ribbon.flat else lam[:, None], us)
-    integrand = mean_curvature(forms) ** 2 * forms.area_element()
-    hu = us[1] - us[0]
-    ht = ts[1] - ts[0]
+    integrand = _h2_area(mu, mup, frame.kappa_g, frame.kappa_n, lam, us)
+    hu, ht = us[1] - us[0], ts[1] - ts[0]
     value = simpson_uniform(simpson_uniform(integrand, hu), ht)
     coarse = simpson_uniform(simpson_uniform(integrand[::2, ::2], 2 * hu), 2 * ht)
     return EnergyReport(value, "quadrature", ribbon.w, abs(value - coarse) / 15.0)
@@ -139,13 +93,9 @@ def bending_energy_closed(ribbon, n_t=None):
     found flat (the dimensionless sup|lambda| L below ``ribbon.LAMBDA_FLAT_TOL``,
     no width bound), where lambda is 0 and the energy is linear in w.
     """
-    ts = ribbon.curve.grid(len(ribbon.ts) if n_t is None else n_t)
-    mu = ribbon.mu(ts)
-    frame = ribbon.normal.on_grid(len(ts))
-    lam = _lam(ribbon, mu, ribbon.mu.derivative(ts), frame.kappa_g)
+    ts, frame, mu, _, lam = ribbon.rows(n_t)
     w = ribbon.w
-    sup = float(np.max(np.abs(lam)))
-    if w * sup >= 1.0:
+    if w * float(np.max(np.abs(lam))) >= 1.0:
         raise WidthTooLarge(f"w = {w:.6g} exceeds 1/sup|lambda|")
     integrand = 0.25 * (1.0 + mu**2) ** 2 * frame.kappa_n**2 * _inner_integral(w, lam)
     h = ts[1] - ts[0]

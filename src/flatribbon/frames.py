@@ -8,8 +8,8 @@ at t to the field's ``jet_order``, so a frame sample makes one arc-length invers
 scalars on a whole grid of t in one call, a scalar t being its
 zero-dimensional case, and raises where the field leaves the normal plane.
 Rotating a field about the tangent by an angle function produces a new field
-whose scalars transform by :func:`rotate`; its grid table takes the scalars
-so from the base's table and builds its H, N, N' and H' only when they are
+whose scalars transform by :func:`rotate`; its sample takes the scalars so
+from the base's sample and builds its H, N, N' and H' only when they are
 first read.  ``NormalField.on_grid(n)`` is
 the sample on the curve's n-node grid, taken once per field and node count
 and kept read-only for the field's lifetime.  A grid of m nodes whose every
@@ -235,9 +235,9 @@ class RotatedNormalField(NormalField):
     otherwise).  A callable's value must broadcast to the shape of t (so a
     constant map works), else the sample raises InvalidParams.
     The frame table comes from the base field's table: the scalars by
-    :func:`rotate`, N, N' and H' by the rotation; on a grid that is the base's
-    ``on_grid`` table, so fields rotated from one base share its sample, and
-    the grid table builds its vectors only on their first read.
+    :func:`rotate`, N, N' and H' by the rotation, built only on their first
+    read; on a grid that is the base's ``on_grid`` table, so fields rotated
+    from one base share its sample.
     The base's sample is checked, and a rotation within the normal plane
     keeps |<N, T>| at most the base's, so the rotated sample needs no check.
     """
@@ -257,14 +257,13 @@ class RotatedNormalField(NormalField):
         return self._rotated(self.base.sample(ts), ts)
 
     def _grid_sample(self, ts):
-        return self._rotated(self.base.on_grid(len(ts)), ts, lazy=True)
+        return self._rotated(self.base.on_grid(len(ts)), ts)
 
-    def _rotated(self, b, ts, lazy=False):
-        """The table ``b`` rotated: scalars by :func:`rotate`, vectors now or, if ``lazy``, on first read."""
+    def _rotated(self, b, ts):
+        """The table ``b`` rotated: scalars by :func:`rotate`, vectors on first read, by a map that holds no field."""
         th, dth = _angles(self.theta, ts), _angles(self.theta_prime, ts)
         sc = rotate(b, th, dth)
-        vectors = lambda: _rotated_vectors(b, th, dth)  # holds no reference to the field
-        return FrameSample(b.T, b.Tp, sc.kappa_g, sc.kappa_n, sc.tau_g, b.x, vectors if lazy else vectors())
+        return FrameSample(b.T, b.Tp, sc.kappa_g, sc.kappa_n, sc.tau_g, b.x, lambda: _rotated_vectors(b, th, dth))
 
 
 def _rotated_vectors(b, th, dth):

@@ -6,7 +6,8 @@ sigma(t, u) = gamma(t) + u (mu(t) T(t) + H(t)) with mu = -tau_g / kappa_n.
 This module builds that ribbon, bounds the regular half-width through the
 area element 1 + u * lambda, tessellates the surface, and measures how
 developable the result actually is.  mu and its spline's node slopes are
-kept on the grid, where the width bound and the energies read them.
+kept on the grid; :meth:`FlatRibbon.rows` serves mu, mu' and lambda on a
+grid to the energies and the residuals, the one reader of them.
 """
 
 from dataclasses import dataclass
@@ -69,7 +70,7 @@ class MuField:
 
     @cached_property
     def lam(self):  # on ts, read-only
-        lam = self.slopes - (1.0 + self.values**2) * self.frame.kappa_g
+        lam = _lam(self.values, self.slopes, self.frame.kappa_g)
         lam.flags.writeable = False
         return lam
 
@@ -88,6 +89,10 @@ class MuField:
     def derivative(self, t):
         s = nested_stride(self.ts, t)
         return self._spline(t, 1) if s is None else self.slopes[::s]
+
+
+def _lam(mu, mup, kappa_g):  # lambda, the rate of the ribbon's area element 1 + u lambda
+    return mup - (1.0 + mu**2) * kappa_g
 
 
 def _extend_at_zero(normal_field, ts, kn_scale, tg_scale):
@@ -190,8 +195,20 @@ class FlatRibbon:
         fr = self.normal.sample(t) if frame is None else frame
         return self.mu(t)[..., None] * fr.T + fr.H
 
-    def ruling_derivative(self, t, frame):
-        return self.mu.derivative(t)[..., None] * frame.T + self.mu(t)[..., None] * frame.Tp + frame.Hp
+    def rows(self, n_t=None):
+        """(ts, frame, mu, mu', lambda) on ``curve.grid(n_t)``, the ribbon's own grid unless ``n_t`` is given.
+
+        On a grid nested in the ribbon's (:func:`~flatribbon.numerics.nested_stride`) mu, mu' and lambda are
+        read-only views of the slope table's ``values``, ``slopes`` and ``lam``; elsewhere mu and mu' are read
+        off its spline.  ``frame`` is the field's ``on_grid`` table.  On a flat ribbon lambda is the scalar 0.0.
+        """
+        ts = self.curve.grid(len(self.ts) if n_t is None else n_t)
+        frame = self.normal.on_grid(len(ts))
+        s = nested_stride(self.ts, ts)
+        if s is None:
+            mu, mup = self.mu(ts), self.mu.derivative(ts)
+            return ts, frame, mu, mup, 0.0 if self.flat else _lam(mu, mup, frame.kappa_g)
+        return ts, frame, self.mu.values[::s], self.mu.slopes[::s], 0.0 if self.flat else self.lam[::s]
 
     def point(self, t, u):
         return self.curve.point(t) + u * self.ruling(t)
@@ -316,10 +333,9 @@ def flatness_residuals(ribbon, grid_size, ruling=None):
     ruling, its derivative taken by central differences, so a check can show
     that a perturbed one is non-flat.
     """
-    ts = ribbon.curve.grid(grid_size)
-    frame = ribbon.normal.on_grid(grid_size)
+    ts, frame, mu, mup, _ = ribbon.rows(grid_size)
     if ruling is None:
-        x, xp = ribbon.ruling(ts, frame), ribbon.ruling_derivative(ts, frame)
+        x, xp = ribbon.ruling(ts, frame), mup[:, None] * frame.T + mu[:, None] * frame.Tp + frame.Hp
     else:
         h = 1e-5 * ribbon.curve.length
         x, xp = ruling(ts), central_difference(ruling, ts, 1, h)

@@ -499,6 +499,23 @@ def test_zero_q_builds_on_the_base_field_itself(tmp_path, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_negative_zero_q_writes_the_files_of_zero_q(tmp_path, where):
+    # q = -0.0 is the ribbon of q = 0: the same file names (q0, not q-0) and the same bytes, "0" in energy.csv
+    outs = {}
+    for q in ("0", "-0"):
+        cfg = write_cfg(tmp_path, KNOT_CFG + (f"q = {q}\n" if where == "config" else ""), name=f"q{q}.cfg")
+        flag = ["--q", q] if where == "flag" else []
+        outs[q] = out = tmp_path / f"out{q}"
+        for command in ("build", "solve", "energy"):
+            assert run([command, "--config", cfg, "--out", str(out)] + flag) == 0
+    names = sorted(os.listdir(outs["0"]))
+    assert names == ["energy.csv", "residuals_q0.csv", "ribbon_q0.obj", "theta_q0.csv"]
+    assert sorted(os.listdir(outs["-0"])) == names
+    for name in names:
+        assert (outs["-0"] / name).read_bytes() == (outs["0"] / name).read_bytes()
+
+
 def test_numeric_phi_applies_at_zero_q(tmp_path, monkeypatch):
     # theta = 0 solves only the same-angle IVP, so q = 0 must still prescribe phi
     text = "kind = helix\na = 1.0\nb = 1.0\nnormal = rotation_minimizing\nphi = 1.0\ngrid = 400\n"

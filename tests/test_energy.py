@@ -12,8 +12,7 @@ from flatribbon.curves import (
     make_torus_knot,
 )
 from flatribbon.energy import (
-    FundamentalForms,
-    _forms,
+    _h2_area,
     _inner_integral,
     bending_energy_closed,
     bending_energy_quadrature,
@@ -21,11 +20,9 @@ from flatribbon.energy import (
     case_a_extrema,
     case_b_energy,
     energy_bound,
-    fundamental_forms,
     helix_ratio_a,
     helix_ratio_b,
     limit_energy,
-    mean_curvature,
 )
 from flatribbon.errors import (
     DegenerateMetric,
@@ -55,74 +52,98 @@ def knot_ribbon(knot, torus_field):
     return construct_ribbon(knot, torus_field, 0.1, grid_size=1001)
 
 
-# ------------------------------------------------------------ fundamental forms
+# ------------------------------------------------------------ H^2 dA, the quadrature's integrand
+
+
+def _h2_area_at(rib, us, n_t=None):
+    """H^2 dA at rib.rows(n_t) x us, and the rows."""
+    _, frame, mu, mup, lam = rib.rows(n_t)
+    return _h2_area(mu, mup, frame.kappa_g, frame.kappa_n, lam, us), (frame, mu, lam)
+
+
+def _identity(frame, mu, lam, us):
+    # H = (1 + mu^2) kappa_n / (2 (1 + u lambda)) and dA = 1 + u lambda on a flat ribbon
+    return ((1.0 + mu**2) ** 2 * frame.kappa_n**2)[:, None] / (4.0 * (1.0 + us * np.reshape(lam, (-1, 1))))
 
 
 def test_forms_on_the_curve(tilted_strip):
-    t = 1.0
-    forms = fundamental_forms(tilted_strip, t, 0.0)
-    mu = float(tilted_strip.mu(t))
-    sc = tilted_strip.normal.scalars(t)
-    assert forms.E == pytest.approx(1.0, abs=1e-12)
-    assert forms.F == pytest.approx(mu, abs=1e-12)
-    assert forms.G == pytest.approx(1.0 + mu * mu, abs=1e-12)
-    assert forms.e == pytest.approx(sc.kappa_n, abs=1e-12)
-    assert forms.f == 0.0 and forms.g == 0.0
+    # at u = 0: E = 1, F = mu, G = 1 + mu^2, e = kappa_n, so H^2 dA = (1 + mu^2)^2 kappa_n^2 / 4
+    got, (frame, mu, _) = _h2_area_at(tilted_strip, np.array([0.0]))
+    np.testing.assert_allclose(got[:, 0], (1.0 + mu**2) ** 2 * frame.kappa_n**2 / 4.0, rtol=0.0, atol=1e-12)
 
 
 def test_helix_rectifying_area_element_is_one(helix_strip, rng):
-    for t in rng.uniform(0.0, helix_strip.curve.length, 20):
-        for u in rng.uniform(-0.1, 0.1, 3):
-            forms = fundamental_forms(helix_strip, t, u)
-            assert forms.area_element() == pytest.approx(1.0, abs=1e-9)
+    # lambda is the flat ribbon's 0.0, so dA = 1 at any u, however large
+    us = np.concatenate([rng.uniform(-0.1, 0.1, 3), [-1e20, 1e20]])
+    got, (frame, mu, lam) = _h2_area_at(helix_strip, us)
+    assert lam == 0.0 and np.ndim(lam) == 0
+    h = (1.0 + mu**2) * frame.kappa_n / 2.0
+    np.testing.assert_allclose(got, np.broadcast_to((h**2)[:, None], got.shape), rtol=0.0, atol=1e-9)
 
 
 def test_area_element_identity(tilted_strip, rng):
-    for t in rng.uniform(0.0, tilted_strip.curve.length, 30):
-        mu = float(tilted_strip.mu(t))
-        mup = float(tilted_strip.mu.derivative(t))
-        kg = tilted_strip.normal.scalars(t).kappa_g
-        for u in rng.uniform(-0.2, 0.2, 3):
-            forms = fundamental_forms(tilted_strip, t, u)
-            want = 1.0 + u * mup - u * (1.0 + mu * mu) * kg
-            assert forms.area_element() == pytest.approx(want, abs=1e-10)
+    # on the ribbon's grid, where mu, mu' and lambda are views of its slope table
+    us = rng.uniform(-0.2, 0.2, 3)
+    got, rows = _h2_area_at(tilted_strip, us)
+    np.testing.assert_allclose(got, _identity(*rows, us), rtol=0.0, atol=1e-10)
 
 
 def test_forms_outside_regular_domain(tilted_strip):
+    _, frame, mu, mup, lam = tilted_strip.rows()
+    assert np.min(1.0 + 1.5 * lam) <= 0.0
     with pytest.raises(OutsideRegularDomain):
-        fundamental_forms(tilted_strip, 1.0, 1.5)
+        _h2_area(mu, mup, frame.kappa_g, frame.kappa_n, lam, np.array([1.5]))
 
 
 def test_mean_curvature_two_expressions_agree(tilted_strip, rng):
-    for t in rng.uniform(0.0, tilted_strip.curve.length, 20):
-        mu = float(tilted_strip.mu(t))
-        mup = float(tilted_strip.mu.derivative(t))
-        sc = tilted_strip.normal.scalars(t)
-        for u in rng.uniform(-0.2, 0.2, 2):
-            forms = fundamental_forms(tilted_strip, t, u)
-            h = mean_curvature(forms)
-            denom = 1.0 + u * mup - u * (1.0 + mu * mu) * sc.kappa_g
-            want = (1.0 + mu * mu) * sc.kappa_n / (2.0 * denom)
-            assert abs(h) == pytest.approx(abs(want), abs=1e-12)
+    # on 301 nodes, which do not nest in the ribbon's 801: mu and mu' off the spline, lambda formed from them
+    us = rng.uniform(-0.2, 0.2, 2)
+    got, rows = _h2_area_at(tilted_strip, us, n_t=301)
+    np.testing.assert_allclose(got, _identity(*rows, us), rtol=0.0, atol=1e-12)
 
 
 def test_mean_curvature_zero_normal_curvature():
-    forms = FundamentalForms(E=1.0, F=0.3, G=1.2, e=0.0)
-    assert mean_curvature(forms) == 0.0
+    mu, mup, kg = np.array([0.3, -1.2]), np.array([0.1, 0.4]), np.array([0.2, 0.5])
+    got = _h2_area(mu, mup, kg, np.zeros(2), mup - (1.0 + mu**2) * kg, np.array([-0.1, 0.0, 0.1]))
+    assert np.all(got == 0.0)
 
 
 def test_mean_curvature_helix_rectifying_constant(helix_strip):
-    # kappa_g = mu' = 0: |H| = (1 + mu^2) kappa / 2 at every (t, u)
-    want = (1.0 + 1.0) * 0.5 / 2.0
-    for t in (0.0, 2.0):
-        for u in (-0.05, 0.08):
-            h = mean_curvature(fundamental_forms(helix_strip, t, u))
-            assert abs(h) == pytest.approx(want, abs=1e-9)
+    # kappa_g = mu' = 0: H^2 dA = ((1 + mu^2) kappa / 2)^2 = 1/4 at every (t, u)
+    got, _ = _h2_area_at(helix_strip, np.array([-0.05, 0.08]))
+    np.testing.assert_allclose(got, 0.25, rtol=0.0, atol=1e-9)
 
 
 def test_degenerate_metric_rejected():
+    # 1 + u lambda = 1.5 > 0, but at u = 1 these mu' and kappa_g give E = 0, F = 0: EG - F^2 = 0
+    one = np.ones(1)
     with pytest.raises(DegenerateMetric):
-        mean_curvature(FundamentalForms(E=1.0, F=1.0, G=1.0, e=0.5))
+        _h2_area(0.0 * one, 0.0 * one, one, 0.5 * one, 0.5 * one, one)
+
+
+def _reference_h2_area(mu, mup, kg, kn, lam, u):
+    """H^2 dA as the record of the forms (E, F, G, e, f = g = 0, det) gave it: H = G e / (2 det), then H^2 sqrt(det)."""
+    stretch = 1.0 + u * lam
+    with np.errstate(over="ignore"):
+        E = (1.0 + u * (mup - kg)) ** 2 + (u * mu * kg) ** 2
+        F = mu * (1.0 + u * mup)
+    G = 1.0 + mu**2
+    e = kn * stretch
+    det = 1.0 if np.ndim(lam) == 0 and lam == 0.0 else E * G - F**2
+    mean_curvature = G * e / (2.0 * det)
+    return mean_curvature**2 * np.sqrt(det)
+
+
+@pytest.mark.parametrize("strip", ["tilted_strip", "helix_strip"])
+def test_forms_keep_the_bits_of_eg_minus_f_squared(strip, request):
+    # det = EG - F^2 taken once (1 on a flat ribbon), the operations in the order of the forms' record
+    rib = request.getfixturevalue(strip)
+    us = np.linspace(-rib.w, rib.w, 41)
+    got, _ = _h2_area_at(rib, us)
+    _, frame, mu, mup, lam = rib.rows()
+    mu, mup, kg, kn = (a[:, None] for a in (mu, mup, frame.kappa_g, frame.kappa_n))
+    want = _reference_h2_area(mu, mup, kg, kn, lam if rib.flat else lam[:, None], us)
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------- energies
@@ -210,24 +231,6 @@ def test_energies_agree_at_a_subnormal_width(knot, torus_field):
     closed = bending_energy_closed(rib).value
     assert closed == pytest.approx(bending_energy_quadrature(rib).value, rel=1e-11, abs=0.0)
     assert closed == pytest.approx(limit_energy(knot, torus_field, 1e-310, n_t=2001).value, rel=1e-11, abs=0.0)
-
-
-@pytest.mark.parametrize("strip", ["tilted_strip", "helix_strip"])
-def test_forms_keep_the_bits_of_eg_minus_f_squared(strip, request):
-    # det is taken once, as metric_det takes EG - F^2 from E, F, G, so H and the area element keep every bit
-    rib = request.getfixturevalue(strip)
-    ts = rib.ts
-    frame = rib.normal.on_grid(len(ts))
-    mu, mup, kg = rib.mu(ts), rib.mu.derivative(ts), frame.kappa_g
-    lam = 0.0 if rib.flat else (mup - (1.0 + mu**2) * kg)[:, None]
-    us = np.linspace(-rib.w, rib.w, 41)
-    forms = _forms(mu[:, None], mup[:, None], kg[:, None], frame.kappa_n[:, None], lam, us)
-    if rib.flat:
-        assert forms.det == 1.0
-    else:
-        old = FundamentalForms(forms.E, forms.F, forms.G, forms.e)  # no det: EG - F^2 on every read
-        assert np.array_equal(mean_curvature(forms), mean_curvature(old))
-        assert np.array_equal(forms.area_element(), old.area_element())
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-16, 1e-7, 1e-5, 0.5])

@@ -145,6 +145,41 @@ def test_ruling_projection_has_unit_normal_component(helix_strip):
         assert np.linalg.norm(proj) == pytest.approx(1.0, abs=1e-10)
 
 
+# ---------------------------------------------------------------- rows
+
+
+@pytest.fixture(scope="module")
+def knot_ribbon_2001(knot, torus_field):
+    return construct_ribbon(knot, torus_field, 0.1, grid_size=2001)
+
+
+@pytest.mark.parametrize("n_t", [None, 2001, 1001, 501])
+def test_rows_on_nested_grids_are_views_of_the_slope_table(knot_ribbon_2001, n_t):
+    rib = knot_ribbon_2001
+    ts, frame, mu, mup, lam = rib.rows(n_t)
+    s = 2000 // (len(ts) - 1)
+    assert np.array_equal(ts, rib.ts[::s]) and frame is rib.normal.on_grid(len(ts))
+    for got, table in ((mu, rib.mu.values), (mup, rib.mu.slopes), (lam, rib.mu.lam)):
+        assert np.shares_memory(got, table) and not got.flags.writeable
+        assert np.array_equal(got, table[::s])
+
+
+def test_rows_off_the_nested_grids_read_the_spline(knot_ribbon_2001):
+    # 201 nodes: stride 10 of the ribbon's 2001 is not a power of two
+    rib = knot_ribbon_2001
+    ts, frame, mu, mup, lam = rib.rows(201)
+    assert not np.shares_memory(mu, rib.mu.values)
+    assert np.array_equal(mu, rib.mu(ts)) and np.array_equal(mup, rib.mu.derivative(ts))
+    assert np.array_equal(lam, mup - (1.0 + mu**2) * frame.kappa_g)
+
+
+@pytest.mark.parametrize("n_t", [None, 201, 301])
+def test_rows_of_a_flat_ribbon_take_lambda_as_zero(helix_strip, n_t):
+    # 201 nodes nest in the strip's 801, 301 do not
+    lam = helix_strip.rows(n_t)[4]
+    assert helix_strip.flat and type(lam) is float and lam == 0.0
+
+
 # ---------------------------------------------------------------- width bound
 
 
