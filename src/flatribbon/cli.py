@@ -21,8 +21,8 @@ import numpy as np
 
 from . import angleivp, energy, validate
 from .config import RunConfig, build_base_field, build_curve, check_domains, parse_config, set_value, write_csv
-from .errors import ConfigError, FlatRibbonError
-from .ribbon import angle_defect_gauss, construct_ribbon, flatness_residuals, max_regular_width, tessellate, write_obj
+from .errors import ConfigError, FlatRibbonError, WidthTooLarge
+from .ribbon import construct_ribbon, flatness_residuals, max_regular_width, tessellate, write_obj
 
 
 @functools.cache
@@ -81,17 +81,18 @@ def cmd_build(cfg):
     mesh = tessellate(rib, cfg.mesh_nt, cfg.mesh_nu)
     if np.any(np.all(mesh.vertices[:, 1:] == mesh.vertices[:, :-1], axis=-1)):
         raise ConfigError(f"width {rib.w:.6g} is below the mesh resolution: vertices along a ruling coincide")
-    gauss = angle_defect_gauss(mesh)
+    spacing = np.finfo(float).eps * float(np.max(np.abs(mesh.vertices)))  # the vertices' rounding unit
+    if not spacing <= curve.length:  # a NaN vertex fails too
+        raise WidthTooLarge(
+            f"width {rib.w:.6g} is too large for the mesh to carry the curve: eps * max |vertex coordinate| "
+            f"= {spacing:.3g} exceeds the curve length {curve.length:.6g}"
+        )
+    report = flatness_residuals(rib, 201)
     os.makedirs(cfg.out, exist_ok=True)
     tag = f"q{cfg.q:g}"
     write_obj(mesh, os.path.join(cfg.out, f"ribbon_{tag}.obj"))
-    report = flatness_residuals(rib, 201)
-    ts, in_plane, tangent_plane = report.rows
-    write_csv(
-        os.path.join(cfg.out, f"residuals_{tag}.csv"),
-        ("t", "ruling_in_plane", "tangent_plane", "gauss_estimate"),
-        np.column_stack([ts, in_plane, tangent_plane, np.full(len(ts), gauss)]),
-    )
+    header = ("t", "ruling_in_plane", "tangent_plane", "gauss_curvature")
+    write_csv(os.path.join(cfg.out, f"residuals_{tag}.csv"), header, np.column_stack(report.rows))
     print(f"wrote ribbon_{tag}.obj ({cfg.mesh_nt}x{cfg.mesh_nu}), w = {rib.w:.6g}")
     print(f"flatness residuals: {report.ruling_in_plane:.3e} / {report.tangent_plane:.3e}")
     return 0

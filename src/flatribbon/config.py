@@ -8,19 +8,12 @@ rotation_minimizing, optionally rotated by a constant q at t = 0.
 exceed MESH_MAX, so an oversized request fails before it allocates.
 """
 
-import csv
-import math
+import contextlib
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .curves import (
-    HelixParams,
-    TorusKnotParams,
-    curve_from_samples,
-    make_helix,
-    make_torus_knot,
-)
+from .curves import HelixParams, TorusKnotParams, curve_from_samples, make_helix, make_torus_knot
 from .errors import ConfigError, InvalidParams
 from .frames import PrincipalNormalField, RotationMinimizingField, TorusNormalField
 from .textio import lines
@@ -136,29 +129,46 @@ def build_curve(cfg):
     if cfg.kind == "samples":
         if not cfg.csv:
             raise ConfigError("kind = samples requires a 'csv' path")
-        rows = []
-        try:
-            with open(cfg.csv, newline="") as fh:
-                reader = csv.reader(fh)
-                for row in reader:
-                    if not row or row[0].strip().startswith("#"):
-                        continue
-                    try:
-                        vals = [float(x) for x in row]
-                    except ValueError:
-                        continue  # header row
-                    if len(vals) < 4 or not all(map(math.isfinite, vals[:4])):
-                        raise ConfigError(f"{cfg.csv}:{reader.line_num}: samples need 4 finite values t, x, y, z")
-                    rows.append(vals[:4])
-        except OSError as exc:
-            raise ConfigError(f"cannot read samples CSV {cfg.csv}: {exc}") from exc
-        if len(rows) < 4:
-            raise ConfigError("samples CSV needs at least 4 data rows")
-        rows = np.array(rows)
+        rows = read_samples(cfg.csv)
         if not np.all(np.diff(rows[:, 0]) > 0.0):
             raise ConfigError(f"samples CSV {cfg.csv}: t must be strictly increasing")
         return curve_from_samples(rows[:, 0], rows[:, 1:])
     raise ConfigError(f"unknown curve kind '{cfg.kind}'")
+
+
+def read_samples(path):
+    """The (t, x, y, z) rows of a samples CSV: one ``np.loadtxt`` and one ``isfinite`` call past the header.
+
+    Blank and '#' lines are skipped, and then a first line whose first cell is not a number, the header.
+    Columns past z are ignored.  Lines are parsed one by one only to name a bad row or to skip a line of spaces.
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot read samples CSV {path}: {exc}") from exc
+    data = (i for i, line in enumerate(lines) if line.split("#", 1)[0].strip())  # lines neither blank nor comments
+    first = next(data, len(lines))
+    try:
+        float(lines[first].split(",", 1)[0].strip(' \t"'))
+    except (IndexError, ValueError):  # a header, or no line at all
+        first = next(data, len(lines))
+    rows = _finite_rows(lines[first:]) if first < len(lines) else np.empty((0, 4))  # np.loadtxt warns on no line
+    if rows is None:  # a bad row, or a line of spaces, which np.loadtxt does not skip
+        rows = np.concatenate([_finite_rows(lines[i : i + 1], f"{path}:{i + 1}") for i in [first, *data]])
+    if len(rows) < 4:
+        raise ConfigError("samples CSV needs at least 4 data rows")
+    return rows
+
+
+def _finite_rows(lines, where=None):
+    """The first 4 columns of the lines by ``np.loadtxt``, else None, or a ConfigError at ``where`` if given."""
+    with contextlib.suppress(ValueError):
+        rows = np.loadtxt(lines, delimiter=",", quotechar='"', usecols=(0, 1, 2, 3), ndmin=2)
+        if np.isfinite(rows).all():
+            return rows
+    if where is not None:
+        raise ConfigError(f"{where}: samples need 4 finite values t, x, y, z")
 
 
 def build_base_field(cfg, curve):

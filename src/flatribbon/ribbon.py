@@ -5,9 +5,10 @@ zeros), there is a unique flat ribbon normal to the field, parametrized by
 sigma(t, u) = gamma(t) + u (mu(t) T(t) + H(t)) with mu = -tau_g / kappa_n.
 This module builds that ribbon, bounds the regular half-width through the
 area element 1 + u * lambda, tessellates the surface, and measures how
-developable the result actually is.  mu and its spline's node slopes are
-kept on the grid; :meth:`FlatRibbon.rows` serves mu, mu' and lambda on a
-grid to the energies and the residuals, the one reader of them.
+developable the result actually is, by residuals and by the exact Gauss
+curvature of the ruled surface, taken in closed form and not off the mesh.
+mu and its spline's node slopes are kept on the grid; :meth:`FlatRibbon.rows`
+serves mu, mu' and lambda on a grid to the energies and the residuals.
 """
 
 from dataclasses import dataclass
@@ -33,7 +34,6 @@ __all__ = [
     "ruling_angle",
     "max_regular_width",
     "tessellate",
-    "angle_defect_gauss",
     "flatness_residuals",
     "write_obj",
 ]
@@ -288,46 +288,31 @@ def _obj_faces(n_t, n_u):
     return lines(faces.T, ("f ", "//", " ", "//", " ", "//", "\n"))
 
 
-_RING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
-
-
-def angle_defect_gauss(mesh):
-    """Max |K| over interior vertices via the angle-defect estimator, all vertices at once.
-
-    DegenerateMetric where a vertex ring has zero area, or where a ring's area
-    or the estimate is not finite (coordinates so large that products overflow).
-    """
-    v = np.ascontiguousarray(np.moveaxis(mesh.vertices, -1, 0))  # one contiguous (n_t, n_u) plane per coordinate
-    _, n_t, n_u = v.shape
-    p = v[:, 1:-1, 1:-1]
-    angle_sum = area = 0.0
-    with np.errstate(all="ignore"):
-        # the edges to the 8 grid neighbours (i + di, j + dj) of every interior vertex, in ring order
-        edges = [v[:, 1 + di : n_t - 1 + di, 1 + dj : n_u - 1 + dj] - p for di, dj in _RING]
-        for k in range(8):
-            (x1, y1, z1), (x2, y2, z2) = edges[k], edges[(k + 1) % 8]
-            cx, cy, cz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
-            cr = np.sqrt(cx * cx + cy * cy + cz * cz)
-            angle_sum += np.arctan2(cr, x1 * x2 + y1 * y2 + z1 * z2)
-            area += 0.5 * cr
-        if np.any(area == 0.0):
-            raise DegenerateMetric("a vertex ring of the mesh has zero area: its vertices coincide")
-        k_est = np.abs((2.0 * np.pi - angle_sum) / (area / 3.0))
-    if not (np.all(np.isfinite(area)) and np.all(np.isfinite(k_est))):
-        raise DegenerateMetric("the angle-defect Gauss estimate is not finite: products of mesh coordinates overflow")
-    return float(np.max(k_est, initial=0.0))
-
-
 @dataclass(frozen=True)
 class FlatnessReport:
     ruling_in_plane: float  # sup |<X, N>|
     tangent_plane: float  # sup |<X x T, X'>|
     second_form_f: float  # sup |<X', N>| (zero for a flat ribbon)
-    rows: tuple = ()  # (t, |<X, N>|, |<X x T, X'>|) on the residual grid
+    gauss_curvature: float  # sup |K| over the rows and |u| <= w
+    rows: tuple = ()  # (t, |<X, N>|, |<X x T, X'>|, sup over |u| <= w of |K|) on the residual grid
+
+
+def _gauss_sup(n, m, tangent_plane, w):
+    """sup over |u| <= w of |K| of sigma = gamma + u X by rows: n = X x T, m = X x X', tangent_plane = |<n, X'>|.
+
+    K = -<n, X'>^2 / (EG - F^2)^2 and EG - F^2 = |n + u m|^2 (do Carmo, 3-5), least at its vertex clipped to
+    [-w, w]; formed as a vector it is (1 + u lambda)^2 on a flat ribbon, free of cancellation.
+    """
+    mm = rowdot(m, m)
+    u = np.clip(np.divide(-rowdot(n, m), mm, out=np.zeros_like(mm), where=mm > 0.0), -w, w)[:, None]
+    det = rowdot(n + u * m, n + u * m)
+    if not np.all(det > 0.0):
+        raise DegenerateMetric(f"EG - F^2 = {float(np.min(det)):.3e}: the surface is singular within |u| <= w")
+    return tangent_plane**2 / det**2
 
 
 def flatness_residuals(ribbon, grid_size, ruling=None):
-    """Developability residuals of a ribbon on ``curve.grid(grid_size)``.
+    """Developability residuals and the exact Gauss curvature of a ribbon on ``curve.grid(grid_size)``.
 
     ``ruling`` (a map of an array of t to vectors) overrides the ribbon's own
     ruling, its derivative taken by central differences, so a check can show
@@ -340,6 +325,9 @@ def flatness_residuals(ribbon, grid_size, ruling=None):
         h = 1e-5 * ribbon.curve.length
         x, xp = ruling(ts), central_difference(ruling, ts, 1, h)
     in_plane = np.abs(rowdot(x, frame.N))
-    tangent_plane = np.abs(rowdot(cross(x, frame.T), xp))
-    res_f = float(np.max(np.abs(rowdot(xp, frame.N))))
-    return FlatnessReport(float(np.max(in_plane)), float(np.max(tangent_plane)), res_f, (ts, in_plane, tangent_plane))
+    n = cross(x, frame.T)
+    tangent_plane = np.abs(rowdot(n, xp))
+    # a flat ribbon's lambda is 0 (see FlatRibbon.rows), so its own EG - F^2 is the same at every u
+    gauss = _gauss_sup(n, cross(x, xp), tangent_plane, 0.0 if ruling is None and ribbon.flat else ribbon.w)
+    sups = (float(np.max(np.abs(v))) for v in (in_plane, tangent_plane, rowdot(xp, frame.N), gauss))
+    return FlatnessReport(*sups, (ts, in_plane, tangent_plane, gauss))

@@ -10,11 +10,11 @@ import pytest
 import flatribbon
 from flatribbon import cli
 from flatribbon.angleivp import solved_rotation_field
-from flatribbon.config import GRID_MIN, parse_config, write_csv
+from flatribbon.config import GRID_MIN, parse_config, read_samples, write_csv
 from flatribbon.energy import bending_energy_closed, bending_energy_quadrature, limit_energy
 from flatribbon.errors import ConfigError
 from flatribbon.frames import RotatedNormalField, RotationMinimizingField
-from flatribbon.ribbon import angle_defect_gauss, construct_ribbon, flatness_residuals, tessellate
+from flatribbon.ribbon import construct_ribbon, flatness_residuals
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 EXAMPLE = os.path.join(ROOT, "examples", "torus_knot.cfg")
@@ -120,9 +120,10 @@ def test_build_writes_obj_and_residuals(tmp_path):
     assert text.count("\nvn ") + text.startswith("vn ") == 40
     assert len([l for l in text.splitlines() if l.startswith("v ")]) == 40 * 5
     header, *rows = residuals.read_text().splitlines()
-    assert header == "t,ruling_in_plane,tangent_plane,gauss_estimate"
+    assert header == "t,ruling_in_plane,tangent_plane,gauss_curvature"
     worst = max(float(r.split(",")[1]) for r in rows)
     assert worst < 1e-8
+    assert max(float(r.split(",")[3]) for r in rows) < 1e-28  # the helix's strip is flat: K is rounding
 
 
 def test_build_rejects_excessive_width(tmp_path, capsys):
@@ -385,8 +386,7 @@ def reference_write_csv(path, header, rows):
 
 def test_write_csv_matches_per_element_writer(tmp_path, helix11, pn11):
     rib = construct_ribbon(helix11, pn11, 0.1, grid_size=201)
-    ts, in_plane, tangent_plane = flatness_residuals(rib, 201).rows
-    gauss = angle_defect_gauss(tessellate(rib, 40, 5))
+    ts, in_plane, tangent_plane, gauss = flatness_residuals(rib, 201).rows
     solution = solved_rotation_field(pn11, 0.7, grid_size=200, scalars_grid=201)[1]
     reports = [
         ("closed", bending_energy_closed(rib, n_t=201)),
@@ -395,8 +395,8 @@ def test_write_csv_matches_per_element_writer(tmp_path, helix11, pn11):
     ]
     tables = {
         "residuals": (
-            ("t", "ruling_in_plane", "tangent_plane", "gauss_estimate"),
-            lambda: zip(ts, in_plane, tangent_plane, np.full(len(ts), gauss)),
+            ("t", "ruling_in_plane", "tangent_plane", "gauss_curvature"),
+            lambda: zip(ts, in_plane, tangent_plane, gauss),
         ),
         "theta": (("t", "theta", "theta_prime"), lambda: zip(solution.ts, solution.values, solution.derivatives)),
         "energy": (
@@ -426,7 +426,7 @@ def helix_sample_rows():
     return np.column_stack([ts, np.cos(ts), np.sin(ts), 0.5 * ts])
 
 
-BAD_LINE = {"nan_t": 12, "inf_z": 12, "three_columns": 2}  # the header is line 1, so rows[i] is line i + 2
+BAD_LINE = {"nan_t": 12, "inf_z": 12, "three_columns": 2, "text_cell": 11}  # the header is line 1: rows[i] is line i + 2
 
 
 @pytest.mark.parametrize(
@@ -436,6 +436,7 @@ BAD_LINE = {"nan_t": 12, "inf_z": 12, "three_columns": 2}  # the header is line 
         ("nan_t", "finite"),
         ("inf_z", "finite"),
         ("three_columns", "4 finite values"),
+        ("text_cell", "4 finite values"),
     ],
 )
 def test_bad_samples_csv_exit_code(tmp_path, capsys, case, key):
@@ -447,10 +448,13 @@ def test_bad_samples_csv_exit_code(tmp_path, capsys, case, key):
     elif case == "inf_z":
         rows[10, 3] = np.inf
         rows[20, 1] = np.inf  # a later bad row: the first one is named
-    else:
+    elif case == "three_columns":
         rows = rows[:, :3]
     csv_path = tmp_path / "samples.csv"
     write_csv(csv_path, ("t", "x", "y", "z")[: rows.shape[1]], rows)
+    if case == "text_cell":  # a row that does not parse, after the header, is an error and not a second header
+        lines = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text("".join(lines[:10] + ["0.5,1,2,oops\n"] + lines[10:]))
     cfg = write_cfg(tmp_path, f"kind = samples\ncsv = {csv_path}\nnormal = rotation_minimizing\n")
     assert run(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -458,6 +462,34 @@ def test_bad_samples_csv_exit_code(tmp_path, capsys, case, key):
     if case in BAD_LINE:
         assert f"{csv_path}:{BAD_LINE[case]}:" in err
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_samples_csv_comments_quotes_and_extra_columns(tmp_path):
+    # comment and blank lines anywhere, a quoted number and columns past z read as the plain table does
+    rows = helix_sample_rows()
+    plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
+    write_csv(plain, ("t", "x", "y", "z"), rows)
+    header, *lines = plain.read_text().splitlines()
+    lines[5] = '"' + lines[5].replace(",", '",', 1)
+    lines = [line + ",extra,7" if i % 3 == 0 else line for i, line in enumerate(lines)]
+    odd.write_text("\n".join(["# a sampled helix", "", header, "  # indented comment", *lines[:30], "   ", *lines[30:]]))
+    assert '"' in odd.read_text() and "extra" in odd.read_text()
+    want = read_samples(str(plain))
+    assert want.tobytes() == rows.tobytes()
+    assert read_samples(str(odd)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n", "t,x,y,z\n# no rows\n", "t,x,y,z\n0,1,2,3\n1,2,3,4\n"])
+def test_samples_csv_without_4_rows_exit_code(tmp_path, capsys, text):
+    csv_path = tmp_path / "samples.csv"
+    csv_path.write_text(text)
+    cfg = write_cfg(tmp_path, f"kind = samples\ncsv = {csv_path}\nnormal = rotation_minimizing\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns on empty input
+        assert run(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: samples CSV needs at least 4 data rows\n"
     assert not (tmp_path / "o").exists()
 
 

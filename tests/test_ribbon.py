@@ -1,15 +1,18 @@
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from flatribbon import cli
 from flatribbon import ribbon as ribbon_mod
+from flatribbon.config import build_curve, parse_config
 from flatribbon.errors import DegenerateMetric, SingularRuling, WidthTooLarge
-from flatribbon.frames import PrincipalNormalField, RotatedNormalField, TorusNormalField
+from flatribbon.frames import PrincipalNormalField, RotatedNormalField
 from flatribbon.ribbon import (
     FlatRibbon,
     _extend_at_zero,
-    angle_defect_gauss,
+    _gauss_sup,
     construct_ribbon,
     flatness_residuals,
     max_regular_width,
@@ -18,6 +21,9 @@ from flatribbon.ribbon import (
     tessellate,
     write_obj,
 )
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 @pytest.fixture(scope="module")
@@ -292,23 +298,99 @@ def test_obj_export_is_valid(tmp_path, knot_ribbon):
 # ---------------------------------------------------------------- flatness
 
 
-def test_gauss_curvature_small_on_fine_mesh(knot_ribbon):
-    assert angle_defect_gauss(tessellate(knot_ribbon, 800, 20)) <= 1e-4
+def test_knot_ribbon_gauss_curvature_is_rounding(knot_ribbon):
+    report = flatness_residuals(knot_ribbon, 201)
+    gauss = report.rows[3]
+    assert gauss.shape == report.rows[0].shape and report.gauss_curvature == np.max(gauss)
+    assert report.gauss_curvature <= 1e-28  # the tangent-plane residual, ~1e-16, squared
 
 
-def test_gauss_estimate_decreases_under_refinement(knot_ribbon):
-    coarse = angle_defect_gauss(tessellate(knot_ribbon, 200, 6))
-    fine = angle_defect_gauss(tessellate(knot_ribbon, 400, 11))
-    assert fine <= 0.5 * coarse
+def test_helix_strip_gauss_curvature_is_zero_to_rounding(helix_strip):
+    gauss = flatness_residuals(helix_strip, 201).rows[3]
+    assert np.all(gauss <= (10.0 * np.finfo(float).eps) ** 2)
 
 
-def test_zero_area_mesh_raises_degenerate_metric(knot):
-    # at w = 1e-300 the vertices along each ruling coincide, so every vertex ring has zero area
-    ribbon = construct_ribbon(knot, TorusNormalField(knot), 1e-300, grid_size=201)
+@pytest.mark.parametrize("u0", [0.0, 0.3, -0.7, 2.5])
+@pytest.mark.parametrize("w", [0.1, 1.0, 4.0])
+def test_helicoid_gauss_curvature(u0, w):
+    # sigma = gamma + u X with X = (cos t, sin t, 0) and gamma = (0, 0, t) + u0 X is the helicoid at u + u0,
+    # K = -1 / (1 + (u + u0)^2)^2: its sup over |u| <= w is at the u + u0 nearest 0
+    ts = np.linspace(0.0, 6.0, 13)
+    zero = np.zeros_like(ts)
+    x = np.stack([np.cos(ts), np.sin(ts), zero], axis=-1)
+    xp = np.stack([-np.sin(ts), np.cos(ts), zero], axis=-1)
+    tangent = np.stack([zero, zero, zero + 1.0], axis=-1) + u0 * xp
+    n = np.cross(x, tangent)
+    gauss = _gauss_sup(n, np.cross(x, xp), np.abs(np.sum(n * xp, axis=-1)), w)
+    nearest = max(abs(u0) - w, 0.0)
+    np.testing.assert_allclose(gauss, 1.0 / (1.0 + nearest**2) ** 2, rtol=0.0, atol=1e-12)
+
+
+def finite_difference_gauss(curve, ruling, t, us, h):
+    """K of sigma(t, u) = gamma(t) + u X(t) at (t, us) from the fundamental forms.
+
+    Every derivative of sigma is a central difference of step h in t and in u.
+    """
+    ts = np.array([t - h, t, t + h])
+    points, rulings = curve.point(ts), ruling(ts)
+    s = lambda i, j: points[i + 1] + (us + j * h)[:, None] * rulings[i + 1]
+    st, su = (s(1, 0) - s(-1, 0)) / (2 * h), (s(0, 1) - s(0, -1)) / (2 * h)
+    stt, suu = (s(1, 0) - 2 * s(0, 0) + s(-1, 0)) / h**2, (s(0, 1) - 2 * s(0, 0) + s(0, -1)) / h**2
+    stu = (s(1, 1) - s(1, -1) - s(-1, 1) + s(-1, -1)) / (4 * h * h)
+    normal = np.cross(st, su)
+    normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+    dot = lambda a, b: np.sum(a * b, axis=-1)
+    E, F, G = dot(st, st), dot(st, su), dot(su, su)
+    e, f, g = dot(stt, normal), dot(stu, normal), dot(suu, normal)
+    return (e * g - f**2) / (E * G - F**2)
+
+
+def test_non_flat_ruling_gauss_curvature_matches_finite_differences(knot_ribbon, torus_field):
+    # X = H along the knot is a ruled surface with K != 0; its sup over |u| <= w on a 2001-point u grid, with
+    # the differencing error falling as h^2 and below 1e-6 relative at h = 5e-4
+    ruling = lambda t: torus_field.sample(t).H
+    report = flatness_residuals(knot_ribbon, 201, ruling=ruling)
+    ts, gauss = report.rows[0], report.rows[3]
+    assert report.gauss_curvature > 0.1
+    us = np.linspace(-knot_ribbon.w, knot_ribbon.w, 2001)
+    for i in (17, 60, 133):
+        errors = [
+            abs(np.max(np.abs(finite_difference_gauss(knot_ribbon.curve, ruling, ts[i], us, h))) - gauss[i])
+            for h in (2e-3, 1e-3, 5e-4)
+        ]
+        assert errors[1] <= 0.5 * errors[0] and errors[2] <= 0.5 * errors[1]
+        assert errors[2] <= 1e-6 * gauss[i]
+
+
+def test_tangent_ruling_raises_degenerate_metric(knot, torus_field):
+    # a ruling along the tangent spans no surface: EG - F^2 = 0 at u = 0
+    ribbon = construct_ribbon(knot, torus_field, 0.1, grid_size=201)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateMetric):
-            angle_defect_gauss(tessellate(ribbon, 200, 8))
+            flatness_residuals(ribbon, 101, ruling=lambda t: knot.derivative(t, 1))
+        # at w = 1e-300 the surface is regular, so its Gauss curvature is finite
+        tiny = construct_ribbon(knot, torus_field, 1e-300, grid_size=201)
+        assert np.isfinite(flatness_residuals(tiny, 101).gauss_curvature)
+
+
+@pytest.mark.parametrize("config", ["torus_knot.cfg", "samples_rmf.cfg"])
+def test_examples_area_element_is_one_plus_u_lambda_squared(monkeypatch, config):
+    # on the ribbon's own ruling EG - F^2 = |n + u m|^2, n = X x T, m = X x X', is (1 + u lambda)^2, so the
+    # Gauss column is the tangent-plane residual squared over (1 - w |lambda|)^4
+    monkeypatch.chdir(ROOT)  # the samples config names its csv relative to the repo root
+    cfg = parse_config(os.path.join("examples", config))
+    curve = build_curve(cfg)
+    rib = cli._ribbon(cfg, curve, cli._field(cfg, curve))
+    ts, frame, mu, mup, lam = rib.rows(201)
+    x = rib.ruling(ts, frame)
+    xp = mup[:, None] * frame.T + mu[:, None] * frame.Tp + frame.Hp
+    n, m = np.cross(x, frame.T), np.cross(x, xp)
+    for u in np.linspace(-rib.w, rib.w, 9):
+        det = np.sum((n + u * m) ** 2, axis=-1)
+        np.testing.assert_allclose(det, (1.0 + u * lam) ** 2, rtol=0.0, atol=1e-14)
+    report = flatness_residuals(rib, 201)
+    np.testing.assert_allclose(report.rows[3], report.rows[2] ** 2 / (1.0 - rib.w * np.abs(lam)) ** 4, rtol=1e-13)
 
 
 def test_flatness_residuals_builds_no_mesh(monkeypatch, knot_ribbon):

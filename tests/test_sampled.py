@@ -3,7 +3,7 @@
 The references below are the scalar algorithms the array code replaced: the
 Darboux scalars read off one t at a time from a field's N and N' there
 (with a rotated field rotating its base field's frame at that t), and the
-angle-defect estimate visiting one interior vertex at a time.  Array results
+sup of the Gauss curvature over a ruling taken one t at a time.  Array results
 must match within 1e-12 relative to the sup of each quantity; an identically
 vanishing quantity is measured against the sup of the curvature instead.
 """
@@ -14,7 +14,8 @@ import pytest
 from flatribbon.angleivp import solved_rotation_field
 from flatribbon.curves import TorusKnotParams, curve_from_samples, make_torus_knot
 from flatribbon.frames import RotatedNormalField, RotationMinimizingField
-from flatribbon.ribbon import angle_defect_gauss, construct_ribbon, tessellate
+from flatribbon.numerics import central_difference
+from flatribbon.ribbon import construct_ribbon, flatness_residuals
 
 REL = 1e-12
 
@@ -47,34 +48,18 @@ def reference_scalars(field, ts):
     return np.array(rows)
 
 
-def reference_angle_defect(mesh):
-    v = mesh.vertices
-    n_t, n_u, _ = v.shape
-    worst = 0.0
-    for i in range(1, n_t - 1):
-        for j in range(1, n_u - 1):
-            p = v[i, j]
-            ring = [
-                v[i + 1, j],
-                v[i + 1, j + 1],
-                v[i, j + 1],
-                v[i - 1, j + 1],
-                v[i - 1, j],
-                v[i - 1, j - 1],
-                v[i, j - 1],
-                v[i + 1, j - 1],
-            ]
-            angle_sum = 0.0
-            area = 0.0
-            for k in range(8):
-                e1 = ring[k] - p
-                e2 = ring[(k + 1) % 8] - p
-                cr = np.linalg.norm(np.cross(e1, e2))
-                angle_sum += np.arctan2(cr, np.dot(e1, e2))
-                area += 0.5 * cr
-            k_est = (2.0 * np.pi - angle_sum) / (area / 3.0)
-            worst = max(worst, abs(k_est))
-    return worst
+def reference_gauss_sup(curve, ruling, ts, w):
+    """sup over |u| <= w of |K| of gamma + u X, one t at a time, from the quadratic EG - F^2 = |a + u b|^2 of
+    a = T x X and b = X' x X, X' by the central difference that ``flatness_residuals`` takes of an override."""
+    xps = central_difference(ruling, ts, 1, 1e-5 * curve.length)
+    rows = []
+    for t, xp in zip(ts, xps):
+        x, tangent = ruling(t), curve.derivative(t, 1)
+        a, b = np.cross(tangent, x), np.cross(xp, x)
+        bb, ab, aa = np.dot(b, b), np.dot(a, b), np.dot(a, a)
+        u = min(max(-ab / bb, -w), w)
+        rows.append(np.dot(a, xp) ** 2 / (aa + 2.0 * u * ab + u * u * bb) ** 2)
+    return np.array(rows)
 
 
 def sample_curve():
@@ -124,8 +109,9 @@ def test_scalar_call_is_the_zero_dimensional_sample(torus_field):
     assert (one.kappa_g, one.kappa_n, one.tau_g) == (grid.kappa_g[0], grid.kappa_n[0], grid.tau_g[0])
 
 
-def test_angle_defect_matches_vertex_loop(knot, torus_field):
+def test_gauss_curvature_matches_per_t_loop(knot, torus_field):
+    # the ruling X = H spans a non-flat surface along the knot, so K is of order 1
     ribbon = construct_ribbon(knot, torus_field, 0.1, grid_size=1001)
-    mesh = tessellate(ribbon, 400, 9)
-    want = reference_angle_defect(mesh)
-    assert abs(angle_defect_gauss(mesh) - want) <= REL * want
+    ruling = lambda t: torus_field.sample(t).H
+    ts, _, _, gauss = flatness_residuals(ribbon, 201, ruling=ruling).rows
+    assert_close(gauss, reference_gauss_sup(knot, ruling, ts, ribbon.w))
