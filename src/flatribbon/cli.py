@@ -21,7 +21,7 @@ import numpy as np
 
 from . import angleivp, energy, validate
 from .config import RunConfig, build_base_field, build_curve, check_domains, parse_config, set_value, write_csv
-from .errors import ConfigError, FlatRibbonError, WidthTooLarge
+from .errors import ConfigError, FlatRibbonError
 from .ribbon import construct_ribbon, flatness_residuals, max_regular_width, tessellate, write_obj
 
 
@@ -81,12 +81,6 @@ def cmd_build(cfg):
     mesh = tessellate(rib, cfg.mesh_nt, cfg.mesh_nu)
     if np.any(np.all(mesh.vertices[:, 1:] == mesh.vertices[:, :-1], axis=-1)):
         raise ConfigError(f"width {rib.w:.6g} is below the mesh resolution: vertices along a ruling coincide")
-    spacing = np.finfo(float).eps * float(np.max(np.abs(mesh.vertices)))  # the vertices' rounding unit
-    if not spacing <= curve.length:  # a NaN vertex fails too
-        raise WidthTooLarge(
-            f"width {rib.w:.6g} is too large for the mesh to carry the curve: eps * max |vertex coordinate| "
-            f"= {spacing:.3g} exceeds the curve length {curve.length:.6g}"
-        )
     report = flatness_residuals(rib, 201)
     os.makedirs(cfg.out, exist_ok=True)
     tag = f"q{cfg.q:g}"

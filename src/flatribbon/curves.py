@@ -8,10 +8,9 @@ precision by construction: derivatives with respect to arc length are
 obtained from the raw derivatives by the chain rule, with dx/ds = 1/|c'|.
 The map s(x) is one table: cumulative Simpson values at the raw nodes, in
 Hermite form on the node speeds |c'(x_i)| that the quadrature already
-evaluated.  Its inverse starts from the linear interpolant of that table
-and takes Newton steps on s(x).  A curve may give its speed in closed form
-(the torus knot does); the table and every Newton step then read that one
-speed map, and neither evaluates c'.
+evaluated.  Its inverse starts from the linear interpolant of that table and takes Newton steps
+on s(x) until their miss is at rounding, at most NEWTON_STEPS of them.  A curve may give its speed
+in closed form (the torus knot does); the table and every Newton step then read that one speed map.
 :meth:`ArcLengthCurve.jet` is the one evaluation point: a single arc-length
 inversion and one call of the jet map give the raw parameter, the raw speed
 and gamma', gamma'' and, at order 3, gamma'''; ``derivative`` is one of them.  The chain
@@ -31,7 +30,8 @@ from .numerics import Cubic, cumulative_simpson_uniform, first_where, odd_node_c
 from .numerics import simpson_uniform, spline, stencil_difference
 
 KAPPA_MIN = 1e-9  # bounds kappa L: below it, free of the curve's scale, the Frenet normal/torsion are absent
-NEWTON_STEPS = 3  # of the arc-length inversion; two already reach rounding on the test curves
+NEWTON_STEPS = 3  # cap of the arc-length inversion; two reach NEWTON_ROUNDING on the test curves
+NEWTON_ROUNDING = 2 * np.finfo(float).eps  # relative miss that is rounding: s(x) near L is good to an ulp of L
 LENGTH_ROUNDING = 64 * np.finfo(float).eps  # relative arc-length error estimate that is Simpson's rounding
 _TINY = np.finfo(float).tiny  # the least normal double: speed^5 and the helix's m^3 must reach it
 
@@ -57,9 +57,9 @@ def _stack3(x, y, z):
 
 def _vectors(value, x):
     """value as floats; InvalidParams unless it has the shape x.shape + (3,)."""
-    value = np.asarray(value, dtype=float)
-    if value.shape != np.shape(x) + (3,):
-        raise InvalidParams(f"a curve map returned shape {value.shape} for parameters of shape {np.shape(x)}")
+    value, shape = np.asarray(value, dtype=float), np.asarray(x).shape
+    if value.shape != shape + (3,):
+        raise InvalidParams(f"a curve map returned shape {value.shape} for parameters of shape {shape}")
     return value
 
 
@@ -108,9 +108,9 @@ class CurveSpec:
         """|c'(x)|: the closed-form speed map if the curve has one, else the norm of ``jet(x)[0]``."""
         if self._speed is None:
             return rownorm(self.jet(x)[0])
-        value = np.asarray(self._speed(x), dtype=float)
-        if value.shape != np.shape(x):
-            raise InvalidParams(f"a speed map returned shape {value.shape} for parameters of shape {np.shape(x)}")
+        value, shape = np.asarray(self._speed(x), dtype=float), np.asarray(x).shape
+        if value.shape != shape:
+            raise InvalidParams(f"a speed map returned shape {value.shape} for parameters of shape {shape}")
         return value[()]
 
 
@@ -142,18 +142,24 @@ class ArcLengthCurve:
     def raw_parameter(self, t):
         """Raw parameter x such that arc length from x0 to x equals t.
 
-        s(x) is the Hermite table on the node speeds.  NEWTON_STEPS Newton
-        steps start from the linear interpolant of the same table;
-        ToleranceNotMet unless s(x) = clip(t, 0, L) to 1e-12 L.
+        s(x) is the Hermite table on the node speeds.  Newton steps start from its linear interpolant; each x
+        stops once its miss |s(x) - clip(t, 0, L)| is at rounding, NEWTON_ROUNDING L, so it is the same in any
+        batch, or after NEWTON_STEPS steps.  ToleranceNotMet unless every miss is within 1e-12 L (NaN is not).
         """
+        t = np.asarray(t, dtype=float)
         if self._identity:
-            return self.spec.domain[0] + np.asarray(t, dtype=float)
-        target = np.clip(t, 0.0, self.length)
+            return self.spec.domain[0] + t
+        target = t.clip(0.0, self.length)
         x = np.interp(target, self._s_table, self._raw_nodes)
         lo, hi = self.spec.domain
-        for _ in range(NEWTON_STEPS):
-            x = np.clip(x - (self._s_of_raw(x) - t) / self.spec.speed(x), lo, hi)
-        miss = float(np.max(np.abs(self._s_of_raw(x) - target)))
+        for step in range(NEWTON_STEPS + 1):
+            s = self._s_of_raw(x)
+            miss = abs(s - target)
+            moving = ~(miss <= NEWTON_ROUNDING * self.length)
+            if step == NEWTON_STEPS or not moving.any():
+                break
+            x = np.where(moving, (x - (s - t) / self.spec.speed(x)).clip(lo, hi), x)[()]
+        miss = float(miss.max())
         if not miss <= 1e-12 * self.length:  # NaN misses too
             raise ToleranceNotMet(f"arc-length inversion misses t by {miss:.3e}; table and speed disagree")
         return x
@@ -243,7 +249,7 @@ def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8, curve_class=ArcLen
         # raw_jet divides by speed^5; the factor 2 leaves room for the speeds between the nodes
         low, high = (0.5 * slowest) ** 5, (2.0 * fastest) ** 5
     infinite = ~np.isfinite(speeds)
-    if np.any(infinite):
+    if infinite.any():
         raise NonRegularCurve(f"curve speed is not finite near parameter {first_where(infinite, nodes):.6g}")
     if not np.isfinite(length):
         raise ToleranceNotMet(f"arc length {length:.3e} is not finite")
@@ -262,7 +268,7 @@ def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8, curve_class=ArcLen
 def check_curvature(kappa, t, length):
     """Raise VanishingCurvature where the curvature table ``kappa`` at ``t`` has kappa * length <= KAPPA_MIN."""
     flat = kappa * length <= KAPPA_MIN
-    if np.any(flat):
+    if flat.any():
         raise VanishingCurvature(f"curvature vanishes at t={first_where(flat, t):.6g}")
 
 
@@ -382,9 +388,9 @@ def curve_from_samples(ts, points, grid_size=1001):
     points = np.asarray(points, dtype=float)
     if ts.ndim != 1 or points.shape != (len(ts), 3):
         raise InvalidParams("samples must be rows (t, x, y, z)")
-    if len(ts) < 2 or not (np.all(np.isfinite(ts)) and np.all(np.isfinite(points))):
+    if len(ts) < 2 or not (np.isfinite(ts).all() and np.isfinite(points).all()):
         raise InvalidParams("samples need at least 2 rows of finite values")
-    if np.any(np.diff(ts) <= 0.0):
+    if (ts[1:] - ts[:-1] <= 0.0).any():
         raise InvalidParams("sample parameters t must be strictly increasing")
     cubic = spline(ts, points)
     spec = CurveSpec(cubic, (ts[0], ts[-1]), jet=cubic.jet, speed=lambda x: rownorm(cubic(x, 1)))

@@ -4,10 +4,9 @@ All t-integrals in the package run through composite Simpson on uniform
 grids of 4k+1 nodes (:func:`odd_node_count`), so every module sees the same
 O(h^4) accuracy.  Every interpolant is one :class:`Cubic` table in Hermite
 form: on slopes the caller knows (the arc-length table takes the curve
-speeds, the rotation-minimizing normals N' = -<T', N> T), or else on the
-slopes of the not-a-knot cubic spline
-(:func:`spline_slopes`, de Boor 1978).  The running products of the
-theta flow's RK4 step matrices take a parallel prefix scan
+speeds, the rotation-minimizing normals N' = -<T', N> T), or else on the slopes of the not-a-knot
+cubic spline (:func:`spline_slopes`, de Boor 1978; cyclic reduction, its factor kept per node count
+on uniform grids).  The running products of the theta flow's RK4 step matrices take a parallel prefix scan
 (:func:`prefix_products`; Hillis & Steele 1986, Blelloch 1990).  Vectors
 end in an axis of 3: their dot product is :func:`rowdot`, three column
 products summed in order, and their cross product is :func:`cross`, bitwise
@@ -101,7 +100,7 @@ def nested_stride(nodes, t):
     (``linspace(0, L, s (m - 1) + 1)[::s]`` is ``linspace(0, L, m)``), but
     for most L not at stride 10, so no other stride is served.
     """
-    if np.ndim(t) != 1 or len(t) < 2:
+    if not isinstance(t, np.ndarray) or t.ndim != 1 or len(t) < 2:
         return None
     s, rest = divmod(len(nodes) - 1, len(t) - 1)
     if rest or s < 1 or s & (s - 1) or not (nodes[::s] == t).all():  # one length here
@@ -177,8 +176,8 @@ class Cubic:
         self._breaks = self.x[1:-1]  # piece i holds x_i <= t < x_{i+1}
         y = _nodes_last(y)
         s = _nodes_last(slopes)
-        h = np.diff(self.x)
-        m = np.diff(y) / h
+        h = self.x[1:] - self.x[:-1]
+        m = (y[..., 1:] - y[..., :-1]) / h
         c = (s[..., :-1] + s[..., 1:] - 2.0 * m) / h
         # per piece i, the coefficients of 1, d, d^2, d^3 in d = t - x_i
         self._table = np.stack([y[..., :-1], s[..., :-1], (m - s[..., :-1]) / h - c, c / h])
@@ -195,8 +194,8 @@ class Cubic:
     def _pieces(self, t):
         """d = t - x_i and the coefficients of the piece i that holds each t."""
         t = np.asarray(t, dtype=float)
-        i = np.searchsorted(self._breaks, t, side="right")
-        return t - self.x[i], np.take(self._table, i, axis=-1)
+        i = self._breaks.searchsorted(t, side="right")
+        return t - self.x[i], self._table.take(i, axis=-1)
 
     def _y_axis_last(self, value):
         if self._table.ndim == 2:
@@ -234,12 +233,13 @@ def spline_slopes(x, y):
     solve the C^2 conditions at the interior nodes and the not-a-knot
     conditions at both ends; each end row shares its end slope's coefficient
     with its neighbour, so subtracting it leaves a diagonally dominant
-    tridiagonal system for the interior slopes.
+    tridiagonal system for the interior slopes: h times the kept unit-spacing
+    one (:func:`_unit_factor`) where the spacings agree to the rounding of x, else factored per call.
     """
     x = np.asarray(x, dtype=float)
     y = _nodes_last(y)
-    h = np.diff(x)
-    m = np.diff(y) / h
+    h = x[1:] - x[:-1]
+    m = (y[..., 1:] - y[..., :-1]) / h
     if len(x) == 2:
         s = np.stack([m[..., 0], m[..., 0]], axis=-1)
     elif len(x) == 3:
@@ -252,51 +252,85 @@ def spline_slopes(x, y):
         d0, d1 = x[2] - x[0], x[-1] - x[-3]
         r0 = ((h[0] + 2.0 * d0) * h[1] * m[..., 0] + h[0] ** 2 * m[..., 1]) / d0
         r1 = (h[-1] ** 2 * m[..., -2] + (2.0 * d1 + h[-1]) * h[-2] * m[..., -1]) / d1
-        diag = 2.0 * (h[:-1] + h[1:])
-        diag[0] -= d0
-        diag[-1] -= d1
         rhs[..., 0] -= r0
         rhs[..., -1] -= r1
-        lower, upper = h[1:].copy(), h[:-1].copy()
-        lower[0] = upper[-1] = 0.0
-        inner = _tridiagonal(lower, diag, upper, rhs)
+        lower, diag, upper = _not_a_knot_system(h, d0, d1)
+        if h.max() - h.min() <= _UNIFORM * (x[-1] - x[0]):
+            # the unit factor solves for the step from the O(h^2) guess, so the spacings' spread about their
+            # mean, n eps of it, errs on that step alone and not on the slopes, whose third difference it swamps
+            guess = 0.5 * (m[..., :-1] + m[..., 1:])
+            rhs -= diag * guess
+            rhs[..., 1:] -= lower[1:] * guess[..., :-1]
+            rhs[..., :-1] -= upper[:-1] * guess[..., 1:]
+            inner = guess + _substitute(_unit_factor(len(x)), rhs * ((len(x) - 1) / (x[-1] - x[0])))
+        else:
+            inner = _substitute(_factor(lower, diag, upper), rhs)
         s0 = (r0 - d0 * inner[..., 0]) / h[1]
         s1 = (r1 - d1 * inner[..., -1]) / h[-2]
         s = np.concatenate([s0[..., None], inner, s1[..., None]], axis=-1)
     return s.T
 
 
+_UNIFORM = 8 * np.finfo(float).eps  # spacings that differ by less, relative to x's span, are one h rounded
 _DENSE_ROWS = 48  # below this many rows one dense solve beats another reduction pass
 
 
-def _tridiagonal(a, b, c, d):
-    """Solve the diagonally dominant tridiagonal system (a, b, c) x = d along the last axis of d.
+def _not_a_knot_system(h, d0, d1):
+    """(lower, diag, upper) of the interior slopes' system on spacings h, the end rows subtracted."""
+    lower, diag, upper = h[1:].copy(), 2.0 * (h[:-1] + h[1:]), h[:-1].copy()
+    lower[0], diag[0], diag[-1], upper[-1] = 0.0, diag[0] - d0, diag[-1] - d1, 0.0
+    return lower, diag, upper
 
-    a, b, c are the sub-, main and super-diagonal, a[0] = c[-1] = 0; d is 1-D
-    or 2-D.  Cyclic reduction: each pass eliminates the even rows from the odd
-    ones, which halves the system, and back-substitutes them once the odd rows
-    are known.
+
+@lru_cache(maxsize=32)
+def _unit_factor(n):
+    """:func:`_factor` of the n-node system at unit spacing with its bottom's inverse, read-only; 32 n are kept."""
+    levels, bottom, _ = _factor(*_not_a_knot_system(np.ones(n - 1), 2.0, 2.0))
+    factor = levels, bottom, np.linalg.inv(bottom)
+    for array in (*factor[1:], *(a for level in levels for a in level[1:])):
+        array.flags.writeable = False
+    return factor
+
+
+def _factor(a, b, c):
+    """Cyclic-reduction factor (levels, bottom, None) of the diagonally dominant tridiagonal matrix (a, b, c).
+
+    a, b, c are the sub-, main and super-diagonal, a[0] = c[-1] = 0.  Each level eliminates the even rows from the
+    odd ones, halving the system (an identity row at the end gives every odd row two neighbours), and keeps its row
+    count, multipliers and even rows; ``bottom`` is the dense rest of <= ``_DENSE_ROWS`` rows (inverted if kept).
     """
-    m = len(b)
-    if m <= _DENSE_ROWS:
-        return np.linalg.solve(np.diag(b) + np.diag(a[1:], -1) + np.diag(c[:-1], 1), d.T).T
-    if m % 2 == 0:  # an identity row at the end gives every odd row two neighbours
-        a, b, c = np.append(a, 0.0), np.append(b, 1.0), np.append(c, 0.0)
-        d = np.concatenate([d, np.zeros(d.shape[:-1] + (1,))], axis=-1)
-    alpha = -a[1::2] / b[:-1:2]
-    gamma = -c[1::2] / b[2::2]
-    odd = _tridiagonal(
-        alpha * a[:-1:2],
-        b[1::2] + alpha * c[:-1:2] + gamma * a[2::2],
-        gamma * c[2::2],
-        d[..., 1::2] + alpha * d[..., :-1:2] + gamma * d[..., 2::2],
-    )
-    x = np.empty_like(d)
-    x[..., 1::2] = odd
+    levels = []
+    while len(b) > _DENSE_ROWS:
+        m = len(b)
+        if m % 2 == 0:
+            a, b, c = np.append(a, 0.0), np.append(b, 1.0), np.append(c, 0.0)
+        alpha = -a[1::2] / b[:-1:2]
+        gamma = -c[1::2] / b[2::2]
+        levels.append((m, alpha, gamma, a[::2], b[::2], c[::2]))
+        a, b, c = alpha * a[:-1:2], b[1::2] + alpha * c[:-1:2] + gamma * a[2::2], gamma * c[2::2]
+    bottom = np.zeros((len(b), len(b)))
+    bottom.flat[:: len(b) + 1], bottom.flat[1 :: len(b) + 1], bottom.flat[len(b) :: len(b) + 1] = b, c[:-1], a[1:]
+    return tuple(levels), bottom, None
+
+
+def _substitute(factor, d):
+    """Solve the factored system for d, 1-D or 2-D, along the last axis of d."""
+    levels, bottom, inverse = factor
+    rhs = []
+    for m, alpha, gamma, *_ in levels:
+        if m % 2 == 0:  # the level's identity row
+            d = np.concatenate([d, np.zeros(d.shape[:-1] + (1,))], axis=-1)
+        rhs.append(d)
+        d = d[..., 1::2] + alpha * d[..., :-1:2] + gamma * d[..., 2::2]
+    x = np.linalg.solve(bottom, d.T).T if inverse is None else d @ inverse.T
     zero = np.zeros(d.shape[:-1] + (1,))
-    odd = np.concatenate([zero, odd, zero], axis=-1)
-    x[..., ::2] = (d[..., ::2] - a[::2] * odd[..., :-1] - c[::2] * odd[..., 1:]) / b[::2]
-    return x[..., :m]
+    for (m, _, _, a, b, c), d in zip(reversed(levels), reversed(rhs)):
+        full = np.empty_like(d)
+        full[..., 1::2] = x
+        odd = np.concatenate([zero, x, zero], axis=-1)
+        full[..., ::2] = (d[..., ::2] - a * odd[..., :-1] - c * odd[..., 1:]) / b
+        x = full[..., :m]
+    return x
 
 
 # 4th-order central stencils: {order: (offsets, coefficients)}.

@@ -76,11 +76,11 @@ class MuField:
 
     @cached_property
     def flat(self):  # lambda is rounding noise: the energies take it as 0
-        return float(np.max(np.abs(self.lam))) * self.ts[-1] < LAMBDA_FLAT_TOL  # ts ends at the curve's length
+        return float(abs(self.lam).max()) * self.ts[-1] < LAMBDA_FLAT_TOL  # ts ends at the curve's length
 
     @cached_property
     def max_width(self):
-        return np.inf if self.flat else WIDTH_SAFETY / float(np.max(np.abs(self.lam)))
+        return np.inf if self.flat else WIDTH_SAFETY / float(abs(self.lam).max())
 
     def __call__(self, t):
         s = nested_stride(self.ts, t)
@@ -149,8 +149,8 @@ def mu_field(curve, normal_field, grid_size=2001):
 def _mu_table(curve, normal_field, ts):
     frame = normal_field.on_grid(len(ts))
     kn, tg = frame.kappa_n, frame.tau_g
-    kn_scale = np.max(np.abs(kn))
-    tg_scale = np.max(np.abs(tg))
+    kn_scale = abs(kn).max()
+    tg_scale = abs(tg).max()
     floor = 1e-12 / curve.length
     if kn_scale <= max(floor, 1e-10 * tg_scale):
         # kappa_n vanishes identically at working precision
@@ -160,22 +160,23 @@ def _mu_table(curve, normal_field, ts):
             f"kappa_n vanishes identically while tau_g does not "
             f"(sup |tau_g| = {tg_scale:.3e}); no flat ribbon exists"
         )
-    good = np.abs(kn) > 1e-4 * kn_scale
+    good = abs(kn) > 1e-4 * kn_scale
+    if good.all():
+        return MuField(ts, -tg / kn, frame)
     mu = np.empty(len(ts))
     mu[good] = -tg[good] / kn[good]
-    if not np.all(good):
-        if np.count_nonzero(good) >= max(4, len(ts) // 2):
-            mu[~good] = spline(ts[good], mu[good])(ts[~good])
-        else:
-            mu[~good] = _extend_at_zero(normal_field, ts[~good], kn_scale, tg_scale)
-        residual = np.abs(mu[~good] * kn[~good] + tg[~good])
-        worst = float(np.max(residual))
-        if worst > 1e-6 * max(kn_scale, tg_scale):
-            i = int(np.flatnonzero(~good)[int(np.argmax(residual))])
-            raise SingularRuling(
-                f"kappa_n vanishes near t={ts[i]:.6g} while tau_g does not "
-                f"(residual {worst:.3e}); no flat ribbon exists there"
-            )
+    if np.count_nonzero(good) >= max(4, len(ts) // 2):
+        mu[~good] = spline(ts[good], mu[good])(ts[~good])
+    else:
+        mu[~good] = _extend_at_zero(normal_field, ts[~good], kn_scale, tg_scale)
+    residual = abs(mu[~good] * kn[~good] + tg[~good])
+    worst = float(residual.max())
+    if worst > 1e-6 * max(kn_scale, tg_scale):
+        i = int(np.flatnonzero(~good)[int(np.argmax(residual))])
+        raise SingularRuling(
+            f"kappa_n vanishes near t={ts[i]:.6g} while tau_g does not "
+            f"(residual {worst:.3e}); no flat ribbon exists there"
+        )
     return MuField(ts, mu, frame)
 
 
@@ -209,9 +210,6 @@ class FlatRibbon:
             mu, mup = self.mu(ts), self.mu.derivative(ts)
             return ts, frame, mu, mup, 0.0 if self.flat else _lam(mu, mup, frame.kappa_g)
         return ts, frame, self.mu.values[::s], self.mu.slopes[::s], 0.0 if self.flat else self.lam[::s]
-
-    def point(self, t, u):
-        return self.curve.point(t) + u * self.ruling(t)
 
 
 def construct_ribbon(curve, normal_field, w, grid_size=2001):
@@ -247,6 +245,7 @@ class RibbonMesh:
 
 
 def tessellate(ribbon, n_t, n_u):
+    """The n_t x n_u vertex grid; WidthTooLarge where eps * max |vertex coordinate| (or NaN) exceeds the length."""
     if n_t < 2 or n_u < 2:
         raise ValueError("tessellation needs n_t >= 2 and n_u >= 2")
     ts = np.linspace(0.0, ribbon.curve.length, n_t)
@@ -254,6 +253,12 @@ def tessellate(ribbon, n_t, n_u):
     frame = ribbon.normal.sample(ts)
     base = ribbon.curve.spec.point(frame.x)[:, None, :]  # the points of the frame's one inversion
     vertices = base + us[None, :, None] * ribbon.ruling(ts, frame)[:, None, :]
+    spacing = np.finfo(float).eps * float(abs(vertices).max())
+    if not spacing <= ribbon.curve.length:
+        raise WidthTooLarge(
+            f"width {ribbon.w:.6g} is too large for the mesh to carry the curve: eps * max |vertex coordinate| "
+            f"= {spacing:.3g} exceeds the curve length {ribbon.curve.length:.6g}"
+        )
     return RibbonMesh(vertices, frame.N, ts, us)
 
 
@@ -304,10 +309,10 @@ def _gauss_sup(n, m, tangent_plane, w):
     [-w, w]; formed as a vector it is (1 + u lambda)^2 on a flat ribbon, free of cancellation.
     """
     mm = rowdot(m, m)
-    u = np.clip(np.divide(-rowdot(n, m), mm, out=np.zeros_like(mm), where=mm > 0.0), -w, w)[:, None]
+    u = np.divide(-rowdot(n, m), mm, out=np.zeros_like(mm), where=mm > 0.0).clip(-w, w)[:, None]
     det = rowdot(n + u * m, n + u * m)
-    if not np.all(det > 0.0):
-        raise DegenerateMetric(f"EG - F^2 = {float(np.min(det)):.3e}: the surface is singular within |u| <= w")
+    if not (det > 0.0).all():
+        raise DegenerateMetric(f"EG - F^2 = {float(det.min()):.3e}: the surface is singular within |u| <= w")
     return tangent_plane**2 / det**2
 
 
@@ -329,5 +334,5 @@ def flatness_residuals(ribbon, grid_size, ruling=None):
     tangent_plane = np.abs(rowdot(n, xp))
     # a flat ribbon's lambda is 0 (see FlatRibbon.rows), so its own EG - F^2 is the same at every u
     gauss = _gauss_sup(n, cross(x, xp), tangent_plane, 0.0 if ruling is None and ribbon.flat else ribbon.w)
-    sups = (float(np.max(np.abs(v))) for v in (in_plane, tangent_plane, rowdot(xp, frame.N), gauss))
+    sups = (float(abs(v).max()) for v in (in_plane, tangent_plane, rowdot(xp, frame.N), gauss))
     return FlatnessReport(*sups, (ts, in_plane, tangent_plane, gauss))

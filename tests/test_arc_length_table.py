@@ -58,6 +58,49 @@ def test_two_newton_steps_reach_the_residual_bound(sample_curves, monkeypatch):
         assert np.max(np.abs(curve._s_of_raw(x) - ts)) <= 1e-12 * curve.length
 
 
+def counted_table_reads(monkeypatch, curve):
+    """Every call of the curve's s(x) table from now on, as the shape of its argument."""
+    calls, table = [], curve._s_of_raw
+
+    def counted(x, nu=0):
+        calls.append(np.shape(x))
+        return table(x, nu)
+
+    monkeypatch.setattr(curve, "_s_of_raw", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["knot", "samples"])
+def test_newton_stops_at_rounding_within_three_table_reads(name, sample_curves, monkeypatch):
+    # the misses that decide the next step are the ones checked at the end: at most the guess and two steps are read
+    rng = np.random.default_rng(6)
+    if name == "knot":
+        curves_ = [make_torus_knot(TorusKnotParams(R, f * R, n)) for R, f, n in ((2.0, 0.5, 3), (1.3, 0.35, 5))]
+    else:
+        assert len(sample_curves) >= 100
+        curves_ = [curve for _, curve in sample_curves]
+    for curve in curves_:
+        table = curve._s_of_raw
+        for ts in (curve.grid(201), curve.grid(2001), rng.uniform(0.0, curve.length, 1000), 0.37 * curve.length):
+            calls = counted_table_reads(monkeypatch, curve)
+            x = curve.raw_parameter(ts)
+            miss = np.max(np.abs(table(x) - ts))
+            assert 1 <= len(calls) <= 3 and miss <= curves.NEWTON_ROUNDING * curve.length <= 1e-12 * curve.length
+            if np.ndim(ts):  # each x stops on its own miss, so a part of the batch inverts to the same bits
+                assert np.array_equal(curve.raw_parameter(ts[3:10].copy()), x[3:10])
+
+
+def test_newton_takes_at_most_newton_steps_before_it_gives_up(monkeypatch):
+    # a NaN table never reaches rounding: the cap's steps are taken and the last miss fails the check
+    line = CurveSpec(lambda x: np.stack([x, 0.0 * x, 0.0 * x], axis=-1), (0.0, 1.0))
+    nodes = np.linspace(0.0, 1.0, 11)
+    curve = curves.ArcLengthCurve(line, 1.0, raw_nodes=nodes, s_table=nodes, speeds=np.full(11, np.nan))
+    calls = counted_table_reads(monkeypatch, curve)
+    with pytest.raises(ToleranceNotMet):
+        curve.raw_parameter(np.array([0.25, 0.5]))
+    assert len(calls) == curves.NEWTON_STEPS + 1
+
+
 def counted_spline_slopes(monkeypatch):
     calls = []
     original = numerics.spline_slopes

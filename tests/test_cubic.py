@@ -4,6 +4,8 @@
 up to rounding, its ``jet`` the three derivative calls bit for bit, and
 ``cumulative_simpson_uniform`` scipy's
 ``cumulative_simpson`` on equal intervals.  scipy is imported here only; the package does not use it.
+On a uniform grid ``spline_slopes`` reads the kept unit-spacing factor, elsewhere it factors per call;
+the two paths agree to rounding.
 """
 
 import numpy as np
@@ -11,6 +13,8 @@ import pytest
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
+from flatribbon import numerics
+from flatribbon.curves import curve_from_samples
 from flatribbon.numerics import Cubic, cumulative_simpson_uniform, spline, spline_slopes
 
 # bounds on |Cubic - CubicSpline| relative to max(1, max |f^(nu)| at the nodes)
@@ -51,6 +55,68 @@ def test_spline_matches_cubic_spline(n, perturbed, vector):
         g, w = got(t, nu), want(t, nu)
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= bound * scale, nu
+
+
+def counted_unit_factor(monkeypatch):
+    """The node counts of every read of the kept unit-spacing factor from now on."""
+    calls, original = [], numerics._unit_factor
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(numerics, "_unit_factor", counted)
+    return calls
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("n", [4, 5, 49, 50, 51, 52, 201, 2001, 4001])
+def test_kept_unit_factor_is_the_per_call_factorization_to_rounding(n, vector, monkeypatch):
+    # 2 .. 4001 unknowns, even and odd counts on both sides of _DENSE_ROWS = 48
+    x = grid(n, False)
+    y = data(x, vector)
+    calls = counted_unit_factor(monkeypatch)
+    kept = spline_slopes(x, y)
+    assert calls == [n]
+    monkeypatch.setattr(numerics, "_UNIFORM", -1.0)  # no grid is uniform: every system is factored per call
+    per_call = spline_slopes(x, y)
+    assert calls == [n] and kept.shape == per_call.shape == y.shape
+    assert np.max(np.abs(kept - per_call)) <= 8 * np.finfo(float).eps * np.max(np.abs(per_call))
+
+
+@pytest.mark.parametrize("n", [4, 5, 49, 52, 201, 2001])
+def test_perturbed_grids_never_read_the_kept_factor(n, monkeypatch):
+    calls = counted_unit_factor(monkeypatch)
+    x = grid(n, True)
+    spline_slopes(x, data(x, False))
+    spline_slopes(x, data(x, True))
+    assert calls == []
+
+
+def test_a_grid_far_from_zero_whose_rounding_is_not_small_in_h_is_factored_per_call(monkeypatch):
+    # h = 0.3 at 1e15 rounds to spacings of 0.25 and 0.375: uniform to eps * max |x|, not to eps of the span
+    calls = counted_unit_factor(monkeypatch)
+    x = 1e15 + 0.3 * np.arange(41.0)
+    assert np.ptp(np.diff(x)) == 0.125
+    spline_slopes(x, np.sin(x - x[0]))
+    assert calls == []
+
+
+def test_a_second_curve_on_as_many_samples_hits_the_kept_factor():
+    t = np.linspace(0.0, 2.0 * np.pi, 137)
+    numerics._unit_factor.cache_clear()
+    for k, scale in enumerate((1.0, 3.0)):
+        points = np.stack([np.cos(t), np.sin(t), scale * t], axis=-1)
+        curve_from_samples(t, points)
+        info = numerics._unit_factor.cache_info()
+        assert (info.misses, info.hits) == (1, k)  # the sample spline is the curve's one solve
+
+
+@pytest.mark.parametrize("n", [4, 52, 201])
+def test_kept_factor_is_read_only(n):
+    levels, bottom, inverse = numerics._unit_factor(n)
+    arrays = [bottom, inverse] + [a for level in levels for a in level[1:]]
+    assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])

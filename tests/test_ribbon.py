@@ -230,11 +230,25 @@ def test_tessellate_two_columns_are_boundary_curves(helix_strip):
         assert np.max(np.abs(mesh.vertices[i, 1] - (base + w * x))) < 1e-12
 
 
+@pytest.mark.parametrize("width", [1e300, 1e12])
+def test_tessellate_rejects_a_width_its_vertices_cannot_carry(helix11, pn11, width):
+    # lambda = 0 on the helix, so every width is regular; at 1e300 the vertices' rounding unit eps * max |coordinate|
+    # (3.1e284) dwarfs the length 8.886, at 1e12 (3.1e-4) it does not
+    rib = construct_ribbon(helix11, pn11, width)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if width > 1e100:
+            with pytest.raises(WidthTooLarge, match="carry the curve"):
+                tessellate(rib, 400, 9)
+        else:
+            assert np.all(np.isfinite(tessellate(rib, 400, 9).vertices))
+
+
 def test_tessellate_vertices_match_parametrization(knot_ribbon):
     mesh = tessellate(knot_ribbon, 20, 5)
     for i, t in enumerate(mesh.ts):
         for j, u in enumerate(mesh.us):
-            want = knot_ribbon.point(t, u)
+            want = knot_ribbon.curve.point(t) + u * knot_ribbon.ruling(t)
             assert np.max(np.abs(mesh.vertices[i, j] - want)) < 1e-12
 
 
