@@ -118,21 +118,19 @@ def check_domains(cfg):
 
 
 def build_curve(cfg):
-    """The config's curve; curve parameters outside the domain the curve checks are a ConfigError."""
+    """The config's curve; curve parameters or samples outside the domain the curve checks are a ConfigError."""
     try:
         if cfg.kind == "helix":
             return make_helix(HelixParams(cfg.a, cfg.b, cfg.length))
         if cfg.kind == "torus_knot":
             return make_torus_knot(TorusKnotParams(cfg.R, cfg.rho, cfg.n))
+        if cfg.kind == "samples":
+            if not cfg.csv:
+                raise ConfigError("kind = samples requires a 'csv' path")
+            rows = read_samples(cfg.csv)
+            return curve_from_samples(rows[:, 0], rows[:, 1:])
     except InvalidParams as exc:
-        raise ConfigError(str(exc)) from exc
-    if cfg.kind == "samples":
-        if not cfg.csv:
-            raise ConfigError("kind = samples requires a 'csv' path")
-        rows = read_samples(cfg.csv)
-        if not np.all(np.diff(rows[:, 0]) > 0.0):
-            raise ConfigError(f"samples CSV {cfg.csv}: t must be strictly increasing")
-        return curve_from_samples(rows[:, 0], rows[:, 1:])
+        raise ConfigError(f"samples CSV {cfg.csv}: {exc}" if cfg.kind == "samples" else str(exc)) from exc
     raise ConfigError(f"unknown curve kind '{cfg.kind}'")
 
 
@@ -176,7 +174,7 @@ def build_base_field(cfg, curve):
     if cfg.normal == "principal":
         return PrincipalNormalField(curve)
     if cfg.normal == "torus_normal":
-        if not hasattr(curve, "surface_normal_jet"):
+        if not hasattr(curve.spec, "surface_normal_jet"):
             raise ConfigError("normal = torus_normal requires kind = torus_knot")
         return TorusNormalField(curve)
     if cfg.normal == "rotation_minimizing":

@@ -226,15 +226,14 @@ class ArcLengthCurve:
         return ts
 
 
-def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8, curve_class=ArcLengthCurve, **extra):
+def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8):
     """Reparametrize a raw curve by arc length.
 
     The arc-length table is built with cumulative Simpson on ``grid_size``
     nodes (rounded up to 4k+1) and keeps the node speeds as its slopes; the
     total-length error is estimated by Richardson extrapolation against the
     half-resolution table and must not exceed ``tol``, or LENGTH_ROUNDING times the length on
-    a curve so long that rounding alone exceeds ``tol``.  The result is a ``curve_class``
-    (ArcLengthCurve or a subclass) built with the keyword arguments ``extra``.
+    a curve so long that rounding alone exceeds ``tol``.
     """
     n = odd_node_count(grid_size)
     x0, x1 = curve.domain
@@ -262,7 +261,7 @@ def arc_length_reparametrize(curve, grid_size=1001, tol=1e-8, curve_class=ArcLen
         raise ToleranceNotMet(
             f"arc-length error estimate {err:.3e} of the {n}-node table exceeds tol {tol:.3e}"
         )
-    return curve_class(curve, length, raw_nodes=nodes, s_table=s_table, speeds=speeds, **extra)
+    return ArcLengthCurve(curve, length, raw_nodes=nodes, s_table=s_table, speeds=speeds)
 
 
 def check_curvature(kappa, t, length):
@@ -328,20 +327,6 @@ class TorusKnotParams:
     grid_size: int = 4001
 
 
-class TorusKnotCurve(ArcLengthCurve):
-    """Arc-length torus knot that also knows the outward torus normal."""
-
-    def __init__(self, spec, length, raw_nodes, s_table, speeds, params):
-        super().__init__(spec, length, raw_nodes=raw_nodes, s_table=s_table, speeds=speeds)
-        self.params = params
-
-    def surface_normal_jet(self, phi):
-        """(N, dN/dphi): the outward torus normal and its phi-derivative, from one cos and sin of phi and n phi."""
-        cn, sn, c, s = _knot_trig(self.params.n, phi)
-        n = self.params.n
-        return _stack3(cn * c, cn * s, sn), _stack3(-n * sn * c - cn * s, -n * sn * s + cn * c, n * cn)
-
-
 def _knot_trig(n, phi):
     """cos(n phi), sin(n phi), cos(phi), sin(phi)."""
     return np.cos(n * phi), np.sin(n * phi), np.cos(phi), np.sin(phi)
@@ -352,7 +337,8 @@ def make_torus_knot(params=TorusKnotParams()):
 
     Its speed is sqrt(r^2 + (rho n)^2), r = R + rho cos n phi, in closed form:
     the squares are formed, not a hypot, so the speed overflows to inf where
-    |c'|^2 does.
+    |c'|^2 does.  The curve's spec also carries ``params`` and
+    ``surface_normal_jet(phi)``: the outward torus normal N and dN/dphi.
     """
     R, rho, n = float(params.R), float(params.rho), int(params.n)
     if not 0.0 < rho < R:
@@ -378,8 +364,13 @@ def make_torus_knot(params=TorusKnotParams()):
             _stack3(x3, y3, -rho * n**3 * cn),
         )
 
+    def surface_normal_jet(phi):  # from one cos and sin of phi and n phi
+        cn, sn, c, s = _knot_trig(n, phi)
+        return _stack3(cn * c, cn * s, sn), _stack3(-n * sn * c - cn * s, -n * sn * s + cn * c, n * cn)
+
     spec = CurveSpec(pos, (0.0, 2.0 * np.pi), jet=jet, speed=speed)
-    return arc_length_reparametrize(spec, grid_size=params.grid_size, curve_class=TorusKnotCurve, params=params)
+    spec.params, spec.surface_normal_jet = params, surface_normal_jet
+    return arc_length_reparametrize(spec, grid_size=params.grid_size)
 
 
 def curve_from_samples(ts, points, grid_size=1001):

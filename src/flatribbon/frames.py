@@ -173,7 +173,7 @@ class TorusNormalField(NormalField):
 
     def normal(self, t, jet):
         phi, speed = jet[0], jet[1]
-        N, dN = self.curve.surface_normal_jet(phi)
+        N, dN = self.curve.spec.surface_normal_jet(phi)
         return N, dN / speed[..., None]
 
 

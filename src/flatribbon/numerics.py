@@ -5,9 +5,10 @@ grids of 4k+1 nodes (:func:`odd_node_count`), so every module sees the same
 O(h^4) accuracy.  Every interpolant is one :class:`Cubic` table in Hermite
 form: on slopes the caller knows (the arc-length table takes the curve
 speeds, the rotation-minimizing normals N' = -<T', N> T), or else on the slopes of the not-a-knot
-cubic spline (:func:`spline_slopes`, de Boor 1978; cyclic reduction, its factor kept per node count
-on uniform grids).  The running products of the theta flow's RK4 step matrices take a parallel prefix scan
-(:func:`prefix_products`; Hillis & Steele 1986, Blelloch 1990).  Vectors
+cubic spline (:func:`spline_slopes`, de Boor 1978; cyclic reduction to a dense bottom that each solve takes
+by ``np.linalg.solve``, the factor kept per node count on uniform grids).  The running products of the
+theta flow's RK4 step matrices take a parallel prefix scan (:func:`prefix_products`; Hillis & Steele 1986,
+Blelloch 1990).  Vectors
 end in an axis of 3: their dot product is :func:`rowdot`, three column
 products summed in order, and their cross product is :func:`cross`, bitwise
 ``np.cross`` without its axis handling.
@@ -284,20 +285,19 @@ def _not_a_knot_system(h, d0, d1):
 
 @lru_cache(maxsize=32)
 def _unit_factor(n):
-    """:func:`_factor` of the n-node system at unit spacing with its bottom's inverse, read-only; 32 n are kept."""
-    levels, bottom, _ = _factor(*_not_a_knot_system(np.ones(n - 1), 2.0, 2.0))
-    factor = levels, bottom, np.linalg.inv(bottom)
-    for array in (*factor[1:], *(a for level in levels for a in level[1:])):
+    """:func:`_factor` of the n-node system at unit spacing, read-only; 32 n are kept."""
+    levels, bottom = _factor(*_not_a_knot_system(np.ones(n - 1), 2.0, 2.0))
+    for array in (bottom, *(a for level in levels for a in level[1:])):
         array.flags.writeable = False
-    return factor
+    return levels, bottom
 
 
 def _factor(a, b, c):
-    """Cyclic-reduction factor (levels, bottom, None) of the diagonally dominant tridiagonal matrix (a, b, c).
+    """Cyclic-reduction factor (levels, bottom) of the diagonally dominant tridiagonal matrix (a, b, c).
 
     a, b, c are the sub-, main and super-diagonal, a[0] = c[-1] = 0.  Each level eliminates the even rows from the
     odd ones, halving the system (an identity row at the end gives every odd row two neighbours), and keeps its row
-    count, multipliers and even rows; ``bottom`` is the dense rest of <= ``_DENSE_ROWS`` rows (inverted if kept).
+    count, multipliers and even rows; ``bottom`` is the dense rest of <= ``_DENSE_ROWS`` rows.
     """
     levels = []
     while len(b) > _DENSE_ROWS:
@@ -310,19 +310,19 @@ def _factor(a, b, c):
         a, b, c = alpha * a[:-1:2], b[1::2] + alpha * c[:-1:2] + gamma * a[2::2], gamma * c[2::2]
     bottom = np.zeros((len(b), len(b)))
     bottom.flat[:: len(b) + 1], bottom.flat[1 :: len(b) + 1], bottom.flat[len(b) :: len(b) + 1] = b, c[:-1], a[1:]
-    return tuple(levels), bottom, None
+    return tuple(levels), bottom
 
 
 def _substitute(factor, d):
-    """Solve the factored system for d, 1-D or 2-D, along the last axis of d."""
-    levels, bottom, inverse = factor
+    """Solve the factored system for d, 1-D or 2-D, along the last axis of d; the bottom by ``np.linalg.solve``."""
+    levels, bottom = factor
     rhs = []
     for m, alpha, gamma, *_ in levels:
         if m % 2 == 0:  # the level's identity row
             d = np.concatenate([d, np.zeros(d.shape[:-1] + (1,))], axis=-1)
         rhs.append(d)
         d = d[..., 1::2] + alpha * d[..., :-1:2] + gamma * d[..., 2::2]
-    x = np.linalg.solve(bottom, d.T).T if inverse is None else d @ inverse.T
+    x = np.linalg.solve(bottom, d.T).T
     zero = np.zeros(d.shape[:-1] + (1,))
     for (m, _, _, a, b, c), d in zip(reversed(levels), reversed(rhs)):
         full = np.empty_like(d)

@@ -199,17 +199,13 @@ class FlatRibbon:
     def rows(self, n_t=None):
         """(ts, frame, mu, mu', lambda) on ``curve.grid(n_t)``, the ribbon's own grid unless ``n_t`` is given.
 
-        On a grid nested in the ribbon's (:func:`~flatribbon.numerics.nested_stride`) mu, mu' and lambda are
-        read-only views of the slope table's ``values``, ``slopes`` and ``lam``; elsewhere mu and mu' are read
-        off its spline.  ``frame`` is the field's ``on_grid`` table.  On a flat ribbon lambda is the scalar 0.0.
+        mu and mu' are the slope table's (:class:`MuField`): views of its nodes on a nested grid, else read off its
+        spline.  ``frame`` is the field's ``on_grid`` table.  On a flat ribbon lambda is the scalar 0.0.
         """
         ts = self.curve.grid(len(self.ts) if n_t is None else n_t)
         frame = self.normal.on_grid(len(ts))
-        s = nested_stride(self.ts, ts)
-        if s is None:
-            mu, mup = self.mu(ts), self.mu.derivative(ts)
-            return ts, frame, mu, mup, 0.0 if self.flat else _lam(mu, mup, frame.kappa_g)
-        return ts, frame, self.mu.values[::s], self.mu.slopes[::s], 0.0 if self.flat else self.lam[::s]
+        mu, mup = self.mu(ts), self.mu.derivative(ts)
+        return ts, frame, mu, mup, 0.0 if self.flat else _lam(mu, mup, frame.kappa_g)
 
 
 def construct_ribbon(curve, normal_field, w, grid_size=2001):
@@ -297,7 +293,6 @@ def _obj_faces(n_t, n_u):
 class FlatnessReport:
     ruling_in_plane: float  # sup |<X, N>|
     tangent_plane: float  # sup |<X x T, X'>|
-    second_form_f: float  # sup |<X', N>| (zero for a flat ribbon)
     gauss_curvature: float  # sup |K| over the rows and |u| <= w
     rows: tuple = ()  # (t, |<X, N>|, |<X x T, X'>|, sup over |u| <= w of |K|) on the residual grid
 
@@ -334,5 +329,5 @@ def flatness_residuals(ribbon, grid_size, ruling=None):
     tangent_plane = np.abs(rowdot(n, xp))
     # a flat ribbon's lambda is 0 (see FlatRibbon.rows), so its own EG - F^2 is the same at every u
     gauss = _gauss_sup(n, cross(x, xp), tangent_plane, 0.0 if ruling is None and ribbon.flat else ribbon.w)
-    sups = (float(abs(v).max()) for v in (in_plane, tangent_plane, rowdot(xp, frame.N), gauss))
+    sups = (float(abs(v).max()) for v in (in_plane, tangent_plane, gauss))
     return FlatnessReport(*sups, (ts, in_plane, tangent_plane, gauss))

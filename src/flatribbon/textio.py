@@ -24,9 +24,8 @@ a table of 4-digit words into a fixed slot padded with NUL bytes, and one
 values, |x| outside the scale table (k < -284 or k > 292), those near-ties
 and the rare x whose estimated exponent is off by one (D outside [10^16,
 10^17)) go through Python's own '%.17g', in one call per block.  A table
-with a str column (the three-row energy.csv) or of fewer than
-``SMALL_TABLE`` cells goes through one Python %-format whole: there the
-array steps cost more than they save.
+with a str column (the three-row energy.csv) goes through one Python
+%-format whole; a float table of any size takes the array steps.
 """
 
 import math
@@ -39,7 +38,6 @@ import numpy as np
 __all__ = ["lines"]
 
 BLOCK_CELLS = 2048  # cells per block: bounds the temporaries of any table
-SMALL_TABLE = 64  # a table of fewer cells goes to Python's %-format whole: the array steps cost more
 FLOAT_SLOT = 24  # bytes: the longest '%.17g' of a double, '-2.2250738585072014e-308'
 TIE_GUARD = 2.0**-30  # distance of an inexact product from a half-integer below which Python decides
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
@@ -227,7 +225,7 @@ def _no_nul(texts):
 
 
 def _python_table(floats, columns, separators):
-    """The table through one Python %-format, for text tables and tables below SMALL_TABLE cells."""
+    """The table through one Python %-format, for tables with a text column."""
     line = "".join(sep.replace("%", "%%") + ("%.17g" if f else "%s") for sep, f in zip(separators, floats))
     line += separators[-1].replace("%", "%%")
     cells = [c.tolist() if f else _no_nul(c) for f, c in zip(floats, columns)]
@@ -250,7 +248,7 @@ def lines(columns, separators):
         raise ValueError("lines takes float and text columns: give integers as float64, exact to 2^53")
     floats = [k == "f" for k in kinds]
     n, width = len(columns[0]), len(columns)
-    if not all(floats) or n * width < SMALL_TABLE:
+    if not all(floats):
         return _python_table(floats, columns, _no_nul(separators))
     seps = [np.frombuffer(s.encode(), np.uint8) for s in _no_nul(separators)]
     step = max(1, BLOCK_CELLS // width)

@@ -141,6 +141,39 @@ def test_missing_config_exit_code(tmp_path):
     assert run(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+@pytest.mark.parametrize("command", ["build", "solve", "energy", "sweep"])
+def test_out_naming_a_regular_file_exit_code(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", write_cfg(tmp_path, HELIX_CFG), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and str(out) in err and len(err.splitlines()) == 1
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["build", "solve", "energy"])
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ("kind = samples\n", "kind = samples requires a 'csv' path"),
+        ("kind = spiral\n", "unknown curve kind 'spiral'"),
+        ("kind = samples\ncsv = {missing}\n", "cannot read samples CSV {missing}"),
+        ("kind = helix\nnormal = torus_normal\n", "normal = torus_normal requires kind = torus_knot"),
+        ("kind = helix\nnormal = binormal\n", "unknown normal field 'binormal'"),
+    ],
+    ids=["samples_without_csv", "unknown_kind", "missing_csv", "torus_normal_on_helix", "unknown_normal"],
+)
+def test_bad_curve_or_field_choice_exit_code(tmp_path, capsys, command, text, key):
+    missing = tmp_path / "missing.csv"
+    cfg = write_cfg(tmp_path, text.format(missing=missing))
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key.format(missing=missing) in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "command,extra,key",
     [
@@ -459,6 +492,8 @@ def test_bad_samples_csv_exit_code(tmp_path, capsys, case, key):
     assert run(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+    if case == "non_increasing_t":  # the curve's own check, named by the CSV
+        assert err.startswith(f"config error: samples CSV {csv_path}:")
     if case in BAD_LINE:
         assert f"{csv_path}:{BAD_LINE[case]}:" in err
     assert len(err.splitlines()) == 1

@@ -114,8 +114,8 @@ def test_a_second_curve_on_as_many_samples_hits_the_kept_factor():
 
 @pytest.mark.parametrize("n", [4, 52, 201])
 def test_kept_factor_is_read_only(n):
-    levels, bottom, inverse = numerics._unit_factor(n)
-    arrays = [bottom, inverse] + [a for level in levels for a in level[1:]]
+    levels, bottom = numerics._unit_factor(n)
+    arrays = [bottom] + [a for level in levels for a in level[1:]]
     assert arrays and not any(a.flags.writeable for a in arrays)
 
 

@@ -231,25 +231,25 @@ def test_make_torus_knot_builds_its_arc_length_table_once(monkeypatch):
 
     monkeypatch.setattr(curves.ArcLengthCurve, "__init__", counting_init)
     knot = make_torus_knot(TorusKnotParams(R=2.0, rho=1.0, n=3))
-    assert built == ["TorusKnotCurve"]
-    assert knot.params.n == 3 and knot.grid_size == 4001
+    assert built == ["ArcLengthCurve"]
+    assert knot.spec.params.n == 3 and knot.grid_size == 4001
 
 
 def test_torus_knot_outer_equator_point(knot):
     assert np.max(np.abs(knot.point(0.0) - np.array([3.0, 0.0, 0.0]))) < 1e-10
-    n0 = knot.surface_normal_jet(0.0)[0]
+    n0 = knot.spec.surface_normal_jet(0.0)[0]
     assert np.max(np.abs(n0 - np.array([1.0, 0.0, 0.0]))) < 1e-12
 
 
 def test_torus_normal_orthogonal_to_tangent(knot, rng):
     for t in rng.uniform(0.0, knot.length, 100):
         phi = knot.raw_parameter(t)
-        n = knot.surface_normal_jet(phi)[0]
+        n = knot.spec.surface_normal_jet(phi)[0]
         assert abs(np.dot(n, knot.derivative(t, 1))) < 1e-9
 
 
 def test_torus_knot_lies_on_torus(knot, rng):
-    R, rho = knot.params.R, knot.params.rho
+    R, rho = knot.spec.params.R, knot.spec.params.rho
     for t in rng.uniform(0.0, knot.length, 100):
         x, y, z = knot.point(t)
         dist = abs(np.hypot(np.hypot(x, y) - R, z) - rho)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatribbon.angleivp import integrated_torsion
-from flatribbon.curves import HelixParams, TorusKnotParams, make_helix, make_torus_knot
+from flatribbon.curves import CurveSpec, HelixParams, TorusKnotParams, arc_length_reparametrize, make_helix
+from flatribbon.curves import make_torus_knot
 from flatribbon.errors import InvalidParams, NonOrthogonalNormal, VanishingCurvature
 from flatribbon.frames import (
     DarbouxScalars,
@@ -223,6 +224,19 @@ def test_rotation_minimizing_field_seeds_a_scaled_knot_alike(knot):
     ts = knot.grid(51)
     got = RotationMinimizingField(scaled).sample(ts * 1e10).N
     assert np.max(np.abs(got - RotationMinimizingField(knot).sample(ts).N)) <= 1e-9
+
+
+def test_rotation_minimizing_field_seeds_off_an_axis_where_kappa_vanishes_at_zero():
+    # c(x) = (x, x^3, 0) has kappa = 0 at x = 0, so no principal normal seeds the field there: the axis z, the
+    # least aligned with T(0) = x, does, and the transport along the planar curve keeps it
+    def jet(x):
+        zero = np.zeros_like(x)
+        columns = ((zero + 1.0, 3.0 * x**2, zero), (zero, 6.0 * x, zero), (zero, zero + 6.0, zero))
+        return tuple(np.stack(c, axis=-1) for c in columns)
+
+    spec = CurveSpec(lambda x: np.stack([x, x**3, np.zeros_like(x)], axis=-1), (0.0, 1.0), jet=jet)
+    normals = RotationMinimizingField(arc_length_reparametrize(spec)).on_grid(201).N
+    assert np.max(np.abs(normals - np.array([0.0, 0.0, 1.0]))) <= 1e-15
 
 
 def frenet_angle(field, ts):

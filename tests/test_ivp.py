@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatribbon import angleivp
 from flatribbon.angleivp import (
     AngleRHS,
     closed_form_case_b,
@@ -17,7 +18,7 @@ from flatribbon.angleivp import (
     solved_rotation_field,
 )
 from flatribbon.errors import NormalCurvatureZero, StepSizeUnderflow
-from flatribbon.frames import DarbouxScalars, rotate, sampled_scalars
+from flatribbon.frames import DarbouxScalars, PrincipalNormalField, RotatedNormalField, rotate, sampled_scalars
 from flatribbon.numerics import central_difference
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
@@ -258,3 +259,16 @@ def test_solved_field_matches_angle_of_base(knot, torus_field):
     mu_base = mu_field(knot, torus_field, grid_size=501)
     mu_rot = mu_field(knot, field, grid_size=501)
     assert np.max(np.abs(mu_base.values - mu_rot.values)) < 1e-5
+
+
+def test_solved_field_takes_the_base_angle_where_kappa_n_vanishes(circle, monkeypatch):
+    # the planar circle's binormal has kappa_n = 0, so the same-angle form (which raises NormalCurvatureZero there)
+    # is not taken: phi is the base ruling angle arccot(mu), with mu = 0 on this planar strip, and theta stays q
+    from flatribbon.ribbon import mu_field
+
+    calls = []
+    monkeypatch.setattr(angleivp, "mu_field", lambda *args, **kwargs: calls.append(args) or mu_field(*args, **kwargs))
+    binormal = RotatedNormalField(PrincipalNormalField(circle), np.pi / 2)
+    _, sol = solved_rotation_field(binormal, 0.7, grid_size=200)
+    assert len(calls) == 1
+    assert np.max(np.abs(sol.values - 0.7)) == 0.0

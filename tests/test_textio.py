@@ -1,8 +1,8 @@
 """The array-to-text kernel writes exactly what Python's %-format writes.
 
 Float cells must match '%.17g' % x byte for byte, and integer-valued ones
-(OBJ face indices) '%d' % i; tables shorter than ``SMALL_TABLE`` cells are
-repeated up to it, so the array path runs and not only Python's %-format.
+(OBJ face indices) '%d' % i.  A float table of any size takes the array
+path; only a table with a text column goes through Python's %-format.
 """
 
 import numpy as np
@@ -44,24 +44,21 @@ def expected(values):
     return ["%.17g" % x for x in np.asarray(values, dtype=np.float64).tolist()]
 
 
-def at_least_a_block(values):
-    values = np.asarray(values, dtype=np.float64)
-    return np.resize(values, max(len(values), 2 * textio.SMALL_TABLE))
-
-
 def test_random_bit_patterns_match_percent_17g():
     bits = np.random.default_rng(20240617).integers(0, 2**64, size=120_000, dtype=np.uint64, endpoint=False)
     values = bits.view(np.float64)
     assert spelled(values) == expected(values)
 
 
-def test_edge_values_match_percent_17g():
+def test_edge_values_match_percent_17g(monkeypatch):
+    monkeypatch.setattr(textio, "_python_table", None)  # a float table never takes the text tables' %-format
     values = EDGES + [-x for x in EDGES]
     # the neighbours of each power of ten: the exponent estimate and the fixed-point limits turn there
     powers = 10.0 ** np.arange(-8, 20)
     values += list(powers) + list(np.nextafter(powers, 0.0)) + list(np.nextafter(powers, np.inf))
-    assert spelled(at_least_a_block(values)) == expected(at_least_a_block(values))
-    assert spelled(EDGES) == expected(EDGES)  # a table below SMALL_TABLE, spelled by Python
+    assert spelled(values) == expected(values)
+    assert spelled(EDGES) == expected(EDGES)  # 17 cells
+    assert spelled(EDGES[:1]) == expected(EDGES[:1])  # one cell
     # a last block of one row goes through the array steps too
     tail = np.resize(values, textio.BLOCK_CELLS + 1)
     assert spelled(tail) == expected(tail)
@@ -70,8 +67,7 @@ def test_edge_values_match_percent_17g():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(width=64), min_size=1, max_size=50))
 def test_hypothesis_floats_match_percent_17g(values):
-    block = at_least_a_block(values)
-    assert spelled(block) == expected(block)
+    assert spelled(values) == expected(values)
 
 
 def test_integer_valued_floats_match_percent_d():
@@ -79,9 +75,8 @@ def test_integer_valued_floats_match_percent_d():
     edges = np.array([0, 1, -1, 9, 10, 9999, 10_000, -10_000, 2**31, 2**52 + 1, 2**53 - 1, 2**53, -(2**53)])
     for ints in (
         np.arange(MESH_MAX + 1),
-        np.resize(edges, 2 * textio.SMALL_TABLE),
         np.resize(edges, textio.BLOCK_CELLS + 1),  # a last block of one cell
-        edges,  # below SMALL_TABLE: Python's %-format
+        edges,
     ):
         got = lines([ints.astype(np.float64)], ("", "\n")).decode().split("\n")[:-1]
         assert got == ["%d" % i for i in ints.tolist()]
@@ -89,7 +84,7 @@ def test_integer_valued_floats_match_percent_d():
 
 def test_integer_column_is_rejected():
     # int64 above 2^53 has no float64 of the same value: lines raises rather than round it
-    for ints in (np.arange(3), np.arange(2 * textio.SMALL_TABLE, dtype=np.uint32), np.array([2**53 + 1] * 100)):
+    for ints in (np.arange(3), np.arange(128, dtype=np.uint32), np.array([2**53 + 1] * 100)):
         with pytest.raises(ValueError, match="float and text"):
             lines([ints], ("", "\n"))
         with pytest.raises(ValueError, match="float and text"):
@@ -107,14 +102,14 @@ def test_mixed_columns_and_separators(monkeypatch):
         m.setattr(textio, "_python_table", None)
         numeric = lines([x, i, x * 1e-9], ("<", ",", "|", ">\n"))
     want = "".join("<%.17g,%d|%.17g>\n" % row for row in zip(x.tolist(), i.tolist(), (x * 1e-9).tolist()))
-    assert 3 * len(x) >= textio.SMALL_TABLE and numeric == want.encode()
+    assert numeric == want.encode()
     text = [f"r{k}%s" for k in range(150)]
-    # 450 numeric cells, above SMALL_TABLE: a table with a text column is one %-format too, % kept literal
+    # 450 numeric cells: a table with a text column is one %-format, % kept literal
     got = lines([text, x, i, x * 1e-9], ("<", ",", "|", "%;", ">\n"))
     rows = zip(text, x.tolist(), i.tolist(), (x * 1e-9).tolist())
     want = "".join("<%s,%.17g|%d%%;%.17g>\n" % row for row in rows)
-    assert 3 * len(x) > textio.SMALL_TABLE and got == want.encode()
-    # a table below SMALL_TABLE goes through one %-format, so a % in a separator or cell stays literal
+    assert got == want.encode()
+    # a small one too, so a % in a separator or cell stays literal
     small = lines([["a%s", "%d"], np.array([1.5, -0.0]), np.array([2.0, -3.0])], ("%", ",", ";", "%%\n"))
     assert small == b"%a%s,1.5;2%%\n%%d,-0;-3%%\n"
 
