@@ -35,7 +35,6 @@ from .numerics import arccot, cumulative_simpson_uniform, first_where, nested_st
 from .ribbon import mu_field
 
 __all__ = [
-    "AngleRHS",
     "ThetaSolution",
     "ThetaFamily",
     "ThetaFlow",
@@ -90,28 +89,14 @@ def rhs_same_angle(t, theta, scalars):
     return _combine(_same_angle_coefficients(t, scalars), theta)
 
 
-@dataclass(frozen=True)
-class AngleRHS:
-    """A right hand side theta' = a(t) sin theta + b(t) cos theta + c(t).
-
-    ``coefficients(ts)`` returns (a, b, c) at every t of ``ts`` (a scalar
-    entry stands for a constant); calling ``rhs(t, theta)`` evaluates F.
-    """
-
-    coefficients: Callable
-
-    def __call__(self, t, theta):
-        return _combine(self.coefficients(t), theta)
-
-
 def prescribed_angle_rhs(scalars_fn, phi_fn):
-    """Bind the prescribed-angle right hand side to a curve's scalar data and phi(t)."""
-    return AngleRHS(lambda ts: _prescribed_coefficients(scalars_fn(ts), phi_fn(ts)))
+    """The prescribed-angle right hand side: the map ts -> (a, b, c) of a curve's scalar data and phi(t)."""
+    return lambda ts: _prescribed_coefficients(scalars_fn(ts), phi_fn(ts))
 
 
 def same_angle_rhs(scalars_fn):
-    """Bind the same-angle right hand side; NormalCurvatureZero where |kappa_n| <= 1e-9 hypot(kappa_g, kappa_n)."""
-    return AngleRHS(lambda ts: _same_angle_coefficients(ts, scalars_fn(ts)))
+    """The same-angle map ts -> (a, b, c); NormalCurvatureZero where |kappa_n| <= 1e-9 hypot(kappa_g, kappa_n)."""
+    return lambda ts: _same_angle_coefficients(ts, scalars_fn(ts))
 
 
 @dataclass
@@ -135,7 +120,7 @@ class ThetaSolution:
     derivatives: np.ndarray
     step: float
     error_estimate: float
-    rhs: AngleRHS = field(repr=False)
+    rhs: Callable = field(repr=False)
 
     @cached_property
     def _spline(self):
@@ -148,12 +133,12 @@ class ThetaSolution:
     def derivative(self, t):
         # exact along the solution: theta' = F(t, theta(t))
         s = nested_stride(self.ts, t)
-        return self.rhs(t, self._spline(t)) if s is None else self.derivatives[::s]
+        return _combine(self.rhs(t), self._spline(t)) if s is None else self.derivatives[::s]
 
 
 def _coefficient_table(rhs, nodes):
     """(a, b, c) at every node of ``nodes``, the 4n+1 nodes that hold every stage of the n- and 2n-step runs."""
-    table = [np.asarray(x, dtype=float) for x in rhs.coefficients(nodes)]
+    table = [np.asarray(x, dtype=float) for x in rhs(nodes)]
     return [x if x.shape == nodes.shape else np.broadcast_to(x, nodes.shape) for x in table]
 
 
@@ -186,7 +171,7 @@ class ThetaFamily(Sequence):
     derivatives: np.ndarray
     step: float
     error_estimates: np.ndarray
-    rhs: AngleRHS = field(repr=False)
+    rhs: Callable = field(repr=False)
 
     def __len__(self):
         return len(self.qs)
@@ -231,7 +216,7 @@ class ThetaFlow:
         return read_only(cls(nodes, tuple(table), images))
 
     def family(self, qs, rhs):
-        """The :class:`ThetaFamily` from theta(0) = q for every q of ``qs``; ``rhs`` is the family's F.
+        """The :class:`ThetaFamily` from theta(0) = q for every q of ``qs``; ``rhs`` is the family's coefficient map.
 
         From (p, r)(0) = (sin q/2, cos q/2), theta adds twice the angle turned
         by (p, r) over each step.  Every q's error estimate is the maximum
@@ -263,7 +248,8 @@ class ThetaFlow:
 def solve_theta(rhs, length, qs, grid_size=2000):
     """Integrate theta' = F(t, theta) over [0, length] from theta(0) = q, for every q of ``qs``.
 
-    ``rhs`` is an :class:`AngleRHS`, tabulated once on the 4n+1 nodes
+    ``rhs`` is the map ts -> (a, b, c) of F = a sin theta + b cos theta + c
+    (a scalar entry stands for a constant), tabulated once on the 4n+1 nodes
     ``linspace(0, length, 4n + 1)``, n = grid_size, that hold every stage of
     the n-step run and of the half-step run.  RK4 runs on the linear system
     (p, r)' = G (p, r), G = 1/2 [[a, b + c], [b - c, -a]], in both runs, each

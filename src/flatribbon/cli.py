@@ -88,7 +88,8 @@ def cmd_build(cfg):
     header = ("t", "ruling_in_plane", "tangent_plane", "gauss_curvature")
     write_csv(os.path.join(cfg.out, f"residuals_{tag}.csv"), header, np.column_stack(report.rows))
     print(f"wrote ribbon_{tag}.obj ({cfg.mesh_nt}x{cfg.mesh_nu}), w = {rib.w:.6g}")
-    print(f"flatness residuals: {report.ruling_in_plane:.3e} / {report.tangent_plane:.3e}")
+    residuals = f"{report.ruling_in_plane:.3e} / {report.tangent_plane:.3e}"
+    print(f"flatness residuals: {residuals}, sup |K| {report.gauss_curvature:.3e}")
     return 0
 
 

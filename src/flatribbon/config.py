@@ -10,6 +10,7 @@ exceed MESH_MAX, so an oversized request fails before it allocates.
 
 import contextlib
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -183,17 +184,18 @@ def build_base_field(cfg, curve):
 
 
 def write_csv(path, header, rows):
-    """Write a table as one :func:`~flatribbon.textio.lines` call.
+    """Write the header line and the table.
 
-    ``rows`` is a 2-D array or an iterable of rows.  Each column holds
-    strings, written as they are, or numbers, written as f"{float(x):.17g}"
-    writes them; the first row decides which.
+    ``rows`` is a 2-D array, written as one :func:`~flatribbon.textio.lines`
+    call, or an iterable of rows (the three of energy.csv), written as one
+    Python %-format: each column '%s' if the first row's cell is a str, else
+    '%.17g'.
     """
-    if isinstance(rows, np.ndarray):
-        columns = list(rows.astype(np.float64, copy=False).T)
-    else:
-        columns = [col if isinstance(col[0], str) else np.array(col, dtype=np.float64) for col in zip(*rows)]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        if len(columns) and len(columns[0]):
-            fh.write(lines(columns, ("",) + (",",) * (len(columns) - 1) + ("\n",)))
+        if isinstance(rows, np.ndarray):
+            if rows.size:
+                fh.write(lines(rows.astype(np.float64, copy=False).T, ("",) + (",",) * (rows.shape[1] - 1) + ("\n",)))
+        elif rows := list(rows):
+            line = ",".join("%s" if isinstance(x, str) else "%.17g" for x in rows[0]) + "\n"
+            fh.write((line * len(rows) % tuple(chain.from_iterable(rows))).encode())

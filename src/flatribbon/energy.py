@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetric, NotCaseA, OutsideRegularDomain, RulingAngleMismatch, WidthTooLarge
+from .errors import DegenerateMetric, InvalidParams, NotCaseA, OutsideRegularDomain, RulingAngleMismatch, WidthTooLarge
 from .frames import PrincipalNormalField
 from .numerics import arccot, cumulative_simpson_uniform, odd_node_count, simpson_uniform
 from .ribbon import mu_field
@@ -160,6 +160,8 @@ def energy_bound(curve, base_field, other_field, w, n_t=2001):
 
 
 def _case_a_arrays(curve, normal_field, n_t):
+    if curve is not normal_field.curve:
+        raise InvalidParams("the constant-angle energy needs the normal field's own curve")
     ts = curve.grid(n_t)
     frame = normal_field.on_grid(n_t)
     tg_sup = float(np.max(np.abs(frame.tau_g)))

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DegenerateMetric, ExtensionOrderExceeded, SingularRuling, WidthTooLarge
+from .errors import DegenerateMetric, ExtensionOrderExceeded, InvalidParams, SingularRuling, WidthTooLarge
 from .numerics import Cubic, arccot, central_difference, cross, nested_stride, read_only, rowdot, spline, spline_slopes
 from .numerics import stencil_difference
 from .textio import lines
@@ -139,10 +139,13 @@ def mu_field(curve, normal_field, grid_size=2001):
     pointwise.  Either way the extension must satisfy the flat-ribbon
     compatibility mu * kappa_n + tau_g = 0, otherwise SingularRuling.
 
-    ``curve`` is the field's curve.  The slope table is kept on the field per
-    node count (see ``NormalField.grid_table``), read-only, so the width bound,
-    the ribbon and the energies on one grid share it.
+    ``curve`` must be the field's own curve (InvalidParams otherwise).  The
+    slope table is kept on the field per node count (see
+    ``NormalField.grid_table``), read-only, so the width bound, the ribbon and
+    the energies on one grid share it.
     """
+    if curve is not normal_field.curve:
+        raise InvalidParams("mu_field needs the normal field's own curve")
     return normal_field.grid_table("mu", grid_size, lambda ts: read_only(_mu_table(curve, normal_field, ts)))
 
 
@@ -188,8 +191,7 @@ class FlatRibbon:
         self.normal = normal_field
         self.w = float(w)
         self.mu = mu
-        self.ts = mu.ts
-        self.lam, self.flat, self.max_width = mu.lam, mu.flat, mu.max_width
+        self.ts, self.flat = mu.ts, mu.flat
 
     def ruling(self, t, frame=None):
         """X(t); ``frame`` is the field's sample at t when the caller already has it."""

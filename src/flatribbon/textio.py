@@ -1,10 +1,10 @@
-"""Tables as text: the one number writer behind every file the package writes.
+"""Float tables as text: the number writer behind every array the package writes.
 
-:func:`lines` spells a whole table in array arithmetic: float cells come out
-as ``'%.17g' % x`` and str cells unchanged, byte for byte, without one Python
-format call per number.  Integers go in as floats (the OBJ face indices):
-below 10^17 they spell as ``'%d'``, and an integer column raises ValueError
-rather than be rounded above 2^53.
+:func:`lines` spells a whole float table in array arithmetic: each cell comes
+out as ``'%.17g' % x``, byte for byte, without one Python format call per
+number.  Integers go in as floats (the OBJ face indices): below 10^17 they
+spell as ``'%d'``, and an integer column raises ValueError rather than be
+rounded above 2^53.
 
 %.17g writes a finite non-zero x as the 17 digits of D = round-half-even(|x|
 10^(16-k)), where k is the decimal exponent of D's leading digit: in fixed
@@ -23,14 +23,11 @@ a table of 4-digit words into a fixed slot padded with NUL bytes, and one
 ``bytes.translate`` per block of rows drops the padding.  Zeros, non-finite
 values, |x| outside the scale table (k < -284 or k > 292), those near-ties
 and the rare x whose estimated exponent is off by one (D outside [10^16,
-10^17)) go through Python's own '%.17g', in one call per block.  A table
-with a str column (the three-row energy.csv) goes through one Python
-%-format whole; a float table of any size takes the array steps.
+10^17)) go through Python's own '%.17g', in one call per block.
 """
 
 import math
 from functools import cache
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -218,39 +215,21 @@ def _float_cells(x):
     return out
 
 
-def _no_nul(texts):
-    if "\0" in "".join(texts):
-        raise ValueError("text cells and separators must not contain NUL")
-    return texts
-
-
-def _python_table(floats, columns, separators):
-    """The table through one Python %-format, for tables with a text column."""
-    line = "".join(sep.replace("%", "%%") + ("%.17g" if f else "%s") for sep, f in zip(separators, floats))
-    line += separators[-1].replace("%", "%%")
-    cells = [c.tolist() if f else _no_nul(c) for f, c in zip(floats, columns)]
-    return (line * len(cells[0]) % tuple(chain.from_iterable(zip(*cells)))).encode()
-
-
 def lines(columns, separators):
     """The table as bytes: one line per row, separators[i] before column i and separators[-1] after the last.
 
-    ``columns`` are equal-length float arrays, written as '%.17g', or
-    sequences of str, written as they are (UTF-8).  An integer, bool or
-    complex array raises ValueError: give integers as floats, which spell as
-    '%d' below 10^17 and are exact to 2^53.  Text cells and separators must
-    not contain NUL.
+    ``columns`` are equal-length float arrays, written as '%.17g'.  Any other
+    column raises ValueError: give integers as floats, which spell as '%d'
+    below 10^17 and are exact to 2^53.  Separators must not contain NUL.
     """
     if len(separators) != len(columns) + 1 or len(columns) == 0:
         raise ValueError("lines needs at least one column and one separator more than columns")
-    kinds = [c.dtype.kind if isinstance(c, np.ndarray) else "s" for c in columns]
-    if any(k in "biuc" for k in kinds):
-        raise ValueError("lines takes float and text columns: give integers as float64, exact to 2^53")
-    floats = [k == "f" for k in kinds]
+    if not all(isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns):
+        raise ValueError("lines takes float columns: give integers as float64, exact to 2^53")
+    if "\0" in "".join(separators):
+        raise ValueError("separators must not contain NUL")
     n, width = len(columns[0]), len(columns)
-    if not all(floats):
-        return _python_table(floats, columns, _no_nul(separators))
-    seps = [np.frombuffer(s.encode(), np.uint8) for s in _no_nul(separators)]
+    seps = [np.frombuffer(s.encode(), np.uint8) for s in separators]
     step = max(1, BLOCK_CELLS // width)
     chunks = []
     for r0 in range(0, n, step):

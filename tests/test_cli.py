@@ -126,6 +126,16 @@ def test_build_writes_obj_and_residuals(tmp_path):
     assert max(float(r.split(",")[3]) for r in rows) < 1e-28  # the helix's strip is flat: K is rounding
 
 
+def test_build_prints_the_residual_and_gauss_curvature_sups(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, KNOT_CFG)
+    out = tmp_path / "out"
+    assert run(["build", "--config", cfg, "--out", str(out)]) == 0
+    table = np.loadtxt(out / "residuals_q0.csv", delimiter=",", skiprows=1)
+    in_plane, tangent_plane, gauss = table[:, 1:].max(axis=0)
+    want = f"flatness residuals: {in_plane:.3e} / {tangent_plane:.3e}, sup |K| {gauss:.3e}"
+    assert want in capsys.readouterr().out.splitlines()
+
+
 def test_build_rejects_excessive_width(tmp_path, capsys):
     cfg = write_cfg(tmp_path, KNOT_CFG + "width = 50\n")
     assert run(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 3

@@ -185,7 +185,7 @@ def test_helix_rectifying_closed_energy_uses_flat_branch(helix_strip):
 def test_flat_helix_energies_are_linear_in_width(helix11, pn11, w):
     # lambda = 0 on the rectifying strip: each energy is (w/2) L (1 + mu^2)^2 kappa_n^2 = w L / 2 at any width
     rib = construct_ribbon(helix11, pn11, w, grid_size=801)
-    assert rib.flat and np.isinf(rib.max_width)
+    assert rib.flat and np.isinf(rib.mu.max_width)
     want = w * helix11.length / 2.0
     closed = bending_energy_closed(rib, n_t=801)
     assert closed.method == "special_case_lambda_zero"
@@ -195,8 +195,7 @@ def test_flat_helix_energies_are_linear_in_width(helix11, pn11, w):
 
 def test_closed_energy_rejects_width_beyond_log_domain(knot, torus_field):
     mu = mu_field(knot, torus_field, grid_size=1001)
-    probe = FlatRibbon(knot, torus_field, 0.0, mu)
-    too_wide = 1.05 / float(np.max(np.abs(probe.lam)))
+    too_wide = 1.05 / float(np.max(np.abs(mu.lam)))
     rib = FlatRibbon(knot, torus_field, too_wide, mu)
     with pytest.raises(WidthTooLarge):
         bending_energy_closed(rib, n_t=1001)

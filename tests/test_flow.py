@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from flatribbon import angleivp, cli
 from flatribbon.angleivp import (
-    AngleRHS,
     ThetaFamily,
     ThetaSolution,
     prescribed_angle_rhs,
@@ -33,7 +32,7 @@ from flatribbon.frames import PrincipalNormalField, TorusNormalField, sampled_sc
 from flatribbon.numerics import Cubic, arccot, nested_stride, spline
 from flatribbon.ribbon import mu_field
 from test_grid_cache import EXAMPLE
-from test_ivp import reference_solve
+from test_ivp import F, reference_solve
 
 QS = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 
@@ -149,14 +148,14 @@ def test_shift_by_two_pi_shifts_theta(problems):
 def test_nonfinite_coefficients_raise_without_warnings(entry, bad):
     coefficients = [0.3, -0.2, 0.5]
     coefficients[entry] = bad
-    rhs = AngleRHS(lambda ts: tuple(coefficients))
+    rhs = lambda ts: tuple(coefficients)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StepSizeUnderflow):
             solve_theta(rhs, 1.0, [0.0, 1.0], 50)
 
 
-STIFF = AngleRHS(lambda ts: (40.0, 0.3, 0.1))  # (p, r) grows like exp(20 t): exp(800) over [0, 40]
+STIFF = lambda ts: (40.0, 0.3, 0.1)  # (p, r) grows like exp(20 t): exp(800) over [0, 40]
 
 
 def unscaled_prefix_products(m):
@@ -187,7 +186,7 @@ def test_items_are_theta_solutions(problems):
     assert all(isinstance(item, ThetaSolution) for item in items)
     assert np.array_equal(items[1].values, family.values[1])
     assert items[1].error_estimate == family.error_estimates[1]
-    assert np.array_equal(items[1].derivatives, rhs(family.ts, family.values[1]))
+    assert np.array_equal(items[1].derivatives, F(rhs, family.ts, family.values[1]))
     assert family[-1].values[0] == 2.0
     with pytest.raises(IndexError):
         family[2]
@@ -314,7 +313,7 @@ def test_lazy_spline_equals_the_eager_one_bit_for_bit(helix11, pn11):
     eager = spline(sol.ts, sol.values)
     assert np.array_equal(sol._spline._table, eager._table)
     assert np.array_equal(got, eager(mids))
-    assert np.array_equal(sol.derivative(mids), rhs(mids, eager(mids)))
+    assert np.array_equal(sol.derivative(mids), F(rhs, mids, eager(mids)))
 
 
 # ---------------------------------------------------------------- node table
@@ -340,7 +339,7 @@ def test_nested_grids_read_the_node_table(case, problems, bases):
         # interior nodes: the spline returns its node value and F sees the same t
         want = eager(t)
         assert np.array_equal(theta[:-1], want[:-1])
-        assert np.array_equal(dtheta[:-1], rhs(t, want)[:-1])
+        assert np.array_equal(dtheta[:-1], F(rhs, t, want)[:-1])
         # at t = L the spline's last piece may round differently
         assert abs(theta[-1] - want[-1]) <= 1e-13 * max(1.0, abs(want[-1]))
     assert "_spline" not in vars(sol)
@@ -359,7 +358,7 @@ def test_other_arguments_read_the_spline(case, problems, bases):
         theta, dtheta = sol(t), sol.derivative(t)
         assert not np.shares_memory(theta, sol.values) and not np.shares_memory(dtheta, sol.derivatives)
         assert np.array_equal(theta, eager(t))
-        assert np.array_equal(dtheta, rhs(t, eager(t)))
+        assert np.array_equal(dtheta, F(rhs, t, eager(t)))
     assert "_spline" in vars(sol)
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from flatribbon import angleivp
 from flatribbon.angleivp import (
-    AngleRHS,
     closed_form_case_b,
     closed_form_helix_pi2,
     integrated_torsion,
@@ -78,7 +77,7 @@ def test_same_angle_rhs_rejects_zero_normal_curvature():
 
 
 def test_constant_solution_for_zero_rhs():
-    family = solve_theta(AngleRHS(lambda ts: (0.0, 0.0, 0.0)), 2.0, [1.3, -2.0], grid_size=100)
+    family = solve_theta(lambda ts: (0.0, 0.0, 0.0), 2.0, [1.3, -2.0], grid_size=100)
     for q, sol in zip(family.qs, family):
         assert np.max(np.abs(sol.values - q)) == 0.0
         assert sol.error_estimate == 0.0
@@ -101,13 +100,13 @@ def test_separable_solution_matches_closed_form(helix11, pn_scalars):
 
 def test_solver_reports_nonfinite_values():
     with pytest.raises(StepSizeUnderflow):
-        solve_theta(AngleRHS(lambda ts: (0.0, 0.0, np.nan)), 1.0, [0.0], grid_size=50)
+        solve_theta(lambda ts: (0.0, 0.0, np.nan), 1.0, [0.0], grid_size=50)
 
 
 def test_solver_reports_infinite_values():
     # an infinite slope makes the step matrices, and so theta, NaN
     with pytest.raises(StepSizeUnderflow):
-        solve_theta(AngleRHS(lambda ts: (0.0, 0.0, np.inf)), 1.0, [0.0], grid_size=50)
+        solve_theta(lambda ts: (0.0, 0.0, np.inf), 1.0, [0.0], grid_size=50)
 
 
 # RK4 on theta itself, the reference discretization for the flow: every q at once, each stage reading
@@ -130,10 +129,16 @@ def _reference_sweep(nodes, table, stride, qs):
     return theta
 
 
+def F(rhs, t, theta):
+    """F(t, theta) = a sin theta + b cos theta + c, from the (a, b, c) of the coefficient map ``rhs`` at t."""
+    a, b, c = rhs(t)
+    return a * np.sin(theta) + b * np.cos(theta) + c
+
+
 def reference_solve(rhs, length, qs, n):
     """(values, error estimates) of theta-RK4 from theta(0) = q for every q: n steps, against 2n for the estimate."""
     nodes = np.linspace(0.0, length, 4 * n + 1)
-    table = [np.broadcast_to(np.asarray(x, dtype=float), nodes.shape) for x in rhs.coefficients(nodes)]
+    table = [np.broadcast_to(np.asarray(x, dtype=float), nodes.shape) for x in rhs(nodes)]
     theta, theta_half = _reference_sweep(nodes, table, 4, qs), _reference_sweep(nodes, table, 2, qs)
     return theta, np.max(np.abs(theta - theta_half[:, ::2]), axis=1)
 
@@ -147,10 +152,10 @@ def test_angle_rhs_matches_pointwise_forms(pn_scalars, helix11):
     want_p = [rhs_prescribed(t, y, pn_scalars(t), phi(t)) for t, y in zip(ts, thetas)]
     want_s = [rhs_same_angle(t, y, pn_scalars(t)) for t, y in zip(ts, thetas)]
     for i, (t, y) in enumerate(zip(ts, thetas)):
-        assert prescribed(t, y) == want_p[i]
-        assert same(t, y) == want_s[i]
-    np.testing.assert_allclose(prescribed(ts, thetas), want_p, rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(same(ts, thetas), want_s, rtol=0.0, atol=1e-15)
+        assert F(prescribed, t, y) == want_p[i]
+        assert F(same, t, y) == want_s[i]
+    np.testing.assert_allclose(F(prescribed, ts, thetas), want_p, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(F(same, ts, thetas), want_s, rtol=0.0, atol=1e-15)
 
 
 def test_same_angle_table_rejects_zero_normal_curvature():

@@ -7,10 +7,11 @@ import pytest
 from flatribbon import cli
 from flatribbon import ribbon as ribbon_mod
 from flatribbon.config import build_curve, parse_config
-from flatribbon.errors import DegenerateMetric, SingularRuling, WidthTooLarge
-from flatribbon.frames import PrincipalNormalField, RotatedNormalField
+from flatribbon.curves import HelixParams, make_helix
+from flatribbon.energy import case_a_energy, case_a_extrema, energy_bound, limit_energy
+from flatribbon.errors import DegenerateMetric, InvalidParams, SingularRuling, WidthTooLarge
+from flatribbon.frames import PrincipalNormalField, RotatedNormalField, RotationMinimizingField
 from flatribbon.ribbon import (
-    FlatRibbon,
     _extend_at_zero,
     _gauss_sup,
     construct_ribbon,
@@ -190,6 +191,29 @@ def test_rows_of_a_flat_ribbon_take_lambda_as_zero(helix_strip, n_t):
 # ---------------------------------------------------------------- width bound
 
 
+# every entry point that takes a curve beside a normal field, called with the field and a curve
+ENTRY_POINTS = {
+    "mu_field": lambda curve, field: mu_field(curve, field, grid_size=201),
+    "construct_ribbon": lambda curve, field: construct_ribbon(curve, field, 0.1, grid_size=201),
+    "max_regular_width": lambda curve, field: max_regular_width(curve, field, grid_size=201),
+    "limit_energy": lambda curve, field: limit_energy(curve, field, 0.1, n_t=201),
+    "energy_bound": lambda curve, field: energy_bound(curve, field, field, 0.1, n_t=201),
+    "case_a_energy": lambda curve, field: case_a_energy(curve, field, 0.3, 0.1, n_t=201),
+    "case_a_extrema": lambda curve, field: case_a_extrema(curve, field, 0.1, n_t=201),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_a_curve_that_is_not_the_fields_own_is_rejected(entry):
+    # tau_g = 0 on a rotation-minimizing field, so the constant-angle energies take it as well
+    own = make_helix(HelixParams(1.0, 1.0))
+    field = RotationMinimizingField(own)
+    ENTRY_POINTS[entry](own, field)
+    # once a ribbon on the grid of the first helix, meshed along the second with the first one's rulings
+    with pytest.raises(InvalidParams, match="own curve"):
+        ENTRY_POINTS[entry](make_helix(HelixParams(2.0, 0.5)), field)
+
+
 def test_helix_rectifying_width_unbounded(helix11, pn11):
     assert max_regular_width(helix11, pn11, grid_size=401) == np.inf
 
@@ -204,12 +228,11 @@ def test_width_bound_constant_rotation(helix11):
 
 def test_width_bound_safety_factor(knot, torus_field):
     mu = mu_field(knot, torus_field, grid_size=1001)
-    rib = FlatRibbon(knot, torus_field, 0.0, mu)
-    assert 0.0 < rib.max_width < np.inf
-    assert rib.max_width == pytest.approx(0.9 / np.max(np.abs(rib.lam)), abs=1e-14)
+    assert 0.0 < mu.max_width < np.inf
+    assert mu.max_width == pytest.approx(0.9 / np.max(np.abs(mu.lam)), abs=1e-14)
     # area element positive across the safe strip at all grid nodes
-    assert np.min(1.0 + rib.max_width * rib.lam) > 0.0
-    assert np.min(1.0 - rib.max_width * rib.lam) > 0.0
+    assert np.min(1.0 + mu.max_width * mu.lam) > 0.0
+    assert np.min(1.0 - mu.max_width * mu.lam) > 0.0
 
 
 def test_width_too_large_rejected(knot, torus_field):

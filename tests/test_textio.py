@@ -1,8 +1,7 @@
 """The array-to-text kernel writes exactly what Python's %-format writes.
 
 Float cells must match '%.17g' % x byte for byte, and integer-valued ones
-(OBJ face indices) '%d' % i.  A float table of any size takes the array
-path; only a table with a text column goes through Python's %-format.
+(OBJ face indices) '%d' % i.  Any other column is rejected.
 """
 
 import numpy as np
@@ -50,8 +49,7 @@ def test_random_bit_patterns_match_percent_17g():
     assert spelled(values) == expected(values)
 
 
-def test_edge_values_match_percent_17g(monkeypatch):
-    monkeypatch.setattr(textio, "_python_table", None)  # a float table never takes the text tables' %-format
+def test_edge_values_match_percent_17g():
     values = EDGES + [-x for x in EDGES]
     # the neighbours of each power of ten: the exponent estimate and the fixed-point limits turn there
     powers = 10.0 ** np.arange(-8, 20)
@@ -85,33 +83,31 @@ def test_integer_valued_floats_match_percent_d():
 def test_integer_column_is_rejected():
     # int64 above 2^53 has no float64 of the same value: lines raises rather than round it
     for ints in (np.arange(3), np.arange(128, dtype=np.uint32), np.array([2**53 + 1] * 100)):
-        with pytest.raises(ValueError, match="float and text"):
+        with pytest.raises(ValueError, match="float columns"):
             lines([ints], ("", "\n"))
-        with pytest.raises(ValueError, match="float and text"):
+        with pytest.raises(ValueError, match="float columns"):
             lines([ints.astype(np.float64), ints], ("", ",", "\n"))
-    for other in (np.ones(3, bool), np.ones(3, complex)):  # once a TypeError from the text path
-        with pytest.raises(ValueError, match="float and text"):
+    # nor bool, complex, a str list or a str array: text columns are write_csv's
+    for other in (np.ones(3, bool), np.ones(3, complex), ["a", "b", "c"], np.array(["a", "b", "c"])):
+        with pytest.raises(ValueError, match="float columns"):
             lines([other], ("", "\n"))
+        with pytest.raises(ValueError, match="float columns"):
+            lines([np.zeros(3), other], ("", ",", "\n"))
 
 
-def test_mixed_columns_and_separators(monkeypatch):
+def test_mixed_columns_and_separators():
     x = np.linspace(-2.0, 3.0, 150)
     i = np.arange(150.0) - 70
-    # three float columns, one of them integer-valued, 450 cells: the array kernel, never the %-format
-    with monkeypatch.context() as m:
-        m.setattr(textio, "_python_table", None)
-        numeric = lines([x, i, x * 1e-9], ("<", ",", "|", ">\n"))
+    # three float columns, one of them integer-valued, 450 cells
+    numeric = lines([x, i, x * 1e-9], ("<", ",", "|", ">\n"))
     want = "".join("<%.17g,%d|%.17g>\n" % row for row in zip(x.tolist(), i.tolist(), (x * 1e-9).tolist()))
     assert numeric == want.encode()
-    text = [f"r{k}%s" for k in range(150)]
-    # 450 numeric cells: a table with a text column is one %-format, % kept literal
-    got = lines([text, x, i, x * 1e-9], ("<", ",", "|", "%;", ">\n"))
-    rows = zip(text, x.tolist(), i.tolist(), (x * 1e-9).tolist())
-    want = "".join("<%s,%.17g|%d%%;%.17g>\n" % row for row in rows)
+    # a % in a separator stays literal, in a large table and in a small one
+    got = lines([x, i, x * 1e-9], ("%", ",", "|%;", "%%\n"))
+    want = "".join("%%%.17g,%d|%%;%.17g%%%%\n" % row for row in zip(x.tolist(), i.tolist(), (x * 1e-9).tolist()))
     assert got == want.encode()
-    # a small one too, so a % in a separator or cell stays literal
-    small = lines([["a%s", "%d"], np.array([1.5, -0.0]), np.array([2.0, -3.0])], ("%", ",", ";", "%%\n"))
-    assert small == b"%a%s,1.5;2%%\n%%d,-0;-3%%\n"
+    small = lines([np.array([1.5, -0.0]), np.array([2.0, -3.0])], ("%", ";", "%%\n"))
+    assert small == b"%1.5;2%%\n%-0;-3%%\n"
 
 
 def test_the_array_path_spells_most_cells(monkeypatch):
@@ -123,8 +119,6 @@ def test_the_array_path_spells_most_cells(monkeypatch):
     assert sum(calls) <= 10  # only near-ties and estimated exponents off by one go to Python
 
 
-def test_nul_in_text_or_separator_is_rejected():
-    with pytest.raises(ValueError):
-        lines([["a\0b"]], ("", "\n"))
-    with pytest.raises(ValueError):
+def test_nul_in_separator_is_rejected():
+    with pytest.raises(ValueError, match="NUL"):
         lines([np.zeros(3)], ("\0", "\n"))
