@@ -19,8 +19,9 @@ but not on q, which enters only through the start vector
 (sin q/2, cos q/2); one q is item 0 of the family of ``[q]``.
 ``solved_rotation_field`` reads its table exactly,
 through :func:`~flatribbon.frames.sampled_scalars` on the 4n+1 stage nodes,
-and keeps one flow per form and n on the base field, so further angles on
-that field read the kept flow.
+and keeps one flow per form and n on the base field, keyed by its inputs
+(the form, and a prescribed phi on the stage nodes), so further angles on
+that field read the kept flow without building a table.
 """
 
 from collections.abc import Callable, Sequence
@@ -148,11 +149,25 @@ def _matmul(x, y):
 
 
 def _rk4_propagators(g0, gm, g1, h):
-    """RK4 step matrices of y' = G(t) y, y_{k+1} = M_k y_k, from G at each step's start, middle and end."""
-    k2 = gm + 0.5 * h * _matmul(gm, g0)
-    k3 = gm + 0.5 * h * _matmul(gm, k2)
-    k4 = g1 + h * _matmul(g1, k3)
-    return np.eye(2)[..., None] + h / 6.0 * (g0 + 2.0 * k2 + 2.0 * k3 + k4)
+    """RK4 step matrices of y' = G(t) y, y_{k+1} = M_k y_k, from G at each step's start, middle and end.
+
+    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = G0, K2 = Gm + h/2 Gm K1, K3 = Gm + h/2 Gm K2, K4 = G1 + h G1 K3,
+    each sum formed in place in this order.
+    """
+    k2 = _scale_add(_matmul(gm, g0), 0.5 * h, gm)
+    k3 = _scale_add(_matmul(gm, k2), 0.5 * h, gm)
+    k4 = _scale_add(_matmul(g1, k3), h, g1)
+    total = _scale_add(k2, 2.0, g0)
+    total += np.multiply(k3, 2.0, out=k3)
+    total += k4
+    return _scale_add(total, h / 6.0, np.eye(2)[..., None])
+
+
+def _scale_add(x, a, y):
+    """y + a x, formed in x."""
+    x *= a
+    x += y
+    return x
 
 
 @dataclass(eq=False)
@@ -229,14 +244,16 @@ class ThetaFlow:
             p, r = z.imag, z.real
             # theta/2 = arg z, so theta turns by twice the angle from z_{k-1} to z_k over step k, taken in
             # real arithmetic: numpy's z_k conj(z_{k-1}) can round off the real axis where z does not turn
-            cross = p[..., 1:] * r[..., :-1] - r[..., 1:] * p[..., :-1]
-            dot = r[..., 1:] * r[..., :-1] + p[..., 1:] * p[..., :-1]
+            cross, term = p[..., 1:] * r[..., :-1], r[..., 1:] * p[..., :-1]
+            cross -= term
+            dot = r[..., 1:] * r[..., :-1]
+            dot += np.multiply(p[..., 1:], p[..., :-1], out=term)
             theta = np.empty(z.shape)
             theta[..., 0] = 0.0
-            np.cumsum(np.arctan2(cross, dot), axis=-1, out=theta[..., 1:])
+            np.cumsum(np.arctan2(cross, dot, out=cross), axis=-1, out=theta[..., 1:])
             theta *= 2.0
             theta += qs[:, None]
-        if not np.all(np.isfinite(theta)):
+        if not np.all(np.isfinite(theta[..., -1])):  # a NaN angle carries through the cumulative sum to the end
             raise StepSizeUnderflow("the RK4 flow produced non-finite values")
         values = theta[0]
         ts = self.nodes[::4]
@@ -306,27 +323,33 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
     exact on the stage nodes, and off them (``ThetaSolution.derivative`` at
     other t) F samples the base field.  The base field
     keeps one :class:`ThetaFlow` per form (same-angle, prescribed, base
-    angle) and n next to its grid tables, and a call whose table equals the
-    kept flow's bitwise reads q off it with no new scan; any other table
-    builds the flow again and replaces it.  On a grid nested in the
-    solution's n + 1 nodes by a power of two, the rotated field reads theta
-    and theta' off the solution's node table, with no spline and no new
-    evaluation of F.  Returns (rotated_field, theta_solution).
+    angle) and n next to its grid tables, keyed by the flow's inputs: the
+    form, whose tables are the field's kept read-only ones, and in the
+    prescribed form phi on the stage nodes.  A call whose phi there equals
+    the kept one (``np.array_equal``, so a NaN never does), or any call of
+    the other two forms, reads q off the kept flow with no coefficient table
+    and no new scan; any other phi builds the flow again and replaces it.
+    On a grid nested in the solution's n + 1 nodes by a power of two, the
+    rotated field reads theta and theta' off the solution's node table, with
+    no spline and no new evaluation of F.  Returns (rotated_field, theta_solution).
     """
     curve = base_field.curve
     n = max(int(grid_size), 2)
     scalars = sampled_scalars(base_field, 4 * n + 1)
+    angle = same_phi = None
     if phi is not None:
+        angle = np.array(phi(curve.grid(4 * n + 1)))  # a copy, so the kept flow's key cannot change
         form, rhs = "prescribed", prescribed_angle_rhs(scalars, phi)
+        same_phi = lambda kept: np.array_equal(kept[0], angle)
     elif float(np.min(np.abs(base_field.on_grid(scalars_grid).kappa_n))) * curve.length > 1e-6:
         form, rhs = "same_angle", same_angle_rhs(scalars)
     else:
         mu = mu_field(curve, base_field, grid_size=4 * n + 1)
         form, rhs = "base_angle", prescribed_angle_rhs(scalars, lambda t: arccot(mu(t)))
-    table = _coefficient_table(rhs, curve.grid(4 * n + 1))
-    build = lambda ts: ThetaFlow.of(ts, table)
-    same_table = lambda kept: all(map(np.array_equal, kept.table, table))
-    flow = base_field.grid_table(("flow", form), 4 * n + 1, build, keep=same_table)
+    # kept as (angle, flow); the table reads phi once per call, the other forms only the field's kept tables
+    table_rhs = rhs if phi is None else prescribed_angle_rhs(scalars, lambda ts: angle)
+    build = lambda ts: (angle, ThetaFlow.of(ts, _coefficient_table(table_rhs, ts)))
+    flow = base_field.grid_table(("flow", form), 4 * n + 1, build, keep=same_phi)[1]
     solution = flow.family([float(q)], rhs)[0]
     field = RotatedNormalField(base_field, solution, solution.derivative)
     return field, solution

@@ -164,9 +164,6 @@ class ArcLengthCurve:
             raise ToleranceNotMet(f"arc-length inversion misses t by {miss:.3e}; table and speed disagree")
         return x
 
-    def point(self, t):
-        return self.spec.point(self.raw_parameter(t))
-
     def near_grid(self, n):
         """(t, x): nodes within O(h^2) of ``grid(n)`` whose raw parameters x need no inversion.
 

@@ -8,7 +8,7 @@ speeds, the rotation-minimizing normals N' = -<T', N> T), or else on the slopes 
 cubic spline (:func:`spline_slopes`, de Boor 1978; cyclic reduction to a dense bottom that each solve takes
 by ``np.linalg.solve``, the factor kept per node count on uniform grids).  The running products of the
 theta flow's RK4 step matrices take a parallel prefix scan (:func:`prefix_products`; Hillis & Steele 1986,
-Blelloch 1990).  Vectors
+Blelloch 1990), rescaled after its first pass, every third pass after it and its last.  Vectors
 end in an axis of 3: their dot product is :func:`rowdot`, three column
 products summed in order, and their cross product is :func:`cross`, bitwise
 ``np.cross`` without its axis handling.
@@ -368,15 +368,19 @@ def prefix_products(m):
     axes between are batch axes.  Inclusive Hillis-Steele scan: the pass of
     offset d = 1, 2, 4, ... multiplies every product from entry d on by the
     product d entries earlier, so log2 n einsum passes run over the last
-    axis, contiguous in the C-ordered copy the scan takes of ``m``.  Each
-    pass divides every product by its largest entry.  A positive factor keeps
-    the direction of every image vector, and the entries stay at most r in
-    size, so a hyperbolic flow cannot overflow.
+    axis, contiguous in the C-ordered copy the scan takes of ``m``.  The
+    first pass, every third pass after it and the last divide every product
+    by its largest entry, so the returned products have a largest |entry| of
+    exactly 1.  A positive factor keeps the direction of every image vector;
+    from entries at most 1 a pass maps the bound b to r b^2, so between
+    rescales the entries stay at most r^7 (128 for r = 2), and a hyperbolic
+    flow cannot overflow.
     """
     p = np.array(m, dtype=float, order="C")
-    d = 1
-    while d < p.shape[-1]:
+    passes = (p.shape[-1] - 1).bit_length()
+    for k in range(passes):
+        d = 2**k
         p[..., d:] = np.einsum("ij...,jk...->ik...", p[..., d:], p[..., :-d])
-        p /= np.maximum.reduce(np.abs(p), axis=(0, 1))
-        d *= 2
+        if k % 3 == 0 or k == passes - 1:
+            p /= np.maximum.reduce(np.abs(p), axis=(0, 1))
     return p

@@ -45,7 +45,7 @@ class MuField:
     Sampled on a uniform arc-length grid; mu' is the slope of the not-a-knot
     spline through it.  ``slopes``, its node slopes, are solved on first read
     and kept read-only.  On every s-th node of ``ts``, s a power of two
-    (:func:`~flatribbon.numerics.nested_stride`), a call and ``derivative``
+    (:func:`~flatribbon.numerics.nested_stride`), a call and ``with_slope``
     return the views ``values[::s]`` and ``slopes[::s]``, bitwise the spline's
     but perhaps at t = L; any other t reads the spline, built on first use.
     ``frame`` is the :class:`~flatribbon.frames.FrameSample` the slope was
@@ -86,9 +86,10 @@ class MuField:
         s = nested_stride(self.ts, t)
         return self._spline(t) if s is None else self.values[::s]
 
-    def derivative(self, t):
+    def with_slope(self, t):
+        """(mu, mu') at t from one nesting test: the value is bitwise ``self(t)``."""
         s = nested_stride(self.ts, t)
-        return self._spline(t, 1) if s is None else self.slopes[::s]
+        return (self._spline(t), self._spline(t, 1)) if s is None else (self.values[::s], self.slopes[::s])
 
 
 def _lam(mu, mup, kappa_g):  # lambda, the rate of the ribbon's area element 1 + u lambda
@@ -206,7 +207,7 @@ class FlatRibbon:
         """
         ts = self.curve.grid(len(self.ts) if n_t is None else n_t)
         frame = self.normal.on_grid(len(ts))
-        mu, mup = self.mu(ts), self.mu.derivative(ts)
+        mu, mup = self.mu.with_slope(ts)
         return ts, frame, mu, mup, 0.0 if self.flat else _lam(mu, mup, frame.kappa_g)
 
 

@@ -5,6 +5,11 @@ from flatribbon.curves import HelixParams, TorusKnotParams, make_helix, make_tor
 from flatribbon.frames import PrincipalNormalField, TorusNormalField
 
 
+def curve_point(curve, t):
+    """gamma at the arc lengths t of an ``ArcLengthCurve``: its spec's point at the raw parameter of t."""
+    return curve.spec.point(curve.raw_parameter(t))
+
+
 @pytest.fixture(scope="session")
 def helix11():
     return make_helix(HelixParams(1.0, 1.0))

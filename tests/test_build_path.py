@@ -25,6 +25,7 @@ from flatribbon.errors import VanishingCurvature
 from flatribbon.frames import PrincipalNormalField, RotationMinimizingField
 from flatribbon.numerics import prefix_products
 from flatribbon.ribbon import RibbonMesh, construct_ribbon, tessellate, write_obj
+from conftest import curve_point
 from test_sampled import sample_curve
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
@@ -33,7 +34,7 @@ EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 def reference_rmf_normals(curve, ts):
     """Unit normals at the arc lengths ``ts`` of the per-step double-reflection loop (Wang et al. 2008)."""
     tangents = curve.derivative(ts, 1)
-    points = curve.point(ts)
+    points = curve_point(curve, ts)
     try:
         seed = PrincipalNormalField(curve).sample(0.0).N
     except VanishingCurvature:
@@ -110,7 +111,7 @@ def reference_rmf_on_grid(curve, t, n=64001):
     """The double reflection on ``curve.grid(n)``, between its nodes the Hermite cubic on N' = -<T', N> T."""
     ts = curve.grid(n)
     _, _, tangents, g2, _ = curve.jet(ts)
-    points = curve.point(ts)
+    points = curve_point(curve, ts)
     n0 = g2[0] / np.linalg.norm(g2[0])  # the principal normal at t = 0; kappa > 0 on every case
     v1 = np.diff(points, axis=0)
     r1 = 2.0 / np.sum(v1 * v1, axis=1)

@@ -15,6 +15,7 @@ from flatribbon.energy import bending_energy_closed, bending_energy_quadrature, 
 from flatribbon.errors import ConfigError
 from flatribbon.frames import RotatedNormalField, RotationMinimizingField
 from flatribbon.ribbon import construct_ribbon, flatness_residuals
+from conftest import curve_point
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 EXAMPLE = os.path.join(ROOT, "examples", "torus_knot.cfg")
@@ -98,7 +99,7 @@ def test_samples_csv_curve(tmp_path):
 
     helix = make_helix(HelixParams(1.0, 1.0))
     ts = np.linspace(0.0, helix.length, 400)
-    rows = [(t, *helix.point(t)) for t in ts]
+    rows = [(t, *curve_point(helix, t)) for t in ts]
     csv_path = tmp_path / "samples.csv"
     write_csv(csv_path, ("t", "x", "y", "z"), rows)
     cfg = RunConfig(kind="samples", csv=str(csv_path))

@@ -17,6 +17,7 @@ from flatribbon.curves import (
 from flatribbon.curves import _stack3
 from flatribbon.errors import InvalidParams, NonRegularCurve, ToleranceNotMet
 from flatribbon.frames import PrincipalNormalField
+from conftest import curve_point
 
 
 def _raw_helix_spec(a, b, turns=1.0):
@@ -192,13 +193,13 @@ def test_scaled_knot_keeps_its_frenet_frame(knot, scale):
 
 def test_make_helix_is_unit_circle_for_zero_pitch(circle):
     for t in circle.grid(33):
-        p = circle.point(t)
+        p = curve_point(circle, t)
         assert np.hypot(p[0], p[1]) == pytest.approx(1.0, abs=1e-12)
         assert p[2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_make_helix_point_and_tangent_at_zero(helix11):
-    assert np.max(np.abs(helix11.point(0.0) - np.array([1.0, 0.0, 0.0]))) < 1e-12
+    assert np.max(np.abs(curve_point(helix11, 0.0) - np.array([1.0, 0.0, 0.0]))) < 1e-12
     want = np.array([0.0, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)])
     assert np.max(np.abs(helix11.derivative(0.0, 1) - want)) < 1e-12
 
@@ -236,7 +237,7 @@ def test_make_torus_knot_builds_its_arc_length_table_once(monkeypatch):
 
 
 def test_torus_knot_outer_equator_point(knot):
-    assert np.max(np.abs(knot.point(0.0) - np.array([3.0, 0.0, 0.0]))) < 1e-10
+    assert np.max(np.abs(curve_point(knot, 0.0) - np.array([3.0, 0.0, 0.0]))) < 1e-10
     n0 = knot.spec.surface_normal_jet(0.0)[0]
     assert np.max(np.abs(n0 - np.array([1.0, 0.0, 0.0]))) < 1e-12
 
@@ -251,7 +252,7 @@ def test_torus_normal_orthogonal_to_tangent(knot, rng):
 def test_torus_knot_lies_on_torus(knot, rng):
     R, rho = knot.spec.params.R, knot.spec.params.rho
     for t in rng.uniform(0.0, knot.length, 100):
-        x, y, z = knot.point(t)
+        x, y, z = curve_point(knot, t)
         dist = abs(np.hypot(np.hypot(x, y) - R, z) - rho)
         assert dist < 1e-10
 
@@ -261,7 +262,7 @@ def test_torus_knot_lies_on_torus(knot, rng):
 
 def test_curve_from_samples_recovers_helix_length(helix11):
     ts = np.linspace(0.0, helix11.length, 400)
-    pts = np.array([helix11.point(t) for t in ts])
+    pts = np.array([curve_point(helix11, t) for t in ts])
     curve = curve_from_samples(ts, pts, grid_size=2001)
     assert curve.length == pytest.approx(helix11.length, abs=1e-5)
 

@@ -33,6 +33,7 @@ from flatribbon.errors import (
 )
 from flatribbon.frames import PrincipalNormalField, RotatedNormalField
 from flatribbon.ribbon import FlatRibbon, construct_ribbon, max_regular_width, mu_field
+from conftest import curve_point
 
 
 @pytest.fixture(scope="module")
@@ -298,7 +299,7 @@ def test_sampled_curves_at_4k_plus_3_nodes():
     knot = make_torus_knot(TorusKnotParams(grid_size=4003))
     assert knot.grid_size == 4005
     ts = knot.grid(121)
-    assert curve_from_samples(ts, knot.point(ts), grid_size=1003).grid_size == 1005
+    assert curve_from_samples(ts, curve_point(knot, ts), grid_size=1003).grid_size == 1005
 
 
 def test_energy_bound_self_is_trivial(knot, torus_field):

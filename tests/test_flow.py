@@ -155,6 +155,30 @@ def test_nonfinite_coefficients_raise_without_warnings(entry, bad):
             solve_theta(rhs, 1.0, [0.0, 1.0], 50)
 
 
+@pytest.mark.parametrize("node", [800, 801, 802], ids=["step_node", "half_step_stage", "midpoint"])
+def test_one_nan_mid_interval_raises(node):
+    # node 801 is a stage of the half-step run alone: its NaN reaches only run 1's last angle
+    def rhs(ts):
+        a = np.full(ts.shape, 0.3)
+        a[node] = np.nan
+        return a, -0.2, 0.5
+
+    with pytest.raises(StepSizeUnderflow):
+        solve_theta(rhs, 1.0, [0.0, 1.0], 400)
+
+
+def test_rk4_propagators_are_bitwise_the_out_of_place_formula(rng):
+    g0, gm, g1 = rng.normal(size=(3, 2, 2, 57))
+    h = 0.0173
+    mm = lambda x, y: np.einsum("ij...,jk...->ik...", x, y)
+    k2 = gm + 0.5 * h * mm(gm, g0)
+    k3 = gm + 0.5 * h * mm(gm, k2)
+    k4 = g1 + h * mm(g1, k3)
+    want = np.eye(2)[..., None] + h / 6.0 * (g0 + 2.0 * k2 + 2.0 * k3 + k4)
+    got = angleivp._rk4_propagators(g0, gm, g1, h)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 STIFF = lambda ts: (40.0, 0.3, 0.1)  # (p, r) grows like exp(20 t): exp(800) over [0, 40]
 
 
@@ -269,6 +293,50 @@ def test_a_new_phi_rebuilds_the_flow(monkeypatch, helix11):
     got = solve_on(base, 0.7, lambda t: 1.0)
     assert len(scans) == 2
     assert_same_solution(got, solve_on(PrincipalNormalField(helix11), 0.7, lambda t: 1.0))
+
+
+def counted_tables(monkeypatch):
+    """A list that gains one entry per coefficient table built."""
+    tables = []
+    original = angleivp._coefficient_table
+    monkeypatch.setattr(angleivp, "_coefficient_table", lambda rhs, nodes: tables.append(1) or original(rhs, nodes))
+    return tables
+
+
+@pytest.mark.parametrize("phi", [None, 1.2], ids=["same_angle", "phi_array_1.2"])
+def test_a_reuse_call_builds_no_coefficient_table(phi, monkeypatch, helix11):
+    # the kept flow is keyed by its inputs: the form, and for a prescribed phi its values on the stage nodes
+    scans, tables = counted_scans(monkeypatch), counted_tables(monkeypatch)
+    base = PrincipalNormalField(helix11)
+    prescribe = lambda: None if phi is None else (lambda t: np.full(np.shape(t), phi))  # a new callable each call
+    first = solve_on(base, 0.7, prescribe())
+    second = solve_on(base, 0.7, prescribe())
+    assert len(scans) == len(tables) == 1
+    assert_same_solution(second, first)
+
+
+def test_a_phi_one_node_off_rebuilds_the_flow(monkeypatch, helix11):
+    scans = counted_scans(monkeypatch)
+    base = PrincipalNormalField(helix11)
+
+    def nudged(t):
+        phi = np.full(np.shape(t), 1.2)
+        phi[len(phi) // 2] = np.nextafter(1.2, 2.0)
+        return phi
+
+    solve_on(base, 0.7, lambda t: np.full(np.shape(t), 1.2))
+    got = solve_on(base, 0.7, nudged)
+    assert len(scans) == 2
+    assert_same_solution(got, solve_on(PrincipalNormalField(helix11), 0.7, nudged))
+
+
+def test_a_nan_phi_rebuilds_and_raises_on_every_call(monkeypatch, helix11):
+    scans = counted_scans(monkeypatch)
+    base = PrincipalNormalField(helix11)
+    for calls in (1, 2):
+        with pytest.raises(StepSizeUnderflow):
+            solve_on(base, 0.7, lambda t: np.full(np.shape(t), np.nan))
+        assert len(scans) == calls
 
 
 def test_a_field_keeps_one_flow_per_form(helix11):

@@ -183,6 +183,46 @@ def test_prefix_products_are_running_products_up_to_positive_factors(rng):
         assert np.max(np.abs(got[..., k])) == 1.0  # the last pass's rescale
 
 
+def reference_scan(m, rescale):
+    """The Hillis-Steele scan; with ``rescale``, every product is divided by its largest |entry| after every pass."""
+    p = np.array(m, dtype=float)
+    d = 1
+    while d < p.shape[-1]:
+        p[..., d:] = np.einsum("ij...,jk...->ik...", p[..., d:], p[..., :-d])
+        if rescale:
+            p /= np.max(np.abs(p), axis=(0, 1))
+        d *= 2
+    return p
+
+
+def hyperbolic_steps(a=40.0, b=0.3, c=0.1, length=40.0, n=2000):
+    """The README's hyperbolic flow: n RK4 step matrices of (p, r)' = G (p, r), G = 1/2 [[a, b + c], [b - c, -a]]."""
+    hg = 0.5 * length / n * np.array([[a, b + c], [b - c, -a]])
+    step = np.eye(2) + hg @ (np.eye(2) + hg @ (np.eye(2) + hg @ (np.eye(2) + hg / 4) / 3) / 2)
+    return np.repeat(step[..., None], n, axis=-1)
+
+
+def huge_positive_steps():
+    """4,096 positive matrices with entries up to 2^100: the products overflow without a rescale."""
+    rng = np.random.default_rng(36)
+    return rng.uniform(0.5, 1.0, size=(2, 2, 4096)) * 2.0 ** rng.integers(0, 101, size=4096)
+
+
+@pytest.mark.parametrize("steps", [hyperbolic_steps(), huge_positive_steps()], ids=["hyperbolic", "2^100"])
+def test_rescale_cadence_keeps_the_products_finite_and_their_directions(steps):
+    # rescaled after the first, every third and the last pass, the products match the per-pass rescale up to
+    # positive factors: both end with a largest |entry| of 1, so the factor is 1 up to rounding
+    with np.errstate(all="ignore"):
+        assert not np.all(np.isfinite(reference_scan(steps, rescale=False)))
+    got, want = prefix_products(steps), reference_scan(steps, rescale=True)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.max(np.abs(got), axis=(0, 1)) == 1.0)
+    factor = np.sum(got * want, axis=(0, 1)) / np.sum(want * want, axis=(0, 1))
+    assert np.all(factor > 0.0)
+    assert np.max(np.abs(got - factor * want)) <= 1e-14
+    assert np.max(np.abs(factor - 1.0)) <= 1e-14
+
+
 def test_prefix_products_take_batch_axes():
     steps = np.stack([np.eye(2) * 2.0, [[0.0, -1.0], [1.0, 0.0]]], axis=-1)  # (2, 2, 2): two matrices
     batch = np.stack([steps, steps[..., ::-1]], axis=2)  # (2, 2, 2 runs, 2 steps)

@@ -27,7 +27,6 @@ pytestmark = pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects
 NEVER_ENTERED = {
     "angleivp.rhs_prescribed",  # kept as patch points of the benchmark's tracer
     "angleivp.rhs_same_angle",
-    "curves.ArcLengthCurve.point",
     "energy.energy_bound",  # the paper's energy results, which no command reports yet
     "energy._case_a_arrays",
     "energy.case_a_energy",

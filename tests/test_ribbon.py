@@ -22,6 +22,7 @@ from flatribbon.ribbon import (
     tessellate,
     write_obj,
 )
+from conftest import curve_point
 
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -160,6 +161,16 @@ def knot_ribbon_2001(knot, torus_field):
     return construct_ribbon(knot, torus_field, 0.1, grid_size=2001)
 
 
+@pytest.mark.parametrize("n_t", [None, 1001, 201])
+def test_rows_take_one_nesting_test_for_mu_and_its_slope(knot_ribbon_2001, n_t, monkeypatch):
+    # stride 2 and stride 10 (the spline): mu and mu' share one nested_stride
+    calls = []
+    original = ribbon_mod.nested_stride
+    monkeypatch.setattr(ribbon_mod, "nested_stride", lambda nodes, t: calls.append(len(t)) or original(nodes, t))
+    ts = knot_ribbon_2001.rows(n_t)[0]
+    assert calls == [len(ts)]
+
+
 @pytest.mark.parametrize("n_t", [None, 2001, 1001, 501])
 def test_rows_on_nested_grids_are_views_of_the_slope_table(knot_ribbon_2001, n_t):
     rib = knot_ribbon_2001
@@ -177,7 +188,7 @@ def test_rows_off_the_nested_grids_read_the_spline(knot_ribbon_2001):
     rib = knot_ribbon_2001
     ts, frame, mu, mup, lam = rib.rows(201)
     assert not np.shares_memory(mu, rib.mu.values)
-    assert np.array_equal(mu, rib.mu(ts)) and np.array_equal(mup, rib.mu.derivative(ts))
+    assert np.array_equal(mu, rib.mu(ts)) and np.array_equal(mup, rib.mu._spline(ts, 1))
     assert np.array_equal(lam, mup - (1.0 + mu**2) * frame.kappa_g)
 
 
@@ -247,7 +258,7 @@ def test_width_too_large_rejected(knot, torus_field):
 def test_tessellate_two_columns_are_boundary_curves(helix_strip):
     mesh = tessellate(helix_strip, 50, 2)
     for i, t in enumerate(mesh.ts):
-        base = helix_strip.curve.point(t)
+        base = curve_point(helix_strip.curve, t)
         x = helix_strip.ruling(t)
         w = helix_strip.w
         assert np.max(np.abs(mesh.vertices[i, 0] - (base - w * x))) < 1e-12
@@ -272,14 +283,14 @@ def test_tessellate_vertices_match_parametrization(knot_ribbon):
     mesh = tessellate(knot_ribbon, 20, 5)
     for i, t in enumerate(mesh.ts):
         for j, u in enumerate(mesh.us):
-            want = knot_ribbon.curve.point(t) + u * knot_ribbon.ruling(t)
+            want = curve_point(knot_ribbon.curve, t) + u * knot_ribbon.ruling(t)
             assert np.max(np.abs(mesh.vertices[i, j] - want)) < 1e-12
 
 
 def test_tessellate_base_points_are_the_curve_points(knot_ribbon):
     # u = 0 is an exact column of a 9-column grid, so its vertices are the curve points bit for bit
     mesh = tessellate(knot_ribbon, 400, 9)
-    np.testing.assert_array_equal(mesh.vertices[:, 4], knot_ribbon.curve.point(mesh.ts))
+    np.testing.assert_array_equal(mesh.vertices[:, 4], curve_point(knot_ribbon.curve, mesh.ts))
 
 
 def test_tessellate_normals_constant_along_rulings(knot_ribbon):
@@ -370,7 +381,7 @@ def finite_difference_gauss(curve, ruling, t, us, h):
     Every derivative of sigma is a central difference of step h in t and in u.
     """
     ts = np.array([t - h, t, t + h])
-    points, rulings = curve.point(ts), ruling(ts)
+    points, rulings = curve_point(curve, ts), ruling(ts)
     s = lambda i, j: points[i + 1] + (us + j * h)[:, None] * rulings[i + 1]
     st, su = (s(1, 0) - s(-1, 0)) / (2 * h), (s(0, 1) - s(0, -1)) / (2 * h)
     stt, suu = (s(1, 0) - 2 * s(0, 0) + s(-1, 0)) / h**2, (s(0, 1) - 2 * s(0, 0) + s(0, -1)) / h**2

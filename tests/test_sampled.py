@@ -16,6 +16,7 @@ from flatribbon.curves import TorusKnotParams, curve_from_samples, make_torus_kn
 from flatribbon.frames import RotatedNormalField, RotationMinimizingField
 from flatribbon.numerics import central_difference
 from flatribbon.ribbon import construct_ribbon, flatness_residuals
+from conftest import curve_point
 
 REL = 1e-12
 
@@ -66,7 +67,7 @@ def sample_curve():
     knot = make_torus_knot(TorusKnotParams(R=2.0, rho=0.8, n=2, grid_size=2001))
     ts = np.linspace(0.0, knot.length, 120)
     wobble = 0.05 * np.stack([np.sin(3 * ts), np.cos(2 * ts), np.sin(ts)], axis=-1)
-    return curve_from_samples(ts, knot.point(ts) + wobble, grid_size=4001)
+    return curve_from_samples(ts, curve_point(knot, ts) + wobble, grid_size=4001)
 
 
 FIELDS = {
