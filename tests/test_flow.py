@@ -33,6 +33,7 @@ from flatribbon.numerics import Cubic, arccot, nested_stride, spline
 from flatribbon.ribbon import mu_field
 from test_grid_cache import EXAMPLE
 from test_ivp import F, reference_solve
+from test_numerics import reference_scan
 
 QS = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 
@@ -182,22 +183,13 @@ def test_rk4_propagators_are_bitwise_the_out_of_place_formula(rng):
 STIFF = lambda ts: (40.0, 0.3, 0.1)  # (p, r) grows like exp(20 t): exp(800) over [0, 40]
 
 
-def unscaled_prefix_products(m):
-    p = np.array(m, dtype=float)
-    d = 1
-    while d < p.shape[-1]:
-        p[..., d:] = np.einsum("ij...,jk...->ik...", p[..., d:], p[..., :-d])
-        d *= 2
-    return p
-
-
 def test_rescaled_products_keep_a_stiff_flow_finite(monkeypatch):
     qs = QS[::4]
     family = solve_theta(STIFF, 40.0, qs, 2000)
     assert np.all(np.isfinite(family.values))
     assert within_twice_richardson(family, STIFF, 40.0, 2000)
     # without the rescale the products overflow and theta is NaN
-    monkeypatch.setattr(angleivp, "prefix_products", unscaled_prefix_products)
+    monkeypatch.setattr(angleivp, "prefix_products", lambda m: reference_scan(m, rescale=False))
     with pytest.raises(StepSizeUnderflow):
         solve_theta(STIFF, 40.0, qs, 2000)
 
