@@ -16,9 +16,11 @@ G = 1/2 [[a, b + c], [b - c, -a]] (the Riccati linearization, W. T. Reid,
 *Riccati Differential Equations*, 1972), whose RK4 step matrices compose
 by a prefix product.  That :class:`ThetaFlow` depends on the table and n
 but not on q, which enters only through the start vector
-(sin q/2, cos q/2); one q is item 0 of the family of ``[q]``.
+(sin q/2, cos q/2); one q is item 0 of the family of ``[q]``.  The table
+holds the 2n+1 stage nodes of the n-step run, and the Richardson estimate
+compares it with the n/2 double steps that the same table serves.
 ``solved_rotation_field`` reads its table exactly,
-through :func:`~flatribbon.frames.sampled_scalars` on the 4n+1 stage nodes,
+through :func:`~flatribbon.frames.sampled_scalars` on the 2n+1 stage nodes,
 and keeps one flow per form and n on the base field, keyed by its inputs
 (the form, and a prescribed phi on the stage nodes), so further angles on
 that field read the kept flow without building a table.
@@ -105,7 +107,7 @@ class ThetaSolution:
     """Dense numerical solution of a rotation-angle IVP on [0, L].
 
     Values are continuous real angles (never wrapped, so theta' stays
-    meaningful); ``error_estimate`` comes from a half-step Richardson run.
+    meaningful); ``error_estimate`` comes from a double-step Richardson run.
     ``values`` and ``derivatives`` are read-only.  On every s-th node of
     ``ts``, s a power of two (:func:`~flatribbon.numerics.nested_stride`),
     a call and :meth:`derivative` return the views ``values[::s]`` and
@@ -138,7 +140,7 @@ class ThetaSolution:
 
 
 def _coefficient_table(rhs, nodes):
-    """(a, b, c) at every node of ``nodes``, the 4n+1 nodes that hold every stage of the n- and 2n-step runs."""
+    """(a, b, c) at every node of ``nodes``, the 2n+1 nodes that hold every stage of the n- and n/2-step runs."""
     table = [np.asarray(x, dtype=float) for x in rhs(nodes)]
     return [x if x.shape == nodes.shape else np.broadcast_to(x, nodes.shape) for x in table]
 
@@ -160,7 +162,7 @@ def _rk4_propagators(g0, gm, g1, h):
     total = _scale_add(k2, 2.0, g0)
     total += np.multiply(k3, 2.0, out=k3)
     total += k4
-    return _scale_add(total, h / 6.0, np.eye(2)[..., None])
+    return _scale_add(total, h / 6.0, np.eye(2).reshape(2, 2, *[1] * (total.ndim - 2)))  # over any batch axes
 
 
 def _scale_add(x, a, y):
@@ -201,12 +203,14 @@ class ThetaFamily(Sequence):
 class ThetaFlow:
     """The q-independent RK4 flow of (p, r)' = G (p, r) over [0, L], from which every q is read.
 
-    ``nodes`` are the 4n+1 stage nodes and ``table`` holds the coefficients
+    ``nodes`` are the 2n+1 stage nodes and ``table`` holds the coefficients
     (a, b, c) at each (:func:`solve_theta`'s table).  ``images[run, j, k]`` is
-    r + i p at step node k of the n-step run (run 0) and of the paired 2n-step
+    r + i p at step node k of the n-step run (run 0) and of the double-step
     run (run 1), started from the j-th unit vector of (p, r)(0): the running
-    products of the step matrices, each up to a positive factor.  ``nodes``
-    and ``images`` are read-only, so one flow can be kept and shared.
+    products of the step matrices, each up to a positive factor.  Run 1's
+    steps of 2h read nodes 4i, 4i + 2, 4i + 4; it holds its own image at every
+    even k, that of k - 1 at every odd k, and an odd n ends on run 0's last
+    step.  ``nodes`` and ``images`` are read-only, so one flow can be shared.
     """
 
     nodes: np.ndarray
@@ -217,16 +221,19 @@ class ThetaFlow:
     def of(cls, nodes, table):
         """The flow of ``table`` on ``nodes``: RK4 step matrices of both runs and one :func:`prefix_products`."""
         a, b, c = table
-        n = (len(nodes) - 1) // 4
+        n = (len(nodes) - 1) // 2
         h = nodes[-1] / n  # linspace ends on the length exactly
         with np.errstate(all="ignore"):  # a non-finite table ends in NaN angles, reported by family()
             g = 0.5 * np.array([[a, b + c], [b - c, -a]])
-            full = _rk4_propagators(g[..., 0:-1:4], g[..., 2::4], g[..., 4::4], h)
-            half = _rk4_propagators(g[..., 0:-1:2], g[..., 1::2], g[..., 2::2], 0.5 * h)
-            paired = _matmul(half[..., 1::2], half[..., 0::2])
-            eye = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, 2, 1))
-            # m[:, :, run, k] maps (p, r)(0) to (p, r)(t_k), for the n-step run and the paired 2n-step run
-            m = prefix_products(np.concatenate([eye, np.stack([full, paired], axis=2)], axis=-1))
+            double = g[..., : 4 * (n // 2) + 1]  # the stages of run 1's n // 2 double steps
+            # m[:, :, run, k] is step k of the run, the identity at k = 0 and at run 1's odd k
+            m = np.empty((2, 2, 2, n + 1))
+            m[:, :, :, 0] = m[:, :, 1, 1::2] = np.eye(2)[:, :, None]
+            m[:, :, 0, 1:] = _rk4_propagators(g[..., 0:-1:2], g[..., 1::2], g[..., 2::2], h)
+            m[:, :, 1, 2::2] = _rk4_propagators(double[..., 0:-1:4], double[..., 2::4], double[..., 4::4], 2.0 * h)
+            if n % 2:
+                m[:, :, 1, -1] = m[:, :, 0, -1]
+            m = prefix_products(m)
             images = (m[1] + 1j * m[0]).transpose(1, 0, 2)
         return read_only(cls(nodes, tuple(table), images))
 
@@ -234,8 +241,10 @@ class ThetaFlow:
         """The :class:`ThetaFamily` from theta(0) = q for every q of ``qs``; ``rhs`` is the family's coefficient map.
 
         From (p, r)(0) = (sin q/2, cos q/2), theta adds twice the angle turned
-        by (p, r) over each step.  Every q's error estimate is the maximum
-        deviation between its two runs; StepSizeUnderflow on a non-finite angle.
+        by (p, r) over each step, 0 over run 1's identity steps.  Every q's
+        error estimate is the largest gap between its runs on the nodes they
+        share (the even ones and the end) over 15, to 4th order the n-step
+        error.  StepSizeUnderflow on a non-finite angle.
         """
         qs = np.array(qs, dtype=float, ndmin=1)  # a copy: the family flags its arrays read-only
         with np.errstate(all="ignore"):
@@ -256,9 +265,10 @@ class ThetaFlow:
         if not np.all(np.isfinite(theta[..., -1])):  # a NaN angle carries through the cumulative sum to the end
             raise StepSizeUnderflow("the RK4 flow produced non-finite values")
         values = theta[0]
-        ts = self.nodes[::4]
-        derivs = _combine([x[::4] for x in self.table], values)
-        err = np.max(np.abs(values - theta[1]), axis=-1)
+        ts = self.nodes[::2]
+        derivs = _combine([x[::2] for x in self.table], values)
+        gap = np.abs(values - theta[1])
+        err = np.maximum(np.max(gap[:, ::2], axis=-1), gap[:, -1]) / 15.0
         return read_only(ThetaFamily(qs, ts, values, derivs, ts[1] - ts[0], err, rhs=rhs))
 
 
@@ -266,17 +276,17 @@ def solve_theta(rhs, length, qs, grid_size=2000):
     """Integrate theta' = F(t, theta) over [0, length] from theta(0) = q, for every q of ``qs``.
 
     ``rhs`` is the map ts -> (a, b, c) of F = a sin theta + b cos theta + c
-    (a scalar entry stands for a constant), tabulated once on the 4n+1 nodes
-    ``linspace(0, length, 4n + 1)``, n = grid_size, that hold every stage of
-    the n-step run and of the half-step run.  RK4 runs on the linear system
-    (p, r)' = G (p, r), G = 1/2 [[a, b + c], [b - c, -a]], in both runs, each
-    pair of half-step matrices composed into one; the running products of
-    both runs come from one :func:`prefix_products`.  That :class:`ThetaFlow`
-    does not depend on q; :meth:`ThetaFlow.family` reads every q off it.
-    NormalCurvatureZero comes from the table, StepSizeUnderflow from a
-    non-finite angle.
+    (a scalar entry stands for a constant), tabulated once on the 2n+1 nodes
+    ``linspace(0, length, 2n + 1)``, n = grid_size, that hold every stage of
+    the n-step run and of the run of n // 2 double steps (for an odd n the
+    last step is the n-step run's).  RK4 runs on the linear system
+    (p, r)' = G (p, r), G = 1/2 [[a, b + c], [b - c, -a]], in both runs; the
+    running products of both runs come from one :func:`prefix_products`.
+    That :class:`ThetaFlow` does not depend on q; :meth:`ThetaFlow.family`
+    reads every q off it.  NormalCurvatureZero comes from the table,
+    StepSizeUnderflow from a non-finite angle.
     """
-    nodes = np.linspace(0.0, float(length), 4 * max(int(grid_size), 2) + 1)
+    nodes = np.linspace(0.0, float(length), 2 * max(int(grid_size), 2) + 1)
     return ThetaFlow.of(nodes, _coefficient_table(rhs, nodes)).family(qs, rhs)
 
 
@@ -317,14 +327,17 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
     is used when min |kappa_n| L on the base field's ``scalars_grid`` table
     exceeds 1e-6, free of the curve's scale, falling back to the prescribed
     form with phi equal to the base ruling angle, from ``mu_field`` on the
-    4n+1 stage nodes, n = grid_size.  F reads the scalars through
-    ``sampled_scalars(base_field, 4n + 1)``, taken first so that the field's
-    coarser grid tables nest in its table as views: the coefficient table is
-    exact on the stage nodes, and off them (``ThetaSolution.derivative`` at
-    other t) F samples the base field.  The base field
-    keeps one :class:`ThetaFlow` per form (same-angle, prescribed, base
-    angle) and n next to its grid tables, keyed by the flow's inputs: the
-    form, whose tables are the field's kept read-only ones, and in the
+    2n+1 stage nodes, n = grid_size (for an odd n, on the 4n+1 nodes that
+    hold them).  For an even n, F reads the scalars through
+    ``sampled_scalars(base_field, 2n + 1)``, taken first so that the field's
+    coarser grid tables nest in its table as views; an odd n's 2n+1 nodes
+    nest in no 4k+1 grid, so F reads ``base_field.sample``, once on the stage
+    nodes.  Either way the coefficient table is exact on the stage nodes, and
+    off them (``ThetaSolution.derivative`` at other t) F samples the base
+    field.  The base field keeps one :class:`ThetaFlow` per form (same-angle,
+    prescribed, base angle) and node count 2n+1 next to its grid tables, so n
+    and n + 1 never share one, keyed by the flow's inputs: the form, whose
+    tables are the field's kept read-only ones, and in the
     prescribed form phi on the stage nodes.  A call whose phi there equals
     the kept one (``np.array_equal``, so a NaN never does), or any call of
     the other two forms, reads q off the kept flow with no coefficient table
@@ -335,21 +348,24 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
     """
     curve = base_field.curve
     n = max(int(grid_size), 2)
-    scalars = sampled_scalars(base_field, 4 * n + 1)
+    if n % 2:
+        nodes, scalars = np.linspace(0.0, curve.length, 2 * n + 1), base_field.sample
+    else:
+        nodes, scalars = curve.grid(2 * n + 1), sampled_scalars(base_field, 2 * n + 1)
     angle = same_phi = None
     if phi is not None:
-        angle = np.array(phi(curve.grid(4 * n + 1)))  # a copy, so the kept flow's key cannot change
+        angle = np.array(phi(nodes))  # a copy, so the kept flow's key cannot change
         form, rhs = "prescribed", prescribed_angle_rhs(scalars, phi)
         same_phi = lambda kept: np.array_equal(kept[0], angle)
     elif float(np.min(np.abs(base_field.on_grid(scalars_grid).kappa_n))) * curve.length > 1e-6:
         form, rhs = "same_angle", same_angle_rhs(scalars)
     else:
-        mu = mu_field(curve, base_field, grid_size=4 * n + 1)
+        mu = mu_field(curve, base_field, grid_size=(4 if n % 2 else 2) * n + 1)  # a 4k+1 grid holding the nodes
         form, rhs = "base_angle", prescribed_angle_rhs(scalars, lambda t: arccot(mu(t)))
     # kept as (angle, flow); the table reads phi once per call, the other forms only the field's kept tables
     table_rhs = rhs if phi is None else prescribed_angle_rhs(scalars, lambda ts: angle)
     build = lambda ts: (angle, ThetaFlow.of(ts, _coefficient_table(table_rhs, ts)))
-    flow = base_field.grid_table(("flow", form), 4 * n + 1, build, keep=same_phi)[1]
+    flow = base_field.grid_table(("flow", form), nodes, build, keep=same_phi)[1]
     solution = flow.family([float(q)], rhs)[0]
     field = RotatedNormalField(base_field, solution, solution.derivative)
     return field, solution

@@ -20,8 +20,8 @@ from .frames import PrincipalNormalField, RotationMinimizingField, TorusNormalFi
 from .textio import lines
 
 GRID_MIN = 16  # smallest `grid`: below it a sampled table is too coarse to mean anything
-GRID_MAX = 200_000  # largest `grid`: `solve` at it peaks near 175 MB of resident memory
-MESH_MAX = 500_000  # largest mesh_nt * mesh_nu: `build` at both caps peaks near 275 MB
+GRID_MAX = 200_000  # largest `grid`: `solve` at it peaks near 170 MB of resident memory (torus_knot.cfg, q = 0.7)
+MESH_MAX = 500_000  # largest mesh_nt * mesh_nu: `build` at both caps peaks near 310 MB (torus_knot.cfg, q = 0.7)
 
 _FLOAT_KEYS = {"a", "b", "length", "R", "rho", "q", "width"}
 _INT_KEYS = {"n", "grid", "mesh_nt", "mesh_nu"}

@@ -92,18 +92,18 @@ class NormalField:
         self.curve = curve
         self._grid_tables = {}
 
-    def grid_table(self, kind, n, build, keep=None):
-        """``build(ts)`` on ``curve.grid(n)``, kept per (kind, node count) for the field's lifetime.
+    def grid_table(self, kind, ts, build, keep=None):
+        """``build(ts)`` on a uniform grid ``ts`` over the curve, kept per (kind, node count) for the field's life.
 
-        The key is the node count ``odd_node_count(n)`` that the grid has; a
-        build that raises keeps nothing, so it raises again on the next call.
-        With ``keep`` given, a kept table for which ``keep(table)`` is false
-        is built again and replaces it.
+        The key is the node count of ``ts``: one grid per count, ``curve.grid(n)``
+        for the frame and mu tables.  A build that raises keeps nothing, so it
+        raises again on the next call.  With ``keep`` given, a kept table for
+        which ``keep(table)`` is false is built again and replaces it.
         """
-        key = (kind, odd_node_count(n))
+        key = (kind, len(ts))
         table = self._grid_tables.get(key)
         if table is None or not (keep is None or keep(table)):
-            table = self._grid_tables[key] = build(self.curve.grid(key[1]))
+            table = self._grid_tables[key] = build(ts)
         return table
 
     def on_grid(self, n):
@@ -113,7 +113,8 @@ class NormalField:
         ``odd_node_count(n)`` and k >= 1, the table is a view of every 2^k-th
         row of it, served only if those nodes equal ``curve.grid(m)`` bitwise.
         """
-        return self.grid_table("frame", n, lambda ts: self._strided(ts) or read_only(self._grid_sample(ts)))
+        build = lambda ts: self._strided(ts) or read_only(self._grid_sample(ts))
+        return self.grid_table("frame", self.curve.grid(n), build)
 
     def _strided(self, ts):
         """Every s-th row of a kept frame table whose every s-th node is ``ts`` (:func:`nested_stride`); else None."""

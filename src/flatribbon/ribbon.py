@@ -147,7 +147,8 @@ def mu_field(curve, normal_field, grid_size=2001):
     """
     if curve is not normal_field.curve:
         raise InvalidParams("mu_field needs the normal field's own curve")
-    return normal_field.grid_table("mu", grid_size, lambda ts: read_only(_mu_table(curve, normal_field, ts)))
+    build = lambda ts: read_only(_mu_table(curve, normal_field, ts))
+    return normal_field.grid_table("mu", curve.grid(grid_size), build)
 
 
 def _mu_table(curve, normal_field, ts):

@@ -73,7 +73,7 @@ def run_checks(fault="none"):
     worst = float(np.max(np.abs(r.kappa_g**2 + r.kappa_n**2 - (s.kappa_g**2 + s.kappa_n**2))))
     checks.append(Check("rotate_norm_invariance", worst, 1e-12))
 
-    scalars_fn = sampled_scalars(pn, 4 * 2000 + 1)  # exact at every stage node of the 2000-step runs
+    scalars_fn = sampled_scalars(pn, 2 * 2000 + 1)  # exact at every stage node of the 2000- and 1000-step runs
     rhs = angleivp.prescribed_angle_rhs(scalars_fn, lambda t: np.pi / 2.0)
     sol = angleivp.solve_theta(rhs, helix.length, [0.0], 2000)[0]
     exact = angleivp.closed_form_helix_pi2(1.0, 1.0)
