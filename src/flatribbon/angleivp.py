@@ -19,11 +19,13 @@ but not on q, which enters only through the start vector
 (sin q/2, cos q/2); one q is item 0 of the family of ``[q]``.  The table
 holds the 2n+1 stage nodes of the n-step run, and the Richardson estimate
 compares it with the n/2 double steps that the same table serves.
-``solved_rotation_field`` reads its table exactly,
+``rotation_flow`` reads its table exactly,
 through :func:`~flatribbon.frames.sampled_scalars` on the 2n+1 stage nodes,
 and keeps one flow per form and n on the base field, keyed by its inputs
 (the form, and a prescribed phi on the stage nodes), so further angles on
-that field read the kept flow without building a table.
+that field read the kept flow without building a table:
+``solved_rotation_field`` reads one q off it, and
+:func:`~flatribbon.energy.family_energy` a whole family.
 """
 
 from collections.abc import Callable, Sequence
@@ -49,6 +51,7 @@ __all__ = [
     "lipschitz_bound",
     "closed_form_case_b",
     "closed_form_helix_pi2",
+    "rotation_flow",
     "solved_rotation_field",
     "integrated_torsion",
 ]
@@ -319,8 +322,8 @@ def closed_form_helix_pi2(a, b):
     return lambda t: slope * np.asarray(t, dtype=float)
 
 
-def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=None):
-    """Rotate ``base_field`` by the IVP solution with theta(0) = q.
+def rotation_flow(base_field, grid_size=2000, scalars_grid=2001, phi=None):
+    """The kept :class:`ThetaFlow` of ``base_field``'s rotation family and its coefficient map: (flow, rhs).
 
     With ``phi`` given (a callable ruling-angle prescription) the
     prescribed-angle ODE is integrated; otherwise the same-angle shortcut
@@ -334,17 +337,14 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
     nest in no 4k+1 grid, so F reads ``base_field.sample``, once on the stage
     nodes.  Either way the coefficient table is exact on the stage nodes, and
     off them (``ThetaSolution.derivative`` at other t) F samples the base
-    field.  The base field keeps one :class:`ThetaFlow` per form (same-angle,
+    field.  The base field keeps one flow per form (same-angle,
     prescribed, base angle) and node count 2n+1 next to its grid tables, so n
     and n + 1 never share one, keyed by the flow's inputs: the form, whose
     tables are the field's kept read-only ones, and in the
     prescribed form phi on the stage nodes.  A call whose phi there equals
     the kept one (``np.array_equal``, so a NaN never does), or any call of
-    the other two forms, reads q off the kept flow with no coefficient table
+    the other two forms, returns the kept flow with no coefficient table
     and no new scan; any other phi builds the flow again and replaces it.
-    On a grid nested in the solution's n + 1 nodes by a power of two, the
-    rotated field reads theta and theta' off the solution's node table, with
-    no spline and no new evaluation of F.  Returns (rotated_field, theta_solution).
     """
     curve = base_field.curve
     n = max(int(grid_size), 2)
@@ -365,7 +365,17 @@ def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=
     # kept as (angle, flow); the table reads phi once per call, the other forms only the field's kept tables
     table_rhs = rhs if phi is None else prescribed_angle_rhs(scalars, lambda ts: angle)
     build = lambda ts: (angle, ThetaFlow.of(ts, _coefficient_table(table_rhs, ts)))
-    flow = base_field.grid_table(("flow", form), nodes, build, keep=same_phi)[1]
+    return base_field.grid_table(("flow", form), nodes, build, keep=same_phi)[1], rhs
+
+
+def solved_rotation_field(base_field, q, grid_size=2000, scalars_grid=2001, phi=None):
+    """Rotate ``base_field`` by the IVP solution with theta(0) = q, read off :func:`rotation_flow`.
+
+    On a grid nested in the solution's n + 1 nodes by a power of two, the
+    rotated field reads theta and theta' off the solution's node table, with
+    no spline and no new evaluation of F.  Returns (rotated_field, theta_solution).
+    """
+    flow, rhs = rotation_flow(base_field, grid_size, scalars_grid, phi)
     solution = flow.family([float(q)], rhs)[0]
     field = RotatedNormalField(base_field, solution, solution.derivative)
     return field, solution

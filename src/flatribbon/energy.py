@@ -5,30 +5,30 @@ double quadrature of H^2 dA, formed at every (t, u) from the fundamental
 forms, and the closed form obtained by integrating the u-direction
 analytically (one form, 2 artanh(w lambda) / lambda, exactly 2w at
 lambda = 0).  Both read mu, mu' and lambda from :meth:`FlatRibbon.rows`.
-The infinitesimal-width limit, the bound between same-ruling-angle
-ribbons, and the closed forms for the two special ruling-angle choices and
-for the circular helix live here too.
+The infinitesimal-width limit lives here too, with the energies of a
+whole rotation family read off its kept theta flow and bounded through
+Sadowsky's formula (Hinz & Fried, J. Elasticity 2015), and the closed forms
+for the two special ruling-angle choices and for the circular helix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetric, InvalidParams, NotCaseA, OutsideRegularDomain, RulingAngleMismatch, WidthTooLarge
+from .angleivp import rotation_flow
+from .errors import DegenerateMetric, InvalidParams, NotCaseA, OutsideRegularDomain, WidthTooLarge
 from .frames import PrincipalNormalField
-from .numerics import arccot, cumulative_simpson_uniform, odd_node_count, simpson_uniform
+from .numerics import cumulative_simpson_uniform, odd_node_count, simpson_uniform
 from .ribbon import mu_field
 
 __all__ = [
     "EnergyReport",
-    "CaseAExtrema",
-    "EnergyBoundReport",
+    "FamilyEnergy",
     "bending_energy_quadrature",
     "bending_energy_closed",
     "limit_energy",
-    "energy_bound",
+    "family_energy",
     "case_a_energy",
-    "case_a_extrema",
     "case_b_energy",
     "helix_ratio_a",
     "helix_ratio_b",
@@ -111,11 +111,7 @@ def limit_energy(curve, normal_field, w, n_t=2001):
     cot(alpha) is the continuous extension of mu, so the integrand is zero
     wherever kappa_n vanishes (tau_g vanishes there too).
     """
-    return _limit_report(mu_field(curve, normal_field, grid_size=n_t), w)
-
-
-def _limit_report(mu, w):
-    """The limit energy from a ruling-slope table and its frame scalars."""
+    mu = mu_field(curve, normal_field, grid_size=n_t)
     integrand = mu.frame.kappa_n**2 * (1.0 + mu.values**2) ** 2
     h = mu.ts[1] - mu.ts[0]
     value = 0.5 * w * simpson_uniform(integrand, h)
@@ -124,50 +120,39 @@ def _limit_report(mu, w):
 
 
 @dataclass(frozen=True)
-class EnergyBoundReport:
-    energy_base: float
-    energy_other: float
+class FamilyEnergy:
+    qs: np.ndarray
+    values: np.ndarray  # E(q) for every q of qs
     additive_bound: float
-    ratio_bound: float | None
-    satisfied: bool
+    ratio_bound: float | None  # on E(q) / E(base), where min |kappa_n| L > 1e-9
 
 
-def energy_bound(curve, base_field, other_field, w, n_t=2001):
-    """Upper bounds on the energy of a same-ruling-angle companion ribbon.
+def family_energy(curve, base_field, qs, w, phi=None, n_t=2001):
+    """Small-width energies of the rotation family of ``base_field`` from theta(0) = q, for every q of ``qs``.
 
-    The two ruling angles must agree to 1e-6 (RulingAngleMismatch otherwise).
-    Additive bound: E(other) <= E(base) + (w/2) integral of
-    kappa_g^2 (1 + cot(alpha)^2)^2 for the base field.  The ratio bound
-    1 + max (kappa_g/kappa_n)^2 applies only when min |kappa_n| L > 1e-9, L the
-    curve's length, so the test is free of the curve's scale.
+    E(q) = (w/2) integral of (1 + mu^2)^2 (kappa_n cos theta - kappa_g sin theta)^2 on n_t nodes (rounded up to
+    4k+1), theta(t; q) the rows of the family of :func:`~flatribbon.angleivp.rotation_flow`, kappa_g and kappa_n
+    the base field's and mu its ruling slope, or cot phi for a prescribed ``phi``.  As (kappa_n cos theta -
+    kappa_g sin theta)^2 <= kappa_n^2 + kappa_g^2, every E(q) is at most the additive bound E(base) + (w/2)
+    integral of kappa_g^2 (1 + mu^2)^2, and at most E(base) (1 + max (kappa_g/kappa_n)^2), the ratio bound,
+    None unless min |kappa_n| L > 1e-9, L the curve's length, so the test is free of the curve's scale.
     """
-    mu_base = mu_field(curve, base_field, grid_size=n_t)
-    mu_other = mu_field(curve, other_field, grid_size=n_t)
-    angle_gap = float(np.max(np.abs(arccot(mu_base.values) - arccot(mu_other.values))))
-    if angle_gap > 1e-6:
-        raise RulingAngleMismatch(f"ruling angles differ by up to {angle_gap:.3e}")
-    kg, kn = mu_base.frame.kappa_g, mu_base.frame.kappa_n
-    h = mu_base.ts[1] - mu_base.ts[0]
-    extra = 0.5 * w * simpson_uniform(kg**2 * (1.0 + mu_base.values**2) ** 2, h)
-    e_base = _limit_report(mu_base, w).value
-    e_other = _limit_report(mu_other, w).value
-    additive = e_base + extra
+    if curve is not base_field.curve:
+        raise InvalidParams("the family energy needs the base field's own curve")
+    n_t = odd_node_count(n_t)
+    flow, rhs = rotation_flow(base_field, n_t - 1, n_t, phi=phi)  # first, so on_grid(n_t) views its stage table
+    family = flow.family(qs, rhs)
+    ts, frame = curve.grid(n_t), base_field.on_grid(n_t)
+    mu = mu_field(curve, base_field, grid_size=n_t).values if phi is None else np.cos(phi(ts)) / np.sin(phi(ts))
+    kg, kn = frame.kappa_g, frame.kappa_n
+    weight = (1.0 + mu**2) ** 2
+    h = ts[1] - ts[0]
+    values = 0.5 * w * simpson_uniform(weight * (kn * np.cos(family.values) - kg * np.sin(family.values)) ** 2, h)
+    additive = 0.5 * w * simpson_uniform(kn**2 * weight, h) + 0.5 * w * simpson_uniform(kg**2 * weight, h)
     ratio = None
     if float(np.min(np.abs(kn))) * curve.length > 1e-9:
         ratio = 1.0 + float(np.max((kg / kn) ** 2))
-    satisfied = e_other <= additive + 1e-12 * max(1.0, abs(additive))
-    return EnergyBoundReport(e_base, e_other, additive, ratio, satisfied)
-
-
-def _case_a_arrays(curve, normal_field, n_t):
-    if curve is not normal_field.curve:
-        raise InvalidParams("the constant-angle energy needs the normal field's own curve")
-    ts = curve.grid(n_t)
-    frame = normal_field.on_grid(n_t)
-    tg_sup = float(np.max(np.abs(frame.tau_g)))
-    if tg_sup * curve.length > 1e-8:
-        raise NotCaseA(f"tau_g is not identically zero (sup {tg_sup:.3e} on length {curve.length:.3e})")
-    return ts, frame.kappa_g, frame.kappa_n
+    return FamilyEnergy(family.qs, values, additive, ratio)
 
 
 def case_a_energy(curve, normal_field, q, w, n_t=2001):
@@ -177,50 +162,15 @@ def case_a_energy(curve, normal_field, q, w, n_t=2001):
     family has the constant solution theta = q; NotCaseA where
     sup |tau_g| L > 1e-8, L the curve's length.
     """
-    ts, kg, kn = _case_a_arrays(curve, normal_field, n_t)
-    integrand = (kn * np.cos(q) - kg * np.sin(q)) ** 2
+    if curve is not normal_field.curve:
+        raise InvalidParams("the constant-angle energy needs the normal field's own curve")
+    ts = curve.grid(n_t)
+    frame = normal_field.on_grid(n_t)
+    tg_sup = float(np.max(np.abs(frame.tau_g)))
+    if tg_sup * curve.length > 1e-8:
+        raise NotCaseA(f"tau_g is not identically zero (sup {tg_sup:.3e} on length {curve.length:.3e})")
+    integrand = (frame.kappa_n * np.cos(q) - frame.kappa_g * np.sin(q)) ** 2
     return 0.5 * w * simpson_uniform(integrand, ts[1] - ts[0])
-
-
-@dataclass(frozen=True)
-class CaseAExtrema:
-    """Analytic extrema of the constant-angle energy.
-
-    ``q_candidates`` is ordered (maximizer, minimizer); it is empty when the
-    energy is independent of q.
-    """
-
-    A: float  # integral of kappa_g^2 - kappa_n^2
-    B: float  # integral of kappa_g * kappa_n
-    q_candidates: tuple
-    e_max: float
-    e_min: float
-
-
-def case_a_extrema(curve, normal_field, w, n_t=2001):
-    """Analytic extrema of the constant-angle energy over q in [0, 2 pi)."""
-    ts, kg, kn = _case_a_arrays(curve, normal_field, n_t)
-    h = ts[1] - ts[0]
-    A = simpson_uniform(kg**2 - kn**2, h)
-    B = simpson_uniform(kg * kn, h)
-    K = simpson_uniform(kg**2 + kn**2, h)
-    tiny = 1e-10 * K
-    if abs(B) <= tiny and abs(A) <= tiny:
-        e = 0.25 * w * K
-        return CaseAExtrema(A, B, (), e, e)
-    if abs(B) <= tiny:
-        e0 = 0.5 * w * simpson_uniform(kn**2, h)
-        e1 = 0.5 * w * simpson_uniform(kg**2, h)
-        qs = (0.0, np.pi / 2.0) if e0 >= e1 else (np.pi / 2.0, 0.0)
-        return CaseAExtrema(A, B, qs, max(e0, e1), min(e0, e1))
-    # at cot(q) = (A + root)/(2B) one has cos(2q) = A/root, sin(2q) = 2B/root,
-    # which minimizes (K - A cos 2q - 2B sin 2q)/4; the other root maximizes
-    root = np.sqrt(A**2 + 4.0 * B**2)
-    q_at_min = float(arccot((A + root) / (2.0 * B)))
-    q_at_max = float(arccot((A - root) / (2.0 * B)))
-    e_max = 0.25 * w * (K + root)
-    e_min = 0.25 * w * (K - root)
-    return CaseAExtrema(A, B, (q_at_max, q_at_min), e_max, e_min)
 
 
 def case_b_energy(curve, q, w, n_t=2001):

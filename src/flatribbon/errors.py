@@ -53,10 +53,6 @@ class NotCaseA(FlatRibbonError):
     """Field does not have identically vanishing tau_g (ruling angle pi/2)."""
 
 
-class RulingAngleMismatch(FlatRibbonError):
-    """Two ribbons expected to share a ruling angle do not."""
-
-
 class StepSizeUnderflow(FlatRibbonError):
     """The ODE integrator produced non-finite values."""
 

@@ -324,7 +324,7 @@ def flatness_residuals(ribbon, grid_size, ruling=None):
     """
     ts, frame, mu, mup, _ = ribbon.rows(grid_size)
     if ruling is None:
-        x, xp = ribbon.ruling(ts, frame), mup[:, None] * frame.T + mu[:, None] * frame.Tp + frame.Hp
+        x, xp = mu[:, None] * frame.T + frame.H, mup[:, None] * frame.T + mu[:, None] * frame.Tp + frame.Hp
     else:
         h = 1e-5 * ribbon.curve.length
         x, xp = ruling(ts), central_difference(ruling, ts, 1, h)

@@ -137,6 +137,14 @@ def run_checks(fault="none"):
     eq = energy.bending_energy_quadrature(knot_ribbon, n_t=801, n_u=21)
     checks.append(Check("energy_oracle_equivalence", abs(ec.value - eq.value) / ec.value, 1e-6))
 
+    # the same-angle family's energies off the theta flow: on the helix's principal normal they are case B's
+    # closed form, and on the knot every one lies below the additive bound
+    family = energy.family_energy(helix, pn, qs, 0.1)
+    exact = np.array([energy.case_b_energy(helix, q, 0.1) for q in qs])
+    checks.append(Check("family_energy_vs_case_b", float(np.max(np.abs(family.values - exact) / exact)), 1e-10))
+    family = energy.family_energy(knot, tf, qs, 0.1)
+    checks.append(Check("family_energy_bound", float(np.max(family.values)) / family.additive_bound, 1.0))
+
     kg, kn, tg = rng.normal(size=(3, 100))
     keep = np.hypot(kg, kn) >= 1e-6
     s = DarbouxScalars(kg[keep], kn[keep], tg[keep])

@@ -9,7 +9,8 @@ also when one process writes meshes of several shapes in turn.  Between
 its nodes the field is a Hermite cubic on the exact slopes N' = -<T', N> T;
 against a 64001-node reference its error at the 400 mesh rows is bounded
 per curve.  The build itself must sample each grid once: the field's nodes
-need no arc-length inversion, and the residual grid takes one jet.
+need no arc-length inversion, and the residual grid takes one jet and one
+read of the ruling slope.
 """
 
 from pathlib import Path
@@ -24,7 +25,7 @@ from flatribbon.curves import ArcLengthCurve, CurveSpec, arc_length_reparametriz
 from flatribbon.errors import VanishingCurvature
 from flatribbon.frames import PrincipalNormalField, RotationMinimizingField
 from flatribbon.numerics import prefix_products
-from flatribbon.ribbon import RibbonMesh, construct_ribbon, tessellate, write_obj
+from flatribbon.ribbon import MuField, RibbonMesh, construct_ribbon, tessellate, write_obj
 from conftest import curve_point
 from test_sampled import sample_curve
 
@@ -238,5 +239,16 @@ def test_build_samples_the_residual_grid_once(tmp_path, monkeypatch):
         return original(self, t, *args)
 
     monkeypatch.setattr(ArcLengthCurve, "jet", counted)
+    assert cli.main(["build", "--config", str(EXAMPLES / "torus_knot.cfg"), "--out", str(tmp_path)]) == 0
+    assert shapes.count((201,)) == 1
+
+
+def test_build_reads_mu_once_on_the_residual_rows(tmp_path, monkeypatch):
+    # the residual rows' X is formed from the mu they already hold: their 201 nodes nest in none of the ribbon's
+    # 2001, so a second read would evaluate the slope spline again
+    shapes = []
+    for name in ("__call__", "with_slope"):
+        original = getattr(MuField, name)
+        monkeypatch.setattr(MuField, name, lambda self, t, f=original: shapes.append(np.shape(t)) or f(self, t))
     assert cli.main(["build", "--config", str(EXAMPLES / "torus_knot.cfg"), "--out", str(tmp_path)]) == 0
     assert shapes.count((201,)) == 1

@@ -3,6 +3,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
+from flatribbon.angleivp import solved_rotation_field
 from flatribbon.curves import (
     HelixParams,
     TorusKnotParams,
@@ -17,9 +18,8 @@ from flatribbon.energy import (
     bending_energy_closed,
     bending_energy_quadrature,
     case_a_energy,
-    case_a_extrema,
     case_b_energy,
-    energy_bound,
+    family_energy,
     helix_ratio_a,
     helix_ratio_b,
     limit_energy,
@@ -28,12 +28,12 @@ from flatribbon.errors import (
     DegenerateMetric,
     NotCaseA,
     OutsideRegularDomain,
-    RulingAngleMismatch,
     WidthTooLarge,
 )
 from flatribbon.frames import PrincipalNormalField, RotatedNormalField
+from flatribbon.numerics import simpson_uniform
 from flatribbon.ribbon import FlatRibbon, construct_ribbon, max_regular_width, mu_field
-from conftest import curve_point
+from conftest import case_a_extrema, curve_point
 
 
 @pytest.fixture(scope="module")
@@ -291,7 +291,8 @@ def test_node_counts_of_the_form_4k_plus_3_round_up(helix11, pn11, n):
     assert len(rib.ts) == n + 2
     bending_energy_closed(rib, n_t=n)
     limit_energy(helix11, field, 0.1, n_t=n)
-    assert energy_bound(helix11, pn11, pn11, 0.1, n_t=n).satisfied
+    family = family_energy(helix11, pn11, [0.0, 1.0], 0.1, n_t=n)
+    assert np.all(family.values <= family.additive_bound * (1.0 + 1e-12))
     assert arc_length_reparametrize(helix11.spec, grid_size=n).grid_size == n + 2
 
 
@@ -303,24 +304,75 @@ def test_sampled_curves_at_4k_plus_3_nodes():
 
 
 def test_energy_bound_self_is_trivial(knot, torus_field):
-    report = energy_bound(knot, torus_field, torus_field, 0.1, n_t=501)
-    assert report.satisfied
-    assert report.additive_bound >= report.energy_base
-    assert report.energy_other == pytest.approx(report.energy_base, rel=1e-12)
+    # the member from theta(0) = 0 is the base field itself
+    report = family_energy(knot, torus_field, [0.0], 0.1, n_t=501)
+    e_base = limit_energy(knot, torus_field, 0.1, n_t=501).value
+    assert report.additive_bound >= e_base
+    assert report.values[0] == pytest.approx(e_base, rel=1e-12)
     assert report.ratio_bound is not None and report.ratio_bound >= 1.0
 
 
 def test_energy_bound_ratio_with_equal_curvatures(helix11):
     # constant pi/4 rotation: kappa_g = kappa_n, so the ratio bound is 2
     field = RotatedNormalField(PrincipalNormalField(helix11), np.pi / 4)
-    report = energy_bound(helix11, field, field, 0.1, n_t=501)
+    report = family_energy(helix11, field, [0.0], 0.1, n_t=501)
     assert report.ratio_bound == pytest.approx(2.0, abs=1e-9)
 
 
-def test_energy_bound_rejects_different_ruling_angles(helix11, pn11):
-    other = RotatedNormalField(PrincipalNormalField(helix11), np.pi / 4)  # mu = -sqrt(2), not -1
-    with pytest.raises(RulingAngleMismatch):
-        energy_bound(helix11, pn11, other, 0.1, n_t=501)
+# ---------------------------------------------------------------- family energy
+
+
+# (base field, prescribed phi) of each family; phi None is the same-angle family
+FAMILIES = {
+    "helix_same_angle": lambda c: (c["pn11"], None),
+    "knot_same_angle": lambda c: (c["torus_field"], None),
+    "knot_phi_1.2": lambda c: (c["torus_field"], lambda t: 1.2),
+    "helix_phi_pi/2": lambda c: (c["pn11"], lambda t: 0.5 * np.pi),
+    "knot_principal": lambda c: (PrincipalNormalField(c["knot"]), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_energy_is_the_limit_energy_of_each_member_within_its_bounds(name, pn11, knot, torus_field):
+    base, phi = FAMILIES[name]({"pn11": pn11, "torus_field": torus_field, "knot": knot})
+    curve, w, n_t = base.curve, 0.1, 2001
+    qs = np.linspace(-np.pi, np.pi, 8, endpoint=False) + 0.3
+    family = family_energy(curve, base, qs, w, phi=phi, n_t=n_t)
+    assert np.array_equal(family.qs, qs)
+    members = [solved_rotation_field(base, q, n_t - 1, n_t, phi=phi)[0] for q in qs]
+    want = [limit_energy(curve, member, w, n_t=n_t).value for member in members]
+    assert family.values == pytest.approx(want, rel=1e-13)
+    # E(base) = (w/2) integral of kappa_n^2 (1 + mu^2)^2, mu the base field's slope or cot phi
+    ts, frame = curve.grid(n_t), base.on_grid(n_t)
+    mu = mu_field(curve, base, grid_size=n_t).values if phi is None else 1.0 / np.tan(phi(ts))
+    e_base = 0.5 * w * simpson_uniform(frame.kappa_n**2 * (1.0 + mu**2) ** 2, ts[1] - ts[0])
+    assert np.all(family.values <= family.additive_bound * (1.0 + 1e-12))
+    assert family.ratio_bound is not None  # kappa_n has no zero on these fields
+    assert np.all(family.values <= family.ratio_bound * e_base * (1.0 + 1e-12))
+
+
+def test_family_energy_is_case_b_on_the_helix_principal_normal(helix11, pn11):
+    qs = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    values = family_energy(helix11, pn11, qs, 0.1).values
+    assert values == pytest.approx([case_b_energy(helix11, q, 0.1) for q in qs], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "case, n_t, want",
+    [("helix", 2001, 0.44428829381583673), ("knot", 501, 1.4555939207500521), ("helix_pi/4", 501, 0.9996486610856326)],
+)
+def test_family_energy_additive_bound_is_the_two_field_bound(case, n_t, want, helix11, pn11, knot, torus_field):
+    # the values of the two-field energy_bound that family_energy replaced, on the same base fields and grids
+    base = {"helix": pn11, "knot": torus_field, "helix_pi/4": RotatedNormalField(pn11, np.pi / 4)}[case]
+    assert family_energy(base.curve, base, [0.3], 0.1, n_t=n_t).additive_bound == pytest.approx(want, rel=1e-15)
+
+
+def test_family_energy_reads_the_frame_off_the_flows_stage_table(helix11):
+    # n_t = 399 rounds up to 401; the 801 stage nodes of the 400-step flow hold the 401-node frame as a view
+    base = PrincipalNormalField(helix11)
+    family = family_energy(helix11, base, [0.0, 1.0], 0.1, n_t=399)
+    assert family.values.shape == (2,)
+    assert np.shares_memory(base.on_grid(401).kappa_n, base.on_grid(801).kappa_n)
 
 
 # ---------------------------------------------------------------- Case A
@@ -337,8 +389,6 @@ def test_case_a_energy_axis_values(helix11, case_a_field):
     ts = helix11.grid(2001)
     kg = np.array([case_a_field.scalars(t).kappa_g for t in ts])
     kn = np.array([case_a_field.scalars(t).kappa_n for t in ts])
-    from flatribbon.numerics import simpson_uniform
-
     h = ts[1] - ts[0]
     assert case_a_energy(helix11, case_a_field, 0.0, w) == pytest.approx(
         0.5 * w * simpson_uniform(kn**2, h), rel=1e-12
@@ -351,32 +401,33 @@ def test_case_a_energy_axis_values(helix11, case_a_field):
 def test_case_a_requires_zero_geodesic_torsion(helix11, pn11):
     with pytest.raises(NotCaseA):
         case_a_energy(helix11, pn11, 0.3, 0.1)
-    with pytest.raises(NotCaseA):
-        case_a_extrema(helix11, pn11, 0.1)
 
 
 def test_case_a_extrema_generic(helix11, case_a_field):
     w = 0.1
     ex = case_a_extrema(helix11, case_a_field, w)
     assert ex.B != 0.0 and len(ex.q_candidates) == 2
-    vals = [case_a_energy(helix11, case_a_field, q, w) for q in ex.q_candidates]
-    assert max(vals) == pytest.approx(ex.e_max, rel=1e-12)
-    assert min(vals) == pytest.approx(ex.e_min, rel=1e-12)
-    # the energy at any other angle stays inside the analytic range
-    for q in np.linspace(0.0, 2 * np.pi, 37):
-        v = case_a_energy(helix11, case_a_field, q, w)
-        assert ex.e_min - 1e-12 <= v <= ex.e_max + 1e-12
+    want = (ex.e_max, ex.e_min)
+    assert [case_a_energy(helix11, case_a_field, q, w) for q in ex.q_candidates] == pytest.approx(want, rel=1e-12)
+    assert family_energy(helix11, case_a_field, ex.q_candidates, w).values == pytest.approx(want, rel=1e-12)
+    # the energy at any other angle stays inside the analytic range, and it is case A's closed form
+    qs = np.linspace(0.0, 2 * np.pi, 37)
+    values = family_energy(helix11, case_a_field, qs, w).values
+    assert np.all((ex.e_min - 1e-12 <= values) & (values <= ex.e_max + 1e-12))
+    assert values == pytest.approx([case_a_energy(helix11, case_a_field, q, w) for q in qs], rel=1e-12)
 
 
 def test_case_a_extrema_zero_cross_term(circle):
     # circle normal: kappa_g = 0 everywhere, so B = 0 and A = -L < 0
     w = 0.1
-    ex = case_a_extrema(circle, PrincipalNormalField(circle), w)
+    field = PrincipalNormalField(circle)
+    ex = case_a_extrema(circle, field, w)
     assert ex.B == pytest.approx(0.0, abs=1e-12)
     assert ex.A == pytest.approx(-circle.length, rel=1e-12)
     assert ex.q_candidates == (0.0, np.pi / 2.0)
-    assert ex.e_max == pytest.approx(0.5 * w * circle.length, rel=1e-12)
-    assert ex.e_min == pytest.approx(0.0, abs=1e-15)
+    e_max, e_min = family_energy(circle, field, ex.q_candidates, w).values
+    assert e_max == pytest.approx(ex.e_max, rel=1e-12) and e_max == pytest.approx(0.5 * w * circle.length, rel=1e-12)
+    assert e_min == pytest.approx(0.0, abs=1e-15) and ex.e_min == pytest.approx(0.0, abs=1e-15)
 
 
 def test_case_a_energy_independent_of_angle_when_degenerate():
@@ -389,8 +440,11 @@ def test_case_a_energy_independent_of_angle_when_degenerate():
     assert ex.q_candidates == ()
     assert ex.e_max == pytest.approx(want, rel=1e-10)
     assert ex.e_min == pytest.approx(want, rel=1e-10)
-    vals = [case_a_energy(h, field, q, w) for q in np.linspace(0, 2 * np.pi, 17)]
+    qs = np.linspace(0, 2 * np.pi, 17)
+    vals = [case_a_energy(h, field, q, w) for q in qs]
     assert max(vals) - min(vals) < 1e-14
+    vals = family_energy(h, field, qs, w).values
+    assert max(vals) - min(vals) < 1e-14 and vals[0] == pytest.approx(want, rel=1e-10)
 
 
 def test_case_a_constants_stable_under_grid_doubling(helix11, case_a_field):
@@ -398,6 +452,10 @@ def test_case_a_constants_stable_under_grid_doubling(helix11, case_a_field):
     e2 = case_a_extrema(helix11, case_a_field, 0.1, n_t=2001)
     assert abs(e1.A - e2.A) < 1e-8
     assert abs(e1.B - e2.B) < 1e-8
+    # E(q) = (w/4) (K - A cos 2q - 2B sin 2q) moves by at most (w/4) (|dK| + |dA| + 2 |dB|)
+    qs = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    coarse, fine = (family_energy(helix11, case_a_field, qs, 0.1, n_t=n).values for n in (1001, 2001))
+    assert np.max(np.abs(coarse - fine)) < 1e-10
 
 
 @pytest.mark.parametrize("s", [1e-9, 1.0, 1e10])
@@ -409,7 +467,8 @@ def test_case_a_and_ratio_gates_are_scale_free(s):
     tau = 0.5 / s
     field = RotatedNormalField(pn, lambda t: -tau * t, lambda t: -tau)
     assert case_a_energy(h, field, 0.7, 0.1 * s, n_t=201) == pytest.approx(0.0675261669914, rel=1e-11)
-    assert energy_bound(h, pn, pn, 0.1 * s, n_t=201).ratio_bound == 1.0
+    assert family_energy(h, field, [0.7], 0.1 * s, n_t=201).values[0] == pytest.approx(0.0675261669914, rel=1e-11)
+    assert family_energy(h, pn, [0.0], 0.1 * s, n_t=201).ratio_bound == 1.0
 
 
 @pytest.mark.parametrize("s", [1e-13, 1.0, 1e40])
@@ -422,7 +481,9 @@ def test_case_a_extrema_are_scale_free(s):
     ex = case_a_extrema(h, field, 0.1 * s, n_t=201)
     assert len(ex.q_candidates) == 2
     assert ex.q_candidates == pytest.approx((0.42850099537637, 1.9992973221713), rel=1e-9)
-    assert (ex.e_max, ex.e_min) == pytest.approx((0.059430972519724, 0.040533893588839), rel=1e-9)
+    want = (0.059430972519724, 0.040533893588839)
+    assert (ex.e_max, ex.e_min) == pytest.approx(want, rel=1e-9)
+    assert family_energy(h, field, ex.q_candidates, 0.1 * s, n_t=201).values == pytest.approx(want, rel=1e-9)
 
 
 # ---------------------------------------------------------------- Case B

@@ -27,11 +27,7 @@ pytestmark = pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects
 NEVER_ENTERED = {
     "angleivp.rhs_prescribed",  # kept as patch points of the benchmark's tracer
     "angleivp.rhs_same_angle",
-    "energy.energy_bound",  # the paper's energy results, which no command reports yet
-    "energy._case_a_arrays",
-    "energy.case_a_energy",
-    "energy.case_a_extrema",
-    "energy.case_b_energy",
+    "energy.case_a_energy",  # perfbench oracle
     "frames.NormalField.normal",
     "frames.NormalField.scalars",
     "numerics.first_where",  # error paths

@@ -8,7 +8,7 @@ from flatribbon import cli
 from flatribbon import ribbon as ribbon_mod
 from flatribbon.config import build_curve, parse_config
 from flatribbon.curves import HelixParams, make_helix
-from flatribbon.energy import case_a_energy, case_a_extrema, energy_bound, limit_energy
+from flatribbon.energy import case_a_energy, family_energy, limit_energy
 from flatribbon.errors import DegenerateMetric, InvalidParams, SingularRuling, WidthTooLarge
 from flatribbon.frames import PrincipalNormalField, RotatedNormalField, RotationMinimizingField
 from flatribbon.ribbon import (
@@ -208,9 +208,8 @@ ENTRY_POINTS = {
     "construct_ribbon": lambda curve, field: construct_ribbon(curve, field, 0.1, grid_size=201),
     "max_regular_width": lambda curve, field: max_regular_width(curve, field, grid_size=201),
     "limit_energy": lambda curve, field: limit_energy(curve, field, 0.1, n_t=201),
-    "energy_bound": lambda curve, field: energy_bound(curve, field, field, 0.1, n_t=201),
+    "family_energy": lambda curve, field: family_energy(curve, field, [0.3], 0.1, n_t=201),
     "case_a_energy": lambda curve, field: case_a_energy(curve, field, 0.3, 0.1, n_t=201),
-    "case_a_extrema": lambda curve, field: case_a_extrema(curve, field, 0.1, n_t=201),
 }
 
 
